@@ -3,10 +3,14 @@
 The central object is the length-tau sum of psi(a A^x b) taken over one
 full period of an invertible matrix A.  Kloosterman walks (a u + b / u)
 and Gauss walks (a u) over a cyclic subgroup are the scalar
-specialisations.  evaluate_bounds compares a computed sum against every
-estimate whose hypotheses the instance satisfies; only inequalities with
-an explicit constant are marked pass or fail, saving estimates with
-unspecified constants come back as ratio reports.
+specialisations.  Every sum walks a residue orbit (ffield.residue_orbit),
+maps it to trace arguments Tr(alpha z) mod p through the integer trace form,
+and counts the arguments in an exact integer histogram; float rounding is
+confined to one p-term dot product of that histogram with the roots of
+unity.  evaluate_bounds compares a computed sum against every estimate
+whose hypotheses the instance satisfies; only inequalities with an explicit
+constant are marked pass or fail, saving estimates with unspecified
+constants come back as ratio reports.
 """
 
 from __future__ import annotations
@@ -17,14 +21,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import sequence_energy
-from .errors import BudgetExceeded, MixedContext
+from .counting import sequence_energy, vector_orbit
+from .errors import BudgetExceeded, InvariantViolated, MixedContext
 from .ffield import (
     CharacterSpec,
     FFElem,
     SubgroupSpec,
-    char_argument,
+    mul_matrix,
+    residue_orbit,
     standard_character,
+    trace_form,
 )
 from .matgrp import (
     MatEntity,
@@ -44,32 +50,6 @@ _PASS_SLACK = 1e-9
 _MOMENT_BLOCK = 1 << 22  # complex entries materialized per moment block
 
 
-class _Kahan:
-    """Compensated complex accumulator (Kahan on each component)."""
-
-    __slots__ = ("re", "im", "_cre", "_cim")
-
-    def __init__(self):
-        self.re = 0.0
-        self.im = 0.0
-        self._cre = 0.0
-        self._cim = 0.0
-
-    def add(self, z):
-        y = z.real - self._cre
-        t = self.re + y
-        self._cre = (t - self.re) - y
-        self.re = t
-        y = z.imag - self._cim
-        t = self.im + y
-        self._cim = (t - self.im) - y
-        self.im = t
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re, self.im)
-
-
 @dataclass(frozen=True)
 class SumResult:
     """A computed complete sum with its modulus and term count."""
@@ -82,12 +62,37 @@ class SumResult:
     parameters: dict
 
 
-def _pack_result(acc, length, chi, kind, parameters) -> SumResult:
-    value = acc.value
+def _walk_sum(args: np.ndarray, chi: CharacterSpec, kind: str, parameters: dict) -> SumResult:
+    """Sum of e_p(args): an exact histogram of the arguments, then one p-term dot."""
+    p = chi.ctx.p
+    length = args.shape[0]
+    # only the p valid bins are kept, so an argument >= p shows up as lost mass
+    hist = np.bincount(args, minlength=p)[:p]
+    mass = int(hist.sum())
+    if mass != length:
+        raise InvariantViolated(f"histogram mass {mass} != walk length {length}")
+    value = complex(hist @ chi.ctx.roots_of_unity())
     mag = abs(value)
-    # unit-modulus terms force |sum| <= length up to accumulated rounding
-    assert mag <= length + 1e-9
+    # unit-modulus terms force |sum| <= length up to the dot product's rounding
+    if mag > length + 1e-9:
+        raise InvariantViolated(f"|sum| = {mag} exceeds the walk length {length}")
     return SumResult(value, mag, length, chi, kind, parameters)
+
+
+def _forms(chi: CharacterSpec, elems) -> np.ndarray:
+    """One row res(x) T per element x, so Tr(alpha x z) = row . res(z) (mod p)."""
+    res = np.array([x.residues() for x in elems], dtype=np.int64)
+    return res @ trace_form(chi) % chi.ctx.p
+
+
+def _subgroup_walk(G: SubgroupSpec) -> np.ndarray:
+    """Residue rows of g, g^2, ..., g^order (= 1)."""
+    return residue_orbit(mul_matrix(G.generator), G.ctx.one.residues(), G.order, G.ctx.p)
+
+
+def _inverse_walk(us: np.ndarray) -> np.ndarray:
+    """Rows of g^-1, ..., g^-order from the walk rows: g^-x = g^(order - x)."""
+    return np.roll(us[::-1], -1, axis=0)
 
 
 def _default_character(ctx, chi):
@@ -101,7 +106,7 @@ def _default_character(ctx, chi):
 def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
                    chi: CharacterSpec | None = None,
                    max_tau: int | None = None) -> SumResult:
-    """Sum psi(a A^x b) for x = 1..tau, one matrix-vector product per term."""
+    """Sum psi(a A^x b) for x = 1..tau over the residue orbit of b."""
     ctx = A.ctx
     if a_vec.ctx != ctx or b_vec.ctx != ctx:
         raise MixedContext("vectors and matrix live in different fields")
@@ -114,31 +119,10 @@ def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
     cap = SUM_TAU_CAP if max_tau is None else max_tau
     if tau > cap:
         raise BudgetExceeded(f"period {tau} exceeds the cap {cap}", estimated_work=tau)
-    table = ctx.roots_of_unity()
-    acc = _Kahan()
-    n = A.n
-    if ctx.degree == 1:
-        # raw residue loop; the character twist is folded into the left vector
-        p = ctx.p
-        rows = [[e.c0 for e in row] for row in A.rows]
-        left = [(chi.alpha.c0 * e.c0) % p for e in a_vec.entries]
-        w = [e.c0 for e in b_vec.entries]
-        idx = range(n)
-        for _ in range(tau):
-            w = [sum(rows[i][j] * w[j] for j in idx) % p for i in idx]
-            acc.add(table[sum(left[i] * w[i] for i in idx) % p])
-    else:
-        rows = A.rows
-        left = a_vec.entries
-        w = list(b_vec.entries)
-        zero = ctx.zero
-        idx = range(n)
-        for _ in range(tau):
-            w = [sum((rows[i][j] * w[j] for j in idx), zero) for i in idx]
-            z = sum((left[i] * w[i] for i in idx), zero)
-            acc.add(table[char_argument(chi, z)])
-    params = {"p": ctx.p, "degree": ctx.degree, "n": n, "tau": tau}
-    return _pack_result(acc, tau, chi, "matrix", params)
+    left = _forms(chi, a_vec.entries).ravel()
+    args = vector_orbit(b_vec, A, tau) @ left % ctx.p
+    params = {"p": ctx.p, "degree": ctx.degree, "n": A.n, "tau": tau}
+    return _walk_sum(args, chi, "matrix", params)
 
 
 def _check_group_budget(G: SubgroupSpec, max_order):
@@ -157,18 +141,11 @@ def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
         raise MixedContext("coefficients and subgroup live in different fields")
     chi = _default_character(ctx, chi)
     _check_group_budget(G, max_order)
-    table = ctx.roots_of_unity()
-    acc = _Kahan()
-    g = G.generator
-    ginv = g.inverse()
-    u = ctx.one
-    v = ctx.one
-    for _ in range(G.order):
-        u = u * g
-        v = v * ginv
-        acc.add(table[char_argument(chi, a * u + b * v)])
+    us = _subgroup_walk(G)
+    form_a, form_b = _forms(chi, (a, b))
+    args = (us @ form_a + _inverse_walk(us) @ form_b) % ctx.p
     params = {"p": ctx.p, "degree": ctx.degree, "order": G.order}
-    return _pack_result(acc, G.order, chi, "kloosterman", params)
+    return _walk_sum(args, chi, "kloosterman", params)
 
 
 def gauss_subgroup(G: SubgroupSpec, a: FFElem,
@@ -180,15 +157,9 @@ def gauss_subgroup(G: SubgroupSpec, a: FFElem,
         raise MixedContext("coefficient and subgroup live in different fields")
     chi = _default_character(ctx, chi)
     _check_group_budget(G, max_order)
-    table = ctx.roots_of_unity()
-    acc = _Kahan()
-    g = G.generator
-    u = ctx.one
-    for _ in range(G.order):
-        u = u * g
-        acc.add(table[char_argument(chi, a * u)])
+    args = _subgroup_walk(G) @ _forms(chi, (a,))[0] % ctx.p
     params = {"p": ctx.p, "degree": ctx.degree, "order": G.order}
-    return _pack_result(acc, G.order, chi, "gauss", params)
+    return _walk_sum(args, chi, "gauss", params)
 
 
 @dataclass(frozen=True)
@@ -200,18 +171,6 @@ class MomentResult:
     value: float
     exact: int | None
     parameters: dict
-
-
-def _argument_matrix(ctx, coeff_residues, scaled):
-    """Character-argument table: rows index coefficients, columns orbit elements."""
-    p = ctx.p
-    w0 = np.array([x.c0 for x in scaled], dtype=np.int64)
-    if ctx.degree == 1:
-        return (coeff_residues[0][:, None] * w0[None, :]) % p
-    w1 = np.array([x.c1 for x in scaled], dtype=np.int64)
-    mixed = coeff_residues[0][:, None] * w0[None, :] + ctx.r * (
-        coeff_residues[1][:, None] * w1[None, :])
-    return (2 * mixed) % p
 
 
 def sum_moment(family: str, G: SubgroupSpec, m: int,
@@ -237,38 +196,30 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
         raise BudgetExceeded(f"moment work {work} exceeds the cap {cap}",
                              estimated_work=work)
 
-    us = list(G.elements())
     p = ctx.p
     idx = np.arange(q, dtype=np.int64)
-    coeff = (idx % p, idx // p)
+    # residues of every field element in canonical order, as rows
+    forms = np.stack((idx % p, idx // p), axis=1)[:, :ctx.degree] @ trace_form(chi) % p
     table = ctx.roots_of_unity()
     block = max(1, _MOMENT_BLOCK // max(q, tau))
+    us = _subgroup_walk(G)
 
-    scaled_u = [chi.alpha * u for u in us]
     total = 0.0
     if family == "kloosterman":
-        vs = [u.inverse() for u in us]
-        scaled_v = [chi.alpha * v for v in vs]
-        right = table[_argument_matrix(ctx, coeff, scaled_v)].T
-        for start in range(0, q, block):
-            part = (coeff[0][start:start + block], coeff[1][start:start + block])
-            vals = table[_argument_matrix(ctx, part, scaled_u)] @ right
-            total += float(np.sum(np.abs(vals) ** m))
-    else:
-        for start in range(0, q, block):
-            part = (coeff[0][start:start + block], coeff[1][start:start + block])
-            vals = np.sum(table[_argument_matrix(ctx, part, scaled_u)], axis=1)
-            total += float(np.sum(np.abs(vals) ** m))
+        vs = _inverse_walk(us)
+        right = table[forms @ vs.T % p].T
+    for start in range(0, q, block):
+        terms = table[forms[start:start + block] @ us.T % p]
+        vals = terms @ right if family == "kloosterman" else np.sum(terms, axis=1)
+        total += float(np.sum(np.abs(vals) ** m))
 
     exact = None
     if m in (2, 4, 6):
         nu = m // 2
         if family == "kloosterman":
-            rows = [u.residues() + v.residues() for u, v in zip(us, vs)]
-            exact = q * q * sequence_energy(rows, p, nu)
+            exact = q * q * sequence_energy(np.hstack((us, vs)), p, nu)
         else:
-            rows = [u.residues() for u in us]
-            exact = q * sequence_energy(rows, p, nu)
+            exact = q * sequence_energy(us, p, nu)
     params = {"p": p, "degree": ctx.degree, "q": q, "order": tau}
     return MomentResult(family, m, total, exact, params)
 

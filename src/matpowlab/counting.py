@@ -26,7 +26,7 @@ from .errors import (
     ZeroVector,
     ZeroXi1,
 )
-from .ffield import FFElem, mult_order
+from .ffield import FFElem, mul_matrix, mult_order, residue_orbit
 from .matgrp import MatEntity, VecEntity, char_poly_factor, is_diagonalizable, matrix_order
 
 DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
@@ -89,6 +89,16 @@ def _aggregate_rows(rows: np.ndarray, counts: np.ndarray):
     return r[starts], np.add.reduceat(c, starts)
 
 
+def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Residue rows of base-p integer keys (inverse of rows @ p^arange(d))."""
+    rows = np.empty((keys.size, d), dtype=np.int64)
+    rem = keys.copy()
+    for j in range(d):
+        rows[:, j] = rem % p
+        rem //= p
+    return rows
+
+
 class _SumAccumulator:
     """Streams (rows, counts) blocks and keeps a merged exact multiset."""
 
@@ -104,14 +114,6 @@ class _SumAccumulator:
 
     def _encode(self, rows):
         return rows @ self._weights
-
-    def _decode(self, keys):
-        rows = np.empty((keys.size, self.d), dtype=np.int64)
-        rem = keys.copy()
-        for j in range(self.d):
-            rows[:, j] = rem % self.p
-            rem //= self.p
-        return rows
 
     def add(self, rows: np.ndarray, counts: np.ndarray):
         if self.encodable:
@@ -143,7 +145,7 @@ class _SumAccumulator:
         self._merge()
         key_part, counts = self._merged
         if self.encodable:
-            return self._decode(key_part), counts
+            return _decode_keys(key_part, self.p, self.d), counts
         return key_part, counts
 
     def result_counts(self) -> np.ndarray:
@@ -180,38 +182,38 @@ def _rows_from_residues(residue_tuples) -> np.ndarray:
     return np.array(residue_tuples, dtype=np.int64)
 
 
-def sequence_energy(residue_tuples, p: int, nu: int) -> int:
-    """sum(c_nu^2) for the nu-fold sum multiset of an explicit residue-row sequence."""
-    rows = _rows_from_residues(residue_tuples)
-    _, counts = _folded_distribution(rows, p, nu)
+def sequence_energy(residue_rows, p: int, nu: int) -> int:
+    """sum(c_nu^2) for the nu-fold sum multiset of a residue-row sequence (array or tuples)."""
+    _, counts = _folded_distribution(_rows_from_residues(residue_rows), p, nu)
     return int(np.sum(counts * counts))
 
 
 # ---- matrix power orbits ----------------------------------------------------------
 
 
+def _flat_map(A: MatEntity, side: str) -> np.ndarray:
+    """Integer matrix of v -> v A (side "row") or v -> A v ("column") on flat residues."""
+    blocks = [[mul_matrix(x) for x in row] for row in A.rows]
+    if side == "row":
+        blocks = [list(col) for col in zip(*blocks)]
+    return np.block(blocks)
+
+
 def power_orbit(A: MatEntity, tau: int | None = None):
     """Residue rows of A^1, ..., A^tau (tau defaults to the order of A)."""
     if tau is None:
         tau = matrix_order(A)
-    out = []
-    cur = A
-    for _ in range(tau):
-        out.append(cur.residues())
-        cur = cur @ A
-    return _rows_from_residues(out)
+    # X -> X A acts on each row of the row-major flat X separately
+    step = np.kron(np.eye(A.n, dtype=np.int64), _flat_map(A, "row"))
+    identity = MatEntity.identity(A.ctx, A.n).residues()
+    return residue_orbit(step, identity, tau, A.ctx.p)
 
 
 def vector_orbit(v: VecEntity, A: MatEntity, tau: int | None = None):
     """Residue rows of v A^x (row) or A^x v (column), x = 1..tau."""
     if tau is None:
         tau = matrix_order(A)
-    out = []
-    cur = v
-    for _ in range(tau):
-        cur = cur @ A if v.orientation == "row" else A @ cur
-        out.append(cur.residues())
-    return _rows_from_residues(out)
+    return residue_orbit(_flat_map(A, v.orientation), v.residues(), tau, A.ctx.p)
 
 
 def _check_tau_budget(tau: int, nu: int, max_tau: int | None):
@@ -422,11 +424,3 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
         current = nxt
     return CoverResult(covered_at, tuple(missing), space)
 
-
-def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
-    rows = np.empty((keys.size, d), dtype=np.int64)
-    rem = keys.copy()
-    for j in range(d):
-        rows[:, j] = rem % p
-        rem //= p
-    return rows

@@ -75,3 +75,7 @@ class DependentVectors(MatpowError):
 
 class ConfigError(MatpowError):
     """Experiment configuration could not be parsed or validated."""
+
+
+class InvariantViolated(MatpowError):
+    """An internal result failed a cheap consistency check."""

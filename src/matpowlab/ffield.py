@@ -3,6 +3,8 @@
 Quadratic extensions are realized as F_p[w] / (w^2 - r) with r the least
 quadratic non-residue mod p, so the Frobenius map x -> x^p is plain
 conjugation (c0, c1) -> (c0, -c1) and trace / norm have closed forms.
+Array code sees this representation only through mul_matrix and trace_form,
+the integer matrices of multiplication and of the trace pairing on residues.
 """
 
 from __future__ import annotations
@@ -404,14 +406,43 @@ def standard_character(ctx: FieldCtx) -> CharacterSpec:
     return CharacterSpec(ctx.one)
 
 
+def mul_matrix(x: FFElem) -> np.ndarray:
+    """The degree x degree integer matrix of z -> x z acting on residue columns."""
+    if x.ctx.degree == 1:
+        return np.array([[x.c0]], dtype=np.int64)
+    return np.array([[x.c0, x.ctx.r * x.c1 % x.ctx.p], [x.c1, x.c0]], dtype=np.int64)
+
+
+def trace_form(chi: CharacterSpec) -> np.ndarray:
+    """The matrix T with Tr(alpha a z) = res(a) T res(z) (mod p), entries reduced mod p."""
+    ctx, a = chi.ctx, chi.alpha
+    if ctx.degree == 1:
+        return np.array([[a.c0]], dtype=np.int64)
+    r = ctx.r
+    form = 2 * np.array([[a.c0, r * a.c1], [r * a.c1, r * a.c0]], dtype=np.int64)
+    return form % ctx.p
+
+
+def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
+    """Rows (M^1 s), ..., (M^length s) mod p, by doubling in ~log2(length) matmuls.
+
+    Every intermediate is reduced mod p, so each product sums at most
+    d terms below p^2: d p^2 < 2^63 for every p up to _MAX_P.
+    """
+    M = np.asarray(M, dtype=np.int64) % p
+    rows = (M @ np.asarray(start, dtype=np.int64) % p)[None, :]
+    power = M
+    while rows.shape[0] < length:
+        rows = np.vstack([rows, rows @ power.T % p])
+        power = power @ power % p
+    return rows[:length]
+
+
 def char_argument(chi: CharacterSpec, z: FFElem) -> int:
     """The residue Tr(alpha z) mod p that indexes the root-of-unity table."""
     if z.ctx != chi.ctx:
         raise MixedContext("character and argument live in different fields")
-    w = chi.alpha * z
-    if chi.ctx.degree == 1:
-        return w.c0
-    return (2 * w.c0) % chi.ctx.p
+    return int(trace_form(chi)[0] @ z.residues()) % chi.ctx.p
 
 
 def char_eval(chi: CharacterSpec, z: FFElem) -> complex:

@@ -130,19 +130,22 @@ def _ctxinfo(p, q, n=None, trace=None, class_tag="", tau=None, t=None):
     return dict(p=p, q=q, n=n, trace=trace, class_tag=class_tag, tau=tau, t=t)
 
 
-def scan_sl2(p: int, class_filter: str = "all"):
-    """Companion representatives [[0,-1],[1,u]] per trace, minus repeated-root traces."""
+def _sl2_traces(p: int, class_filter: str):
+    """Traces u mod p whose companion class passes the filter, minus repeated-root traces."""
     ctx = make_field(p)
-    out = []
     for u in range(p):
         disc = (u * u - 4) % p
         if disc == 0:
             continue
         tag = "split" if is_square(ctx.elem(disc)) else "irreducible"
-        if class_filter != "all" and tag != class_filter:
-            continue
-        out.append(sl2_companion(ctx, u))
-    return out
+        if class_filter == "all" or tag == class_filter:
+            yield u
+
+
+def scan_sl2(p: int, class_filter: str = "all"):
+    """Companion representatives [[0,-1],[1,u]] per trace, minus repeated-root traces."""
+    ctx = make_field(p)
+    return [sl2_companion(ctx, u) for u in _sl2_traces(p, class_filter)]
 
 
 def _primes(cfg):
@@ -150,18 +153,7 @@ def _primes(cfg):
 
 
 def _trace_grid(cfg):
-    grid = []
-    for p in _primes(cfg):
-        ctx = make_field(p)
-        for u in range(p):
-            disc = (u * u - 4) % p
-            if disc == 0:
-                continue
-            tag = "split" if is_square(ctx.elem(disc)) else "irreducible"
-            if cfg.class_filter != "all" and tag != cfg.class_filter:
-                continue
-            grid.append((p, u))
-    return grid
+    return [(p, u) for p in _primes(cfg) for u in _sl2_traces(p, cfg.class_filter)]
 
 
 def _divisors(n):
@@ -473,8 +465,6 @@ def _lemma81_rows(cfg, desc):
     except (DependentVectors, DegenerateParameters, SingularLowerLeft,
             CompositeModulus, BudgetExceeded) as err:
         return [_skipped(cfg, info, quantity, err)]
-    except AssertionError as err:
-        report = err.report
     info = _ctxinfo(p, p, n=2, trace=cat.trace, tau=report.tau)
     return [_checked(cfg, info, quantity, report.sup_power, "count-ceiling",
                      report.bound, slack=1e-6)]

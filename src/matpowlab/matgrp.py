@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .errors import (
     BudgetExceeded,
     DegenerateParameters,
+    InvariantViolated,
     MixedContext,
     NormNotOne,
     OrderCapExceeded,
@@ -523,7 +524,8 @@ def _cubic_factor(coeffs, ctx) -> CharPolyData:
     for z in roots:
         while len(rem) > 1 and not _poly_eval(rem, z):
             rem, r0 = _poly_divmod(rem, [-z, ctx.one])
-            assert not any(r0)
+            if any(r0):
+                raise InvariantViolated(f"root {z!r} left a nonzero remainder")
             with_mult.append(z)
     with_mult.sort(key=lambda t: ctx.element_index(t))
     k = len(with_mult)
@@ -553,7 +555,8 @@ def is_diagonalizable(A: MatEntity) -> bool:
     if len(g) == 1:
         return True
     radical, r = _poly_divmod(coeffs, g)
-    assert not any(r)
+    if any(r):
+        raise InvariantViolated("gcd with the derivative does not divide the polynomial")
     vanished = _poly_eval_matrix(radical, A)
     return all(not x for row in vanished.rows for x in row)
 

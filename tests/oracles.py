@@ -128,6 +128,17 @@ def naive_char_sum(terms):
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
+def naive_field_trace(y):
+    """Tr(y) = y + y^p + ... over the degree's Frobenius conjugates, as an int mod p."""
+    acc, conj = y.ctx.zero, y
+    for _ in range(y.ctx.degree):
+        acc = acc + conj
+        conj = conj ** y.ctx.p
+    if acc.c1:
+        raise AssertionError(f"trace of {y!r} left the base field")
+    return acc.c0
+
+
 def naive_point_count(ctx, s, a, b):
     """Count curve points by evaluating the defining polynomial at every (x, y)."""
     count = 0

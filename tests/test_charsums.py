@@ -9,7 +9,7 @@ import pytest
 
 from matpowlab.charsums import (
     SumResult,
-    _Kahan,
+    _walk_sum,
     analyze_instance,
     evaluate_bounds,
     gauss_subgroup,
@@ -22,7 +22,7 @@ from matpowlab.charsums import (
     weil_explicit_bound,
 )
 from matpowlab.counting import count_JK
-from matpowlab.errors import BudgetExceeded, MixedContext
+from matpowlab.errors import BudgetExceeded, InvariantViolated, MixedContext
 from matpowlab.ffield import (
     CharacterSpec,
     SubgroupSpec,
@@ -483,12 +483,18 @@ def test_extension_independence_never_disagrees_on_sl2_sample():
             assert h.ext_right_independent == h.right_independent
 
 
-def test_kahan_accumulator_matches_fsum():
+def test_histogram_sum_matches_fsum():
     rng = np.random.default_rng(7)
+    chi = standard_character(make_field(23))
     table = np.exp(2j * np.pi * np.arange(23) / 23)
     args = rng.integers(0, 23, size=5000)
-    acc = _Kahan()
-    for k in args:
-        acc.add(table[k])
+    got = _walk_sum(args, chi, "test", {})
     want = naive_char_sum([complex(table[k]) for k in args])
-    assert abs(acc.value - want) < 1e-12
+    assert got.length == 5000
+    assert abs(got.value - want) < 1e-12
+
+
+def test_histogram_sum_rejects_out_of_range_arguments():
+    chi = standard_character(make_field(23))
+    with pytest.raises(InvariantViolated):
+        _walk_sum(np.array([0, 5, 23]), chi, "test", {})

@@ -74,6 +74,41 @@ def test_count_Q_matches_vector_oracle_wider():
                 assert count_Q(A, nu).value == naive_count_Q_fast(keys, nu)
 
 
+@pytest.mark.parametrize("p,degree", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbits_match_object_arithmetic(p, degree, n):
+    # lengths 1, 2, 3, 5 and tau straddle the doubling steps of residue_orbit
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(10 * n + p)
+
+    def draw(count):
+        while True:
+            out = [ctx.from_index(int(rng.integers(ctx.q))) for _ in range(count)]
+            if any(out):
+                return out
+
+    A = MatEntity([draw(n) for _ in range(n)])
+    while not A.det():
+        A = MatEntity([draw(n) for _ in range(n)])
+    v = draw(n)
+    tau = matrix_order(A)
+    mats, rows, cols = [], [], []
+    cur, row, col = A, VecEntity(v, "row"), VecEntity(v, "column")
+    for _ in range(max(tau, 5)):
+        row, col = row @ A, A @ col
+        mats.append(cur.residues())
+        rows.append(row.residues())
+        cols.append(col.residues())
+        cur = cur @ A
+    for length in (1, 2, 3, 5, tau):
+        assert power_orbit(A, length).tolist() == [list(r) for r in mats[:length]]
+        assert vector_orbit(VecEntity(v, "row"), A, length).tolist() == \
+            [list(r) for r in rows[:length]]
+        assert vector_orbit(VecEntity(v, "column"), A, length).tolist() == \
+            [list(r) for r in cols[:length]]
+    assert power_orbit(A).shape == (tau, n * n * degree)
+
+
 def test_count_Q_frozen_small_values():
     ctx = make_field(7)
     ident = MatEntity.identity(ctx, 2)

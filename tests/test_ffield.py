@@ -12,19 +12,22 @@ from matpowlab.errors import (
 from matpowlab.ffield import (
     CharacterSpec,
     SubgroupSpec,
+    char_argument,
     char_eval,
     is_square,
     make_field,
+    mul_matrix,
     mult_order,
     norm_subgroup,
     primitive_root,
     sqrt,
     standard_character,
     subgroup_of_order,
+    trace_form,
     trace_norm,
 )
 
-from oracles import naive_least_nonresidue, naive_mult_order
+from oracles import naive_field_trace, naive_least_nonresidue, naive_mult_order
 
 
 def test_make_field_rejects_bad_moduli():
@@ -216,6 +219,22 @@ def test_character_trace_argument():
         tr, _ = trace_norm(z)
         expect = np.exp(2j * np.pi * tr.c0 / 7)
         assert abs(char_eval(chi, z) - expect) < 1e-12
+
+
+@pytest.mark.parametrize("p,degree", [(5, 1), (7, 1), (5, 2), (7, 2)])
+def test_residue_matrices_match_field_arithmetic(p, degree):
+    # every alpha != 0, a, z: res(a) T res(z) = Tr(alpha a z) and mul_matrix(a) res(z) = res(a z)
+    ctx = make_field(p, degree)
+    elems = list(ctx.iter_elements())
+    res = np.array([x.residues() for x in elems])
+    prod = np.array([[ctx.element_index(a * z) for z in elems] for a in elems])
+    for a, row in zip(elems, prod):
+        assert np.array_equal(mul_matrix(a) @ res.T % p, res[row].T)
+    for alpha in elems[1:]:
+        chi = CharacterSpec(alpha)
+        args = np.array([char_argument(chi, y) for y in elems])
+        assert list(args) == [naive_field_trace(alpha * y) for y in elems]
+        assert np.array_equal(res @ trace_form(chi) @ res.T % p, args[prod])
 
 
 def test_sqrt_roundtrip():

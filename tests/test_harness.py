@@ -174,6 +174,18 @@ def test_budget_shrinks_to_skipped_rows():
             assert rec.bound_name == "budget" and rec.bound_value > 0
 
 
+def test_lemma81_ceiling_breach_is_a_fail_row(monkeypatch):
+    import matpowlab.catmap as catmap_mod
+
+    monkeypatch.setattr(catmap_mod, "_numerical_radius", lambda comp: 2.0)
+    rows = _all_rows(build_config({"experiment": "lemma81", "p_min": "11",
+                                   "p_max": "11"}))
+    assert len(rows) == 2
+    for rec in rows:
+        assert rec.status == "fail" and rec.bound_name == "count-ceiling"
+        assert rec.ratio > 1
+
+
 def test_csv_formatting():
     rows = _all_rows(_cfg(p_max="5"))
     line = record_to_csv(rows[0])
