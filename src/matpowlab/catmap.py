@@ -315,16 +315,10 @@ def delta_Nf(A: CatMatrix, N: int, f: Observable) -> float:
 
 
 def _numerical_radius(comp: np.ndarray, grid: int = PHASE_GRID) -> float:
-    """Grid maximum of the top eigenvalue of the rotated Hermitian parts."""
-    best = 0.0
-    half = comp.conj().T
-    for theta in np.arange(grid) * (2 * np.pi / grid):
-        spin = np.exp(1j * theta)
-        herm = (spin * comp + np.conj(spin) * half) / 2
-        top = float(np.linalg.eigvalsh(herm)[-1])
-        if top > best:
-            best = top
-    return best
+    """Grid maximum of the top eigenvalue of the rotated Hermitian parts, floored at 0."""
+    spin = np.exp(1j * (np.arange(grid) * (2 * np.pi / grid)))[:, None, None]
+    herm = (spin * comp + np.conj(spin) * comp.conj().T) / 2
+    return max(0.0, float(np.linalg.eigvalsh(herm)[:, -1].max()))
 
 
 def matrix_element_check(A: CatMatrix, p: int, a: tuple, nu: int) -> MatrixElementReport:

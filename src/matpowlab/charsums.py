@@ -27,9 +27,8 @@ from .ffield import (
     CharacterSpec,
     FFElem,
     SubgroupSpec,
-    mul_matrix,
-    residue_orbit,
     standard_character,
+    subgroup_walk,
     trace_form,
 )
 from .matgrp import (
@@ -85,11 +84,6 @@ def _forms(chi: CharacterSpec, elems) -> np.ndarray:
     return res @ trace_form(chi) % chi.ctx.p
 
 
-def _subgroup_walk(G: SubgroupSpec) -> np.ndarray:
-    """Residue rows of g, g^2, ..., g^order (= 1)."""
-    return residue_orbit(mul_matrix(G.generator), G.ctx.one.residues(), G.order, G.ctx.p)
-
-
 def _inverse_walk(us: np.ndarray) -> np.ndarray:
     """Rows of g^-1, ..., g^-order from the walk rows: g^-x = g^(order - x)."""
     return np.roll(us[::-1], -1, axis=0)
@@ -141,7 +135,7 @@ def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
         raise MixedContext("coefficients and subgroup live in different fields")
     chi = _default_character(ctx, chi)
     _check_group_budget(G, max_order)
-    us = _subgroup_walk(G)
+    us = subgroup_walk(G)
     form_a, form_b = _forms(chi, (a, b))
     args = (us @ form_a + _inverse_walk(us) @ form_b) % ctx.p
     params = {"p": ctx.p, "degree": ctx.degree, "order": G.order}
@@ -157,7 +151,7 @@ def gauss_subgroup(G: SubgroupSpec, a: FFElem,
         raise MixedContext("coefficient and subgroup live in different fields")
     chi = _default_character(ctx, chi)
     _check_group_budget(G, max_order)
-    args = _subgroup_walk(G) @ _forms(chi, (a,))[0] % ctx.p
+    args = subgroup_walk(G) @ _forms(chi, (a,))[0] % ctx.p
     params = {"p": ctx.p, "degree": ctx.degree, "order": G.order}
     return _walk_sum(args, chi, "gauss", params)
 
@@ -180,7 +174,8 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
 
     Kloosterman moments range over all q^2 pairs (a, b), Gauss moments over
     all q values of a.  Even orders 2, 4 and 6 also carry the exact integer
-    value obtained by solution counting.
+    value obtained by solution counting; a float value more than 1e-9
+    relative away from it raises InvariantViolated.
     """
     if family not in ("kloosterman", "gauss"):
         raise ValueError(f"unknown family {family!r}")
@@ -202,7 +197,7 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     forms = np.stack((idx % p, idx // p), axis=1)[:, :ctx.degree] @ trace_form(chi) % p
     table = ctx.roots_of_unity()
     block = max(1, _MOMENT_BLOCK // max(q, tau))
-    us = _subgroup_walk(G)
+    us = subgroup_walk(G)
 
     total = 0.0
     if family == "kloosterman":
@@ -220,6 +215,9 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
             exact = q * q * sequence_energy(np.hstack((us, vs)), p, nu)
         else:
             exact = q * sequence_energy(us, p, nu)
+        # the float moment counts the same solutions; its round-off is ~1e-15 relative
+        if abs(total - exact) > 1e-9 * exact:
+            raise InvariantViolated(f"moment {total} is not the exact count {exact}")
     params = {"p": p, "degree": ctx.degree, "q": q, "order": tau}
     return MomentResult(family, m, total, exact, params)
 

@@ -5,12 +5,14 @@ The working polynomial is
     F(X, Y) = (X^s + Y^s + a)(X^s + Y^s + b X^s Y^s) - X^s Y^s
 
 with ab(ab - 1) != 0 and gcd(s, p) = 1; its total degree is d = 3s.  Points
-are counted over the affine plane only.  count_points is exact (a table-lookup
-grid, never an estimate); see the bound helpers for what the count is compared
-against.  For s = 1 the three candidate linear-factor shapes X - c, Y - c and
-X + Y - c can be excluded computationally, which is the desk-scale half of the
-irreducibility argument; s > 1 is out of certification reach and is treated as
-trusted.
+are counted over the affine plane only.  count_points is exact, never an
+estimate: F sees x and y only through x^s and y^s, so it evaluates F on the
+grid of pairs from the image of w -> w^s ({0} and a multiplicative subgroup)
+and weights each zero by the sizes of the two fibres above it.  See the bound
+helpers for what the count is compared against.  For s = 1 the three
+candidate linear-factor shapes X - c, Y - c and X + Y - c can be excluded
+computationally, which is the desk-scale half of the irreducibility argument;
+s > 1 is out of certification reach and is treated as trusted.
 """
 
 from __future__ import annotations
@@ -22,9 +24,16 @@ import numpy as np
 
 from .counting import CountResult
 from .errors import BudgetExceeded, DegenerateParameters, MixedContext
-from .ffield import FFElem, FieldCtx
+from .ffield import (
+    FFElem,
+    FieldCtx,
+    mul_matrix,
+    residue_product,
+    subgroup_of_order,
+    subgroup_walk,
+)
 
-CURVE_WORK_CAP = 10 ** 8  # q^2 grid evaluations
+CURVE_WORK_CAP = 10 ** 8  # (m + 1)^2 image-grid evaluations
 _GRID_BLOCK = 10 ** 6  # grid cells per vectorized row block
 
 
@@ -66,73 +75,38 @@ def curve_eval(spec: CurveSpec, x: FFElem, y: FFElem) -> FFElem:
     return (head + spec.a) * (head + spec.b * prod) - prod
 
 
-def _power_table(ctx: FieldCtx, s: int):
-    """Componentwise residue table of w -> w^s over the whole field."""
-    p = ctx.p
-    idx = np.arange(ctx.q, dtype=np.int64)
-    if ctx.degree == 1:
-        acc = np.ones(ctx.q, dtype=np.int64)
-        base = idx % p
-        e = s
-        while e:
-            if e & 1:
-                acc = (acc * base) % p
-            base = (base * base) % p
-            e >>= 1
-        return acc, None
-    r = ctx.r
-    a0 = np.ones(ctx.q, dtype=np.int64)
-    a1 = np.zeros(ctx.q, dtype=np.int64)
-    b0, b1 = idx % p, idx // p
-    e = s
-    while e:
-        if e & 1:
-            a0, a1 = (a0 * b0 + r * a1 * b1) % p, (a0 * b1 + a1 * b0) % p
-        b0, b1 = (b0 * b0 + r * b1 * b1) % p, (2 * b0 * b1) % p
-        e >>= 1
-    return a0, a1
-
-
 def count_points(spec: CurveSpec, max_work: int | None = None) -> CountResult:
-    """Exact affine point count of the curve by a table-lookup grid."""
+    """Exact affine point count by a fibre-weighted grid over the power-map image.
+
+    F depends on (x, y) only through (X, Y) = (x^s, y^s).  With g = gcd(s, q - 1),
+    w -> w^s maps F_q onto {0} and the subgroup of order m = (q - 1) / g, with
+    fibres of size 1 over 0 and g over each subgroup element, so the count is
+    the sum of fibre(X) fibre(Y) over the (m + 1)^2 image pairs with F(X, Y) = 0.
+    """
     ctx = spec.ctx
-    q = ctx.q
-    work = q * q
+    p, q = ctx.p, ctx.q
+    g = math.gcd(spec.s, q - 1)
+    m = (q - 1) // g
+    work = (m + 1) ** 2
     cap = CURVE_WORK_CAP if max_work is None else max_work
     if work > cap:
         raise BudgetExceeded(f"grid work {work} exceeds the cap {cap}",
                              estimated_work=work)
-    p = ctx.p
-    block = max(1, _GRID_BLOCK // q)
+    image = np.vstack([ctx.zero.residues(), subgroup_walk(subgroup_of_order(ctx, m))])
+    fibres = np.full(m + 1, g, dtype=np.int64)
+    fibres[0] = 1
+    a = np.array(spec.a.residues(), dtype=np.int64)
+    b_mul = mul_matrix(spec.b).T
+    block = max(1, _GRID_BLOCK // (m + 1))
     total = 0
-    if ctx.degree == 1:
-        tab, _ = _power_table(ctx, spec.s)
-        a = spec.a.c0
-        b = spec.b.c0
-        for start in range(0, q, block):
-            u = tab[start:start + block, None]
-            v = tab[None, :]
-            w = (u * v) % p
-            head = (u + v) % p
-            f = ((head + a) * (head + b * w % p) - w) % p
-            total += int(np.count_nonzero(f == 0))
-    else:
-        t0, t1 = _power_table(ctx, spec.s)
-        r = ctx.r
-        a0, a1 = spec.a.c0, spec.a.c1
-        b0, b1 = spec.b.c0, spec.b.c1
-        for start in range(0, q, block):
-            u0, u1 = t0[start:start + block, None], t1[start:start + block, None]
-            v0, v1 = t0[None, :], t1[None, :]
-            w0 = (u0 * v0 + r * u1 * v1) % p
-            w1 = (u0 * v1 + u1 * v0) % p
-            g0 = (u0 + v0 + a0) % p
-            g1 = (u1 + v1 + a1) % p
-            h0 = (u0 + v0 + b0 * w0 + r * b1 * w1) % p
-            h1 = (u1 + v1 + b0 * w1 + b1 * w0) % p
-            f0 = (g0 * h0 + r * g1 * h1 - w0) % p
-            f1 = (g0 * h1 + g1 * h0 - w1) % p
-            total += int(np.count_nonzero((f0 == 0) & (f1 == 0)))
+    for start in range(0, m + 1, block):
+        u = image[start:start + block, None]
+        v = image[None, :]
+        uv = residue_product(u, v, ctx)
+        head = (u + v) % p
+        f = (residue_product((head + a) % p, (head + uv @ b_mul) % p, ctx) - uv) % p
+        on_curve = ~f.any(axis=-1)
+        total += int(fibres[start:start + block] @ on_curve @ fibres)
     params = {"p": p, "degree": ctx.degree, "q": q, "s": spec.s, "d": spec.degree,
               "a": spec.a.residues(), "b": spec.b.residues()}
     return CountResult(total, "table-grid", params)

@@ -438,6 +438,26 @@ def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
     return rows[:length]
 
 
+def subgroup_walk(G: SubgroupSpec) -> np.ndarray:
+    """Residue rows of g, g^2, ..., g^order (= 1)."""
+    return residue_orbit(mul_matrix(G.generator), G.ctx.one.residues(), G.order, G.ctx.p)
+
+
+def residue_product(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Residue rows of the products x y, for arrays of residue rows that broadcast.
+
+    res(x y) = sum_i x_i res(e_i y) over the residue basis e_i (1, and w in
+    degree 2); entries of x and y must be reduced mod p, so that no
+    intermediate exceeds d p^2.
+    """
+    p = ctx.p
+    out = 0
+    for i in range(ctx.degree):
+        basis = mul_matrix(ctx.from_index(p ** i))
+        out = out + x[..., i, None] * (y @ basis.T % p)
+    return out % p
+
+
 def char_argument(chi: CharacterSpec, z: FFElem) -> int:
     """The residue Tr(alpha z) mod p that indexes the root-of-unity table."""
     if z.ctx != chi.ctx:

@@ -2,11 +2,15 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import matpowlab
 from matpowlab.charsums import (
     SumResult,
     _walk_sum,
@@ -376,6 +380,19 @@ def test_moment_budget_and_validation():
         sum_moment("gauss", G, 0)
 
 
+def test_moment_off_its_exact_count_raises(monkeypatch):
+    import matpowlab.charsums as charsums_mod
+
+    real = charsums_mod.sequence_energy
+    monkeypatch.setattr(charsums_mod, "sequence_energy",
+                        lambda *args: real(*args) + 1)
+    G = subgroup_of_order(make_field(13), 6)
+    for family in ("gauss", "kloosterman"):
+        with pytest.raises(InvariantViolated):
+            sum_moment(family, G, 4)
+    assert sum_moment("gauss", G, 3).exact is None
+
+
 def test_kappa_frozen_values():
     assert kappa_n(1) == Fraction(1, 4)
     assert kappa_n(2) == Fraction(1, 16)
@@ -498,3 +515,24 @@ def test_histogram_sum_rejects_out_of_range_arguments():
     chi = standard_character(make_field(23))
     with pytest.raises(InvariantViolated):
         _walk_sum(np.array([0, 5, 23]), chi, "test", {})
+
+
+def test_invariant_checks_survive_optimized_python():
+    script = "\n".join((
+        "import sys",
+        "import numpy as np",
+        "from matpowlab.charsums import _walk_sum",
+        "from matpowlab.errors import InvariantViolated",
+        "from matpowlab.ffield import make_field, standard_character",
+        "print(sys.flags.optimize)",
+        "try:",
+        "    _walk_sum(np.array([0, 5, 23]), standard_character(make_field(23)), 'test', {})",
+        "except InvariantViolated:",
+        "    print('raised')",
+    ))
+    src = os.path.dirname(os.path.dirname(matpowlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == ["1", "raised"]

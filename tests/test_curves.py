@@ -81,7 +81,10 @@ def test_eval_matches_expansion_oracle():
 
 
 def test_count_matches_naive_oracle():
-    cases = [(5, 1, 1), (5, 1, 2), (7, 1, 3), (3, 2, 1), (5, 2, 4)]
+    # the second line has gcd(s, q - 1) > 1, so every nonzero image point
+    # carries a fibre weight above 1
+    cases = [(5, 1, 1), (5, 1, 2), (7, 1, 3), (3, 2, 1), (5, 2, 4),
+             (7, 1, 2), (7, 1, 6), (3, 2, 2), (5, 2, 8), (7, 2, 6)]
     for p, degree, s in cases:
         ctx = make_field(p, degree)
         checked = 0
@@ -111,6 +114,14 @@ def test_count_budget():
     with pytest.raises(BudgetExceeded) as err:
         count_points(_valid_spec(ctx, 1, 1, 2))
     assert err.value.estimated_work == 10007 ** 2
+    # the work is (m + 1)^2 over the image {0} + subgroup of order m = (q - 1) / gcd(s, q - 1)
+    with pytest.raises(BudgetExceeded) as err:
+        count_points(_valid_spec(make_field(13), 2, 1, 2), max_work=48)
+    assert err.value.estimated_work == (12 // 2 + 1) ** 2
+    # an extension row past p^4 = 10^8 cells: the image has p + 2 points
+    ext = make_field(101, 2)
+    big = count_points(CurveSpec(ext, 100, ext.omega(), ext.omega() + ext.one))
+    assert big.value >= 1  # the origin lies on every curve
     # an explicit override lifts the cap
     small = count_points(_valid_spec(make_field(5), 1, 1, 2), max_work=25)
     assert small.value >= 0

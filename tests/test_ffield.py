@@ -20,9 +20,11 @@ from matpowlab.ffield import (
     mult_order,
     norm_subgroup,
     primitive_root,
+    residue_product,
     sqrt,
     standard_character,
     subgroup_of_order,
+    subgroup_walk,
     trace_form,
     trace_norm,
 )
@@ -166,6 +168,7 @@ def test_norm_subgroup_members():
         # and conversely every norm-one element is in the subgroup
         norm_one = [x for x in ctx.iter_elements() if x and x * x.frobenius() == ctx.one]
         assert set(norm_one) == set(members)
+        assert subgroup_walk(sub).tolist() == [list(z.residues()) for z in members]
     with pytest.raises(WrongDegree):
         norm_subgroup(make_field(7))
 
@@ -223,13 +226,15 @@ def test_character_trace_argument():
 
 @pytest.mark.parametrize("p,degree", [(5, 1), (7, 1), (5, 2), (7, 2)])
 def test_residue_matrices_match_field_arithmetic(p, degree):
-    # every alpha != 0, a, z: res(a) T res(z) = Tr(alpha a z) and mul_matrix(a) res(z) = res(a z)
+    # every alpha != 0, a, z: res(a) T res(z) = Tr(alpha a z) and
+    # mul_matrix(a) res(z) = residue_product(res(a), res(z)) = res(a z)
     ctx = make_field(p, degree)
     elems = list(ctx.iter_elements())
     res = np.array([x.residues() for x in elems])
     prod = np.array([[ctx.element_index(a * z) for z in elems] for a in elems])
     for a, row in zip(elems, prod):
         assert np.array_equal(mul_matrix(a) @ res.T % p, res[row].T)
+    assert np.array_equal(residue_product(res[:, None], res[None, :], ctx), res[prod])
     for alpha in elems[1:]:
         chi = CharacterSpec(alpha)
         args = np.array([char_argument(chi, y) for y in elems])

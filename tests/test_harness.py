@@ -174,6 +174,14 @@ def test_budget_shrinks_to_skipped_rows():
             assert rec.bound_name == "budget" and rec.bound_value > 0
 
 
+def test_curves_past_the_old_grid_cap_are_computed():
+    # extension rows at p = 101 have p^4 > 10^8 plane cells but p + 2 image points
+    rows = _all_rows(build_config({"experiment": "curves", "p_min": "101",
+                                   "p_max": "101"}))
+    assert any(rec.quantity.startswith("point-count-ext") for rec in rows)
+    assert all(rec.status != "skipped" for rec in rows)
+
+
 def test_lemma81_ceiling_breach_is_a_fail_row(monkeypatch):
     import matpowlab.catmap as catmap_mod
 
