@@ -5,10 +5,17 @@ The central quantity is the number of solutions of
     A^{x_1} + ... + A^{x_nu} = A^{x_{nu+1}} + ... + A^{x_{2 nu}},   1 <= x_i <= tau,
 
 computed as sum(c^2) over the nu-fold sum multiset of the power orbit, never
-by enumerating exponent tuples. Orbit entries are serialized to flat integer
-residue rows; aggregation happens in numpy (int64 keys when p^d fits below
-2^63, lexicographic row sort otherwise), so counts are exact integers and the
-result is independent of chunking or worker layout.
+by enumerating exponent tuples. Orbit entries are flat integer residue rows
+over F_p. Where only a count is returned, the rows are first cut down to the
+pivot columns of their F_p-span: that projection is injective on the span,
+which holds every nu-fold sum, and by Cayley-Hamilton the span of a power
+orbit has dimension at most n * degree. The multiset is then an exact int64
+histogram on the torus Z_p^d, folded nu - 1 times by adding one cyclic shift
+of it per orbit point; a boolean histogram folded the same way gives the
+sumsets of `sumset_cover`. Only when the shifted copy would pass DENSE_CAP
+cells are base-p integer keys sorted instead (rows sorted lexicographically
+once p^d passes 2^63). Either way the counts are exact integers, their total
+is checked against rows^nu, and nothing depends on chunking or worker layout.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegenerateParameters,
+    InvariantViolated,
     MixedContext,
     ZeroLambda,
     ZeroVector,
@@ -33,6 +41,7 @@ DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
 PRODUCT_EQ_CAP = 10 ** 5
 DISTRIBUTION_WORK_CAP = 10 ** 8
 COVER_SPACE_CAP = 10 ** 7
+DENSE_CAP = 1 << 21  # cells of the tiled copy a dense fold shifts (16 MB of int64)
 
 _CHUNK_TARGET = 1 << 20  # pairwise rows materialized per chunk
 _MERGE_SLACK = 8 * 10 ** 6
@@ -65,7 +74,7 @@ class CoverResult:
     space: int
 
 
-# ---- aggregation kernel ------------------------------------------------------------
+# ---- convolution kernel -------------------------------------------------------------
 
 
 def _aggregate_encoded(keys: np.ndarray, counts: np.ndarray):
@@ -89,6 +98,11 @@ def _aggregate_rows(rows: np.ndarray, counts: np.ndarray):
     return r[starts], np.add.reduceat(c, starts)
 
 
+def _key_weights(p: int, d: int) -> np.ndarray:
+    """Base-p place values: a residue row r has the integer key r @ _key_weights(p, d)."""
+    return (p ** np.arange(d)).astype(np.int64)
+
+
 def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
     """Residue rows of base-p integer keys (inverse of rows @ p^arange(d))."""
     rows = np.empty((keys.size, d), dtype=np.int64)
@@ -107,7 +121,7 @@ class _SumAccumulator:
         self.d = d
         self.encodable = p ** d < 2 ** 63
         if self.encodable:
-            self._weights = (p ** np.arange(d)).astype(np.int64)
+            self._weights = _key_weights(p, d)
         self._pending = []
         self._pending_size = 0
         self._merged = None
@@ -148,10 +162,6 @@ class _SumAccumulator:
             return _decode_keys(key_part, self.p, self.d), counts
         return key_part, counts
 
-    def result_counts(self) -> np.ndarray:
-        self._merge()
-        return self._merged[1]
-
 
 def _fold_once(base_rows, base_counts, orbit_rows, p):
     """One convolution step: all sums (base + orbit), aggregated exactly."""
@@ -168,14 +178,84 @@ def _fold_once(base_rows, base_counts, orbit_rows, p):
     return acc.result_rows()
 
 
+def _pivot_columns(rows: np.ndarray, p: int) -> list:
+    """Pivot columns of the F_p-span of the rows, by elimination in column order.
+
+    A vector of the span is determined by its pivot coordinates, so projecting
+    onto them keeps every count of sums of rows.
+    """
+    m = rows % p
+    pivots = []
+    for j in range(m.shape[1]):
+        hit = np.flatnonzero(m[:, j])
+        if hit.size:
+            pivot = m[hit[0]] * pow(int(m[hit[0], j]), -1, p) % p
+            m = (m - np.outer(m[:, j], pivot)) % p
+            pivots.append(j)
+    return pivots
+
+
+def _kernel(p: int, d: int) -> str:
+    """The fold for keys in Z_p^d: dense while its tiled copy fits in DENSE_CAP cells."""
+    return "dense" if (2 * p) ** d <= DENSE_CAP else "sorted"
+
+
+def _torus(keys: np.ndarray, p: int, d: int, dtype=np.int64) -> np.ndarray:
+    """Histogram of base-p keys on Z_p^d, one axis per coordinate, last coordinate first."""
+    cells = np.zeros(p ** d, dtype=dtype)
+    np.add.at(cells, keys, dtype(1))
+    return cells.reshape((p,) * d)
+
+
+def _dense_fold(cells: np.ndarray, shifts: np.ndarray, weights: np.ndarray, p: int):
+    """sum_i weights[i] * (cells moved by shifts[i]) on the torus Z_p^d.
+
+    Every moved copy is a slice of one 2^d-fold tiling of cells. A boolean
+    cells array with unit weights gives the sumset instead of the multiset.
+    """
+    tiled = np.tile(cells, (2,) * cells.ndim)
+    out = np.zeros_like(cells)
+    for r, w in zip(shifts[:, ::-1].tolist(), weights.tolist()):
+        view = tiled[tuple(slice(p - x, 2 * p - x) for x in r)]
+        out += view if w == 1 else w * view
+    return out
+
+
 def _folded_distribution(orbit_rows: np.ndarray, p: int, arity: int):
     """(rows, counts) of the arity-fold sum multiset of the orbit sequence."""
-    start = _SumAccumulator(p, orbit_rows.shape[1])
-    start.add(orbit_rows, np.ones(orbit_rows.shape[0], dtype=np.int64))
-    rows, counts = start.result_rows()
-    for _ in range(arity - 1):
-        rows, counts = _fold_once(rows, counts, orbit_rows, p)
+    size, d = orbit_rows.shape
+    if _kernel(p, d) == "dense":
+        cells = _torus(orbit_rows @ _key_weights(p, d), p, d)
+        support = np.flatnonzero(cells)
+        shifts, weights = _decode_keys(support, p, d), cells.ravel()[support]
+        for _ in range(arity - 1):
+            cells = _dense_fold(cells, shifts, weights, p)
+        keys = np.flatnonzero(cells)
+        rows, counts = _decode_keys(keys, p, d), cells.ravel()[keys]
+    else:
+        start = _SumAccumulator(p, d)
+        start.add(orbit_rows, np.ones(size, dtype=np.int64))
+        rows, counts = start.result_rows()
+        for _ in range(arity - 1):
+            rows, counts = _fold_once(rows, counts, orbit_rows, p)
+    total = int(np.sum(counts))
+    if total != size ** arity:
+        raise InvariantViolated(
+            f"{arity}-fold sum multiplicities total {total}, not {size}^{arity}")
     return rows, counts
+
+
+def _energy(orbit_rows: np.ndarray, p: int, nu: int):
+    """sum(c^2) over the nu-fold sums of the rows, and the kernel that counted them."""
+    keys = orbit_rows[:, _pivot_columns(orbit_rows, p)]
+    size, d = keys.shape
+    _, counts = _folded_distribution(keys, p, nu)
+    # sum(c^2) <= size^(2 nu); past int64 the squares are summed as Python ints
+    if size ** (2 * nu) < 2 ** 63:
+        value = int(np.dot(counts, counts))
+    else:
+        value = sum(c * c for c in counts.tolist())
+    return value, {"kernel": _kernel(p, d), "key_dims": d}
 
 
 def _rows_from_residues(residue_tuples) -> np.ndarray:
@@ -184,8 +264,7 @@ def _rows_from_residues(residue_tuples) -> np.ndarray:
 
 def sequence_energy(residue_rows, p: int, nu: int) -> int:
     """sum(c_nu^2) for the nu-fold sum multiset of a residue-row sequence (array or tuples)."""
-    _, counts = _folded_distribution(_rows_from_residues(residue_rows), p, nu)
-    return int(np.sum(counts * counts))
+    return _energy(_rows_from_residues(residue_rows), p, nu)[0]
 
 
 # ---- matrix power orbits ----------------------------------------------------------
@@ -231,13 +310,11 @@ def count_Q(A: MatEntity, nu: int, max_tau: int | None = None) -> CountResult:
         raise ValueError(f"nu must be 1, 2, or 3, got {nu}")
     tau = matrix_order(A)
     _check_tau_budget(tau, nu, max_tau)
-    orbit = power_orbit(A, tau)
-    _, counts = _folded_distribution(orbit, A.ctx.p, nu)
-    value = int(np.sum(counts * counts))
+    value, kernel = _energy(power_orbit(A, tau), A.ctx.p, nu)
     return CountResult(
         value,
         "convolution",
-        {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n},
+        {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n, **kernel},
     )
 
 
@@ -259,12 +336,11 @@ def count_Q_eigen(A: MatEntity, nu: int, max_tau: int | None = None) -> CountRes
         for w in powers:
             flat.extend(w.residues())
         rows.append(tuple(flat))
-    _, counts = _folded_distribution(_rows_from_residues(rows), A.ctx.p, nu)
-    value = int(np.sum(counts * counts))
+    value, kernel = _energy(_rows_from_residues(rows), A.ctx.p, nu)
     return CountResult(
         value,
         "eigenvalue-reduction",
-        {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n},
+        {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n, **kernel},
     )
 
 
@@ -290,9 +366,7 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
         raise ValueError("dimension mismatch")
     tau = matrix_order(A)
     _check_tau_budget(tau, k, max_tau)
-    orbit = vector_orbit(v, A, tau)
-    _, counts = _folded_distribution(orbit, A.ctx.p, k)
-    value = int(np.sum(counts * counts))
+    value, kernel = _energy(vector_orbit(v, A, tau), A.ctx.p, k)
     return CountResult(
         value,
         "convolution",
@@ -303,6 +377,7 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
             "degree": A.ctx.degree,
             "n": A.n,
             "side": v.orientation,
+            **kernel,
         },
     )
 
@@ -372,7 +447,7 @@ def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
         raise BudgetExceeded(f"tau^k = {tau ** k} exceeds {cap}", estimated_work=tau ** k)
     orbit = vector_orbit(a, A, tau)
     rows, counts = _folded_distribution(orbit, A.ctx.p, k)
-    dist = {tuple(int(x) for x in row): int(c) for row, c in zip(rows, counts)}
+    dist = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
     return SumDistribution(k, dist, tau ** k)
 
 
@@ -387,40 +462,30 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
         raise ValueError("k_max must be positive")
     if not a:
         raise ZeroVector("orbit of the zero vector is trivial")
-    ctx = A.ctx
-    d = A.n * ctx.degree
-    space = ctx.p ** d
+    p = A.ctx.p
+    d = A.n * A.ctx.degree
+    space = p ** d
     cap = COVER_SPACE_CAP if max_space is None else max_space
     if space > cap:
         raise BudgetExceeded(f"q^n = {space} exceeds {cap}", estimated_work=space)
-    tau = matrix_order(A)
-    orbit = vector_orbit(a, A, tau)
-    weights = (ctx.p ** np.arange(d)).astype(np.int64)
-    orbit_keys = np.unique(orbit @ weights)
-    orbit_rows = _decode_keys(orbit_keys, ctx.p, d)
-    current = orbit_keys
+    orbit = vector_orbit(a, A, matrix_order(A))
+    current = _torus(orbit @ _key_weights(p, d), p, d, np.bool_)
+    support = np.flatnonzero(current)
+    shifts, ones = _decode_keys(support, p, d), np.ones(support.size, dtype=np.bool_)
     missing = []
     covered_at = None
     for k in range(1, k_max + 1):
-        gap = space - current.size
-        missing.append(int(gap))
+        gap = space - int(np.count_nonzero(current))
+        missing.append(gap)
         if gap == 0:
             covered_at = k
             break
         if k == k_max:
             break
-        rows = _decode_keys(current, ctx.p, d)
-        block = max(1, _CHUNK_TARGET // max(orbit_keys.size, 1))
-        pieces = []
-        for lo in range(0, rows.shape[0], block):
-            hi = min(lo + block, rows.shape[0])
-            sums = (rows[lo:hi, None, :] + orbit_rows[None, :, :]) % ctx.p
-            pieces.append(np.unique(sums.reshape(-1, d) @ weights))
-        nxt = np.unique(np.concatenate(pieces))
-        if nxt.size == current.size and np.array_equal(nxt, current):
+        nxt = _dense_fold(current, shifts, ones, p)
+        if np.array_equal(nxt, current):
             # S_{k+1} = S_k forces S_{k+m} = S_k: no later arity can cover
-            missing.extend([int(gap)] * (k_max - k))
+            missing.extend([gap] * (k_max - k))
             break
         current = nxt
     return CoverResult(covered_at, tuple(missing), space)
-

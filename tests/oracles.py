@@ -162,3 +162,21 @@ def naive_product_eq_count(xi0, xis, lambdas, tau):
         if prod == xi0:
             count += 1
     return count
+
+
+def naive_sumset_cover(orbit, p, k_max):
+    """(covered_at, missing) for S_1 = set(orbit), S_{k+1} = S_k + S_1 in F_p^d.
+
+    `orbit` is a list of residue tuples; every sumset is a Python set of
+    tuples built by adding each pair componentwise mod p.
+    """
+    first = set(orbit)
+    space = p ** len(orbit[0])
+    current = first
+    missing = []
+    for k in range(1, k_max + 1):
+        missing.append(space - len(current))
+        if len(current) == space:
+            return k, tuple(missing)
+        current = {tuple((a + b) % p for a, b in zip(s, t)) for s in current for t in first}
+    return None, tuple(missing)

@@ -17,6 +17,7 @@ from matpowlab.counting import (
 from matpowlab.errors import (
     BudgetExceeded,
     DegenerateParameters,
+    InvariantViolated,
     ZeroLambda,
     ZeroVector,
     ZeroXi1,
@@ -24,7 +25,12 @@ from matpowlab.errors import (
 from matpowlab.ffield import make_field, mult_order, primitive_root, subgroup_of_order
 from matpowlab.matgrp import MatEntity, VecEntity, matrix_order, sl2_companion
 
-from oracles import naive_count_Q, naive_count_Q_fast, naive_product_eq_count
+from oracles import (
+    naive_count_Q,
+    naive_count_Q_fast,
+    naive_product_eq_count,
+    naive_sumset_cover,
+)
 
 
 def _matrix_powers(A, tau):
@@ -228,7 +234,7 @@ def test_budget_guard():
 
 
 def test_kernel_path_without_int64_encoding():
-    # p^4 for p = 99991 does not fit in int64, forcing the row-sort path
+    # p^2 for p = 99991 is past DENSE_CAP, so count_Q sorts int64 keys
     p = 99991
     ctx = make_field(p)
     g = primitive_root(ctx)
@@ -236,19 +242,131 @@ def test_kernel_path_without_int64_encoding():
     A = MatEntity.diagonal([lam, lam.inverse()])
     assert matrix_order(A) == 6
     res = count_Q(A, 2)
+    assert res.parameters["kernel"] == "sorted"
     keys = (power_orbit(A, 6), p)
     assert res.value == naive_count_Q_fast(keys, 2)
     # same instance through the eigenvalue route
     assert count_Q_eigen(A, 2).value == res.value
+    # p^4 passes 2^63, so unreduced rows over F_{p^2}^2 sort lexicographically
+    ctx = make_field(p, 2)
+    A = MatEntity.diagonal([ctx.elem(-1)] * 2)
+    a = VecEntity([ctx.one, ctx.elem(3, 1)], "row")
+    expect = {}
+    for x in (a @ A, a):
+        for y in (a @ A, a):
+            key = (x + y).residues()
+            expect[key] = expect.get(key, 0) + 1
+    assert orbit_sum_distribution(a, A, 2).counts == expect
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
     ctx = make_field(11)
     A = sl2_companion(ctx, 4)
     base = count_Q(A, 2).value
+    monkeypatch.setattr(counting, "DENSE_CAP", 0)
     monkeypatch.setattr(counting, "_CHUNK_TARGET", 7)
     monkeypatch.setattr(counting, "_MERGE_SLACK", 3)
     assert count_Q(A, 2).value == base
+
+
+def _all_counts(p):
+    """Every counting entry point on the companions of F_p, as one comparable record."""
+    ctx = make_field(p)
+    out = []
+    for u in range(p):
+        A = sl2_companion(ctx, u)
+        e1 = VecEntity([ctx.one, ctx.zero], "row")
+        col = VecEntity([ctx.one, ctx.elem(u)], "column")
+        for nu in (1, 2, 3):
+            out.append(count_Q(A, nu))
+            out.append(count_JK(e1, A, nu))
+            out.append(count_JK(col, A, nu))
+        if (u - 2) % p and (u + 2) % p:
+            out.append(count_Q_eigen(A, 2))
+        dist = orbit_sum_distribution(col, A, 2).counts
+        out.append(list(dist.items()))
+    sub = subgroup_of_order(ctx, p - 1)
+    rows = [x.residues() + x.inverse().residues() for x in sub.elements()]
+    out += [sequence_energy(rows, p, nu) for nu in (1, 2, 3)]
+    return out
+
+
+def test_dense_kernel_matches_sort_kernel(monkeypatch):
+    for p in (5, 7, 11):
+        dense = _all_counts(p)
+        monkeypatch.setattr(counting, "DENSE_CAP", 0)
+        sort = _all_counts(p)
+        monkeypatch.undo()
+        for a, b in zip(dense, sort):
+            if isinstance(a, CountResult):
+                assert a.parameters.pop("kernel") == "dense"
+                assert b.parameters.pop("kernel") == "sorted"
+                assert (a.value, a.method, a.parameters) == (b.value, b.method, b.parameters)
+            else:
+                assert a == b
+    A = sl2_companion(make_field(7), 3)
+    assert count_Q(A, 2).parameters["key_dims"] == 2
+
+
+@pytest.mark.parametrize("kernel", ["dense", "sorted"])
+def test_fold_that_drops_a_count_raises(kernel, monkeypatch):
+    # the folded multiplicities must total tau^nu on either path
+    if kernel == "dense":
+        real = counting._dense_fold
+
+        def lossy(*args):
+            cells = real(*args)
+            cells.flat[np.flatnonzero(cells)[0]] -= 1
+            return cells
+
+        monkeypatch.setattr(counting, "_dense_fold", lossy)
+    else:
+        real = counting._fold_once
+
+        def lossy(*args):
+            rows, counts = real(*args)
+            counts[0] -= 1
+            return rows, counts
+
+        monkeypatch.setattr(counting, "DENSE_CAP", 0)
+        monkeypatch.setattr(counting, "_fold_once", lossy)
+    A = sl2_companion(make_field(7), 3)
+    with pytest.raises(InvariantViolated):
+        count_Q(A, 2)
+    with pytest.raises(InvariantViolated):
+        orbit_sum_distribution(VecEntity([A.ctx.one, A.ctx.zero], "row"), A, 2)
+
+
+def _key_reduction_cases(ctx, n):
+    """(matrix, degree of its minimal polynomial) for random, scalar and repeated-eigenvalue A."""
+    rng = np.random.default_rng(7 * n + ctx.q)
+    g = primitive_root(ctx)
+    cases = []
+    while len(cases) < 3:
+        A = MatEntity([[ctx.from_index(int(rng.integers(ctx.q))) for _ in range(n)]
+                       for _ in range(n)])
+        if A.det():
+            cases.append((A, n))
+    cases.append((MatEntity.diagonal([g] * n), 1))
+    if n >= 2:
+        cases.append((MatEntity.diagonal([g] * (n - 1) + [g * g]), 2))
+        jordan = [[g if i == j else ctx.elem(int(j == i + 1)) for j in range(n)]
+                  for i in range(n)]
+        cases.append((MatEntity(jordan), n))
+    return cases
+
+
+@pytest.mark.parametrize("p,degree", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_key_reduction_keeps_counts(p, degree, n):
+    ctx = make_field(p, degree)
+    for A, m in _key_reduction_cases(ctx, n):
+        tau = matrix_order(A)
+        keys = (power_orbit(A, tau), p)
+        for nu in (1, 2, 3) if tau <= 30 else (1, 2):
+            res = count_Q(A, nu)
+            assert res.parameters["key_dims"] <= m * degree <= n * degree
+            assert res.value == naive_count_Q_fast(keys, nu)
 
 
 def test_product_eq_matches_naive():
@@ -354,6 +472,31 @@ def test_sumset_cover_irreducible_orbit_covers():
     assert res.space == 25
 
 
+def _row_orbit(start, A):
+    out, cur = [], start
+    for _ in range(matrix_order(A)):
+        cur = cur @ A
+        out.append(cur.residues())
+    return out
+
+
+def test_sumset_cover_matches_set_oracle():
+    for p in (5, 7, 11, 13):
+        ctx = make_field(p)
+        start = VecEntity([ctx.one, ctx.zero], "row")
+        for u in range(p):
+            A = sl2_companion(ctx, u)
+            res = sumset_cover(start, A, 4)
+            assert (res.covered_at, res.missing) == naive_sumset_cover(_row_orbit(start, A), p, 4)
+    # the stagnating line orbit of test_sumset_cover_line_orbit_never_covers
+    ctx = make_field(7)
+    g = primitive_root(ctx)
+    A = MatEntity.diagonal([g, g ** -1])
+    start = VecEntity([ctx.one, ctx.zero], "row")
+    res = sumset_cover(start, A, 6)
+    assert (res.covered_at, res.missing) == naive_sumset_cover(_row_orbit(start, A), 7, 6)
+
+
 def test_sumset_cover_budget():
     ctx = make_field(101)
     A = sl2_companion(ctx, 1)
@@ -376,3 +519,10 @@ def test_sequence_energy_scalar():
                     if (a + b) % 13 == (c + d) % 13:
                         expect += 1
     assert got == expect
+
+
+def test_energy_past_int64_is_exact():
+    # 70 000 rows evenly on Z_7: each 3-fold sum class has 70 000^3 / 7 members,
+    # and the sum of their squares (~1.7e28) is far past int64
+    rows = np.arange(70000)[:, None] % 7
+    assert sequence_energy(rows, 7, 3) == 7 * (70000 ** 3 // 7) ** 2
