@@ -7,10 +7,12 @@ specialisations.  Every sum walks a residue orbit (ffield.residue_orbit),
 maps it to trace arguments Tr(alpha z) mod p through the integer trace form,
 and counts the arguments in an exact integer histogram; float rounding is
 confined to one p-term dot product of that histogram with the roots of
-unity.  evaluate_bounds compares a computed sum against every estimate
-whose hypotheses the instance satisfies; only inequalities with an explicit
-constant are marked pass or fail, saving estimates with unspecified
-constants come back as ratio reports.
+unity.  Moments over every coefficient walk one representative per
+G-orbit of coefficients, weighted by the orbit size, since a sum is
+constant on each orbit.  evaluate_bounds compares a computed sum against
+every estimate whose hypotheses the instance satisfies; only inequalities
+with an explicit constant are marked pass or fail, saving estimates with
+unspecified constants come back as ratio reports.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ from .ffield import (
     CharacterSpec,
     FFElem,
     SubgroupSpec,
+    mul_matrix,
+    primitive_root,
+    residue_orbit,
     standard_character,
     subgroup_walk,
     trace_form,
@@ -173,9 +178,15 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     """Moment sum of |walk sum|^m over every coefficient in the field.
 
     Kloosterman moments range over all q^2 pairs (a, b), Gauss moments over
-    all q values of a.  Even orders 2, 4 and 6 also carry the exact integer
+    all q values of a.  Both sums are constant on G-orbits of coefficients
+    (a -> a h, b -> b / h for h in G permutes the walk), so only a = 0 and
+    one representative g^c (c = 1..L, L = (q - 1) / |G|) of each coset of G
+    are walked, weighted by the orbit sizes 1 and |G|;
+    parameters["representatives"] records those L + 1 rows.  The weighted
+    second moment must equal its closed form (q |G| for Gauss, q^2 |G| for
+    Kloosterman), and even orders 2, 4 and 6 also carry the exact integer
     value obtained by solution counting; a float value more than 1e-9
-    relative away from it raises InvariantViolated.
+    relative away from either raises InvariantViolated.
     """
     if family not in ("kloosterman", "gauss"):
         raise ValueError(f"unknown family {family!r}")
@@ -192,22 +203,37 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
                              estimated_work=work)
 
     p = ctx.p
-    idx = np.arange(q, dtype=np.int64)
-    # residues of every field element in canonical order, as rows
-    forms = np.stack((idx % p, idx // p), axis=1)[:, :ctx.degree] @ trace_form(chi) % p
+    cosets = (q - 1) // tau
+    # g^1..g^L represent the cosets of G; Kloosterman walks on to g^(q-1) for every b
+    length = q - 1 if family == "kloosterman" else cosets
+    walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), length, p)
+    forms = np.vstack((np.zeros((1, ctx.degree), dtype=np.int64), walk)) @ trace_form(chi) % p
+    reps = forms[:cosets + 1]
+    weights = np.full(cosets + 1, float(tau))
+    weights[0] = 1.0
     table = ctx.roots_of_unity()
-    block = max(1, _MOMENT_BLOCK // max(q, tau))
     us = subgroup_walk(G)
 
-    total = 0.0
     if family == "kloosterman":
         vs = _inverse_walk(us)
+        # one column per b in {0} and the walk: e_p(Tr(alpha b / u)) down the u
         right = table[forms @ vs.T % p].T
-    for start in range(0, q, block):
-        terms = table[forms[start:start + block] @ us.T % p]
-        vals = terms @ right if family == "kloosterman" else np.sum(terms, axis=1)
-        total += float(np.sum(np.abs(vals) ** m))
+    else:
+        right = np.ones((tau, 1))
+    # the widest per-row array is the terms (tau) or the sums (right's columns)
+    block = max(1, _MOMENT_BLOCK // max(tau, right.shape[1]))
+    total = second = 0.0
+    for start in range(0, cosets + 1, block):
+        terms = table[reps[start:start + block] @ us.T % p]
+        mags = np.abs(terms @ right)
+        w = weights[start:start + block]
+        total += float(w @ np.sum(mags ** m, axis=1))
+        second += float(w @ np.sum(mags * mags, axis=1))
 
+    # orthogonality of the characters makes the second moment equal the charged
+    # work: sum_a |S(a)|^2 = q |G| and sum_(a,b) |K(a, b)|^2 = q^2 |G|
+    if abs(second - work) > 1e-9 * work:
+        raise InvariantViolated(f"second moment {second} is not its closed form {work}")
     exact = None
     if m in (2, 4, 6):
         nu = m // 2
@@ -218,7 +244,8 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
         # the float moment counts the same solutions; its round-off is ~1e-15 relative
         if abs(total - exact) > 1e-9 * exact:
             raise InvariantViolated(f"moment {total} is not the exact count {exact}")
-    params = {"p": p, "degree": ctx.degree, "q": q, "order": tau}
+    params = {"p": p, "degree": ctx.degree, "q": q, "order": tau,
+              "representatives": cosets + 1}
     return MomentResult(family, m, total, exact, params)
 
 

@@ -426,16 +426,22 @@ def trace_form(chi: CharacterSpec) -> np.ndarray:
 def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
     """Rows (M^1 s), ..., (M^length s) mod p, by doubling in ~log2(length) matmuls.
 
+    The rows are filled into one array of exactly length rows.
+
     Every intermediate is reduced mod p, so each product sums at most
     d terms below p^2: d p^2 < 2^63 for every p up to _MAX_P.
     """
     M = np.asarray(M, dtype=np.int64) % p
-    rows = (M @ np.asarray(start, dtype=np.int64) % p)[None, :]
-    power = M
-    while rows.shape[0] < length:
-        rows = np.vstack([rows, rows @ power.T % p])
+    rows = np.empty((length, M.shape[0]), dtype=np.int64)
+    rows[:1] = M @ np.asarray(start, dtype=np.int64) % p
+    done, power = 1, M
+    while done < length:
+        # rows done..done+step-1 are M^done times rows 0..step-1
+        step = min(done, length - done)
+        rows[done:done + step] = rows[:step] @ power.T % p
+        done += step
         power = power @ power % p
-    return rows[:length]
+    return rows
 
 
 def subgroup_walk(G: SubgroupSpec) -> np.ndarray:

@@ -7,6 +7,7 @@ Keep these dumb; speed comes from the small parameters only.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -137,6 +138,28 @@ def naive_field_trace(y):
     if acc.c1:
         raise AssertionError(f"trace of {y!r} left the base field")
     return acc.c0
+
+
+def naive_moment(family, G, m, chi):
+    """Sum of |S|^m over every coefficient a (Gauss) or pair (a, b) (Kloosterman).
+
+    Each complete sum S = sum over u in G of e_p(Tr(alpha c(u))), with
+    c(u) = a u or a u + b / u, is enumerated term by term.
+    """
+    ctx = G.ctx
+    us = list(G.elements())
+
+    def walk_abs(coeff):
+        terms = [cmath.exp(2j * math.pi * naive_field_trace(chi.alpha * coeff(u)) / ctx.p)
+                 for u in us]
+        return abs(naive_char_sum(terms))
+
+    field = list(ctx.iter_elements())
+    if family == "gauss":
+        mags = [walk_abs(lambda u: a * u) for a in field]
+    else:
+        mags = [walk_abs(lambda u: a * u + b / u) for a in field for b in field]
+    return math.fsum(x ** m for x in mags)
 
 
 def naive_point_count(ctx, s, a, b):

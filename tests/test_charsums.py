@@ -44,7 +44,7 @@ from matpowlab.matgrp import (
     matrix_order,
     sl2_companion,
 )
-from oracles import naive_char_sum
+from oracles import naive_char_sum, naive_moment
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                  61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -393,6 +393,55 @@ def test_moment_off_its_exact_count_raises(monkeypatch):
     assert sum_moment("gauss", G, 3).exact is None
 
 
+_MOMENT_CASES = [
+    ("gauss", 13, 1, (1, 4, 12)),
+    ("kloosterman", 7, 1, (1, 3, 6)),
+    ("gauss", 5, 2, (1, 8, 24)),
+    ("kloosterman", 3, 2, (1, 4, 8)),
+]
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["standard", "twisted"])
+@pytest.mark.parametrize("family,p,degree,orders", _MOMENT_CASES,
+                         ids=[f"{c[0]}-{c[1]}^{c[2]}" for c in _MOMENT_CASES])
+def test_moment_matches_brute_force_oracle(family, p, degree, orders, twisted):
+    ctx = make_field(p, degree)
+    chi = CharacterSpec(primitive_root(ctx)) if twisted else standard_character(ctx)
+    for tau in orders:
+        G = subgroup_of_order(ctx, tau)
+        for m in (1, 2, 3, 5, 6):
+            res = sum_moment(family, G, m, chi)
+            want = naive_moment(family, G, m, chi)
+            assert abs(res.value - want) <= 1e-12 * want, (tau, m)
+            assert res.parameters["representatives"] == (ctx.q - 1) // tau + 1
+
+
+@pytest.mark.parametrize("family", ["gauss", "kloosterman"])
+def test_moment_blocks_do_not_change_values(family, monkeypatch):
+    import matpowlab.charsums as charsums_mod
+
+    ctx = make_field(13)
+    G = subgroup_of_order(ctx, 2)  # 7 representative rows: 0 and 6 cosets
+    want = [sum_moment(family, G, m).value for m in (3, 6)]
+    width = ctx.q if family == "kloosterman" else G.order
+    for rows in (1, 2, 3, 4):  # 2, 3 and 4 rows per block leave a ragged last block
+        monkeypatch.setattr(charsums_mod, "_MOMENT_BLOCK", rows * width)
+        got = [sum_moment(family, G, m).value for m in (3, 6)]
+        assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want)), rows
+
+
+def test_moment_missing_cosets_fail_the_second_moment_check(monkeypatch):
+    import matpowlab.charsums as charsums_mod
+
+    real = charsums_mod.primitive_root
+    monkeypatch.setattr(charsums_mod, "primitive_root", lambda ctx: real(ctx) ** 2)
+    # L = 12 / 3 = 4 cosets: the powers of g^2 reach only the even ones, twice each
+    G = subgroup_of_order(make_field(13), 3)
+    for family in ("gauss", "kloosterman"):
+        with pytest.raises(InvariantViolated, match="second moment"):
+            sum_moment(family, G, 3)
+
+
 def test_kappa_frozen_values():
     assert kappa_n(1) == Fraction(1, 4)
     assert kappa_n(2) == Fraction(1, 16)
@@ -529,10 +578,18 @@ def test_invariant_checks_survive_optimized_python():
         "    _walk_sum(np.array([0, 5, 23]), standard_character(make_field(23)), 'test', {})",
         "except InvariantViolated:",
         "    print('raised')",
+        "import matpowlab.charsums as charsums",
+        "from matpowlab.ffield import subgroup_of_order",
+        "real = charsums.primitive_root",
+        "charsums.primitive_root = lambda ctx: real(ctx) ** 2",
+        "try:",
+        "    charsums.sum_moment('gauss', subgroup_of_order(make_field(13), 3), 3)",
+        "except InvariantViolated:",
+        "    print('raised')",
     ))
     src = os.path.dirname(os.path.dirname(matpowlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=120, check=True)
-    assert out.stdout.split() == ["1", "raised"]
+    assert out.stdout.split() == ["1", "raised", "raised"]
