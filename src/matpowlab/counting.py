@@ -10,12 +10,16 @@ over F_p. Where only a count is returned, the rows are first cut down to the
 pivot columns of their F_p-span: that projection is injective on the span,
 which holds every nu-fold sum, and by Cayley-Hamilton the span of a power
 orbit has dimension at most n * degree. The multiset is then an exact int64
-histogram on the torus Z_p^d, folded nu - 1 times by adding one cyclic shift
-of it per orbit point; a boolean histogram folded the same way gives the
-sumsets of `sumset_cover`. Only when the shifted copy would pass DENSE_CAP
-cells are base-p integer keys sorted instead (rows sorted lexicographically
-once p^d passes 2^63). Either way the counts are exact integers, their total
-is checked against rows^nu, and nothing depends on chunking or worker layout.
+histogram on the torus Z_p^d. Its first fold is one histogram of the sums of
+all ordered pairs of distinct rows, weighted by the product of their
+multiplicities, so it assumes nothing about the row sequence; each later
+fold adds one cyclic shift of it per distinct row. A boolean histogram built
+the same way gives the sumsets of `sumset_cover`. Only when the shifted copy
+would pass DENSE_CAP cells are base-p integer keys sorted instead (rows
+sorted lexicographically once p^d passes 2^63). Either way the counts are
+exact integers, their total is checked against rows^nu, and nothing depends
+on chunking or worker layout. `orbit_sum_distribution` returns the distinct
+sums and their multiplicities as arrays.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .errors import (
     ZeroVector,
     ZeroXi1,
 )
-from .ffield import FFElem, mul_matrix, mult_order, residue_orbit
+from .ffield import FFElem, mul_matrix, mult_order, residue_orbit, residue_product
 from .matgrp import MatEntity, VecEntity, char_poly_factor, is_diagonalizable, matrix_order
 
 DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
@@ -43,7 +47,7 @@ DISTRIBUTION_WORK_CAP = 10 ** 8
 COVER_SPACE_CAP = 10 ** 7
 DENSE_CAP = 1 << 21  # cells of the tiled copy a dense fold shifts (16 MB of int64)
 
-_CHUNK_TARGET = 1 << 20  # pairwise rows materialized per chunk
+_CHUNK_TARGET = 1 << 20  # pairwise sums materialized per block
 _MERGE_SLACK = 8 * 10 ** 6
 
 
@@ -58,10 +62,11 @@ class CountResult:
 
 @dataclass
 class SumDistribution:
-    """Multiset of k-fold orbit sums: residue-row key -> multiplicity."""
+    """Multiset of k-fold orbit sums: distinct residue rows and their multiplicities."""
 
     arity: int
-    counts: dict
+    rows: np.ndarray
+    counts: np.ndarray
     total: int
 
 
@@ -200,10 +205,26 @@ def _kernel(p: int, d: int) -> str:
     return "dense" if (2 * p) ** d <= DENSE_CAP else "sorted"
 
 
-def _torus(keys: np.ndarray, p: int, d: int, dtype=np.int64) -> np.ndarray:
-    """Histogram of base-p keys on Z_p^d, one axis per coordinate, last coordinate first."""
-    cells = np.zeros(p ** d, dtype=dtype)
-    np.add.at(cells, keys, dtype(1))
+def _pair_histogram(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
+    """Histogram on Z_p^d (axes last coordinate first) of rows[i] + rows[j] (mod p) over
+    all ordered pairs, of weight weights[i] * weights[j]; boolean weights give the sumset.
+
+    Row entries must be reduced mod p. Keys are built in blocks of whole
+    i-rows, about _CHUNK_TARGET pairs (8 MB) each.
+    """
+    size, d = rows.shape
+    cells = np.zeros(p ** d, dtype=weights.dtype)
+    # wraps[j][s] = (s mod p) p^j for a sum s < 2p of two residues
+    wraps = [np.arange(2 * p) % p * w for w in _key_weights(p, d).tolist()]
+    one = weights.dtype.type(1)
+    # rows without repeats (most orbits) add the scalar one in the cells' dtype:
+    # a value array, or a scalar np.add.at must cast, makes it several times slower
+    unit = bool(np.all(weights == one))
+    block = max(1, _CHUNK_TARGET // size)
+    for lo in range(0, size, block):
+        keys = sum(wrap[np.add.outer(rows[lo:lo + block, j], rows[:, j])]
+                   for j, wrap in enumerate(wraps))
+        np.add.at(cells, keys, one if unit else np.outer(weights[lo:lo + block], weights))
     return cells.reshape((p,) * d)
 
 
@@ -225,13 +246,16 @@ def _folded_distribution(orbit_rows: np.ndarray, p: int, arity: int):
     """(rows, counts) of the arity-fold sum multiset of the orbit sequence."""
     size, d = orbit_rows.shape
     if _kernel(p, d) == "dense":
-        cells = _torus(orbit_rows @ _key_weights(p, d), p, d)
-        support = np.flatnonzero(cells)
-        shifts, weights = _decode_keys(support, p, d), cells.ravel()[support]
-        for _ in range(arity - 1):
-            cells = _dense_fold(cells, shifts, weights, p)
-        keys = np.flatnonzero(cells)
-        rows, counts = _decode_keys(keys, p, d), cells.ravel()[keys]
+        keys, weights = np.unique(orbit_rows @ _key_weights(p, d), return_counts=True)
+        shifts = _decode_keys(keys, p, d)
+        rows, counts = shifts, weights
+        if arity > 1:
+            # c_2 from the ordered pairs of distinct rows; each later fold adds one shift per row
+            cells = _pair_histogram(shifts, weights, p)
+            for _ in range(arity - 2):
+                cells = _dense_fold(cells, shifts, weights, p)
+            keys = np.flatnonzero(cells)
+            rows, counts = _decode_keys(keys, p, d), cells.ravel()[keys]
     else:
         start = _SumAccumulator(p, d)
         start.add(orbit_rows, np.ones(size, dtype=np.int64))
@@ -388,8 +412,8 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
 def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> CountResult:
     """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0.
 
-    tau is the lcm of the base orders; powers advance incrementally so the
-    scan costs one multiplication per factor per step.
+    tau is the lcm of the base orders. Each base is walked as a residue
+    orbit, and the factors are multiplied as arrays of residue rows.
     """
     xis = list(xis)
     lambdas = list(lambdas)
@@ -413,15 +437,12 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> C
     cap = PRODUCT_EQ_CAP if max_tau is None else max_tau
     if tau > cap:
         raise BudgetExceeded(f"lcm period {tau} exceeds {cap}", estimated_work=tau)
-    powers = [ctx.one for _ in lambdas]
-    hits = 0
-    for _ in range(tau):
-        powers = [w * lam for w, lam in zip(powers, lambdas)]
-        prod = ctx.one
-        for xi, w in zip(xis, powers):
-            prod = prod * (xi - w)
-        if prod == xi0:
-            hits += 1
+    p = ctx.p
+    prod = np.array(ctx.one.residues(), dtype=np.int64)
+    for xi, lam in zip(xis, lambdas):
+        powers = residue_orbit(mul_matrix(lam), ctx.one.residues(), tau, p)
+        prod = residue_product(prod, (np.array(xi.residues()) - powers) % p, ctx)
+    hits = int(np.count_nonzero(np.all(prod == xi0.residues(), axis=1)))
     return CountResult(
         hits,
         "direct-scan",
@@ -434,7 +455,7 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> C
 
 def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
                            max_work: int | None = None) -> SumDistribution:
-    """Full multiset of k-fold sums of the vector orbit, as a key -> count dict."""
+    """Full multiset of k-fold sums of the vector orbit: distinct rows and int64 counts."""
     if k < 1:
         raise ValueError("arity must be positive")
     if not a:
@@ -447,8 +468,7 @@ def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
         raise BudgetExceeded(f"tau^k = {tau ** k} exceeds {cap}", estimated_work=tau ** k)
     orbit = vector_orbit(a, A, tau)
     rows, counts = _folded_distribution(orbit, A.ctx.p, k)
-    dist = dict(zip(map(tuple, rows.tolist()), counts.tolist()))
-    return SumDistribution(k, dist, tau ** k)
+    return SumDistribution(k, rows, counts, tau ** k)
 
 
 def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
@@ -469,9 +489,10 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
     if space > cap:
         raise BudgetExceeded(f"q^n = {space} exceeds {cap}", estimated_work=space)
     orbit = vector_orbit(a, A, matrix_order(A))
-    current = _torus(orbit @ _key_weights(p, d), p, d, np.bool_)
-    support = np.flatnonzero(current)
-    shifts, ones = _decode_keys(support, p, d), np.ones(support.size, dtype=np.bool_)
+    keys = np.unique(orbit @ _key_weights(p, d))
+    shifts, ones = _decode_keys(keys, p, d), np.ones(keys.size, dtype=np.bool_)
+    current = np.zeros((p,) * d, dtype=np.bool_)
+    current.flat[keys] = True
     missing = []
     covered_at = None
     for k in range(1, k_max + 1):
@@ -482,7 +503,10 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
             break
         if k == k_max:
             break
-        nxt = _dense_fold(current, shifts, ones, p)
+        if k == 1:
+            nxt = _pair_histogram(shifts, ones, p)
+        else:
+            nxt = _dense_fold(current, shifts, ones, p)
         if np.array_equal(nxt, current):
             # S_{k+1} = S_k forces S_{k+m} = S_k: no later arity can cover
             missing.extend([gap] * (k_max - k))

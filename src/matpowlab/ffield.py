@@ -178,7 +178,8 @@ class FFElem:
 
     def _coerce(self, other):
         if isinstance(other, FFElem):
-            if other.ctx != self.ctx:
+            # make_field is cached, so one context is almost always the same object
+            if other.ctx is not self.ctx and other.ctx != self.ctx:
                 raise MixedContext(f"mixing {other.ctx!r} with {self.ctx!r}")
             return other
         if isinstance(other, int):
@@ -273,7 +274,7 @@ class FFElem:
         if not isinstance(other, FFElem):
             return NotImplemented
         return (
-            self.ctx == other.ctx
+            (self.ctx is other.ctx or self.ctx == other.ctx)
             and self.c0 == other.c0
             and self.c1 == other.c1
         )

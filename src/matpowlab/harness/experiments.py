@@ -326,8 +326,12 @@ def _gauss_rows(cfg, desc):
     q = p * p
     if m == 0:
         group = SubgroupSpec(primitive_root(ctx), q - 1)
-        value = gauss_subgroup(group, ctx.one).value
         info = _ctxinfo(p, q, n=1, tau=q - 1)
+        try:
+            value = gauss_subgroup(group, ctx.one,
+                                   max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value
+        except BudgetExceeded as err:
+            return [_skipped(cfg, info, "gauss-full-deviation", err)]
         # The sum over every invertible element is exactly minus one.
         return [_checked(cfg, info, "gauss-full-deviation", value + 1,
                          "tolerance", 1e-9)]
@@ -409,7 +413,7 @@ def _orbit_rows(cfg, desc):
     rows = []
     try:
         dist = orbit_sum_distribution(start, A, 2)
-        rows.append(_row(cfg, info, "distinct-sums-2", len(dist.counts)))
+        rows.append(_row(cfg, info, "distinct-sums-2", len(dist.rows)))
     except BudgetExceeded as err:
         rows.append(_skipped(cfg, info, "distinct-sums-2", err))
     try:

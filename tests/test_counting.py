@@ -33,6 +33,11 @@ from oracles import (
 )
 
 
+def _as_dict(dist):
+    """A SumDistribution as a residue-tuple -> multiplicity dict."""
+    return dict(zip(map(tuple, dist.rows.tolist()), dist.counts.tolist()))
+
+
 def _matrix_powers(A, tau):
     out = []
     cur = A
@@ -207,6 +212,14 @@ def test_count_JK_dependent_vector_keeps_multiplicity():
     orbit = [tuple(int(x) for x in row) for row in vector_orbit(ev, A, tau)]
     arr = np.array(orbit, dtype=np.int64)
     assert count_JK(ev, A, 2).value == naive_count_Q_fast((arr, 13), 2)
+    # e1 has period 2 under diag(-1, g), which has order 12: six copies of a 2-cycle
+    A = MatEntity.diagonal([ctx.elem(-1), g])
+    for side in ("row", "column"):
+        e1 = VecEntity([ctx.one, ctx.zero], side)
+        orbit = vector_orbit(e1, A, matrix_order(A))
+        assert len({tuple(r) for r in orbit.tolist()}) == 2 < len(orbit) == 12
+        for k in (1, 2, 3):
+            assert count_JK(e1, A, k).value == naive_count_Q_fast((orbit, 13), k)
     with pytest.raises(ZeroVector):
         count_JK(VecEntity([ctx.zero, ctx.zero], "row"), A, 2)
 
@@ -256,7 +269,7 @@ def test_kernel_path_without_int64_encoding():
         for y in (a @ A, a):
             key = (x + y).residues()
             expect[key] = expect.get(key, 0) + 1
-    assert orbit_sum_distribution(a, A, 2).counts == expect
+    assert _as_dict(orbit_sum_distribution(a, A, 2)) == expect
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
@@ -267,6 +280,37 @@ def test_chunking_does_not_change_counts(monkeypatch):
     monkeypatch.setattr(counting, "_CHUNK_TARGET", 7)
     monkeypatch.setattr(counting, "_MERGE_SLACK", 3)
     assert count_Q(A, 2).value == base
+
+
+def _pair_step_record(A, e1):
+    dists = [orbit_sum_distribution(e1, A, k) for k in (2, 3)]
+    return ([count_Q(A, nu).value for nu in (2, 3)]
+            + [count_JK(e1, A, k).value for k in (2, 3)]
+            + [(d.rows.tolist(), d.counts.tolist()) for d in dists]
+            + [sumset_cover(e1, A, 4)])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3])
+def test_pair_blocks_do_not_change_counts(block_rows, monkeypatch):
+    # pair keys of tau = 7 distinct orbit rows in blocks of 1, 2 or 3 rows:
+    # the last block is ragged for 2 and 3
+    ctx = make_field(13)
+    A = sl2_companion(ctx, 7)
+    assert matrix_order(A) == 7
+    e1 = VecEntity([ctx.one, ctx.zero], "row")
+    rows = np.array([[1, 2], [3, 4], [1, 2], [0, 5], [6, 0], [2, 2], [1, 2]])
+    base = _pair_step_record(A, e1) + [sequence_energy(rows, 13, nu) for nu in (2, 3)]
+    monkeypatch.setattr(counting, "_CHUNK_TARGET", 7 * block_rows)
+    assert _pair_step_record(A, e1) + [sequence_energy(rows, 13, nu) for nu in (2, 3)] == base
+
+
+def test_sequence_energy_needs_no_orbit_structure():
+    # rows with repeats that no linear step maps onto each other cyclically
+    ctx = make_field(5)
+    rows = np.array([[1, 0], [4, 3], [1, 0], [0, 0], [2, 4], [1, 0]])
+    vecs = [VecEntity([ctx.elem(a), ctx.elem(b)], "row") for a, b in rows.tolist()]
+    for nu in (1, 2, 3):
+        assert sequence_energy(rows, 5, nu) == naive_count_Q(vecs, nu)
 
 
 def _all_counts(p):
@@ -283,8 +327,8 @@ def _all_counts(p):
             out.append(count_JK(col, A, nu))
         if (u - 2) % p and (u + 2) % p:
             out.append(count_Q_eigen(A, 2))
-        dist = orbit_sum_distribution(col, A, 2).counts
-        out.append(list(dist.items()))
+        dist = orbit_sum_distribution(col, A, 2)
+        out.append((dist.rows.tolist(), dist.counts.tolist()))
     sub = subgroup_of_order(ctx, p - 1)
     rows = [x.residues() + x.inverse().residues() for x in sub.elements()]
     out += [sequence_energy(rows, p, nu) for nu in (1, 2, 3)]
@@ -308,18 +352,21 @@ def test_dense_kernel_matches_sort_kernel(monkeypatch):
     assert count_Q(A, 2).parameters["key_dims"] == 2
 
 
-@pytest.mark.parametrize("kernel", ["dense", "sorted"])
+@pytest.mark.parametrize("kernel", ["pairs", "dense", "sorted"])
 def test_fold_that_drops_a_count_raises(kernel, monkeypatch):
-    # the folded multiplicities must total tau^nu on either path
-    if kernel == "dense":
-        real = counting._dense_fold
+    # the folded multiplicities must total tau^nu on every path: the pair
+    # histogram (nu = 2), the dense folds after it (nu = 3) and the sort path
+    arity = 3 if kernel == "dense" else 2
+    if kernel != "sorted":
+        step = "_pair_histogram" if kernel == "pairs" else "_dense_fold"
+        real = getattr(counting, step)
 
         def lossy(*args):
             cells = real(*args)
             cells.flat[np.flatnonzero(cells)[0]] -= 1
             return cells
 
-        monkeypatch.setattr(counting, "_dense_fold", lossy)
+        monkeypatch.setattr(counting, step, lossy)
     else:
         real = counting._fold_once
 
@@ -332,9 +379,9 @@ def test_fold_that_drops_a_count_raises(kernel, monkeypatch):
         monkeypatch.setattr(counting, "_fold_once", lossy)
     A = sl2_companion(make_field(7), 3)
     with pytest.raises(InvariantViolated):
-        count_Q(A, 2)
+        count_Q(A, arity)
     with pytest.raises(InvariantViolated):
-        orbit_sum_distribution(VecEntity([A.ctx.one, A.ctx.zero], "row"), A, 2)
+        orbit_sum_distribution(VecEntity([A.ctx.one, A.ctx.zero], "row"), A, arity)
 
 
 def _key_reduction_cases(ctx, n):
@@ -415,14 +462,15 @@ def test_orbit_sum_distribution_totals_and_invariance():
     a = VecEntity([ctx.one, ctx.elem(3)], "row")
     for k in (1, 2, 3):
         dist = orbit_sum_distribution(a, A, k)
-        assert sum(dist.counts.values()) == tau ** k
+        assert dist.counts.dtype == np.int64
+        assert int(dist.counts.sum()) == tau ** k
         assert dist.total == tau ** k
     # the distribution is A-invariant: c(u) = c(uA)
-    dist = orbit_sum_distribution(a, A, 2)
-    for key, c in dist.counts.items():
+    counts = _as_dict(orbit_sum_distribution(a, A, 2))
+    for key, c in counts.items():
         u = VecEntity([ctx.elem(key[0]), ctx.elem(key[1])], "row")
         shifted = (u @ A).residues()
-        assert dist.counts.get(tuple(shifted)) == c
+        assert counts.get(tuple(shifted)) == c
 
 
 def test_orbit_sum_distribution_matches_tuple_enumeration():
@@ -440,8 +488,7 @@ def test_orbit_sum_distribution_matches_tuple_enumeration():
         for j in range(tau):
             key = (orbit[i] + orbit[j]).residues()
             expect[key] = expect.get(key, 0) + 1
-    dist = orbit_sum_distribution(a, A, 2)
-    assert dist.counts == expect
+    assert _as_dict(orbit_sum_distribution(a, A, 2)) == expect
 
 
 def test_orbit_sum_distribution_budget():

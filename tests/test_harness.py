@@ -174,6 +174,18 @@ def test_budget_shrinks_to_skipped_rows():
             assert rec.bound_name == "budget" and rec.bound_value > 0
 
 
+def test_tiny_budget_skips_the_full_gauss_sum():
+    # the m = 0 row walks all q - 1 units of F_{p^2}; past the scaled cap it is
+    # a skipped row carrying that work, not an exception that ends the run
+    rows = _all_rows(build_config({"experiment": "gauss", "p_min": "5",
+                                   "p_max": "13", "budget": "1e-5"}))
+    full = [rec for rec in rows if rec.quantity == "gauss-full-deviation"]
+    assert [rec.p for rec in full] == [5, 7, 11, 13]
+    for rec in full:
+        assert rec.status == "skipped" and rec.bound_name == "budget"
+        assert rec.bound_value == rec.q - 1
+
+
 def test_curves_past_the_old_grid_cap_are_computed():
     # extension rows at p = 101 have p^4 > 10^8 plane cells but p + 2 image points
     rows = _all_rows(build_config({"experiment": "curves", "p_min": "101",
