@@ -44,7 +44,6 @@ from .matgrp import (
     independence_check,
     is_diagonalizable,
     matrix_order,
-    rank,
 )
 
 SUM_TAU_CAP = 10 ** 6
@@ -259,7 +258,12 @@ def kappa_n(n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class Hypotheses:
-    """Which bound hypotheses an (a, b, A) instance satisfies."""
+    """Which bound hypotheses an (a, b, A) instance satisfies.
+
+    Every flag is decided over the base field of A.  Orbit independence in
+    particular needs no extension-field check: the rank of vectors with
+    entries in F_q is the same over every extension of F_q.
+    """
 
     n: int
     p: int
@@ -273,40 +277,11 @@ class Hypotheses:
     right_independent: bool
     vectors_nonzero: bool
     unit_det: bool
-    ext_left_independent: bool | None = None
-    ext_right_independent: bool | None = None
-
-    @property
-    def extension_mismatch(self) -> bool:
-        """True when base-field and extension-field independence disagree."""
-        if self.ext_left_independent is None:
-            return False
-        return (self.ext_left_independent != self.left_independent
-                or self.ext_right_independent != self.right_independent)
-
-
-def _extension_rank_full(v: VecEntity, A: MatEntity) -> bool:
-    """Independence of the power orbit of v after lifting into the quadratic extension."""
-    ext = v.ctx.ext_field()
-    vecs = []
-    cur = v
-    for _ in range(A.n):
-        vecs.append([ext.lift(x) for x in cur.entries])
-        cur = cur @ A if v.orientation == "row" else A @ cur
-    return rank(vecs) == A.n
 
 
 def analyze_instance(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity) -> Hypotheses:
     """Collect every hypothesis flag the bound menu needs for (a, b, A)."""
     ctx = A.ctx
-    data = char_poly_factor(A)
-    nonzero = bool(a_vec) and bool(b_vec)
-    left = independence_check(a_vec, A) if a_vec else False
-    right = independence_check(b_vec, A) if b_vec else False
-    ext_left = ext_right = None
-    if A.n == 2 and ctx.degree == 1 and nonzero:
-        ext_left = _extension_rank_full(a_vec, A)
-        ext_right = _extension_rank_full(b_vec, A)
     return Hypotheses(
         n=A.n,
         p=ctx.p,
@@ -314,14 +289,12 @@ def analyze_instance(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity) -> Hypoth
         q=ctx.q,
         tau=matrix_order(A),
         t=det_order(A),
-        class_tag=data.tag,
+        class_tag=char_poly_factor(A).tag,
         diagonalizable=is_diagonalizable(A),
-        left_independent=left,
-        right_independent=right,
-        vectors_nonzero=nonzero,
+        left_independent=independence_check(a_vec, A) if a_vec else False,
+        right_independent=independence_check(b_vec, A) if b_vec else False,
+        vectors_nonzero=bool(a_vec) and bool(b_vec),
         unit_det=A.det() == ctx.one,
-        ext_left_independent=ext_left,
-        ext_right_independent=ext_right,
     )
 
 
@@ -414,8 +387,7 @@ def evaluate_bounds(result: SumResult, A: MatEntity,
                 "split-pair",
                 "min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))",
                 split_pair_bound(h.tau, h.p), observed))
-        if (h.class_tag == "irreducible"
-                and h.ext_left_independent and h.ext_right_independent):
+        if h.class_tag == "irreducible" and both_independent:
             entries.append(_report_entry(
                 "nonsplit-pair",
                 "min(tau^(1/2) p^(1/4), tau^(13/20) p^(1/6), tau^(34/45) p^(1/9))",

@@ -53,7 +53,6 @@ from ..ffield import (
     _is_prime,
     is_square,
     make_field,
-    mult_order,
     primitive_root,
     subgroup_of_order,
 )
@@ -286,6 +285,19 @@ def _sums_rows(cfg, desc):
     ]
 
 
+def _moment_row(cfg, info, family, group, bound_name, bound):
+    """The j = 0 moment row of a walk family; only the sixth moment has a bound."""
+    quantity = f"moment{cfg.moment}"
+    try:
+        moment = sum_moment(family, group, cfg.moment,
+                            max_work=_scaled(MOMENT_WORK_CAP, cfg.budget))
+    except BudgetExceeded as err:
+        return _skipped(cfg, info, quantity, err)
+    if cfg.moment == 6:
+        return _row(cfg, info, quantity, moment.value, bound_name, bound)
+    return _row(cfg, info, quantity, moment.value)
+
+
 def _kloosterman_rows(cfg, desc):
     p, m, j = desc
     if not _tau_selected(cfg, m):
@@ -296,27 +308,23 @@ def _kloosterman_rows(cfg, desc):
     stream = _stream(cfg, p, m, j)
     a = ctx.elem(stream.unit_nonzero(p))
     b = ctx.elem(stream.unit_nonzero(p))
-    value = kloosterman_subgroup(group, a, b).value
     quantity = f"kloosterman-{j}"
-    rows = [
-        _checked(cfg, info, quantity, value, "trivial", float(m), slack=1e-9),
-        _row(cfg, info, quantity, value, "split-pair", split_pair_bound(m, p)),
-    ]
-    if m == p - 1:
-        rows.append(_checked(cfg, info, quantity, value, "weil",
-                             weil_explicit_bound(p), slack=1e-9))
+    try:
+        value = kloosterman_subgroup(group, a, b,
+                                     max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value
+    except BudgetExceeded as err:
+        rows = [_skipped(cfg, info, quantity, err)]
+    else:
+        rows = [
+            _checked(cfg, info, quantity, value, "trivial", float(m), slack=1e-9),
+            _row(cfg, info, quantity, value, "split-pair", split_pair_bound(m, p)),
+        ]
+        if m == p - 1:
+            rows.append(_checked(cfg, info, quantity, value, "weil",
+                                 weil_explicit_bound(p), slack=1e-9))
     if j == 0:
-        try:
-            moment = sum_moment("kloosterman", group, cfg.moment,
-                                max_work=_scaled(MOMENT_WORK_CAP, cfg.budget))
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, f"moment{cfg.moment}", err))
-        else:
-            if cfg.moment == 6:
-                rows.append(_row(cfg, info, "moment6", moment.value,
-                                 "sixth-moment-split", p * p * m ** (11 / 3)))
-            else:
-                rows.append(_row(cfg, info, f"moment{cfg.moment}", moment.value))
+        rows.append(_moment_row(cfg, info, "kloosterman", group,
+                                "sixth-moment-split", p * p * m ** (11 / 3)))
     return rows
 
 
@@ -341,25 +349,19 @@ def _gauss_rows(cfg, desc):
     info = _ctxinfo(p, q, n=1, tau=m)
     stream = _stream(cfg, p, m, j)
     a = ctx.from_index(1 + stream.below(q - 1))
-    value = gauss_subgroup(group, a).value
     quantity = f"gauss-{j}"
-    rows = [
-        _checked(cfg, info, quantity, value, "trivial", float(m), slack=1e-9),
-        _row(cfg, info, quantity, value, "nonsplit-pair", nonsplit_pair_bound(m, p)),
-    ]
+    try:
+        value = gauss_subgroup(group, a, max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value
+    except BudgetExceeded as err:
+        rows = [_skipped(cfg, info, quantity, err)]
+    else:
+        rows = [
+            _checked(cfg, info, quantity, value, "trivial", float(m), slack=1e-9),
+            _row(cfg, info, quantity, value, "nonsplit-pair", nonsplit_pair_bound(m, p)),
+        ]
     if j == 0:
-        try:
-            moment = sum_moment("gauss", group, cfg.moment,
-                                max_work=_scaled(MOMENT_WORK_CAP, cfg.budget))
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, f"moment{cfg.moment}", err))
-        else:
-            if cfg.moment == 6:
-                rows.append(_row(cfg, info, "moment6", moment.value,
-                                 "sixth-moment-nonsplit",
-                                 q * (m ** (19 / 5) + m**5 / p)))
-            else:
-                rows.append(_row(cfg, info, f"moment{cfg.moment}", moment.value))
+        rows.append(_moment_row(cfg, info, "gauss", group, "sixth-moment-nonsplit",
+                                q * (m ** (19 / 5) + m**5 / p)))
     return rows
 
 
@@ -427,10 +429,9 @@ def _orbit_rows(cfg, desc):
     xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
     xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
     xi2 = ectx.from_index(stream.below(ectx.q))
-    count = count_product_eq(xi0, (xi1, xi2), (lam1, lam2)).value
-    longest = max(mult_order(lam1), mult_order(lam2))
-    rows.append(_row(cfg, info, "product-eq-count", count,
-                     "product-decay", tau / longest**0.5))
+    product = count_product_eq(xi0, (xi1, xi2), (lam1, lam2))
+    rows.append(_row(cfg, info, "product-eq-count", product.value,
+                     "product-decay", tau / product.parameters["L"]**0.5))
     return rows
 
 

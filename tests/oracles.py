@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from matpowlab.matgrp import rank
+
 
 def naive_mult_order(x):
     """Order by repeated multiplication until the identity returns."""
@@ -138,6 +140,25 @@ def naive_field_trace(y):
     if acc.c1:
         raise AssertionError(f"trace of {y!r} left the base field")
     return acc.c0
+
+
+def naive_extension_independent(v, A):
+    """Whether v, vA (rows) or v, Av (columns), ... span after lifting into F_{p^2}.
+
+    The orbit is multiplied out entry by entry in the extension, so only the
+    rank elimination is shared with the code under test.
+    """
+    ext = v.ctx.ext_field()
+    n = A.n
+    M = [[ext.lift(x) for x in row] for row in A.rows]
+    if v.orientation == "column":
+        M = [list(col) for col in zip(*M)]  # A v is v A^T written as a row
+    cur = [ext.lift(x) for x in v.entries]
+    vecs = []
+    for _ in range(n):
+        vecs.append(cur)
+        cur = [sum((cur[i] * M[i][j] for i in range(n)), ext.zero) for j in range(n)]
+    return rank(vecs) == n
 
 
 def naive_moment(family, G, m, chi):

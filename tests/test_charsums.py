@@ -44,7 +44,7 @@ from matpowlab.matgrp import (
     matrix_order,
     sl2_companion,
 )
-from oracles import naive_char_sum, naive_moment
+from oracles import naive_char_sum, naive_extension_independent, naive_moment
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                  61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -485,8 +485,6 @@ def test_bound_report_irreducible_instance():
     res = matrix_exp_sum(a, b, A)
     h = analyze_instance(a, b, A)
     assert h.class_tag == "irreducible"
-    assert h.ext_left_independent and h.ext_right_independent
-    assert not h.extension_mismatch
     report = evaluate_bounds(res, A, a, b, hypotheses=h)
     names = [e.name for e in report.bounds]
     assert "irreducible-saving" in names
@@ -534,19 +532,44 @@ def test_bound_report_fail_status_on_forged_observation():
     assert report.bounds[0].status == "fail"
 
 
-def test_extension_independence_never_disagrees_on_sl2_sample():
+def _eigenvectors(p, rows):
+    """A row and a column eigenvector of the integer matrix rows mod p, per root in F_p."""
+    (a, b), (c, d) = rows
+    for lam in range(p):
+        if ((a - lam) * (d - lam) - b * c) % p:
+            continue
+        row = (c, lam - a) if (c, lam - a) != (0, 0) else (d - lam, -b)
+        col = (b, lam - a) if (b, lam - a) != (0, 0) else (d - lam, -c)
+        yield tuple(x % p for x in row), tuple(x % p for x in col)
+
+
+def test_base_field_independence_matches_the_extension_field_rank():
+    # a matrix with F_p entries has the same rank over F_{p^2}, so the base-field
+    # flags must agree with the lifted oracle, on independent and dependent orbits
     rng = np.random.default_rng(13)
-    for p in (7, 11, 13):
+    seen = set()
+    for p in (5, 7, 11, 13):
         ctx = make_field(p)
-        for u in range(p):
-            A = sl2_companion(ctx, u)
-            a = _row(ctx, int(rng.integers(0, p)), int(rng.integers(0, p)))
-            b = _col(ctx, int(rng.integers(0, p)), int(rng.integers(0, p)))
-            if not a or not b:
+
+        def random_pair(A):
+            a, b = rng.integers(0, p, (2, 2)).tolist()
+            return A, _row(ctx, *a), _col(ctx, *b)
+
+        cases = [random_pair(sl2_companion(ctx, u)) for u in range(p)]
+        while len(cases) < 3 * p:
+            rows = rng.integers(0, p, (2, 2)).tolist()
+            if (rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) % p == 0:
                 continue
+            A = MatEntity.from_ints(ctx, rows)
+            cases.append(random_pair(A))
+            cases.extend((A, _row(ctx, *row), _col(ctx, *col))
+                         for row, col in _eigenvectors(p, rows))
+        for A, a, b in cases:
             h = analyze_instance(a, b, A)
-            assert h.ext_left_independent == h.left_independent
-            assert h.ext_right_independent == h.right_independent
+            assert h.left_independent == naive_extension_independent(a, A)
+            assert h.right_independent == naive_extension_independent(b, A)
+            seen.update((h.left_independent, h.right_independent))
+    assert seen == {True, False}
 
 
 def test_histogram_sum_matches_fsum():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -184,6 +185,25 @@ def test_tiny_budget_skips_the_full_gauss_sum():
     for rec in full:
         assert rec.status == "skipped" and rec.bound_name == "budget"
         assert rec.bound_value == rec.q - 1
+
+
+@pytest.mark.parametrize("experiment, long_orders",
+                         [("gauss", {12, 14}), ("kloosterman", {12})])
+def test_tiny_budget_skips_the_long_subgroup_walks(experiment, long_orders):
+    # budget 1e-5 scales SUM_TAU_CAP to 10: each walk over a subgroup of order
+    # above 10 is one skipped row carrying that order, the others are computed,
+    # and every subgroup still gets its j = 0 moment row under its own cap
+    rows = _all_rows(build_config({"experiment": experiment, "p_min": "5",
+                                   "p_max": "13", "budget": "1e-5"}))
+    walks = [rec for rec in rows if re.fullmatch(experiment + r"-\d+", rec.quantity)]
+    long_walks = [rec for rec in walks if rec.tau > 10]
+    assert {rec.tau for rec in long_walks} == long_orders
+    for rec in long_walks:
+        assert rec.status == "skipped" and rec.bound_name == "budget"
+        assert rec.bound_value == rec.tau
+    assert all(rec.status != "skipped" for rec in walks if rec.tau <= 10)
+    moments = [(rec.p, rec.tau) for rec in rows if rec.quantity.startswith("moment")]
+    assert sorted(moments) == sorted({(rec.p, rec.tau) for rec in walks})
 
 
 def test_curves_past_the_old_grid_cap_are_computed():
