@@ -242,8 +242,9 @@ def _dense_fold(cells: np.ndarray, shifts: np.ndarray, weights: np.ndarray, p: i
     return out
 
 
-def _folded_distribution(orbit_rows: np.ndarray, p: int, arity: int):
-    """(rows, counts) of the arity-fold sum multiset of the orbit sequence."""
+def _folded_distribution(orbit_rows: np.ndarray, p: int, arity: int, decode: bool = True):
+    """(rows, counts) of the arity-fold sum multiset of the orbit sequence; with
+    decode False a dense fold gives rows None and the counts of all cells."""
     size, d = orbit_rows.shape
     if _kernel(p, d) == "dense":
         keys, weights = np.unique(orbit_rows @ _key_weights(p, d), return_counts=True)
@@ -254,8 +255,10 @@ def _folded_distribution(orbit_rows: np.ndarray, p: int, arity: int):
             cells = _pair_histogram(shifts, weights, p)
             for _ in range(arity - 2):
                 cells = _dense_fold(cells, shifts, weights, p)
-            keys = np.flatnonzero(cells)
-            rows, counts = _decode_keys(keys, p, d), cells.ravel()[keys]
+            rows, counts = None, cells.ravel()
+            if decode:
+                keys = np.flatnonzero(counts)
+                rows, counts = _decode_keys(keys, p, d), counts[keys]
     else:
         start = _SumAccumulator(p, d)
         start.add(orbit_rows, np.ones(size, dtype=np.int64))
@@ -273,8 +276,8 @@ def _energy(orbit_rows: np.ndarray, p: int, nu: int):
     """sum(c^2) over the nu-fold sums of the rows, and the kernel that counted them."""
     keys = orbit_rows[:, _pivot_columns(orbit_rows, p)]
     size, d = keys.shape
-    _, counts = _folded_distribution(keys, p, nu)
-    # sum(c^2) <= size^(2 nu); past int64 the squares are summed as Python ints
+    _, counts = _folded_distribution(keys, p, nu, decode=False)
+    # zero cells add nothing; sum(c^2) <= size^(2 nu), past int64 summed as Python ints
     if size ** (2 * nu) < 2 ** 63:
         value = int(np.dot(counts, counts))
     else:

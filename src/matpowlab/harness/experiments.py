@@ -28,7 +28,10 @@ from ..charsums import (
     weil_explicit_bound,
 )
 from ..counting import (
+    COVER_SPACE_CAP,
     DEFAULT_TAU_CAP,
+    DISTRIBUTION_WORK_CAP,
+    PRODUCT_EQ_CAP,
     count_Q,
     count_product_eq,
     orbit_sum_distribution,
@@ -414,12 +417,13 @@ def _orbit_rows(cfg, desc):
     start = VecEntity((ctx.one, ctx.zero), "row")
     rows = []
     try:
-        dist = orbit_sum_distribution(start, A, 2)
+        dist = orbit_sum_distribution(start, A, 2,
+                                      max_work=_scaled(DISTRIBUTION_WORK_CAP, cfg.budget))
         rows.append(_row(cfg, info, "distinct-sums-2", len(dist.rows)))
     except BudgetExceeded as err:
         rows.append(_skipped(cfg, info, "distinct-sums-2", err))
     try:
-        cover = sumset_cover(start, A, 4)
+        cover = sumset_cover(start, A, 4, max_space=_scaled(COVER_SPACE_CAP, cfg.budget))
         rows.append(_row(cfg, info, "cover-arity", cover.covered_at or 0))
     except BudgetExceeded as err:
         rows.append(_skipped(cfg, info, "cover-arity", err))
@@ -429,9 +433,13 @@ def _orbit_rows(cfg, desc):
     xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
     xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
     xi2 = ectx.from_index(stream.below(ectx.q))
-    product = count_product_eq(xi0, (xi1, xi2), (lam1, lam2))
-    rows.append(_row(cfg, info, "product-eq-count", product.value,
-                     "product-decay", tau / product.parameters["L"]**0.5))
+    try:
+        product = count_product_eq(xi0, (xi1, xi2), (lam1, lam2),
+                                   max_tau=_scaled(PRODUCT_EQ_CAP, cfg.budget))
+        rows.append(_row(cfg, info, "product-eq-count", product.value,
+                         "product-decay", tau / product.parameters["L"]**0.5))
+    except BudgetExceeded as err:
+        rows.append(_skipped(cfg, info, "product-eq-count", err))
     return rows
 
 

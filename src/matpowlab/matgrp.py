@@ -3,8 +3,8 @@
 Characteristic polynomials use per-dimension closed forms (n <= 3) and roots
 are located by discriminant analysis (n = 2) or a direct scan of the field
 (n = 3), with eigenvalues landing in the quadratic extension when needed.
-Anything the eigenvalue machinery cannot settle falls back to honest power
-iteration under an explicit cap.
+Diagonalizability and orders are read off those eigenvalues; only n >= 4 or
+eigenvalues beyond the quadratic extension fall back to capped power iteration.
 """
 
 from __future__ import annotations
@@ -340,30 +340,6 @@ def _invert(rows, ctx):
     return [row[n:] for row in aug]
 
 
-def rank(rows_in) -> int:
-    """Rank of a list of FFElem rows by elimination."""
-    rows = [list(r) for r in rows_in]
-    if not rows:
-        return 0
-    m, n = len(rows), len(rows[0])
-    rk = 0
-    for col in range(n):
-        pivot = next((i for i in range(rk, m) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rk], rows[pivot] = rows[pivot], rows[rk]
-        inv = rows[rk][col].inverse()
-        rows[rk] = [inv * a for a in rows[rk]]
-        for i in range(m):
-            if i != rk and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
-        rk += 1
-        if rk == m:
-            break
-    return rk
-
-
 # ---- polynomial helpers (coefficient lists, ascending, over one ctx) -------------
 
 
@@ -371,13 +347,6 @@ def _poly_trim(c):
     while len(c) > 1 and not c[-1]:
         c.pop()
     return c
-
-
-def _poly_deriv(c):
-    ctx = c[0].ctx
-    if len(c) == 1:
-        return [ctx.zero]
-    return _poly_trim([ctx.elem(k) * c[k] for k in range(1, len(c))])
 
 
 def _poly_divmod(a, b):
@@ -401,29 +370,10 @@ def _poly_divmod(a, b):
     return _poly_trim(quo), _poly_trim(a)
 
 
-def _poly_gcd(a, b):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while any(b):
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    # monic normalization
-    if any(a) and a[-1] != a[0].ctx.one:
-        inv = a[-1].inverse()
-        a = [inv * x for x in a]
-    return a
-
-
 def _poly_eval(c, x: FFElem) -> FFElem:
     acc = c[-1]
     for k in range(len(c) - 2, -1, -1):
         acc = acc * x + c[k]
-    return acc
-
-
-def _poly_eval_matrix(c, A: MatEntity) -> MatEntity:
-    acc = MatEntity.scalar(A.ctx, c[-1], A.n)
-    for k in range(len(c) - 2, -1, -1):
-        acc = acc @ A + MatEntity.scalar(A.ctx, c[k], A.n)
     return acc
 
 
@@ -536,11 +486,8 @@ def _cubic_factor(coeffs, ctx) -> CharPolyData:
         return CharPolyData(tuple(coeffs), "irreducible", None, None)
     # one base root, quadratic cofactor (k == 1; k == 2 impossible over a field)
     quad = rem
-    qroots, ectx, rep = _quadratic_roots(quad[0] / quad[2], quad[1] / quad[2], ctx)
-    if rep:
-        # separable quadratic expected here; repeated means discriminant zero
-        lam = qroots[0]
-        return CharPolyData(tuple(coeffs), "repeated", (with_mult[0], lam, lam), ctx)
+    # the scan found no root of it in F_q, so its discriminant is nonzero
+    qroots, ectx, _ = _quadratic_roots(quad[0] / quad[2], quad[1] / quad[2], ctx)
     if qroots is None:
         return CharPolyData(tuple(coeffs), "mixed", None, None)
     lifted = tuple([ectx.lift(with_mult[0])] + list(qroots))
@@ -548,35 +495,40 @@ def _cubic_factor(coeffs, ctx) -> CharPolyData:
 
 
 def is_diagonalizable(A: MatEntity) -> bool:
-    """True iff the squarefree part of the characteristic polynomial kills A."""
+    """True iff A is diagonalizable over an extension field (semisimple).
+
+    Distinct eigenvalues make the minimal polynomial squarefree. Repeated ones
+    (n <= 3) lie in F_q, and then A is semisimple iff the product of (A - lam I)
+    over the distinct eigenvalues lam vanishes.
+    """
     data = char_poly_factor(A)
-    coeffs = list(data.coeffs)
-    g = _poly_gcd(coeffs, _poly_deriv(coeffs))
-    if len(g) == 1:
+    if data.tag != "repeated":
         return True
-    radical, r = _poly_divmod(coeffs, g)
-    if any(r):
-        raise InvariantViolated("gcd with the derivative does not divide the polynomial")
-    vanished = _poly_eval_matrix(radical, A)
+    ctx, n = A.ctx, A.n
+    vanished = MatEntity.identity(ctx, n)
+    for lam in set(data.eigenvalues):
+        vanished = vanished @ (A - MatEntity.scalar(ctx, lam, n))
     return all(not x for row in vanished.rows for x in row)
 
 
 def matrix_order(A: MatEntity) -> int:
-    """Order of A in GL_n: lcm of eigenvalue orders when available, else iteration."""
+    """Order of A in GL_n, read off its eigenvalues when they lie in F_{q^2}.
+
+    A = S U (Jordan-Chevalley): S semisimple of order lcm(ord lam_i), prime to
+    p, and U unipotent, of order p unless A is diagonalizable, since
+    (U - I)^n = 0 with n <= 3 <= p. Other matrices are iterated under a cap.
+    """
     if A._order is not None:
         return A._order
     if not A.det():
         raise DegenerateParameters("singular matrix has no multiplicative order")
-    tau = None
-    if A.n <= 3:
-        data = char_poly_factor(A)
-        if data.eigenvalues is not None and is_diagonalizable(A):
-            tau = 1
-            for lam in data.eigenvalues:
-                tau = math.lcm(tau, mult_order(lam))
-    if tau is None:
-        B = A
-        tau = 1
+    eigenvalues = char_poly_factor(A).eigenvalues if A.n <= 3 else None
+    if eigenvalues is not None:
+        tau = math.lcm(*(mult_order(lam) for lam in eigenvalues))
+        if not is_diagonalizable(A):
+            tau *= A.ctx.p
+    else:
+        B, tau = A, 1
         while not B.is_identity():
             B = B @ A
             tau += 1
@@ -595,7 +547,8 @@ def det_order(A: MatEntity) -> int:
 
 
 def independence_check(v: VecEntity, A: MatEntity) -> bool:
-    """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n."""
+    """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n,
+    i.e. the matrix with these n vectors as rows has nonzero determinant."""
     if not v:
         raise ZeroVector("independence check needs a nonzero vector")
     if v.n != A.n:
@@ -605,7 +558,7 @@ def independence_check(v: VecEntity, A: MatEntity) -> bool:
     for _ in range(A.n):
         vecs.append(list(cur.entries))
         cur = cur @ A if v.orientation == "row" else A @ cur
-    return rank(vecs) == A.n
+    return bool(MatEntity(vecs).det())
 
 
 def companion_realization(lam: FFElem, a: FFElem):

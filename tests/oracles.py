@@ -13,7 +13,39 @@ import math
 
 import numpy as np
 
-from matpowlab.matgrp import rank
+from matpowlab.matgrp import MatEntity
+
+
+def rank(rows_in) -> int:
+    """Rank of a list of FFElem rows by Gauss-Jordan elimination."""
+    rows = [list(r) for r in rows_in]
+    if not rows:
+        return 0
+    m, n = len(rows), len(rows[0])
+    rk = 0
+    for col in range(n):
+        pivot = next((i for i in range(rk, m) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rk], rows[pivot] = rows[pivot], rows[rk]
+        inv = rows[rk][col].inverse()
+        rows[rk] = [inv * a for a in rows[rk]]
+        for i in range(m):
+            if i != rk and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rk])]
+        rk += 1
+        if rk == m:
+            break
+    return rk
+
+
+def poly_eval_matrix(c, A):
+    """c(A) for ascending coefficients c, by Horner's rule on MatEntity."""
+    acc = MatEntity.scalar(A.ctx, c[-1], A.n)
+    for k in range(len(c) - 2, -1, -1):
+        acc = acc @ A + MatEntity.scalar(A.ctx, c[k], A.n)
+    return acc
 
 
 def naive_mult_order(x):
@@ -58,6 +90,33 @@ def naive_matrix_order(rows_mod_p, p):
         if k > cap:
             raise AssertionError("matrix order search did not terminate")
     return k
+
+
+def naive_is_semisimple(rows_mod_p, p):
+    """Whether an integer matrix (n <= 3) is diagonalizable over an extension of F_p.
+
+    Its eigenvalues lie in F_{p^k} with k <= 3, all inside F_{p^6}, so a
+    semisimple A satisfies A^(p^6) = A; conversely A^(p^6) = A means the
+    squarefree X^(p^6) - X kills A. The power is taken by square-and-multiply
+    on plain integer lists.
+    """
+    n = len(rows_mod_p)
+
+    def matmul(a, b):
+        return [
+            [sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)]
+            for i in range(n)
+        ]
+
+    base = [[x % p for x in row] for row in rows_mod_p]
+    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    e = p ** 6
+    while e:
+        if e & 1:
+            out = matmul(out, base)
+        base = matmul(base, base)
+        e >>= 1
+    return out == [[x % p for x in row] for row in rows_mod_p]
 
 
 def naive_det(rows):
@@ -145,8 +204,9 @@ def naive_field_trace(y):
 def naive_extension_independent(v, A):
     """Whether v, vA (rows) or v, Av (columns), ... span after lifting into F_{p^2}.
 
-    The orbit is multiplied out entry by entry in the extension, so only the
-    rank elimination is shared with the code under test.
+    The orbit is multiplied out entry by entry in the extension and its rank
+    is taken by the elimination above, so nothing is shared with the code
+    under test.
     """
     ext = v.ctx.ext_field()
     n = A.n

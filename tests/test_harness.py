@@ -206,6 +206,23 @@ def test_tiny_budget_skips_the_long_subgroup_walks(experiment, long_orders):
     assert sorted(moments) == sorted({(rec.p, rec.tau) for rec in walks})
 
 
+def test_tiny_budget_runs_every_experiment_and_skips_the_orbit_rows():
+    # budget 1e-5 scales COVER_SPACE_CAP to 100 < p^2 for p >= 11 and
+    # PRODUCT_EQ_CAP to 1, below every lcm period (tau here); no experiment may raise
+    rows = {name: _all_rows(build_config({"experiment": name, "p_min": "5",
+                                          "p_max": "13", "budget": "1e-5"}))
+            for name in EXPERIMENT_NAMES}
+    assert all(rows.values())
+    orbit = rows["orbit"]
+    covers = [rec for rec in orbit if rec.quantity == "cover-arity"]
+    assert {rec.status == "skipped" for rec in covers if rec.p >= 11} == {True}
+    assert all(rec.status != "skipped" for rec in covers if rec.p < 11)
+    products = [rec for rec in orbit if rec.quantity == "product-eq-count"]
+    assert products and all(rec.status == "skipped" for rec in products)
+    for rec in products:
+        assert rec.bound_name == "budget" and rec.bound_value == rec.tau  # lcm period
+
+
 def test_curves_past_the_old_grid_cap_are_computed():
     # extension rows at p = 101 have p^4 > 10^8 plane cells but p + 2 image points
     rows = _all_rows(build_config({"experiment": "curves", "p_min": "101",

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,17 @@ from matpowlab.matgrp import (
     independence_check,
     is_diagonalizable,
     matrix_order,
-    rank,
     sl2_companion,
 )
+from matpowlab.counting import count_Q, count_Q_eigen
 
-from oracles import naive_det, naive_matrix_order
+from oracles import (
+    naive_det,
+    naive_is_semisimple,
+    naive_matrix_order,
+    poly_eval_matrix,
+    rank,
+)
 
 
 def _random_matrix(ctx, n, rng):
@@ -134,7 +142,7 @@ def test_cayley_hamilton():
         for _ in range(10):
             A = _random_matrix(ctx, n, rng)
             coeffs = list(char_poly_factor(A).coeffs)
-            val = matgrp._poly_eval_matrix(coeffs, A)
+            val = poly_eval_matrix(coeffs, A)
             assert all(not x for row in val.rows for x in row)
 
 
@@ -196,14 +204,91 @@ def test_det_order_divides_matrix_order():
 
 
 def test_matrix_order_cap(monkeypatch):
-    ctx = make_field(13)
-    jordan = MatEntity.from_ints(ctx, [[1, 1], [0, 1]])  # order 13, not diagonalizable
+    # X^3 + X + 1 is irreducible mod 7: the eigenvalues lie in F_{7^3}, beyond
+    # F_{49}, so the order comes from power iteration under the cap
+    ctx = make_field(7)
+    rows = [[0, 0, 6], [1, 0, 6], [0, 1, 0]]
+    assert char_poly_factor(MatEntity.from_ints(ctx, rows)).eigenvalues is None
     monkeypatch.setattr(matgrp, "ORDER_ITERATION_CAP", 5)
     with pytest.raises(OrderCapExceeded):
-        matrix_order(jordan)
+        matrix_order(MatEntity.from_ints(ctx, rows))
     monkeypatch.setattr(matgrp, "ORDER_ITERATION_CAP", 10 ** 6)
-    jordan2 = MatEntity.from_ints(ctx, [[1, 1], [0, 1]])
-    assert matrix_order(jordan2) == 13
+    assert matrix_order(MatEntity.from_ints(ctx, rows)) == naive_matrix_order(rows, 7)
+
+
+def _gl(p, n):
+    """Every invertible n x n integer matrix mod p, as row lists."""
+    ctx = make_field(p)
+    for flat in itertools.product(range(p), repeat=n * n):
+        rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+        if MatEntity.from_ints(ctx, rows).det():
+            yield rows
+
+
+def _jordan_forms_3x3(p):
+    """Every 3 x 3 Jordan form over F_p with nonzero eigenvalues, as row lists."""
+    units = range(1, p)
+    for lam in units:
+        yield [[lam, 1, 0], [0, lam, 1], [0, 0, lam]]
+        for mu in units:
+            yield [[lam, 1, 0], [0, lam, 0], [0, 0, mu]]
+            for nu in units:
+                yield [[lam, 0, 0], [0, mu, 0], [0, 0, nu]]
+
+
+def _conjugated(rows, p, rng):
+    """P rows P^-1 for a random invertible P, so the form is no longer triangular."""
+    ctx = make_field(p)
+    P = _random_matrix(ctx, len(rows), rng)
+    B = P @ MatEntity.from_ints(ctx, rows) @ P.inverse()
+    return [[x.c0 for x in r] for r in B.rows]
+
+
+def test_is_diagonalizable_matches_the_frobenius_power_oracle():
+    # A is semisimple iff A^(p^6) = A; the scalars I and 2I of GL_3(F_3) have a
+    # characteristic polynomial (X - c)^3 with zero derivative
+    rng = np.random.default_rng(31)
+    cases = [(rows, 3) for rows in _gl(3, 2)] + [(rows, 5) for rows in _gl(5, 2)]
+    cases += [([[x.c0 for x in r] for r in _random_matrix(make_field(3), 3, rng).rows], 3)
+              for _ in range(300)]
+    for p in (3, 5):
+        forms = list(_jordan_forms_3x3(p))
+        cases += [(rows, p) for rows in forms]
+        cases += [(_conjugated(rows, p, rng), p) for rows in forms]
+    verdicts = set()
+    for rows, p in cases:
+        got = is_diagonalizable(MatEntity.from_ints(make_field(p), rows))
+        assert got == naive_is_semisimple(rows, p), (rows, p)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+    ctx = make_field(3)
+    for c in (1, 2):
+        assert is_diagonalizable(MatEntity.scalar(ctx, ctx.elem(c), 3))
+
+
+def test_matrix_order_of_non_diagonalizable_matrices():
+    # the unipotent part of a non-semisimple A has order exactly p, also for the
+    # 3 x 3 Jordan block over F_3 where p = n
+    rng = np.random.default_rng(37)
+    cases = [(rows, p) for p in (3, 5) for rows in _gl(p, 2)]
+    for p in (3, 5, 7):
+        cases += [(_conjugated(rows, p, rng), p) for rows in _jordan_forms_3x3(p)
+                  if rows[0][1]]
+    cases.append(([[1, 1, 0], [0, 1, 1], [0, 0, 1]], 3))
+    checked = 0
+    for rows, p in cases:
+        A = MatEntity.from_ints(make_field(p), rows)
+        if not is_diagonalizable(A):
+            assert matrix_order(A) == naive_matrix_order(rows, p), (rows, p)
+            checked += 1
+    assert checked > 100
+
+
+def test_count_Q_eigen_on_a_scalar_matrix_in_characteristic_three():
+    # 2 I_3 over F_3 has order 2: the pair sums I, 0, 0, 2I give 1 + 4 + 1
+    ctx = make_field(3)
+    A = MatEntity.scalar(ctx, ctx.elem(2), 3)
+    assert count_Q_eigen(A, 2).value == count_Q(A, 2).value == 6
 
 
 def test_singular_matrix_rejected():
