@@ -265,14 +265,15 @@ def egorov_defect(U: QOperator, A: CatMatrix, a: tuple) -> float:
     return float(np.linalg.norm(lhs - phase * rhs))
 
 
-def eigenbasis(U: QOperator, cluster_tol: float = CLUSTER_TOL) -> list:
+def eigenbasis(U: QOperator, cluster_tol: float = CLUSTER_TOL,
+               max_dim: int = EIGEN_DIM_CAP) -> list:
     """Eigenvalue clusters with bases orthonormal under the mean-weighted product."""
     if U.kind != "unitary":
         raise ValueError("eigenbasis requires a unitary-tagged operator")
     N = U.modulus
-    if N > EIGEN_DIM_CAP:
+    if N > max_dim:
         raise BudgetExceeded(
-            f"dense eigen-decomposition capped at {EIGEN_DIM_CAP}, got {N}",
+            f"dense eigen-decomposition capped at {max_dim}, got {N}",
             estimated_work=N**3,
         )
     schur_t, schur_z = scipy.linalg.schur(U.entries, output="complex")
@@ -296,7 +297,7 @@ def eigenbasis(U: QOperator, cluster_tol: float = CLUSTER_TOL) -> list:
     return spaces
 
 
-def delta_Nf(A: CatMatrix, N: int, f: Observable) -> float:
+def delta_Nf(A: CatMatrix, N: int, f: Observable, max_dim: int = EIGEN_DIM_CAP) -> float:
     """Largest deviation of an eigenfunction average from the torus average."""
     if not f.real:
         raise NonRealObservable("the defect is defined for real observables only")
@@ -306,7 +307,7 @@ def delta_Nf(A: CatMatrix, N: int, f: Observable) -> float:
     )
     op = quantize(N, centered).entries
     best = 0.0
-    for _, basis in eigenbasis(cat_unitary(N, A)):
+    for _, basis in eigenbasis(cat_unitary(N, A), max_dim=max_dim):
         comp = basis.conj().T @ op @ basis / N
         comp = (comp + comp.conj().T) / 2
         vals = np.linalg.eigvalsh(comp)
@@ -321,10 +322,12 @@ def _numerical_radius(comp: np.ndarray, grid: int = PHASE_GRID) -> float:
     return max(0.0, float(np.linalg.eigvalsh(herm)[:, -1].max()))
 
 
-def matrix_element_check(A: CatMatrix, p: int, a: tuple, nu: int) -> MatrixElementReport:
+def matrix_element_check(A: CatMatrix, p: int, a: tuple, nu: int, max_dim: int = EIGEN_DIM_CAP,
+                         max_tau: int | None = None) -> MatrixElementReport:
     """Check the eigenfunction matrix-element power against the orbit-count ceiling.
 
-    A power above the ceiling is reported with passed=False, not raised.
+    A power above the ceiling is reported with passed=False, not raised;
+    max_tau caps the orbit count (count_Q) and max_dim the eigenbasis.
     """
     if nu not in (2, 3):
         raise ValueError(f"nu must be 2 or 3, got {nu}")
@@ -337,11 +340,11 @@ def matrix_element_check(A: CatMatrix, p: int, a: tuple, nu: int) -> MatrixEleme
     if not is_diagonalizable(reduced):
         raise DegenerateParameters("reduction mod p must be diagonalizable")
     tau = matrix_order(reduced)
-    orbit_count = count_Q(reduced, nu).value
+    orbit_count = count_Q(reduced, nu, max_tau).value
     bound = p * orbit_count / tau ** (2 * nu)
     shift = translation_op(p, (a1, a2)).entries
     sup_abs = 0.0
-    for _, basis in eigenbasis(cat_unitary(p, A)):
+    for _, basis in eigenbasis(cat_unitary(p, A), max_dim=max_dim):
         comp = basis.conj().T @ shift @ basis / p
         sup_abs = max(sup_abs, _numerical_radius(comp))
     sup_power = sup_abs ** (2 * nu)

@@ -38,8 +38,9 @@ from .errors import (
     ZeroVector,
     ZeroXi1,
 )
-from .ffield import FFElem, mul_matrix, mult_order, residue_orbit, residue_product
-from .matgrp import MatEntity, VecEntity, char_poly_factor, is_diagonalizable, matrix_order
+from .ffield import FFElem, mul_matrix, residue_orbit, residue_product
+from .matgrp import (MatEntity, VecEntity, char_poly_factor, frobenius_orders,
+                     is_diagonalizable, matrix_order)
 
 DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
 PRODUCT_EQ_CAP = 10 ** 5
@@ -299,10 +300,14 @@ def sequence_energy(residue_rows, p: int, nu: int) -> int:
 
 def _flat_map(A: MatEntity, side: str) -> np.ndarray:
     """Integer matrix of v -> v A (side "row") or v -> A v ("column") on flat residues."""
-    blocks = [[mul_matrix(x) for x in row] for row in A.rows]
+    n, d = A.n, A.ctx.degree
+    blocks = np.empty((n, n, d, d), dtype=np.int64)
+    for i, row in enumerate(A.rows):
+        for j, x in enumerate(row):
+            blocks[i, j] = mul_matrix(x)
     if side == "row":
-        blocks = [list(col) for col in zip(*blocks)]
-    return np.block(blocks)
+        blocks = blocks.transpose(1, 0, 2, 3)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
 
 def power_orbit(A: MatEntity, tau: int | None = None):
@@ -415,8 +420,9 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
 def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> CountResult:
     """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0.
 
-    tau is the lcm of the base orders. Each base is walked as a residue
-    orbit, and the factors are multiplied as arrays of residue rows.
+    tau is the lcm of the base orders, one mult_order per Frobenius orbit
+    of bases. Each base is walked as a residue orbit, and the factors are
+    multiplied as arrays of residue rows.
     """
     xis = list(xis)
     lambdas = list(lambdas)
@@ -433,10 +439,8 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> C
     for lam in lambdas:
         if not lam:
             raise ZeroLambda("bases must be nonzero")
-    orders = [mult_order(lam) for lam in lambdas]
-    tau = 1
-    for o in orders:
-        tau = math.lcm(tau, o)
+    orders = frobenius_orders(lambdas)
+    tau = math.lcm(*orders)
     cap = PRODUCT_EQ_CAP if max_tau is None else max_tau
     if tau > cap:
         raise BudgetExceeded(f"lcm period {tau} exceeds {cap}", estimated_work=tau)

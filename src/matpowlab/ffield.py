@@ -249,21 +249,24 @@ class FFElem:
         return FFElem(self.ctx, (self.c0 * nrm_inv) % p, (-self.c1 * nrm_inv) % p)
 
     def __pow__(self, e: int) -> FFElem:
+        """x^e (e < 0 inverts first); degree 2 squares and multiplies the
+        integer pair (c0, c1) with w^2 = r and builds one FFElem at the end."""
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        if self.ctx.degree == 1:
-            return FFElem(self.ctx, pow(self.c0, e, self.ctx.p), 0)
-        out = self.ctx.one
-        base = self
+        ctx, p = self.ctx, self.ctx.p
+        if ctx.degree == 1:
+            return FFElem(ctx, pow(self.c0, e, p), 0)
+        r = ctx.r
+        a0, a1, b0, b1 = 1, 0, self.c0, self.c1
         while e:
             if e & 1:
-                out = out * base
+                a0, a1 = (a0 * b0 + r * a1 * b1) % p, (a0 * b1 + a1 * b0) % p
             e >>= 1
             if e:
-                base = base * base
-        return out
+                b0, b1 = (b0 * b0 + r * b1 * b1) % p, 2 * b0 * b1 % p
+        return FFElem(ctx, a0, a1)
 
     def __bool__(self):
         return bool(self.c0 or self.c1)
@@ -310,7 +313,7 @@ def trace_norm(x: FFElem) -> tuple[FFElem, FFElem]:
 
 
 def mult_order(x: FFElem) -> int:
-    """Multiplicative order of x, via the factored group order."""
+    """Multiplicative order of x, via the factored group order (integer-pair powers)."""
     if not x:
         raise ZeroElement("zero has no multiplicative order")
     t = x.ctx.group_order

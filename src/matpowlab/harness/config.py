@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..errors import ConfigError
@@ -123,8 +124,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("seed must be nonnegative")
     if cfg.workers < 1:
         raise ConfigError("workers must be positive")
-    if cfg.budget <= 0:
-        raise ConfigError("budget must be positive")
+    if not (math.isfinite(cfg.budget) and cfg.budget > 0):
+        raise ConfigError(f"budget must be a positive finite number, got {cfg.budget!r}")
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..catmap import (
+    EIGEN_DIM_CAP,
     CatMatrix,
     Observable,
     cat_unitary,
@@ -460,7 +461,8 @@ def _catmap_rows(cfg, desc):
         rows.append(_checked(cfg, info, f"egorov-{vec[0]}{vec[1]}", defect,
                              "tolerance", 1e-8))
     try:
-        defect = delta_Nf(cat, N, Observable(_CAT_MODES))
+        defect = delta_Nf(cat, N, Observable(_CAT_MODES),
+                          max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget))
         rows.append(_row(cfg, info, "delta", defect, "ergodic-trend",
                          N ** (-1 / 60)))
     except BudgetExceeded as err:
@@ -474,7 +476,9 @@ def _lemma81_rows(cfg, desc):
     info = _ctxinfo(p, p, n=2, trace=cat.trace)
     quantity = f"element-power-{nu}"
     try:
-        report = matrix_element_check(cat, p, (1, 0), nu)
+        report = matrix_element_check(cat, p, (1, 0), nu,
+                                      max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget),
+                                      max_tau=_scaled(DEFAULT_TAU_CAP[nu], cfg.budget))
     except (DependentVectors, DegenerateParameters, SingularLowerLeft,
             CompositeModulus, BudgetExceeded) as err:
         return [_skipped(cfg, info, quantity, err)]

@@ -43,7 +43,7 @@ class VecEntity:
             raise ValueError(f"bad orientation {orientation!r}")
         ctx = entries[0].ctx
         for x in entries:
-            if x.ctx != ctx:
+            if x.ctx is not ctx and x.ctx != ctx:
                 raise MixedContext("vector entries from different fields")
         self.ctx = ctx
         self.entries = entries
@@ -145,7 +145,7 @@ class MatEntity:
         ctx = rows[0][0].ctx
         for r in rows:
             for x in r:
-                if x.ctx != ctx:
+                if x.ctx is not ctx and x.ctx != ctx:
                     raise MixedContext("matrix entries from different fields")
         self.ctx = ctx
         self.n = n
@@ -277,8 +277,19 @@ class MatEntity:
         return acc
 
     def det(self) -> FFElem:
+        """Determinant: ad - bc and the six-term expansion for n <= 3, else elimination."""
         if self._det is None:
-            self._det = _det_eliminate([list(r) for r in self.rows], self.ctx)
+            r = self.rows
+            if self.n == 1:
+                self._det = r[0][0]
+            elif self.n == 2:
+                self._det = r[0][0] * r[1][1] - r[0][1] * r[1][0]
+            elif self.n == 3:
+                self._det = (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+                             - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+                             + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+            else:
+                self._det = _det_eliminate([list(row) for row in r], self.ctx)
         return self._det
 
     def inverse(self) -> MatEntity:
@@ -511,12 +522,23 @@ def is_diagonalizable(A: MatEntity) -> bool:
     return all(not x for row in vanished.rows for x in row)
 
 
+def frobenius_orders(values) -> list[int]:
+    """mult_order of each value, once per Frobenius orbit {x, x^p}: the
+    automorphism x -> x^p keeps orders, so conjugates share theirs."""
+    known = {}
+    for x in values:
+        if x not in known:
+            known[x] = known[x.frobenius()] = mult_order(x)
+    return [known[x] for x in values]
+
+
 def matrix_order(A: MatEntity) -> int:
     """Order of A in GL_n, read off its eigenvalues when they lie in F_{q^2}.
 
     A = S U (Jordan-Chevalley): S semisimple of order lcm(ord lam_i), prime to
     p, and U unipotent, of order p unless A is diagonalizable, since
-    (U - I)^n = 0 with n <= 3 <= p. Other matrices are iterated under a cap.
+    (U - I)^n = 0 with n <= 3 <= p. One mult_order per Frobenius orbit of
+    eigenvalues. Other matrices are iterated under a cap.
     """
     if A._order is not None:
         return A._order
@@ -524,7 +546,7 @@ def matrix_order(A: MatEntity) -> int:
         raise DegenerateParameters("singular matrix has no multiplicative order")
     eigenvalues = char_poly_factor(A).eigenvalues if A.n <= 3 else None
     if eigenvalues is not None:
-        tau = math.lcm(*(mult_order(lam) for lam in eigenvalues))
+        tau = math.lcm(*frobenius_orders(eigenvalues))
         if not is_diagonalizable(A):
             tau *= A.ctx.p
     else:

@@ -92,6 +92,17 @@ def naive_matrix_order(rows_mod_p, p):
     return k
 
 
+def naive_matrix_order_obj(A):
+    """Order of a MatEntity over any field by iterating B -> B @ A to the identity."""
+    B, k = A, 1
+    while not B.is_identity():
+        B = B @ A
+        k += 1
+        if k > A.ctx.q ** (A.n * A.n):
+            raise AssertionError("matrix order search did not terminate")
+    return k
+
+
 def naive_is_semisimple(rows_mod_p, p):
     """Whether an integer matrix (n <= 3) is diagonalizable over an extension of F_p.
 

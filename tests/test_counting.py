@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matpowlab import counting
+from matpowlab import counting, matgrp
 from matpowlab.counting import (
     CountResult,
     count_JK,
@@ -22,7 +22,7 @@ from matpowlab.errors import (
     ZeroVector,
     ZeroXi1,
 )
-from matpowlab.ffield import make_field, mult_order, primitive_root, subgroup_of_order
+from matpowlab.ffield import make_field, mul_matrix, mult_order, primitive_root, subgroup_of_order
 from matpowlab.matgrp import MatEntity, VecEntity, matrix_order, sl2_companion
 
 from oracles import (
@@ -118,6 +118,23 @@ def test_orbits_match_object_arithmetic(p, degree, n):
         assert vector_orbit(VecEntity(v, "column"), A, length).tolist() == \
             [list(r) for r in cols[:length]]
     assert power_orbit(A).shape == (tau, n * n * degree)
+
+
+@pytest.mark.parametrize("p,degree", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flat_map_matches_the_block_layout(p, degree, n):
+    # column side: block (i, j) is mul_matrix(A[i][j]); row side: the block
+    # layout transposed, each block kept as it is
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(7 * n + p)
+    A = MatEntity([[ctx.from_index(int(rng.integers(ctx.q))) for _ in range(n)]
+                   for _ in range(n)])
+    blocks = [[mul_matrix(x) for x in row] for row in A.rows]
+    column = counting._flat_map(A, "column")
+    row = counting._flat_map(A, "row")
+    assert column.dtype == row.dtype == np.int64
+    assert np.array_equal(column, np.block(blocks))
+    assert np.array_equal(row, np.block([list(col) for col in zip(*blocks)]))
 
 
 def test_count_Q_frozen_small_values():
@@ -440,6 +457,26 @@ def test_product_eq_extension_field():
     assert res.value == naive_product_eq_count(
         ctx.elem(2, 5), xis, [lam, lam.inverse()], res.parameters["tau"]
     )
+
+
+def test_product_eq_computes_one_order_per_conjugate_pair(monkeypatch):
+    # lam and lam^p share their order, so the pair costs one mult_order
+    ctx = make_field(7, 2)
+    lam = primitive_root(ctx) ** 3  # order 16, outside F_7
+    assert lam != lam.frobenius()
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return mult_order(x)
+
+    monkeypatch.setattr(matgrp, "mult_order", counted)
+    xis = [ctx.one, ctx.elem(3, 1)]
+    res = count_product_eq(ctx.elem(2, 5), xis, [lam, lam.frobenius()])
+    assert len(calls) == 1
+    assert res.parameters["tau"] == res.parameters["L"] == 16
+    assert res.value == naive_product_eq_count(ctx.elem(2, 5), xis,
+                                               [lam, lam.frobenius()], 16)
 
 
 def test_product_eq_rejects_bad_inputs():

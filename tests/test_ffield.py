@@ -99,6 +99,31 @@ def test_inverse_and_pow_consistency():
             assert x ** 5 == x * x * x * x * x
 
 
+@pytest.mark.parametrize("p, sample", [(3, None), (5, None), (7, 12)])
+def test_pow_matches_repeated_multiplication(p, sample):
+    # every x of F_9 and F_25 (a seeded sample of F_49) against running
+    # products of x and of its inverse, for every exponent -q..q+1
+    ctx = make_field(p, 2)
+    xs = list(ctx.iter_elements())
+    if sample is not None:
+        rng = np.random.default_rng(p)
+        xs = [xs[0]] + [xs[int(i)] for i in rng.integers(1, ctx.q, sample)]
+    for x in xs:
+        acc = ctx.one
+        for e in range(ctx.q + 2):
+            assert x ** e == acc, (x, e)
+            acc = acc * x
+        if not x:
+            with pytest.raises(ZeroElement):
+                x ** -1
+            continue
+        inv, acc = x.inverse(), ctx.one
+        assert inv * x == ctx.one
+        for e in range(ctx.q + 1):
+            assert x ** -e == acc, (x, -e)
+            acc = acc * inv
+
+
 def test_mixed_context_rejected():
     a = make_field(7).elem(3)
     b = make_field(11).elem(3)

@@ -106,6 +106,14 @@ def test_build_config_rejections():
         build_config({})
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_build_config_rejects_a_non_finite_budget(budget):
+    # a nan or infinite budget cannot scale a cap; it is a config error, not
+    # a ValueError or OverflowError out of the first capped call
+    with pytest.raises(ConfigError, match="budget"):
+        build_config({"experiment": "energy", "budget": budget})
+
+
 def test_overrides_supply_experiment():
     cfg = build_config({"p_max": "7"}, {"experiment": "orbit", "workers": 2})
     assert cfg.experiment == "orbit" and cfg.workers == 2 and cfg.p_max == 7
@@ -221,6 +229,13 @@ def test_tiny_budget_runs_every_experiment_and_skips_the_orbit_rows():
     assert products and all(rec.status == "skipped" for rec in products)
     for rec in products:
         assert rec.bound_name == "budget" and rec.bound_value == rec.tau  # lcm period
+    # EIGEN_DIM_CAP and the tau caps of count_Q all scale to 1, so no catmap
+    # delta row and no lemma81 row is computed
+    capped = [rec for rec in rows["catmap"] if rec.quantity == "delta"] + rows["lemma81"]
+    assert len(capped) == 4 + 8
+    for rec in capped:
+        assert rec.status == "skipped" and rec.bound_name == "budget"
+        assert rec.bound_value > 0
 
 
 def test_curves_past_the_old_grid_cap_are_computed():
@@ -381,4 +396,6 @@ def test_cli_env_budget(tmp_path, monkeypatch):
     with open(os.path.join(out, "q3.csv")) as fh:
         assert "skipped" in fh.read()
     monkeypatch.setenv("MATPOW_BUDGET", "not-a-number")
+    assert main(["q3", "--config", str(path), "--out", out]) == 2
+    monkeypatch.setenv("MATPOW_BUDGET", "nan")
     assert main(["q3", "--config", str(path), "--out", out]) == 2

@@ -30,6 +30,7 @@ from oracles import (
     naive_det,
     naive_is_semisimple,
     naive_matrix_order,
+    naive_matrix_order_obj,
     poly_eval_matrix,
     rank,
 )
@@ -40,6 +41,12 @@ def _random_matrix(ctx, n, rng):
         A = MatEntity.from_ints(ctx, [[int(rng.integers(0, ctx.p)) for _ in range(n)] for _ in range(n)])
         if A.det():
             return A
+
+
+def _random_field_matrix(ctx, n, rng):
+    """A seeded random n x n matrix with entries anywhere in ctx (may be singular)."""
+    return MatEntity([[ctx.from_index(int(rng.integers(ctx.q))) for _ in range(n)]
+                      for _ in range(n)])
 
 
 def test_matmul_and_pow_basics():
@@ -54,12 +61,14 @@ def test_matmul_and_pow_basics():
 
 
 def test_det_matches_permutation_expansion():
+    # closed forms for n <= 3 and elimination for n = 4, over F_5, F_11, F_9, F_25
     rng = np.random.default_rng(7)
-    for p in (5, 11):
-        ctx = make_field(p)
-        for n in (1, 2, 3):
+    for p, degree in ((5, 1), (11, 1), (3, 2), (5, 2)):
+        ctx = make_field(p, degree)
+        for n in (1, 2, 3, 4):
             for _ in range(20):
-                rows = [[ctx.elem(int(rng.integers(0, p))) for _ in range(n)] for _ in range(n)]
+                rows = [[ctx.from_index(int(rng.integers(0, ctx.q))) for _ in range(n)]
+                        for _ in range(n)]
                 A = MatEntity(rows)
                 assert A.det() == naive_det(rows)
 
@@ -192,6 +201,78 @@ def test_matrix_order_random_gl():
                 A = _random_matrix(ctx, n, rng)
                 rows = [[x.c0 for x in r] for r in A.rows]
                 assert matrix_order(A) == naive_matrix_order(rows, p)
+
+
+def _conjugated_forms(ctx, n, rng):
+    """P J P^-1 for scalar, diagonal-with-repeat and Jordan forms J with random units."""
+    lam, mu = (ctx.from_index(int(i)) for i in rng.integers(1, ctx.q, 2))
+    zero, one = ctx.zero, ctx.one
+    if n == 2:
+        forms = [[[lam, zero], [zero, lam]], [[lam, one], [zero, lam]]]
+    else:
+        forms = [[[lam, zero, zero], [zero, lam, zero], [zero, zero, lam]],
+                 [[lam, zero, zero], [zero, lam, zero], [zero, zero, mu]],
+                 [[lam, one, zero], [zero, lam, zero], [zero, zero, mu]],
+                 [[lam, one, zero], [zero, lam, one], [zero, zero, lam]]]
+    for rows in forms:
+        P = _random_field_matrix(ctx, n, rng)
+        while not P.det():
+            P = _random_field_matrix(ctx, n, rng)
+        yield P @ MatEntity(rows) @ P.inverse()
+
+
+@pytest.mark.parametrize("p, degree, n", [(3, 2, 2), (5, 2, 2), (3, 2, 3), (5, 2, 3),
+                                          (3, 1, 3), (5, 1, 3), (7, 1, 3)])
+def test_matrix_order_matches_the_object_power_oracle(p, degree, n):
+    # seeded random matrices plus conjugated scalar and Jordan forms. Over F_25
+    # the 3 x 3 matrices with an irreducible cubic are left out: their orders
+    # reach 25^3 - 1, and both sides would iterate.
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(100 * p + 10 * degree + n)
+    cases = []
+    for _ in range(25):
+        A = _random_field_matrix(ctx, n, rng)
+        if A.det():
+            cases.append(A)
+    for _ in range(3):
+        cases.extend(_conjugated_forms(ctx, n, rng))
+    tags = set()
+    for A in cases:
+        tag = char_poly_factor(A).tag
+        if (ctx.q, n, tag) == (25, 3, "irreducible"):
+            continue
+        tags.add(tag)
+        assert matrix_order(A) == naive_matrix_order_obj(A), (A, tag)
+    expect = {"split", "irreducible", "repeated"} if n == 2 else \
+        {"split", "irreducible", "repeated", "mixed"}
+    if (ctx.q, n) == (25, 3):
+        expect.discard("irreducible")
+    if ctx.q == 3:
+        expect.discard("split")  # three distinct eigenvalues need three units
+    assert tags == expect
+
+
+def test_matrix_order_computes_one_order_per_frobenius_orbit(monkeypatch):
+    # a conjugate eigenvalue pair and a repeated eigenvalue cost one mult_order
+    # each; the mixed 3 x 3 below (X - 2)(X^2 - 3) over F_7 costs two
+    ctx = make_field(7)
+    irreducible = [[0, 6], [1, 0]]  # X^2 + 1, discriminant -4 = 3, a non-square
+    jordan = [[2, 1], [0, 2]]
+    mixed = [[0, 0, 1], [1, 0, 3], [0, 1, 2]]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return mult_order(x)
+
+    monkeypatch.setattr(matgrp, "mult_order", counted)
+    for rows, tag, expect in ((irreducible, "irreducible", 1), (jordan, "repeated", 1),
+                              (mixed, "mixed", 2)):
+        A = MatEntity.from_ints(ctx, rows)
+        assert char_poly_factor(A).tag == tag
+        calls.clear()
+        assert matrix_order(A) == naive_matrix_order(rows, 7)
+        assert len(calls) == expect, (tag, calls)
 
 
 def test_det_order_divides_matrix_order():
