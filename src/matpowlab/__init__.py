@@ -22,7 +22,6 @@ from .charsums import (
     sum_moment,
 )
 from .counting import (
-    additive_energy,
     count_JK,
     count_Q,
     count_Q_eigen,
@@ -74,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CatMatrix", "CharacterSpec", "CurveSpec", "EXPERIMENT_NAMES",
     "ExperimentConfig", "FFElem", "FieldCtx", "MatEntity", "Observable",
-    "QOperator", "QState", "SubgroupSpec", "VecEntity", "additive_energy",
+    "QOperator", "QState", "SubgroupSpec", "VecEntity",
     "analyze_instance", "build_instances", "cat_unitary", "char_poly_factor",
     "companion_realization", "compute_instance", "count_JK", "count_Q",
     "count_Q_eigen", "count_points", "count_product_eq",

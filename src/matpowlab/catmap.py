@@ -265,8 +265,7 @@ def egorov_defect(U: QOperator, A: CatMatrix, a: tuple) -> float:
     return float(np.linalg.norm(lhs - phase * rhs))
 
 
-def eigenbasis(U: QOperator, cluster_tol: float = CLUSTER_TOL,
-               max_dim: int = EIGEN_DIM_CAP) -> list:
+def eigenbasis(U: QOperator, max_dim: int = EIGEN_DIM_CAP) -> list:
     """Eigenvalue clusters with bases orthonormal under the mean-weighted product."""
     if U.kind != "unitary":
         raise ValueError("eigenbasis requires a unitary-tagged operator")
@@ -281,12 +280,12 @@ def eigenbasis(U: QOperator, cluster_tol: float = CLUSTER_TOL,
     order = np.argsort(np.angle(eigs), kind="stable")
     clusters = [[int(order[0])]]
     for idx in order[1:]:
-        if abs(eigs[idx] - eigs[clusters[-1][-1]]) <= cluster_tol:
+        if abs(eigs[idx] - eigs[clusters[-1][-1]]) <= CLUSTER_TOL:
             clusters[-1].append(int(idx))
         else:
             clusters.append([int(idx)])
     # The circle wraps: the last cluster may continue into the first one.
-    if len(clusters) > 1 and abs(eigs[clusters[0][0]] - eigs[clusters[-1][-1]]) <= cluster_tol:
+    if len(clusters) > 1 and abs(eigs[clusters[0][0]] - eigs[clusters[-1][-1]]) <= CLUSTER_TOL:
         clusters[0] = clusters.pop() + clusters[0]
     scale = np.sqrt(N)
     spaces = []

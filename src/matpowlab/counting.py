@@ -15,11 +15,12 @@ all ordered pairs of distinct rows, weighted by the product of their
 multiplicities, so it assumes nothing about the row sequence; each later
 fold adds one cyclic shift of it per distinct row. A boolean histogram built
 the same way gives the sumsets of `sumset_cover`. Only when the shifted copy
-would pass DENSE_CAP cells are base-p integer keys sorted instead (rows
-sorted lexicographically once p^d passes 2^63). Either way the counts are
-exact integers, their total is checked against rows^nu, and nothing depends
-on chunking or worker layout. `orbit_sum_distribution` returns the distinct
-sums and their multiplicities as arrays.
+would pass DENSE_CAP cells does each fold instead take the same pair sums of
+the support of c_k and the distinct rows, as base-p integer keys (residue
+rows once p^d passes 2^63), and merge them by sorting. Either way the counts
+are exact integers, their total is checked against rows^nu, and nothing
+depends on chunking or worker layout. `orbit_sum_distribution` returns the
+distinct sums and their multiplicities as arrays.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ COVER_SPACE_CAP = 10 ** 7
 DENSE_CAP = 1 << 21  # cells of the tiled copy a dense fold shifts (16 MB of int64)
 
 _CHUNK_TARGET = 1 << 20  # pairwise sums materialized per block
-_MERGE_SLACK = 8 * 10 ** 6
 
 
 @dataclass
@@ -83,27 +83,6 @@ class CoverResult:
 # ---- convolution kernel -------------------------------------------------------------
 
 
-def _aggregate_encoded(keys: np.ndarray, counts: np.ndarray):
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    c = counts[order]
-    if k.size == 0:
-        return k, c
-    starts = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    return k[starts], np.add.reduceat(c, starts)
-
-
-def _aggregate_rows(rows: np.ndarray, counts: np.ndarray):
-    if rows.shape[0] == 0:
-        return rows, counts
-    order = np.lexsort(rows.T[::-1])
-    r = rows[order]
-    c = counts[order]
-    change = np.any(r[1:] != r[:-1], axis=1)
-    starts = np.flatnonzero(np.r_[True, change])
-    return r[starts], np.add.reduceat(c, starts)
-
-
 def _key_weights(p: int, d: int) -> np.ndarray:
     """Base-p place values: a residue row r has the integer key r @ _key_weights(p, d)."""
     return (p ** np.arange(d)).astype(np.int64)
@@ -119,69 +98,53 @@ def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
     return rows
 
 
-class _SumAccumulator:
-    """Streams (rows, counts) blocks and keeps a merged exact multiset."""
+def _aggregate(sums: np.ndarray, counts: np.ndarray):
+    """Distinct sums with their summed counts, in base-p key order.
 
-    def __init__(self, p: int, d: int):
-        self.p = p
-        self.d = d
-        self.encodable = p ** d < 2 ** 63
-        if self.encodable:
-            self._weights = _key_weights(p, d)
-        self._pending = []
-        self._pending_size = 0
-        self._merged = None
+    sums are int64 keys, or residue rows (last coordinate most significant).
+    The counts are summed, so the order of equal sums does not matter.
+    """
+    if sums.ndim == 1:
+        order = np.argsort(sums)
+        sums = sums[order]
+        change = sums[1:] != sums[:-1]
+    else:
+        order = np.lexsort(sums.T)
+        sums = sums[order]
+        change = np.any(sums[1:] != sums[:-1], axis=1)
+    starts = np.flatnonzero(np.r_[True, change])
+    return sums[starts], np.add.reduceat(counts[order], starts)
 
-    def _encode(self, rows):
-        return rows @ self._weights
 
-    def add(self, rows: np.ndarray, counts: np.ndarray):
-        if self.encodable:
-            item = _aggregate_encoded(self._encode(rows), counts)
+def _distinct_rows(rows: np.ndarray, p: int):
+    """The distinct residue rows, in base-p key order, and how often each occurs."""
+    size, d = rows.shape
+    encodable = p ** d < 2 ** 63
+    distinct, counts = _aggregate(rows @ _key_weights(p, d) if encodable else rows,
+                                  np.ones(size, dtype=np.int64))
+    return (_decode_keys(distinct, p, d) if encodable else distinct), counts
+
+
+def _pair_sums(left: np.ndarray, right: np.ndarray, p: int):
+    """Blocks (lo, hi, sums) of left[lo:hi] + right (mod p) over all pairs (i, j), i-major.
+
+    Row entries must be reduced mod p. Each block holds about _CHUNK_TARGET
+    pairs (8 MB of keys): base-p int64 keys while p^d < 2^63, residue rows past it.
+    """
+    size, d = left.shape
+    encodable = p ** d < 2 ** 63
+    if encodable:
+        # wraps[j][s] = (s mod p) p^j for a sum s < 2p of two residues
+        wraps = [np.arange(2 * p) % p * w for w in _key_weights(p, d).tolist()]
+    block = max(1, _CHUNK_TARGET // right.shape[0])
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        if encodable:
+            sums = sum(wrap[np.add.outer(left[lo:hi, j], right[:, j])]
+                       for j, wrap in enumerate(wraps)).ravel()
         else:
-            item = _aggregate_rows(rows, counts)
-        self._pending.append(item)
-        self._pending_size += item[1].size
-        if self._pending_size > _MERGE_SLACK:
-            self._merge()
-
-    def _merge(self):
-        items = self._pending
-        if self._merged is not None:
-            items = items + [self._merged]
-        if self.encodable:
-            keys = np.concatenate([k for k, _ in items])
-            counts = np.concatenate([c for _, c in items])
-            self._merged = _aggregate_encoded(keys, counts)
-        else:
-            rows = np.vstack([r for r, _ in items])
-            counts = np.concatenate([c for _, c in items])
-            self._merged = _aggregate_rows(rows, counts)
-        self._pending = []
-        self._pending_size = 0
-
-    def result_rows(self):
-        """Final (rows, counts) with unique rows."""
-        self._merge()
-        key_part, counts = self._merged
-        if self.encodable:
-            return _decode_keys(key_part, self.p, self.d), counts
-        return key_part, counts
-
-
-def _fold_once(base_rows, base_counts, orbit_rows, p):
-    """One convolution step: all sums (base + orbit), aggregated exactly."""
-    d = orbit_rows.shape[1]
-    acc = _SumAccumulator(p, d)
-    tau = orbit_rows.shape[0]
-    block = max(1, _CHUNK_TARGET // max(tau, 1))
-    for lo in range(0, base_rows.shape[0], block):
-        hi = min(lo + block, base_rows.shape[0])
-        sums = (base_rows[lo:hi, None, :] + orbit_rows[None, :, :]) % p
-        sums = sums.reshape(-1, d)
-        counts = np.repeat(base_counts[lo:hi], tau)
-        acc.add(sums, counts)
-    return acc.result_rows()
+            sums = ((left[lo:hi, None, :] + right[None, :, :]) % p).reshape(-1, d)
+        yield lo, hi, sums
 
 
 def _pivot_columns(rows: np.ndarray, p: int) -> list:
@@ -208,25 +171,36 @@ def _kernel(p: int, d: int) -> str:
 
 def _pair_histogram(rows: np.ndarray, weights: np.ndarray, p: int) -> np.ndarray:
     """Histogram on Z_p^d (axes last coordinate first) of rows[i] + rows[j] (mod p) over
-    all ordered pairs, of weight weights[i] * weights[j]; boolean weights give the sumset.
-
-    Row entries must be reduced mod p. Keys are built in blocks of whole
-    i-rows, about _CHUNK_TARGET pairs (8 MB) each.
-    """
-    size, d = rows.shape
+    all ordered pairs, of weight weights[i] * weights[j]; boolean weights give the sumset."""
+    d = rows.shape[1]
     cells = np.zeros(p ** d, dtype=weights.dtype)
-    # wraps[j][s] = (s mod p) p^j for a sum s < 2p of two residues
-    wraps = [np.arange(2 * p) % p * w for w in _key_weights(p, d).tolist()]
     one = weights.dtype.type(1)
     # rows without repeats (most orbits) add the scalar one in the cells' dtype:
     # a value array, or a scalar np.add.at must cast, makes it several times slower
     unit = bool(np.all(weights == one))
-    block = max(1, _CHUNK_TARGET // size)
-    for lo in range(0, size, block):
-        keys = sum(wrap[np.add.outer(rows[lo:lo + block, j], rows[:, j])]
-                   for j, wrap in enumerate(wraps))
-        np.add.at(cells, keys, one if unit else np.outer(weights[lo:lo + block], weights))
+    for lo, hi, keys in _pair_sums(rows, rows, p):
+        np.add.at(cells, keys, one if unit else np.outer(weights[lo:hi], weights).ravel())
     return cells.reshape((p,) * d)
+
+
+def _sorted_fold(rows, counts, shifts, weights, p: int):
+    """Distinct sums rows[i] + shifts[j] (mod p), of summed weight counts[i] * weights[j].
+
+    Pending blocks of pair sums are merged by sorting once they hold as many
+    entries as the merged multiset: each entry is sorted O(log) times, and
+    memory stays near twice the support plus one block.
+    """
+    parts, merged, held = [], 0, 0
+    for lo, hi, sums in _pair_sums(rows, shifts, p):
+        parts.append((sums, np.outer(counts[lo:hi], weights).ravel()))
+        held += parts[-1][1].size
+        if held >= 2 * merged:
+            parts = [_aggregate(*map(np.concatenate, zip(*parts)))]
+            merged = held = parts[0][1].size
+    if len(parts) > 1:
+        parts = [_aggregate(*map(np.concatenate, zip(*parts)))]
+    sums, counts = parts[0]
+    return (_decode_keys(sums, p, rows.shape[1]) if sums.ndim == 1 else sums), counts
 
 
 def _dense_fold(cells: np.ndarray, shifts: np.ndarray, weights: np.ndarray, p: int):
@@ -247,25 +221,21 @@ def _folded_distribution(orbit_rows: np.ndarray, p: int, arity: int, decode: boo
     """(rows, counts) of the arity-fold sum multiset of the orbit sequence; with
     decode False a dense fold gives rows None and the counts of all cells."""
     size, d = orbit_rows.shape
-    if _kernel(p, d) == "dense":
-        keys, weights = np.unique(orbit_rows @ _key_weights(p, d), return_counts=True)
-        shifts = _decode_keys(keys, p, d)
-        rows, counts = shifts, weights
-        if arity > 1:
-            # c_2 from the ordered pairs of distinct rows; each later fold adds one shift per row
-            cells = _pair_histogram(shifts, weights, p)
-            for _ in range(arity - 2):
-                cells = _dense_fold(cells, shifts, weights, p)
-            rows, counts = None, cells.ravel()
-            if decode:
-                keys = np.flatnonzero(counts)
-                rows, counts = _decode_keys(keys, p, d), counts[keys]
+    shifts, weights = _distinct_rows(orbit_rows, p)
+    rows, counts = shifts, weights
+    if arity > 1 and _kernel(p, d) == "dense":
+        # c_2 from the ordered pairs of distinct rows; each later fold adds one shift per row
+        cells = _pair_histogram(shifts, weights, p)
+        for _ in range(arity - 2):
+            cells = _dense_fold(cells, shifts, weights, p)
+        rows, counts = None, cells.ravel()
+        if decode:
+            keys = np.flatnonzero(counts)
+            rows, counts = _decode_keys(keys, p, d), counts[keys]
     else:
-        start = _SumAccumulator(p, d)
-        start.add(orbit_rows, np.ones(size, dtype=np.int64))
-        rows, counts = start.result_rows()
+        # c_{k+1} = c_k * c_1 against the distinct rows, weighted by their multiplicities
         for _ in range(arity - 1):
-            rows, counts = _fold_once(rows, counts, orbit_rows, p)
+            rows, counts = _sorted_fold(rows, counts, shifts, weights, p)
     total = int(np.sum(counts))
     if total != size ** arity:
         raise InvariantViolated(
@@ -286,13 +256,9 @@ def _energy(orbit_rows: np.ndarray, p: int, nu: int):
     return value, {"kernel": _kernel(p, d), "key_dims": d}
 
 
-def _rows_from_residues(residue_tuples) -> np.ndarray:
-    return np.array(residue_tuples, dtype=np.int64)
-
-
 def sequence_energy(residue_rows, p: int, nu: int) -> int:
     """sum(c_nu^2) for the nu-fold sum multiset of a residue-row sequence (array or tuples)."""
-    return _energy(_rows_from_residues(residue_rows), p, nu)[0]
+    return _energy(np.array(residue_rows, dtype=np.int64), p, nu)[0]
 
 
 # ---- matrix power orbits ----------------------------------------------------------
@@ -327,6 +293,16 @@ def vector_orbit(v: VecEntity, A: MatEntity, tau: int | None = None):
     return residue_orbit(_flat_map(A, v.orientation), v.residues(), tau, A.ctx.p)
 
 
+def _check_vector_orbit(v: VecEntity, A: MatEntity):
+    """Reject an orbit of v under A that is trivial or mixes fields or dimensions."""
+    if not v:
+        raise ZeroVector("orbit of the zero vector is trivial")
+    if v.ctx != A.ctx:
+        raise MixedContext("vector and matrix field contexts differ")
+    if v.n != A.n:
+        raise ValueError("dimension mismatch")
+
+
 def _check_tau_budget(tau: int, nu: int, max_tau: int | None):
     cap = DEFAULT_TAU_CAP[nu] if max_tau is None else max_tau
     if tau > cap:
@@ -359,26 +335,15 @@ def count_Q_eigen(A: MatEntity, nu: int, max_tau: int | None = None) -> CountRes
         raise DegenerateParameters("eigenvalue reduction needs a diagonalizable matrix")
     tau = matrix_order(A)
     _check_tau_budget(tau, nu, max_tau)
-    lams = list(data.eigenvalues)
-    rows = []
-    powers = [lam.ctx.one for lam in lams]
-    for _ in range(tau):
-        powers = [w * lam for w, lam in zip(powers, lams)]
-        flat = []
-        for w in powers:
-            flat.extend(w.residues())
-        rows.append(tuple(flat))
-    value, kernel = _energy(_rows_from_residues(rows), A.ctx.p, nu)
+    p = A.ctx.p
+    rows = np.hstack([residue_orbit(mul_matrix(lam), lam.ctx.one.residues(), tau, p)
+                      for lam in data.eigenvalues])
+    value, kernel = _energy(rows, p, nu)
     return CountResult(
         value,
         "eigenvalue-reduction",
         {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n, **kernel},
     )
-
-
-def additive_energy(A: MatEntity, max_tau: int | None = None) -> CountResult:
-    """The 4-term count (nu = 2)."""
-    return count_Q(A, 2, max_tau)
 
 
 def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> CountResult:
@@ -390,12 +355,7 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
-    if not v:
-        raise ZeroVector("orbit of the zero vector is trivial")
-    if v.ctx != A.ctx:
-        raise MixedContext("vector and matrix field contexts differ")
-    if v.n != A.n:
-        raise ValueError("dimension mismatch")
+    _check_vector_orbit(v, A)
     tau = matrix_order(A)
     _check_tau_budget(tau, k, max_tau)
     value, kernel = _energy(vector_orbit(v, A, tau), A.ctx.p, k)
@@ -465,10 +425,7 @@ def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
     """Full multiset of k-fold sums of the vector orbit: distinct rows and int64 counts."""
     if k < 1:
         raise ValueError("arity must be positive")
-    if not a:
-        raise ZeroVector("orbit of the zero vector is trivial")
-    if a.ctx != A.ctx:
-        raise MixedContext("vector and matrix field contexts differ")
+    _check_vector_orbit(a, A)
     tau = matrix_order(A)
     cap = DISTRIBUTION_WORK_CAP if max_work is None else max_work
     if tau ** k > cap:
@@ -487,19 +444,17 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    if not a:
-        raise ZeroVector("orbit of the zero vector is trivial")
+    _check_vector_orbit(a, A)
     p = A.ctx.p
     d = A.n * A.ctx.degree
     space = p ** d
     cap = COVER_SPACE_CAP if max_space is None else max_space
     if space > cap:
         raise BudgetExceeded(f"q^n = {space} exceeds {cap}", estimated_work=space)
-    orbit = vector_orbit(a, A, matrix_order(A))
-    keys = np.unique(orbit @ _key_weights(p, d))
-    shifts, ones = _decode_keys(keys, p, d), np.ones(keys.size, dtype=np.bool_)
+    shifts, _ = _distinct_rows(vector_orbit(a, A, matrix_order(A)), p)
+    ones = np.ones(shifts.shape[0], dtype=np.bool_)
     current = np.zeros((p,) * d, dtype=np.bool_)
-    current.flat[keys] = True
+    current.flat[shifts @ _key_weights(p, d)] = True
     missing = []
     covered_at = None
     for k in range(1, k_max + 1):

@@ -87,9 +87,6 @@ class VecEntity:
             return NotImplemented
         return self + (-other)
 
-    def scaled(self, c: FFElem) -> VecEntity:
-        return VecEntity([c * a for a in self.entries], self.orientation)
-
     def dot(self, other: VecEntity) -> FFElem:
         """Plain coordinate dot product."""
         if other.n != self.n:
@@ -98,10 +95,6 @@ class VecEntity:
         for a, b in zip(self.entries, other.entries):
             acc = acc + a * b
         return acc
-
-    def transposed(self) -> VecEntity:
-        flip = "column" if self.orientation == "row" else "row"
-        return VecEntity(self.entries, flip)
 
     def __matmul__(self, other):
         if isinstance(other, MatEntity):
@@ -297,11 +290,6 @@ class MatEntity:
         if inv is None:
             raise DegenerateParameters("matrix is singular")
         return MatEntity(inv)
-
-    def transposed(self) -> MatEntity:
-        return MatEntity(
-            [[self.rows[j][i] for j in range(self.n)] for i in range(self.n)]
-        )
 
     def residues(self) -> tuple[int, ...]:
         """Row-major flat canonical coordinates, length n^2 * degree."""

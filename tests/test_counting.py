@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from matpowlab.errors import (
     BudgetExceeded,
     DegenerateParameters,
     InvariantViolated,
+    MixedContext,
     ZeroLambda,
     ZeroVector,
     ZeroXi1,
@@ -241,6 +244,19 @@ def test_count_JK_dependent_vector_keeps_multiplicity():
         count_JK(VecEntity([ctx.zero, ctx.zero], "row"), A, 2)
 
 
+@pytest.mark.parametrize("entry", [count_JK, orbit_sum_distribution, sumset_cover])
+def test_vector_orbit_inputs_are_checked(entry):
+    f5, f7 = make_field(5), make_field(7)
+    A = sl2_companion(f5, 1)
+    with pytest.raises(ZeroVector):
+        entry(VecEntity([f5.zero, f5.zero], "row"), A, 2)
+    # (6, 0) over F_7 is not (1, 0) over F_5
+    with pytest.raises(MixedContext):
+        entry(VecEntity([f7.elem(6), f7.zero], "row"), A, 2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        entry(VecEntity([f5.one, f5.zero, f5.zero], "row"), A, 2)
+
+
 def test_count_JK_matches_tuple_oracle_small():
     ctx = make_field(5)
     A = sl2_companion(ctx, 1)
@@ -281,22 +297,36 @@ def test_kernel_path_without_int64_encoding():
     ctx = make_field(p, 2)
     A = MatEntity.diagonal([ctx.elem(-1)] * 2)
     a = VecEntity([ctx.one, ctx.elem(3, 1)], "row")
-    expect = {}
-    for x in (a @ A, a):
-        for y in (a @ A, a):
-            key = (x + y).residues()
+    for k in (2, 3):
+        expect = {}
+        for terms in itertools.product((a @ A, a), repeat=k):
+            key = sum(terms[1:], terms[0]).residues()
             expect[key] = expect.get(key, 0) + 1
-    assert _as_dict(orbit_sum_distribution(a, A, 2)) == expect
+        assert _as_dict(orbit_sum_distribution(a, A, k)) == expect
 
 
 def test_chunking_does_not_change_counts(monkeypatch):
+    # every fold sorts at DENSE_CAP = 0; chunk 1 gives 1-row blocks, 12 and 30
+    # blocks of a few rows with a ragged last one, so the sorted fold merges
+    # several times and ends with blocks still pending
     ctx = make_field(11)
     A = sl2_companion(ctx, 4)
-    base = count_Q(A, 2).value
+    g = primitive_root(ctx)
+    D = MatEntity.diagonal([g * g, g])
+    e1 = VecEntity([ctx.one, ctx.zero], "row")  # period 5 under D of order 10: rows twice
+    rows = np.array([[1, 2], [3, 4], [1, 2], [0, 5], [6, 0], [2, 2], [1, 2]])
+
+    def record():
+        dists = [orbit_sum_distribution(e1, D, k) for k in (2, 3)]
+        return ([count_Q(A, nu).value for nu in (2, 3)]
+                + [(d.rows.tolist(), d.counts.tolist()) for d in dists]
+                + [sequence_energy(rows, 11, nu) for nu in (2, 3)])
+
+    base = record()
     monkeypatch.setattr(counting, "DENSE_CAP", 0)
-    monkeypatch.setattr(counting, "_CHUNK_TARGET", 7)
-    monkeypatch.setattr(counting, "_MERGE_SLACK", 3)
-    assert count_Q(A, 2).value == base
+    for chunk in (1, 12, 30):
+        monkeypatch.setattr(counting, "_CHUNK_TARGET", chunk)
+        assert record() == base
 
 
 def _pair_step_record(A, e1):
@@ -385,7 +415,7 @@ def test_fold_that_drops_a_count_raises(kernel, monkeypatch):
 
         monkeypatch.setattr(counting, step, lossy)
     else:
-        real = counting._fold_once
+        real = counting._sorted_fold
 
         def lossy(*args):
             rows, counts = real(*args)
@@ -393,7 +423,7 @@ def test_fold_that_drops_a_count_raises(kernel, monkeypatch):
             return rows, counts
 
         monkeypatch.setattr(counting, "DENSE_CAP", 0)
-        monkeypatch.setattr(counting, "_fold_once", lossy)
+        monkeypatch.setattr(counting, "_sorted_fold", lossy)
     A = sl2_companion(make_field(7), 3)
     with pytest.raises(InvariantViolated):
         count_Q(A, arity)
