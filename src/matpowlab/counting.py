@@ -36,12 +36,11 @@ from .errors import (
     InvariantViolated,
     MixedContext,
     ZeroLambda,
-    ZeroVector,
     ZeroXi1,
 )
 from .ffield import FFElem, mul_matrix, residue_orbit, residue_product
-from .matgrp import (MatEntity, VecEntity, char_poly_factor, frobenius_orders,
-                     is_diagonalizable, matrix_order)
+from .matgrp import (MatEntity, VecEntity, char_poly_factor, check_vector_orbit,
+                     frobenius_orders, is_diagonalizable, matrix_order, residue_map)
 
 DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
 PRODUCT_EQ_CAP = 10 ** 5
@@ -140,8 +139,10 @@ def _pair_sums(left: np.ndarray, right: np.ndarray, p: int):
     for lo in range(0, size, block):
         hi = min(lo + block, size)
         if encodable:
-            sums = sum(wrap[np.add.outer(left[lo:hi, j], right[:, j])]
-                       for j, wrap in enumerate(wraps)).ravel()
+            # the zero start keeps the shape when d = 0 (rows of zero span)
+            sums = sum((wrap[np.add.outer(left[lo:hi, j], right[:, j])]
+                        for j, wrap in enumerate(wraps)),
+                       np.zeros((hi - lo, right.shape[0]), dtype=np.int64)).ravel()
         else:
             sums = ((left[lo:hi, None, :] + right[None, :, :]) % p).reshape(-1, d)
         yield lo, hi, sums
@@ -264,24 +265,12 @@ def sequence_energy(residue_rows, p: int, nu: int) -> int:
 # ---- matrix power orbits ----------------------------------------------------------
 
 
-def _flat_map(A: MatEntity, side: str) -> np.ndarray:
-    """Integer matrix of v -> v A (side "row") or v -> A v ("column") on flat residues."""
-    n, d = A.n, A.ctx.degree
-    blocks = np.empty((n, n, d, d), dtype=np.int64)
-    for i, row in enumerate(A.rows):
-        for j, x in enumerate(row):
-            blocks[i, j] = mul_matrix(x)
-    if side == "row":
-        blocks = blocks.transpose(1, 0, 2, 3)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-
-
 def power_orbit(A: MatEntity, tau: int | None = None):
     """Residue rows of A^1, ..., A^tau (tau defaults to the order of A)."""
     if tau is None:
         tau = matrix_order(A)
     # X -> X A acts on each row of the row-major flat X separately
-    step = np.kron(np.eye(A.n, dtype=np.int64), _flat_map(A, "row"))
+    step = np.kron(np.eye(A.n, dtype=np.int64), residue_map(A, "row"))
     identity = MatEntity.identity(A.ctx, A.n).residues()
     return residue_orbit(step, identity, tau, A.ctx.p)
 
@@ -290,17 +279,7 @@ def vector_orbit(v: VecEntity, A: MatEntity, tau: int | None = None):
     """Residue rows of v A^x (row) or A^x v (column), x = 1..tau."""
     if tau is None:
         tau = matrix_order(A)
-    return residue_orbit(_flat_map(A, v.orientation), v.residues(), tau, A.ctx.p)
-
-
-def _check_vector_orbit(v: VecEntity, A: MatEntity):
-    """Reject an orbit of v under A that is trivial or mixes fields or dimensions."""
-    if not v:
-        raise ZeroVector("orbit of the zero vector is trivial")
-    if v.ctx != A.ctx:
-        raise MixedContext("vector and matrix field contexts differ")
-    if v.n != A.n:
-        raise ValueError("dimension mismatch")
+    return residue_orbit(residue_map(A, v.orientation), v.residues(), tau, A.ctx.p)
 
 
 def _check_tau_budget(tau: int, nu: int, max_tau: int | None):
@@ -355,7 +334,7 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
-    _check_vector_orbit(v, A)
+    check_vector_orbit(v, A)
     tau = matrix_order(A)
     _check_tau_budget(tau, k, max_tau)
     value, kernel = _energy(vector_orbit(v, A, tau), A.ctx.p, k)
@@ -425,7 +404,7 @@ def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
     """Full multiset of k-fold sums of the vector orbit: distinct rows and int64 counts."""
     if k < 1:
         raise ValueError("arity must be positive")
-    _check_vector_orbit(a, A)
+    check_vector_orbit(a, A)
     tau = matrix_order(A)
     cap = DISTRIBUTION_WORK_CAP if max_work is None else max_work
     if tau ** k > cap:
@@ -444,7 +423,7 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    _check_vector_orbit(a, A)
+    check_vector_orbit(a, A)
     p = A.ctx.p
     d = A.n * A.ctx.degree
     space = p ** d

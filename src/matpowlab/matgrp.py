@@ -1,16 +1,20 @@
 """Square matrices and vectors over a FieldCtx: orders, eigenvalues, independence.
 
-Characteristic polynomials use per-dimension closed forms (n <= 3) and roots
-are located by discriminant analysis (n = 2) or a direct scan of the field
-(n = 3), with eigenvalues landing in the quadratic extension when needed.
-Diagonalizability and orders are read off those eigenvalues; only n >= 4 or
-eigenvalues beyond the quadratic extension fall back to capped power iteration.
+MatEntity and VecEntity are values; computation runs on their flat residues
+(residue_map). Characteristic polynomials use per-dimension closed forms
+(n <= 3) and roots are located by discriminant analysis (n = 2) or a direct
+scan of the field (n = 3), with eigenvalues landing in the quadratic extension
+when needed. Diagonalizability and orders are read off those eigenvalues;
+only n >= 4 or eigenvalues beyond the quadratic extension fall back to capped
+power iteration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     BudgetExceeded,
@@ -24,14 +28,15 @@ from .errors import (
     ZeroElement,
     ZeroVector,
 )
-from .ffield import FFElem, FieldCtx, is_square, mult_order, sqrt, trace_norm
+from .ffield import (FFElem, FieldCtx, is_square, mul_matrix, mult_order, residue_orbit,
+                     sqrt, trace_norm)
 
 ORDER_ITERATION_CAP = 10 ** 6
 _ROOT_SCAN_CAP = 10 ** 6
 
 
 class VecEntity:
-    """Immutable row or column vector over a FieldCtx."""
+    """Immutable row or column vector over a FieldCtx (a value, no arithmetic)."""
 
     __slots__ = ("ctx", "entries", "orientation")
 
@@ -72,51 +77,6 @@ class VecEntity:
         shape = "row" if self.orientation == "row" else "col"
         return f"VecEntity({shape}, {list(self.entries)!r})"
 
-    def __add__(self, other):
-        if not isinstance(other, VecEntity) or other.orientation != self.orientation:
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("vector length mismatch")
-        return VecEntity([a + b for a, b in zip(self.entries, other.entries)], self.orientation)
-
-    def __neg__(self):
-        return VecEntity([-a for a in self.entries], self.orientation)
-
-    def __sub__(self, other):
-        if not isinstance(other, VecEntity):
-            return NotImplemented
-        return self + (-other)
-
-    def dot(self, other: VecEntity) -> FFElem:
-        """Plain coordinate dot product."""
-        if other.n != self.n:
-            raise ValueError("vector length mismatch")
-        acc = self.ctx.zero
-        for a, b in zip(self.entries, other.entries):
-            acc = acc + a * b
-        return acc
-
-    def __matmul__(self, other):
-        if isinstance(other, MatEntity):
-            if self.orientation != "row":
-                raise ValueError("left-multiplication needs a row vector")
-            if self.n != other.n:
-                raise ValueError("dimension mismatch")
-            cols = range(other.n)
-            return VecEntity(
-                [
-                    sum((self.entries[k] * other.rows[k][j] for k in range(self.n)),
-                        self.ctx.zero)
-                    for j in cols
-                ],
-                "row",
-            )
-        if isinstance(other, VecEntity):
-            if self.orientation == "row" and other.orientation == "column":
-                return self.dot(other)
-            return NotImplemented
-        return NotImplemented
-
     def residues(self) -> tuple[int, ...]:
         """Flat canonical coordinates, length n * degree."""
         out = []
@@ -126,7 +86,7 @@ class VecEntity:
 
 
 class MatEntity:
-    """Immutable n x n matrix over a FieldCtx, with cached eigen analysis."""
+    """Immutable n x n matrix over a FieldCtx (a value), with cached eigen analysis."""
 
     __slots__ = ("ctx", "n", "rows", "_charpoly", "_order", "_det")
 
@@ -159,20 +119,7 @@ class MatEntity:
             [[ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def scalar(ctx: FieldCtx, c: FFElem, n: int) -> MatEntity:
-        return MatEntity([[c if i == j else ctx.zero for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diagonal(entries) -> MatEntity:
-        entries = list(entries)
-        ctx = entries[0].ctx
-        n = len(entries)
-        return MatEntity(
-            [[entries[i] if i == j else ctx.zero for j in range(n)] for i in range(n)]
-        )
-
-    # ---- basic algebra ----------------------------------------------------------
+    # ---- value semantics and invariants ---------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, MatEntity):
@@ -186,82 +133,8 @@ class MatEntity:
         body = "; ".join(" ".join(repr(x) for x in r) for r in self.rows)
         return f"MatEntity[{body}]"
 
-    def __add__(self, other):
-        if not isinstance(other, MatEntity):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return MatEntity(
-            [
-                [self.rows[i][j] + other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, MatEntity):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValueError("dimension mismatch")
-        return MatEntity(
-            [
-                [self.rows[i][j] - other.rows[i][j] for j in range(self.n)]
-                for i in range(self.n)
-            ]
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, MatEntity):
-            if other.n != self.n:
-                raise ValueError("dimension mismatch")
-            n = self.n
-            return MatEntity(
-                [
-                    [
-                        sum((self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                            self.ctx.zero)
-                        for j in range(n)
-                    ]
-                    for i in range(n)
-                ]
-            )
-        if isinstance(other, VecEntity):
-            if other.orientation != "column":
-                raise ValueError("right-multiplication needs a column vector")
-            if other.n != self.n:
-                raise ValueError("dimension mismatch")
-            return VecEntity(
-                [
-                    sum((self.rows[i][k] * other.entries[k] for k in range(self.n)),
-                        self.ctx.zero)
-                    for i in range(self.n)
-                ],
-                "column",
-            )
-        return NotImplemented
-
-    def __pow__(self, e: int) -> MatEntity:
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        out = MatEntity.identity(self.ctx, self.n)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            e >>= 1
-            if e:
-                base = base @ base
-        return out
-
     def is_identity(self) -> bool:
-        one, zero = self.ctx.one, self.ctx.zero
-        return all(
-            self.rows[i][j] == (one if i == j else zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self == MatEntity.identity(self.ctx, self.n)
 
     def trace(self) -> FFElem:
         acc = self.ctx.zero
@@ -285,12 +158,6 @@ class MatEntity:
                 self._det = _det_eliminate([list(row) for row in r], self.ctx)
         return self._det
 
-    def inverse(self) -> MatEntity:
-        inv = _invert([list(r) for r in self.rows], self.ctx)
-        if inv is None:
-            raise DegenerateParameters("matrix is singular")
-        return MatEntity(inv)
-
     def residues(self) -> tuple[int, ...]:
         """Row-major flat canonical coordinates, length n^2 * degree."""
         out = []
@@ -298,6 +165,36 @@ class MatEntity:
             for x in r:
                 out.extend(x.residues())
         return tuple(out)
+
+
+# ---- flat residue layout ------------------------------------------------------------
+
+
+def residue_map(A: MatEntity, side: str) -> np.ndarray:
+    """Integer matrix of v -> v A (side "row") or v -> A v ("column") on flat residues.
+
+    Entry i of a vector fills residue coordinates i d .. i d + d - 1 (d the
+    degree). The column side is a ring map from n x n matrices over F_q into
+    integer matrices mod p: block (i, j) is mul_matrix(A[i][j]).
+    """
+    n, d = A.n, A.ctx.degree
+    blocks = np.empty((n, n, d, d), dtype=np.int64)
+    for i, row in enumerate(A.rows):
+        for j, x in enumerate(row):
+            blocks[i, j] = mul_matrix(x)
+    if side == "row":
+        blocks = blocks.transpose(1, 0, 2, 3)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
+def check_vector_orbit(v: VecEntity, A: MatEntity):
+    """Reject an orbit of v under A that is trivial or mixes fields or dimensions."""
+    if not v:
+        raise ZeroVector("orbit of the zero vector is trivial")
+    if v.ctx != A.ctx:
+        raise MixedContext("vector and matrix field contexts differ")
+    if v.n != A.n:
+        raise ValueError("dimension mismatch")
 
 
 # ---- elimination helpers ---------------------------------------------------------
@@ -320,23 +217,6 @@ def _det_eliminate(rows, ctx):
                 f = rows[i][col] * inv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
     return det
-
-
-def _invert(rows, ctx):
-    n = len(rows)
-    aug = [rows[i] + [ctx.one if i == j else ctx.zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [inv * a for a in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
 
 
 # ---- polynomial helpers (coefficient lists, ascending, over one ctx) -------------
@@ -498,16 +378,19 @@ def is_diagonalizable(A: MatEntity) -> bool:
 
     Distinct eigenvalues make the minimal polynomial squarefree. Repeated ones
     (n <= 3) lie in F_q, and then A is semisimple iff the product of (A - lam I)
-    over the distinct eigenvalues lam vanishes.
+    over the distinct eigenvalues lam vanishes. The product is taken mod p on
+    the column residue map, which is injective and sends lam I to
+    kron(I_n, mul_matrix(lam)).
     """
     data = char_poly_factor(A)
     if data.tag != "repeated":
         return True
-    ctx, n = A.ctx, A.n
-    vanished = MatEntity.identity(ctx, n)
+    M = residue_map(A, "column")
+    vanished = np.eye(M.shape[0], dtype=np.int64)
     for lam in set(data.eigenvalues):
-        vanished = vanished @ (A - MatEntity.scalar(ctx, lam, n))
-    return all(not x for row in vanished.rows for x in row)
+        shifted = M - np.kron(np.eye(A.n, dtype=np.int64), mul_matrix(lam))
+        vanished = vanished @ shifted % A.ctx.p
+    return not vanished.any()
 
 
 def frobenius_orders(values) -> list[int]:
@@ -526,7 +409,7 @@ def matrix_order(A: MatEntity) -> int:
     A = S U (Jordan-Chevalley): S semisimple of order lcm(ord lam_i), prime to
     p, and U unipotent, of order p unless A is diagonalizable, since
     (U - I)^n = 0 with n <= 3 <= p. One mult_order per Frobenius orbit of
-    eigenvalues. Other matrices are iterated under a cap.
+    eigenvalues. Other matrices are iterated on their residue map under a cap.
     """
     if A._order is not None:
         return A._order
@@ -538,9 +421,11 @@ def matrix_order(A: MatEntity) -> int:
         if not is_diagonalizable(A):
             tau *= A.ctx.p
     else:
-        B, tau = A, 1
-        while not B.is_identity():
-            B = B @ A
+        M = residue_map(A, "row")
+        identity = np.eye(M.shape[0], dtype=np.int64)
+        B, tau = M, 1
+        while not np.array_equal(B, identity):
+            B = B @ M % A.ctx.p
             tau += 1
             if tau > ORDER_ITERATION_CAP:
                 raise OrderCapExceeded(f"order exceeds the cap {ORDER_ITERATION_CAP}")
@@ -558,17 +443,14 @@ def det_order(A: MatEntity) -> int:
 
 def independence_check(v: VecEntity, A: MatEntity) -> bool:
     """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n,
-    i.e. the matrix with these n vectors as rows has nonzero determinant."""
-    if not v:
-        raise ZeroVector("independence check needs a nonzero vector")
-    if v.n != A.n:
-        raise ValueError("dimension mismatch")
-    vecs = []
-    cur = v
-    for _ in range(A.n):
-        vecs.append(list(cur.entries))
-        cur = cur @ A if v.orientation == "row" else A @ cur
-    return bool(MatEntity(vecs).det())
+    i.e. the Krylov matrix with these n vectors as rows has nonzero determinant.
+    The vectors are residue rows of the orbit of v, read back into F_q."""
+    check_vector_orbit(v, A)
+    ctx, n = A.ctx, A.n
+    start = v.residues()
+    orbit = residue_orbit(residue_map(A, v.orientation), start, n - 1, ctx.p)
+    krylov = np.vstack([start, orbit]).reshape(n, n, ctx.degree).tolist()
+    return bool(MatEntity([[ctx.elem(*x) for x in row] for row in krylov]).det())
 
 
 def companion_realization(lam: FFElem, a: FFElem):
@@ -588,12 +470,7 @@ def companion_realization(lam: FFElem, a: FFElem):
     if nrm != nrm.ctx.one:
         raise NormNotOne(f"norm of {lam!r} is {nrm!r}, need 1")
     base = ctx.base_field()
-    A = MatEntity(
-        [
-            [base.zero, -base.one],
-            [base.one, u],
-        ]
-    )
+    A = sl2_companion(base, u.c0)
     tr_a, _ = trace_norm(a)
     tr_alam, _ = trace_norm(a * lam)
     a_vec = VecEntity([tr_a, tr_alam], "row")

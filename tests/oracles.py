@@ -13,7 +13,72 @@ import math
 
 import numpy as np
 
-from matpowlab.matgrp import MatEntity
+
+# ---- vectors and matrices as tuples (rows) of FFElem --------------------------------
+
+
+def add(u, v):
+    """Entrywise sum of two vectors."""
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def dot(u, v):
+    """Coordinate dot product of two vectors."""
+    return sum((a * b for a, b in zip(u, v)), u[0].ctx.zero)
+
+
+def vec_mat(v, A):
+    """The row vector v times the matrix with rows A."""
+    return tuple(dot(v, col) for col in zip(*A))
+
+
+def mat_add(A, B):
+    return tuple(add(r, s) for r, s in zip(A, B))
+
+
+def mat_mul(A, B):
+    return tuple(vec_mat(r, B) for r in A)
+
+
+def diagonal(entries):
+    entries = list(entries)
+    zero = entries[0].ctx.zero
+    return tuple(tuple(x if i == j else zero for j in range(len(entries)))
+                 for i, x in enumerate(entries))
+
+
+def scalar(c, n):
+    """c times the n x n identity."""
+    return diagonal([c] * n)
+
+
+def mat_inv(A):
+    """Inverse by Gauss-Jordan elimination on [A | I]; ValueError if A is singular."""
+    n = len(A)
+    one = A[0][0].ctx.one
+    aug = [list(r) + list(e) for r, e in zip(A, scalar(one, n))]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col]), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [inv * a for a in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return tuple(tuple(r[n:]) for r in aug)
+
+
+def mat_pow(A, e):
+    """A^e by e multiplications; a negative e powers the inverse."""
+    if e < 0:
+        return mat_pow(mat_inv(A), -e)
+    out = scalar(A[0][0].ctx.one, len(A))
+    for _ in range(e):
+        out = mat_mul(out, A)
+    return out
 
 
 def rank(rows_in) -> int:
@@ -41,10 +106,10 @@ def rank(rows_in) -> int:
 
 
 def poly_eval_matrix(c, A):
-    """c(A) for ascending coefficients c, by Horner's rule on MatEntity."""
-    acc = MatEntity.scalar(A.ctx, c[-1], A.n)
+    """c(A) for ascending coefficients c and matrix rows A, by Horner's rule."""
+    acc = scalar(c[-1], len(A))
     for k in range(len(c) - 2, -1, -1):
-        acc = acc @ A + MatEntity.scalar(A.ctx, c[k], A.n)
+        acc = mat_add(mat_mul(acc, A), scalar(c[k], len(A)))
     return acc
 
 
@@ -93,12 +158,14 @@ def naive_matrix_order(rows_mod_p, p):
 
 
 def naive_matrix_order_obj(A):
-    """Order of a MatEntity over any field by iterating B -> B @ A to the identity."""
-    B, k = A, 1
-    while not B.is_identity():
-        B = B @ A
+    """Order of the matrix with FFElem rows A, by iterating B -> B A to the identity."""
+    n, ctx = len(A), A[0][0].ctx
+    ident = scalar(ctx.one, n)
+    B, k = tuple(map(tuple, A)), 1
+    while B != ident:
+        B = mat_mul(B, A)
         k += 1
-        if k > A.ctx.q ** (A.n * A.n):
+        if k > ctx.q ** (n * n):
             raise AssertionError("matrix order search did not terminate")
     return k
 
@@ -152,15 +219,16 @@ def naive_det(rows):
 def naive_count_Q(powers, nu):
     """Count solutions of sum(first nu powers) == sum(last nu powers) by raw tuple enumeration.
 
-    `powers` is the list [A^1, ..., A^tau] with hashable entries; each of the
-    tau^(2 nu) exponent tuples is checked independently.
+    `powers` is the list [A^1, ..., A^tau] of vectors or matrix rows of FFElem;
+    each of the tau^(2 nu) exponent tuples is checked independently.
     """
     tau = len(powers)
+    plus = mat_add if isinstance(powers[0][0], tuple) else add
 
     def tuple_sum(tup):
         acc = powers[tup[0]]
         for idx in tup[1:]:
-            acc = acc + powers[idx]
+            acc = plus(acc, powers[idx])
         return acc
 
     count = 0

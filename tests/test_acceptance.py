@@ -35,7 +35,7 @@ from matpowlab.matgrp import (
     matrix_order,
     sl2_companion,
 )
-from oracles import naive_count_Q, naive_count_Q_fast
+from oracles import mat_mul, naive_count_Q, naive_count_Q_fast
 
 CAT = CatMatrix(2, 1, 3, 2)
 EIGENMODES = Observable({(1, 0): 0.5, (-1, 0): 0.5})
@@ -71,10 +71,10 @@ def test_criterion_01_count_oracle_equivalence():
     # a couple of pure object-arithmetic spot checks on top
     ctx = make_field(5)
     A = sl2_companion(ctx, 1)
-    powers, cur = [], A
+    powers, cur = [], A.rows
     for _ in range(matrix_order(A)):
         powers.append(cur)
-        cur = cur @ A
+        cur = mat_mul(cur, A.rows)
     if count_Q(A, 2).value != naive_count_Q(powers, 2):
         mismatches += 1
     _verdict(1, mismatches == 0, f"{checked} exact counts vs enumeration oracle")
@@ -84,7 +84,7 @@ def _power_keys(A, tau, p):
     rows, cur = [], A
     for _ in range(tau):
         rows.append(cur.residues())
-        cur = cur @ A
+        cur = MatEntity(mat_mul(cur.rows, A.rows))
     return np.array(rows, dtype=np.int64)
 
 

@@ -44,7 +44,8 @@ from matpowlab.matgrp import (
     matrix_order,
     sl2_companion,
 )
-from oracles import naive_char_sum, naive_extension_independent, naive_moment
+from oracles import (dot, mat_mul, naive_char_sum, naive_extension_independent, naive_moment,
+                     vec_mat)
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                  61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -64,10 +65,10 @@ def _oracle_matrix_sum(a_vec, b_vec, A, chi=None):
         chi = standard_character(A.ctx)
     tau = matrix_order(A)
     terms = []
-    M = A
+    M = A.rows
     for _ in range(tau):
-        terms.append(char_eval(chi, a_vec @ (M @ b_vec)))
-        M = M @ A
+        terms.append(char_eval(chi, dot(vec_mat(a_vec.entries, M), b_vec.entries)))
+        M = mat_mul(M, A.rows)
     return naive_char_sum(terms)
 
 

@@ -26,13 +26,20 @@ from matpowlab.errors import (
     ZeroXi1,
 )
 from matpowlab.ffield import make_field, mul_matrix, mult_order, primitive_root, subgroup_of_order
-from matpowlab.matgrp import MatEntity, VecEntity, matrix_order, sl2_companion
+from matpowlab.matgrp import (MatEntity, VecEntity, independence_check, matrix_order,
+                              sl2_companion)
 
 from oracles import (
+    add,
+    diagonal,
+    dot,
+    mat_inv,
+    mat_mul,
     naive_count_Q,
     naive_count_Q_fast,
     naive_product_eq_count,
     naive_sumset_cover,
+    vec_mat,
 )
 
 
@@ -43,10 +50,10 @@ def _as_dict(dist):
 
 def _matrix_powers(A, tau):
     out = []
-    cur = A
+    cur = A.rows
     for _ in range(tau):
         out.append(cur)
-        cur = cur @ A
+        cur = mat_mul(cur, A.rows)
     return out
 
 
@@ -107,13 +114,13 @@ def test_orbits_match_object_arithmetic(p, degree, n):
     v = draw(n)
     tau = matrix_order(A)
     mats, rows, cols = [], [], []
-    cur, row, col = A, VecEntity(v, "row"), VecEntity(v, "column")
+    cur, row, col = A.rows, v, v
     for _ in range(max(tau, 5)):
-        row, col = row @ A, A @ col
-        mats.append(cur.residues())
-        rows.append(row.residues())
-        cols.append(col.residues())
-        cur = cur @ A
+        row, col = vec_mat(row, A.rows), tuple(dot(r, col) for r in A.rows)
+        mats.append(MatEntity(cur).residues())
+        rows.append(VecEntity(row).residues())
+        cols.append(VecEntity(col).residues())
+        cur = mat_mul(cur, A.rows)
     for length in (1, 2, 3, 5, tau):
         assert power_orbit(A, length).tolist() == [list(r) for r in mats[:length]]
         assert vector_orbit(VecEntity(v, "row"), A, length).tolist() == \
@@ -133,8 +140,8 @@ def test_flat_map_matches_the_block_layout(p, degree, n):
     A = MatEntity([[ctx.from_index(int(rng.integers(ctx.q))) for _ in range(n)]
                    for _ in range(n)])
     blocks = [[mul_matrix(x) for x in row] for row in A.rows]
-    column = counting._flat_map(A, "column")
-    row = counting._flat_map(A, "row")
+    column = matgrp.residue_map(A, "column")
+    row = matgrp.residue_map(A, "row")
     assert column.dtype == row.dtype == np.int64
     assert np.array_equal(column, np.block(blocks))
     assert np.array_equal(row, np.block([list(col) for col in zip(*blocks)]))
@@ -180,7 +187,7 @@ def test_conjugation_invariance():
             )
             if S.det():
                 break
-        B = S @ A @ S.inverse()
+        B = MatEntity(mat_mul(mat_mul(S.rows, A.rows), mat_inv(S.rows)))
         assert count_Q(A, 2).value == count_Q(B, 2).value
 
 
@@ -223,7 +230,7 @@ def test_count_JK_independent_vector_matches_matrix_count():
 def test_count_JK_dependent_vector_keeps_multiplicity():
     ctx = make_field(13)
     g = primitive_root(ctx)
-    A = MatEntity.diagonal([ctx.one, g])
+    A = MatEntity(diagonal([ctx.one, g]))
     tau = matrix_order(A)  # 12
     ev = VecEntity([ctx.one, ctx.zero], "row")  # fixed by A
     res = count_JK(ev, A, 1)
@@ -233,7 +240,7 @@ def test_count_JK_dependent_vector_keeps_multiplicity():
     arr = np.array(orbit, dtype=np.int64)
     assert count_JK(ev, A, 2).value == naive_count_Q_fast((arr, 13), 2)
     # e1 has period 2 under diag(-1, g), which has order 12: six copies of a 2-cycle
-    A = MatEntity.diagonal([ctx.elem(-1), g])
+    A = MatEntity(diagonal([ctx.elem(-1), g]))
     for side in ("row", "column"):
         e1 = VecEntity([ctx.one, ctx.zero], side)
         orbit = vector_orbit(e1, A, matrix_order(A))
@@ -244,7 +251,12 @@ def test_count_JK_dependent_vector_keeps_multiplicity():
         count_JK(VecEntity([ctx.zero, ctx.zero], "row"), A, 2)
 
 
-@pytest.mark.parametrize("entry", [count_JK, orbit_sum_distribution, sumset_cover])
+def _independence(v, A, _arity):
+    return independence_check(v, A)
+
+
+@pytest.mark.parametrize("entry", [count_JK, orbit_sum_distribution, sumset_cover,
+                                   pytest.param(_independence, id="independence_check")])
 def test_vector_orbit_inputs_are_checked(entry):
     f5, f7 = make_field(5), make_field(7)
     A = sl2_companion(f5, 1)
@@ -263,9 +275,9 @@ def test_count_JK_matches_tuple_oracle_small():
     tau = matrix_order(A)
     v = VecEntity([ctx.one, ctx.elem(2)], "row")
     vecs = []
-    cur = v
+    cur = v.entries
     for _ in range(tau):
-        cur = cur @ A
+        cur = vec_mat(cur, A.rows)
         vecs.append(cur)
     for k in (1, 2):
         assert count_JK(v, A, k).value == naive_count_Q(vecs, k)
@@ -285,7 +297,7 @@ def test_kernel_path_without_int64_encoding():
     ctx = make_field(p)
     g = primitive_root(ctx)
     lam = g ** ((p - 1) // 6)
-    A = MatEntity.diagonal([lam, lam.inverse()])
+    A = MatEntity(diagonal([lam, lam.inverse()]))
     assert matrix_order(A) == 6
     res = count_Q(A, 2)
     assert res.parameters["kernel"] == "sorted"
@@ -295,12 +307,15 @@ def test_kernel_path_without_int64_encoding():
     assert count_Q_eigen(A, 2).value == res.value
     # p^4 passes 2^63, so unreduced rows over F_{p^2}^2 sort lexicographically
     ctx = make_field(p, 2)
-    A = MatEntity.diagonal([ctx.elem(-1)] * 2)
+    A = MatEntity(diagonal([ctx.elem(-1)] * 2))
     a = VecEntity([ctx.one, ctx.elem(3, 1)], "row")
     for k in (2, 3):
         expect = {}
-        for terms in itertools.product((a @ A, a), repeat=k):
-            key = sum(terms[1:], terms[0]).residues()
+        for terms in itertools.product((vec_mat(a.entries, A.rows), a.entries), repeat=k):
+            acc = terms[0]
+            for t in terms[1:]:
+                acc = add(acc, t)
+            key = VecEntity(acc).residues()
             expect[key] = expect.get(key, 0) + 1
         assert _as_dict(orbit_sum_distribution(a, A, k)) == expect
 
@@ -312,7 +327,7 @@ def test_chunking_does_not_change_counts(monkeypatch):
     ctx = make_field(11)
     A = sl2_companion(ctx, 4)
     g = primitive_root(ctx)
-    D = MatEntity.diagonal([g * g, g])
+    D = MatEntity(diagonal([g * g, g]))
     e1 = VecEntity([ctx.one, ctx.zero], "row")  # period 5 under D of order 10: rows twice
     rows = np.array([[1, 2], [3, 4], [1, 2], [0, 5], [6, 0], [2, 2], [1, 2]])
 
@@ -351,13 +366,19 @@ def test_pair_blocks_do_not_change_counts(block_rows, monkeypatch):
     assert _pair_step_record(A, e1) + [sequence_energy(rows, 13, nu) for nu in (2, 3)] == base
 
 
-def test_sequence_energy_needs_no_orbit_structure():
+def test_sequence_energy_needs_no_orbit_structure(monkeypatch):
     # rows with repeats that no linear step maps onto each other cyclically
     ctx = make_field(5)
     rows = np.array([[1, 0], [4, 3], [1, 0], [0, 0], [2, 4], [1, 0]])
-    vecs = [VecEntity([ctx.elem(a), ctx.elem(b)], "row") for a, b in rows.tolist()]
+    vecs = [(ctx.elem(a), ctx.elem(b)) for a, b in rows.tolist()]
     for nu in (1, 2, 3):
         assert sequence_energy(rows, 5, nu) == naive_count_Q(vecs, nu)
+    # zero rows span nothing: every nu-fold sum is 0, so the count is 3^(2 nu)
+    zeros = np.zeros((3, 2), dtype=np.int64)
+    for cap in (counting.DENSE_CAP, 0):
+        monkeypatch.setattr(counting, "DENSE_CAP", cap)
+        for nu in (1, 2, 3):
+            assert sequence_energy(zeros, 5, nu) == 3 ** (2 * nu)
 
 
 def _all_counts(p):
@@ -441,9 +462,9 @@ def _key_reduction_cases(ctx, n):
                        for _ in range(n)])
         if A.det():
             cases.append((A, n))
-    cases.append((MatEntity.diagonal([g] * n), 1))
+    cases.append((MatEntity(diagonal([g] * n)), 1))
     if n >= 2:
-        cases.append((MatEntity.diagonal([g] * (n - 1) + [g * g]), 2))
+        cases.append((MatEntity(diagonal([g] * (n - 1) + [g * g])), 2))
         jordan = [[g if i == j else ctx.elem(int(j == i + 1)) for j in range(n)]
                   for i in range(n)]
         cases.append((MatEntity(jordan), n))
@@ -535,8 +556,7 @@ def test_orbit_sum_distribution_totals_and_invariance():
     # the distribution is A-invariant: c(u) = c(uA)
     counts = _as_dict(orbit_sum_distribution(a, A, 2))
     for key, c in counts.items():
-        u = VecEntity([ctx.elem(key[0]), ctx.elem(key[1])], "row")
-        shifted = (u @ A).residues()
+        shifted = VecEntity(vec_mat((ctx.elem(key[0]), ctx.elem(key[1])), A.rows)).residues()
         assert counts.get(tuple(shifted)) == c
 
 
@@ -546,14 +566,14 @@ def test_orbit_sum_distribution_matches_tuple_enumeration():
     tau = matrix_order(A)
     a = VecEntity([ctx.one, ctx.one], "row")
     orbit = []
-    cur = a
+    cur = a.entries
     for _ in range(tau):
-        cur = cur @ A
+        cur = vec_mat(cur, A.rows)
         orbit.append(cur)
     expect = {}
     for i in range(tau):
         for j in range(tau):
-            key = (orbit[i] + orbit[j]).residues()
+            key = VecEntity(add(orbit[i], orbit[j])).residues()
             expect[key] = expect.get(key, 0) + 1
     assert _as_dict(orbit_sum_distribution(a, A, 2)) == expect
 
@@ -568,7 +588,7 @@ def test_orbit_sum_distribution_budget():
 def test_sumset_cover_line_orbit_never_covers():
     ctx = make_field(7)
     g = primitive_root(ctx)
-    A = MatEntity.diagonal([g, g ** -1])
+    A = MatEntity(diagonal([g, g ** -1]))
     ev = VecEntity([ctx.one, ctx.zero], "row")  # stays on the x-axis line
     res = sumset_cover(ev, A, 6)
     assert res.covered_at is None
@@ -587,10 +607,10 @@ def test_sumset_cover_irreducible_orbit_covers():
 
 
 def _row_orbit(start, A):
-    out, cur = [], start
+    out, cur = [], start.entries
     for _ in range(matrix_order(A)):
-        cur = cur @ A
-        out.append(cur.residues())
+        cur = vec_mat(cur, A.rows)
+        out.append(VecEntity(cur).residues())
     return out
 
 
@@ -605,7 +625,7 @@ def test_sumset_cover_matches_set_oracle():
     # the stagnating line orbit of test_sumset_cover_line_orbit_never_covers
     ctx = make_field(7)
     g = primitive_root(ctx)
-    A = MatEntity.diagonal([g, g ** -1])
+    A = MatEntity(diagonal([g, g ** -1]))
     start = VecEntity([ctx.one, ctx.zero], "row")
     res = sumset_cover(start, A, 6)
     assert (res.covered_at, res.missing) == naive_sumset_cover(_row_orbit(start, A), 7, 6)
