@@ -258,8 +258,12 @@ def _energy(orbit_rows: np.ndarray, p: int, nu: int):
 
 
 def sequence_energy(residue_rows, p: int, nu: int) -> int:
-    """sum(c_nu^2) for the nu-fold sum multiset of a residue-row sequence (array or tuples)."""
-    return _energy(np.array(residue_rows, dtype=np.int64), p, nu)[0]
+    """sum(c_nu^2) for the nu-fold sum multiset of a residue-row sequence (array or tuples).
+
+    Rows are reduced mod p on entry; an empty sequence has no sums and gives 0.
+    """
+    rows = np.array(residue_rows, dtype=np.int64) % p
+    return _energy(rows, p, nu)[0] if len(rows) else 0
 
 
 # ---- matrix power orbits ----------------------------------------------------------

@@ -1,10 +1,15 @@
 """Arithmetic in F_p and F_{p^2}, multiplicative orders, and additive characters.
 
-Quadratic extensions are realized as F_p[w] / (w^2 - r) with r the least
-quadratic non-residue mod p, so the Frobenius map x -> x^p is plain
-conjugation (c0, c1) -> (c0, -c1) and trace / norm have closed forms.
-Array code sees this representation only through mul_matrix and trace_form,
-the integer matrices of multiplication and of the trace pairing on residues.
+Elements are pairs c0 + c1 w of F_p[w] / (w^2 - r). F_{p^2} takes r the least
+quadratic non-residue mod p, so the Frobenius map x -> x^p is conjugation
+(c0, c1) -> (c0, -c1) and trace / norm have closed forms. F_p is the c1 = 0
+slice of the same formulas (r = 0), so arithmetic needs no degree test, and
+array code sees both fields only through mul_matrix and trace_form, the 2 x 2
+integer matrices of multiplication and of the trace pairing sliced to degree.
+Eight places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
+factorization), FieldCtx.elem (it guards c1 = 0), FFElem.__pow__ (builtin
+three-argument pow serves the many F_p powers), FFElem.__repr__ (output text),
+and the input checks of omega, lift, trace_norm and norm_subgroup.
 """
 
 from __future__ import annotations
@@ -61,19 +66,13 @@ def _merge_factors(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[t
     return sorted(merged.items())
 
 
-def _least_nonresidue(p: int) -> int:
-    """Least quadratic non-residue mod p, by direct scan."""
-    for r in range(2, p):
-        if pow(r, (p - 1) // 2, p) == p - 1:
-            return r
-    raise CompositeModulus(f"{p} has no quadratic non-residue; not an odd prime")
-
-
 class FieldCtx:
     """F_p (degree 1) or F_{p^2} (degree 2); immutable after construction.
 
-    Elements are indexed canonically by c0 + p * c1, and the degree-2 group
-    order p^2 - 1 is factored as (p - 1)(p + 1) so each half stays tiny.
+    Elements c0 + c1 w with w^2 = r are indexed canonically by c0 + p * c1.
+    Degree 1 sets r = 0 and every constructor keeps c1 = 0, so F_p is the
+    c1 = 0 slice of the quadratic formulas. The degree-2 group order p^2 - 1
+    is factored as (p - 1)(p + 1) so each half stays tiny.
     """
 
     def __init__(self, p: int, degree: int = 1):
@@ -88,10 +87,10 @@ class FieldCtx:
         self.q = p ** degree
         self.group_order = self.q - 1
         if degree == 2:
-            self.r = _least_nonresidue(p)
+            self.r = _nonresidue_elem(make_field(p)).c0
             self.group_order_factorization = _merge_factors(_factorize(p - 1), _factorize(p + 1))
         else:
-            self.r = None
+            self.r = 0
             self.group_order_factorization = _factorize(p - 1)
         self._root_table: np.ndarray | None = None
         self._primitive_root: FFElem | None = None
@@ -135,7 +134,9 @@ class FieldCtx:
         return x.c0 + self.p * x.c1
 
     def from_index(self, w: int) -> FFElem:
-        return FFElem(self, w % self.p, (w // self.p) % self.p)
+        """The element of index w mod q."""
+        w %= self.q
+        return FFElem(self, w % self.p, w // self.p)
 
     def roots_of_unity(self) -> np.ndarray:
         """Cached table exp(2 pi i k / p), k = 0..p-1."""
@@ -145,11 +146,11 @@ class FieldCtx:
 
     def base_field(self) -> FieldCtx:
         """The degree-1 context over the same p."""
-        return self if self.degree == 1 else make_field(self.p, 1)
+        return make_field(self.p, 1)
 
     def ext_field(self) -> FieldCtx:
         """The degree-2 context over the same p."""
-        return self if self.degree == 2 else make_field(self.p, 2)
+        return make_field(self.p, 2)
 
     def lift(self, x: FFElem) -> FFElem:
         """Embed a base-field element into this context."""
@@ -213,10 +214,7 @@ class FFElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = self.ctx.p
-        if self.ctx.degree == 1:
-            return FFElem(self.ctx, (self.c0 * o.c0) % p, 0)
-        r = self.ctx.r
+        p, r = self.ctx.p, self.ctx.r
         return FFElem(
             self.ctx,
             (self.c0 * o.c0 + r * self.c1 * o.c1) % p,
@@ -240,11 +238,8 @@ class FFElem:
     def inverse(self) -> FFElem:
         if not self:
             raise ZeroElement("zero has no inverse")
-        p = self.ctx.p
-        if self.ctx.degree == 1:
-            return FFElem(self.ctx, pow(self.c0, p - 2, p), 0)
         # conjugate over norm; the norm sits in F_p
-        r = self.ctx.r
+        p, r = self.ctx.p, self.ctx.r
         nrm_inv = pow((self.c0 * self.c0 - r * self.c1 * self.c1) % p, p - 2, p)
         return FFElem(self.ctx, (self.c0 * nrm_inv) % p, (-self.c1 * nrm_inv) % p)
 
@@ -291,16 +286,12 @@ class FFElem:
         return f"{self.c0}+{self.c1}w (mod {self.ctx.p})"
 
     def frobenius(self) -> FFElem:
-        """The p-power map; conjugation in degree 2, identity in degree 1."""
-        if self.ctx.degree == 1:
-            return self
+        """The p-power map: conjugation, the identity on the c1 = 0 slice F_p."""
         return FFElem(self.ctx, self.c0, (-self.c1) % self.ctx.p)
 
     def residues(self) -> tuple[int, ...]:
         """Canonical integer coordinates, length = degree."""
-        if self.ctx.degree == 1:
-            return (self.c0,)
-        return (self.c0, self.c1)
+        return (self.c0, self.c1)[:self.ctx.degree]
 
 
 def trace_norm(x: FFElem) -> tuple[FFElem, FFElem]:
@@ -325,22 +316,12 @@ def mult_order(x: FFElem) -> int:
 
 
 def primitive_root(ctx: FieldCtx) -> FFElem:
-    """First multiplicative generator in canonical scan order (cached)."""
-    if ctx._primitive_root is not None:
-        return ctx._primitive_root
-    n = ctx.group_order
-    cofactors = [n // prime for prime, _ in ctx.group_order_factorization]
-    if ctx.degree == 1:
-        candidates = (FFElem(ctx, c0, 0) for c0 in range(2, ctx.p))
-    else:
-        # elements of F_p generate at most the order-(p-1) part, so start at c1 = 1
-        candidates = (FFElem(ctx, c0, c1) for c1 in range(1, ctx.p) for c0 in range(ctx.p))
-    one = ctx.one
-    for x in candidates:
-        if all(x ** c != one for c in cofactors):
-            ctx._primitive_root = x
-            return x
-    raise CompositeModulus(f"no generator found for {ctx!r}")
+    """First multiplicative generator in canonical index order (cached)."""
+    if ctx._primitive_root is None:
+        cofactors = [ctx.group_order // prime for prime, _ in ctx.group_order_factorization]
+        ctx._primitive_root = next(x for x in _scan(ctx)
+                                   if all(x ** c != ctx.one for c in cofactors))
+    return ctx._primitive_root
 
 
 class SubgroupSpec:
@@ -412,19 +393,16 @@ def standard_character(ctx: FieldCtx) -> CharacterSpec:
 
 def mul_matrix(x: FFElem) -> np.ndarray:
     """The degree x degree integer matrix of z -> x z acting on residue columns."""
-    if x.ctx.degree == 1:
-        return np.array([[x.c0]], dtype=np.int64)
-    return np.array([[x.c0, x.ctx.r * x.c1 % x.ctx.p], [x.c1, x.c0]], dtype=np.int64)
+    d = x.ctx.degree
+    return np.array([[x.c0, x.ctx.r * x.c1 % x.ctx.p], [x.c1, x.c0]], dtype=np.int64)[:d, :d]
 
 
 def trace_form(chi: CharacterSpec) -> np.ndarray:
     """The matrix T with Tr(alpha a z) = res(a) T res(z) (mod p), entries reduced mod p."""
-    ctx, a = chi.ctx, chi.alpha
-    if ctx.degree == 1:
-        return np.array([[a.c0]], dtype=np.int64)
-    r = ctx.r
-    form = 2 * np.array([[a.c0, r * a.c1], [r * a.c1, r * a.c0]], dtype=np.int64)
-    return form % ctx.p
+    # Tr(c0 + c1 w) = degree * c0
+    ctx, a, r, d = chi.ctx, chi.alpha, chi.ctx.r, chi.ctx.degree
+    form = d * np.array([[a.c0, r * a.c1], [r * a.c1, r * a.c0]], dtype=np.int64)
+    return form[:d, :d] % ctx.p
 
 
 def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
@@ -488,16 +466,16 @@ def is_square(x: FFElem) -> bool:
 
 
 def _nonresidue_elem(ctx: FieldCtx) -> FFElem:
-    """A fixed non-square of the field, cached (canonical scan)."""
+    """The first non-square of the field in canonical index order (cached)."""
     if ctx._nonresidue is None:
-        if ctx.degree == 1:
-            ctx._nonresidue = FFElem(ctx, _least_nonresidue(ctx.p), 0)
-        else:
-            for x in ctx.iter_elements():
-                if x and not is_square(x):
-                    ctx._nonresidue = x
-                    break
+        ctx._nonresidue = next(x for x in _scan(ctx) if not is_square(x))
     return ctx._nonresidue
+
+
+def _scan(ctx: FieldCtx):
+    """Elements in index order from w = q // p: no element of F_p generates
+    F_{p^2}* or is a non-square in it, and in F_p the scan starts at 1, which is neither."""
+    return map(ctx.from_index, range(ctx.q // ctx.p, ctx.q))
 
 
 def sqrt(x: FFElem) -> FFElem:

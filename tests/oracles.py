@@ -135,6 +135,17 @@ def naive_least_nonresidue(p):
     raise AssertionError(f"no non-residue mod {p}")
 
 
+def naive_primitive_root(ctx):
+    """First element in index order whose powers reach every nonzero element."""
+    return next(x for x in ctx.iter_elements() if x and naive_mult_order(x) == ctx.group_order)
+
+
+def naive_nonresidue(ctx):
+    """First element in index order outside the full set of squares."""
+    squares = {x * x for x in ctx.iter_elements()}
+    return next(x for x in ctx.iter_elements() if x not in squares)
+
+
 def naive_matrix_order(rows_mod_p, p):
     """Order of an integer matrix mod p by repeated multiplication."""
     n = len(rows_mod_p)

@@ -375,10 +375,16 @@ def test_sequence_energy_needs_no_orbit_structure(monkeypatch):
         assert sequence_energy(rows, 5, nu) == naive_count_Q(vecs, nu)
     # zero rows span nothing: every nu-fold sum is 0, so the count is 3^(2 nu)
     zeros = np.zeros((3, 2), dtype=np.int64)
+    # rows outside 0..p-1 count as their residues mod p
+    rng = np.random.default_rng(5)
+    unreduced = [np.array([[-1, 0], [4, 0], [2, 3]]), rng.integers(-12, 12, size=(7, 2))]
     for cap in (counting.DENSE_CAP, 0):
         monkeypatch.setattr(counting, "DENSE_CAP", cap)
         for nu in (1, 2, 3):
             assert sequence_energy(zeros, 5, nu) == 3 ** (2 * nu)
+            assert sequence_energy(np.zeros((0, 2), dtype=np.int64), 5, nu) == 0
+            for raw in unreduced:
+                assert sequence_energy(raw, 5, nu) == naive_count_Q_fast((raw % 5, 5), nu)
 
 
 def _all_counts(p):

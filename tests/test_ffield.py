@@ -29,7 +29,15 @@ from matpowlab.ffield import (
     trace_norm,
 )
 
-from oracles import naive_field_trace, naive_least_nonresidue, naive_mult_order
+from oracles import (
+    naive_field_trace,
+    naive_least_nonresidue,
+    naive_mult_order,
+    naive_nonresidue,
+    naive_primitive_root,
+)
+
+ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def test_make_field_rejects_bad_moduli():
@@ -83,6 +91,20 @@ def test_extension_arithmetic_against_polynomial_model():
                     got = ctx.elem(c0, c1) * ctx.elem(d0, d1)
                     assert got.c0 == (c0 * d0 + r * c1 * d1) % 5
                     assert got.c1 == (c0 * d1 + c1 * d0) % 5
+
+
+@pytest.mark.parametrize("p", [3, 13])
+def test_prime_field_is_the_c1_zero_slice(p):
+    # degree-1 products, inverses and Frobenius against integer arithmetic mod p
+    ctx = make_field(p)
+    for a in range(p):
+        x = ctx.elem(a)
+        assert (x.frobenius().c0, x.frobenius().c1) == (a, 0)
+        if a:
+            assert (x.inverse().c0, x.inverse().c1) == (pow(a, -1, p), 0)
+        for b in range(p):
+            got = x * ctx.elem(b)
+            assert (got.c0, got.c1) == (a * b % p, 0)
 
 
 def test_inverse_and_pow_consistency():
@@ -174,6 +196,14 @@ def test_mult_order_frozen_values():
     assert mult_order(ctx.one) == 1
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_scans_return_the_first_element_in_index_order(degree):
+    for p in ODD_PRIMES_TO_31:
+        ctx = make_field(p, degree)
+        assert primitive_root(ctx) == naive_primitive_root(ctx)
+        assert ffield._nonresidue_elem(ctx) == naive_nonresidue(ctx)
+
+
 def test_primitive_root_has_full_order():
     for p, degree in ((5, 1), (13, 1), (101, 1), (5, 2), (11, 2)):
         ctx = make_field(p, degree)
@@ -182,7 +212,7 @@ def test_primitive_root_has_full_order():
 
 
 def test_norm_subgroup_members():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in ODD_PRIMES_TO_31:
         ctx = make_field(p, 2)
         sub = norm_subgroup(ctx)
         assert sub.order == p + 1
@@ -283,6 +313,13 @@ def test_sqrt_roundtrip():
 
 
 def test_element_index_roundtrip():
-    ctx = make_field(5, 2)
-    for w in range(ctx.q):
-        assert ctx.element_index(ctx.from_index(w)) == w
+    # indices wrap mod q, and F_p elements keep c1 = 0 whatever the index
+    for degree in (1, 2):
+        ctx = make_field(5, degree)
+        for w in range(ctx.q):
+            x = ctx.from_index(w)
+            assert ctx.element_index(x) == w
+            for k in (-2, 1, 3):
+                y = ctx.from_index(w + k * ctx.q)
+                assert y == x and hash(y) == hash(x)
+                assert degree == 2 or y.c1 == 0
