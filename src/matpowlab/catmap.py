@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from numpy.linalg import eigh
 
 from .counting import count_Q
 from .errors import (
@@ -16,18 +17,29 @@ from .errors import (
     DegenerateParameters,
     DependentVectors,
     EvenModulus,
+    InvariantViolated,
     NonRealObservable,
     SingularLowerLeft,
 )
 from .ffield import _is_prime, make_field
 from .matgrp import MatEntity, is_diagonalizable, matrix_order
 
-# Dense eigen-decomposition cap and clustering tolerance for eigenbasis().
+# Largest N whose eigenbasis() is computed: it charges one dense N x N
+# Hermitian eigh plus the block Schurs, and reports N**3 as the estimated work
+# of a skip.  512 is a budget choice, not a limit of the method.
 EIGEN_DIM_CAP = 512
+# Eigenvalues of U closer than CLUSTER_TOL share one eigenspace.
 CLUSTER_TOL = 1e-8
-# Phase-grid resolution for the numerical radius; the grid under-reads the
-# radius by at most a factor cos(pi / PHASE_GRID), about 1e-5 relative.
+# Sorted cosines further apart than this start a new block in eigenbasis();
+# the block's eigenvectors are then accurate to about eps / _BLOCK_GAP.
+_BLOCK_GAP = 1e-3
+# Largest entry of U Z - Z Lambda and of a block's Z* Z - I that eigenbasis() accepts.
+_EIGEN_TOL = 1e-9
+# Phase-grid resolution for the numerical radius (even, so that the phases
+# theta and theta + pi pair up); the grid under-reads the radius by at most a
+# factor cos(pi / PHASE_GRID), about 1e-5 relative.
 PHASE_GRID = 720
+_PHASES = np.exp(1j * (np.arange(PHASE_GRID) * (2 * np.pi / PHASE_GRID)))
 
 _UNITARY_TOL = 1e-9
 _HERMITIAN_TOL = 1e-12
@@ -266,7 +278,15 @@ def egorov_defect(U: QOperator, A: CatMatrix, a: tuple) -> float:
 
 
 def eigenbasis(U: QOperator, max_dim: int = EIGEN_DIM_CAP) -> list:
-    """Eigenvalue clusters with bases orthonormal under the mean-weighted product."""
+    """Eigenvalue clusters with bases orthonormal under the mean-weighted product.
+
+    U is unitary, so its Hermitian part H = (U + U*) / 2 commutes with it and
+    has the eigenvalues cos(theta).  One eigh of H cuts C^N into U-invariant
+    blocks wherever consecutive cosines differ by more than _BLOCK_GAP, and U
+    compressed to each block is diagonalized by a small complex Schur, one
+    batched call per block size.  Raises InvariantViolated when the eigen
+    residual U Z - Z Lambda or a block's Gram matrix Z* Z - I exceeds _EIGEN_TOL.
+    """
     if U.kind != "unitary":
         raise ValueError("eigenbasis requires a unitary-tagged operator")
     N = U.modulus
@@ -275,24 +295,42 @@ def eigenbasis(U: QOperator, max_dim: int = EIGEN_DIM_CAP) -> list:
             f"dense eigen-decomposition capped at {max_dim}, got {N}",
             estimated_work=N**3,
         )
-    schur_t, schur_z = scipy.linalg.schur(U.entries, output="complex")
-    eigs = np.diag(schur_t)
+    mat = U.entries
+    cosines, herm_vecs = eigh((mat + mat.conj().T) / 2)
+    images = mat @ herm_vecs
+    blocks = np.split(np.arange(N), np.flatnonzero(np.diff(cosines) > _BLOCK_GAP) + 1)
+    eigs = np.empty(N, dtype=np.complex128)
+    vecs = np.empty((N, N), dtype=np.complex128)
+    for size in sorted({len(block) for block in blocks}):
+        cols = np.array([block for block in blocks if len(block) == size])
+        # (blocks, N, size) stacks of the block vectors and their images under U.
+        sub = np.moveaxis(herm_vecs[:, cols], 0, 1)
+        moved = np.moveaxis(images[:, cols], 0, 1)
+        tri, rot = scipy.linalg.schur(np.conj(sub.transpose(0, 2, 1)) @ moved,
+                                      output="complex", check_finite=False)
+        vals = np.diagonal(tri, axis1=1, axis2=2)
+        block_vecs = sub @ rot
+        residual = np.max(np.abs(moved @ rot - block_vecs * vals[:, None, :]))
+        gram = np.conj(block_vecs.transpose(0, 2, 1)) @ block_vecs - np.eye(size)
+        defect = max(residual, float(np.max(np.abs(gram))))
+        if not defect <= _EIGEN_TOL:
+            raise InvariantViolated(
+                f"eigenbasis defect {defect:.3e} exceeds {_EIGEN_TOL} on {size}-blocks"
+            )
+        eigs[cols] = vals
+        vecs[:, cols] = np.moveaxis(block_vecs, 1, 0)
     order = np.argsort(np.angle(eigs), kind="stable")
-    clusters = [[int(order[0])]]
-    for idx in order[1:]:
-        if abs(eigs[idx] - eigs[clusters[-1][-1]]) <= CLUSTER_TOL:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
+    ring = eigs[order]
+    clusters = np.split(order, np.flatnonzero(np.abs(np.diff(ring)) > CLUSTER_TOL) + 1)
     # The circle wraps: the last cluster may continue into the first one.
-    if len(clusters) > 1 and abs(eigs[clusters[0][0]] - eigs[clusters[-1][-1]]) <= CLUSTER_TOL:
-        clusters[0] = clusters.pop() + clusters[0]
-    scale = np.sqrt(N)
+    if len(clusters) > 1 and abs(ring[0] - ring[-1]) <= CLUSTER_TOL:
+        clusters[0] = np.concatenate((clusters.pop(), clusters[0]))
+    scaled = vecs * np.sqrt(N)
     spaces = []
     for members in clusters:
         rep = complex(np.mean(eigs[members]))
         rep /= abs(rep)
-        spaces.append(EigenSpace(rep, schur_z[:, members] * scale))
+        spaces.append(EigenSpace(rep, scaled[:, members]))
     return spaces
 
 
@@ -314,22 +352,48 @@ def delta_Nf(A: CatMatrix, N: int, f: Observable, max_dim: int = EIGEN_DIM_CAP) 
     return best
 
 
-def _numerical_radius(comp: np.ndarray, grid: int = PHASE_GRID) -> float:
-    """Grid maximum of the top eigenvalue of the rotated Hermitian parts, floored at 0."""
-    spin = np.exp(1j * (np.arange(grid) * (2 * np.pi / grid)))[:, None, None]
-    herm = (spin * comp + np.conj(spin) * comp.conj().T) / 2
-    return max(0.0, float(np.linalg.eigvalsh(herm)[:, -1].max()))
+def _numerical_radius(comp: np.ndarray) -> float:
+    """Grid maximum of the top eigenvalue of the rotated Hermitian parts, floored at 0.
 
-
-def matrix_element_check(A: CatMatrix, p: int, a: tuple, nu: int, max_dim: int = EIGEN_DIM_CAP,
-                         max_tau: int | None = None) -> MatrixElementReport:
-    """Check the eigenfunction matrix-element power against the orbit-count ceiling.
-
-    A power above the ceiling is reported with passed=False, not raised;
-    max_tau caps the orbit count (count_Q) and max_dim the eigenbasis.
+    The rotated part of C at phase theta is H(theta) = (e^{i theta} C + e^{-i theta} C*) / 2,
+    taken over the PHASE_GRID phases.  A 1x1 block is its real part and a 2x2 block
+    the closed-form top eigenvalue; larger blocks run eigvalsh on the first half of
+    the grid only, as lambda_max(H(theta + pi)) = -lambda_min(H(theta)).
     """
-    if nu not in (2, 3):
-        raise ValueError(f"nu must be 2 or 3, got {nu}")
+    dim = comp.shape[0]
+    spin = (_PHASES if dim <= 2 else _PHASES[:PHASE_GRID // 2])[:, None, None]
+    herm = (spin * comp + np.conj(spin) * comp.conj().T) / 2
+    if dim == 1:
+        top = herm[:, 0, 0].real
+    elif dim == 2:
+        a, d = herm[:, 0, 0].real, herm[:, 1, 1].real
+        top = (a + d) / 2 + np.hypot((a - d) / 2, np.abs(herm[:, 0, 1]))
+    else:
+        vals = np.linalg.eigvalsh(herm)
+        top = np.maximum(vals[:, -1], -vals[:, 0])
+    return max(0.0, float(top.max()))
+
+
+def _element_sup(A: CatMatrix, p: int, a: tuple, max_dim: int) -> float:
+    """Largest numerical radius of T(a) compressed to an eigenspace of the propagator."""
+    shift = translation_op(p, a).entries
+    return max(_numerical_radius(basis.conj().T @ shift @ basis / p)
+               for _, basis in eigenbasis(cat_unitary(p, A), max_dim=max_dim))
+
+
+def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: int = EIGEN_DIM_CAP,
+                         max_tau: dict | None = None) -> list:
+    """Check the eigenfunction matrix-element power against the orbit-count ceiling, per nu.
+
+    Returns one entry per exponent of nus, in order: a MatrixElementReport (a
+    power above the ceiling has passed=False and is not raised), or the
+    BudgetExceeded that skipped the exponent.  Each exponent's orbit count
+    (count_Q, capped at max_tau[nu]) runs before the eigenbasis is touched;
+    the propagator, its eigenbasis (capped at max_dim) and the sup radius do
+    not depend on nu, so each is computed at most once.
+    """
+    if not all(nu in (2, 3) for nu in nus):
+        raise ValueError(f"every nu must be 2 or 3, got {nus}")
     _require_odd_prime(p)
     a1, a2 = int(a[0]) % p, int(a[1]) % p
     img1, img2 = A.image_of((a1, a2))
@@ -339,23 +403,35 @@ def matrix_element_check(A: CatMatrix, p: int, a: tuple, nu: int, max_dim: int =
     if not is_diagonalizable(reduced):
         raise DegenerateParameters("reduction mod p must be diagonalizable")
     tau = matrix_order(reduced)
-    orbit_count = count_Q(reduced, nu, max_tau).value
-    bound = p * orbit_count / tau ** (2 * nu)
-    shift = translation_op(p, (a1, a2)).entries
-    sup_abs = 0.0
-    for _, basis in eigenbasis(cat_unitary(p, A), max_dim=max_dim):
-        comp = basis.conj().T @ shift @ basis / p
-        sup_abs = max(sup_abs, _numerical_radius(comp))
-    sup_power = sup_abs ** (2 * nu)
-    return MatrixElementReport(
-        p=p,
-        nu=nu,
-        a=(a1, a2),
-        tau=tau,
-        orbit_count=orbit_count,
-        sup_abs=sup_abs,
-        sup_power=sup_power,
-        bound=bound,
-        ratio=sup_power / bound if bound else float("inf"),
-        passed=sup_power <= bound * (1 + 1e-6),
-    )
+    caps = max_tau or {}
+    sup_abs = None  # the sup radius, or the BudgetExceeded of a capped eigenbasis
+    reports = []
+    for nu in nus:
+        try:
+            orbit_count = count_Q(reduced, nu, caps.get(nu)).value
+        except BudgetExceeded as err:
+            reports.append(err)
+            continue
+        if sup_abs is None:
+            try:
+                sup_abs = _element_sup(A, p, (a1, a2), max_dim)
+            except BudgetExceeded as err:
+                sup_abs = err
+        if isinstance(sup_abs, BudgetExceeded):
+            reports.append(sup_abs)
+            continue
+        bound = p * orbit_count / tau ** (2 * nu)
+        sup_power = sup_abs ** (2 * nu)
+        reports.append(MatrixElementReport(
+            p=p,
+            nu=nu,
+            a=(a1, a2),
+            tau=tau,
+            orbit_count=orbit_count,
+            sup_abs=sup_abs,
+            sup_power=sup_power,
+            bound=bound,
+            ratio=sup_power / bound if bound else float("inf"),
+            passed=sup_power <= bound * (1 + 1e-6),
+        ))
+    return reports

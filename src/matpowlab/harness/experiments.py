@@ -202,7 +202,7 @@ def build_instances(cfg: ExperimentConfig):
     if kind == "catmap":
         return [(p,) for p in _primes(cfg)]
     if kind == "lemma81":
-        return [(p, nu) for p in _primes(cfg) for nu in cfg.nu]
+        return [(p,) for p in _primes(cfg)]
     raise ValueError(f"unknown experiment {kind!r}")
 
 
@@ -471,20 +471,26 @@ def _catmap_rows(cfg, desc):
 
 
 def _lemma81_rows(cfg, desc):
-    p, nu = desc
+    (p,) = desc
     cat = CatMatrix(CAT_A11, CAT_A12, CAT_A21, CAT_A22)
     info = _ctxinfo(p, p, n=2, trace=cat.trace)
-    quantity = f"element-power-{nu}"
     try:
-        report = matrix_element_check(cat, p, (1, 0), nu,
-                                      max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget),
-                                      max_tau=_scaled(DEFAULT_TAU_CAP[nu], cfg.budget))
+        reports = matrix_element_check(
+            cat, p, (1, 0), cfg.nu, max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget),
+            max_tau={nu: _scaled(DEFAULT_TAU_CAP[nu], cfg.budget) for nu in cfg.nu})
     except (DependentVectors, DegenerateParameters, SingularLowerLeft,
-            CompositeModulus, BudgetExceeded) as err:
-        return [_skipped(cfg, info, quantity, err)]
-    info = _ctxinfo(p, p, n=2, trace=cat.trace, tau=report.tau)
-    return [_checked(cfg, info, quantity, report.sup_power, "count-ceiling",
-                     report.bound, slack=1e-6)]
+            CompositeModulus) as err:
+        return [_skipped(cfg, info, f"element-power-{nu}", err) for nu in cfg.nu]
+    rows = []
+    for nu, report in zip(cfg.nu, reports):
+        quantity = f"element-power-{nu}"
+        if isinstance(report, BudgetExceeded):
+            rows.append(_skipped(cfg, info, quantity, report))
+            continue
+        checked_info = _ctxinfo(p, p, n=2, trace=cat.trace, tau=report.tau)
+        rows.append(_checked(cfg, checked_info, quantity, report.sup_power,
+                             "count-ceiling", report.bound, slack=1e-6))
+    return rows
 
 
 _GENERATORS = {

@@ -374,3 +374,36 @@ def naive_sumset_cover(orbit, p, k_max):
             return k, tuple(missing)
         current = {tuple((a + b) % p for a, b in zip(s, t)) for s in current for t in first}
     return None, tuple(missing)
+
+
+# ---- cat-map spectra ----------------------------------------------------------------
+
+
+def schur_eigenbasis(mat, cluster_tol):
+    """[(eigenvalue, orthonormal basis)] of a unitary matrix from one full complex Schur.
+
+    The Schur vectors of a normal matrix are eigenvectors; they are grouped by
+    angle, consecutive eigenvalues within cluster_tol sharing a group, and the
+    last group joins the first when the circle wraps.
+    """
+    import scipy.linalg
+
+    tri, vecs = scipy.linalg.schur(mat, output="complex")
+    eigs = np.diag(tri)
+    order = np.argsort(np.angle(eigs), kind="stable")
+    clusters = [[int(order[0])]]
+    for idx in order[1:]:
+        if abs(eigs[idx] - eigs[clusters[-1][-1]]) <= cluster_tol:
+            clusters[-1].append(int(idx))
+        else:
+            clusters.append([int(idx)])
+    if len(clusters) > 1 and abs(eigs[clusters[0][0]] - eigs[clusters[-1][-1]]) <= cluster_tol:
+        clusters[0] = clusters.pop() + clusters[0]
+    return [(complex(np.mean(eigs[members])), vecs[:, members]) for members in clusters]
+
+
+def grid_numerical_radius(comp, grid):
+    """max(0, max over grid phases theta of the top eigenvalue of Re(e^{i theta} comp))."""
+    spin = np.exp(1j * (np.arange(grid) * (2 * np.pi / grid)))[:, None, None]
+    herm = (spin * comp + np.conj(spin) * comp.conj().T) / 2
+    return max(0.0, float(np.linalg.eigvalsh(herm)[:, -1].max()))

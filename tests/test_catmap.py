@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import matpowlab.catmap as catmap
 from matpowlab.catmap import (
+    CLUSTER_TOL,
     CatMatrix,
     EIGEN_DIM_CAP,
+    PHASE_GRID,
     Observable,
     QOperator,
     QState,
@@ -24,9 +27,11 @@ from matpowlab.errors import (
     DegenerateParameters,
     DependentVectors,
     EvenModulus,
+    InvariantViolated,
     NonRealObservable,
     SingularLowerLeft,
 )
+from oracles import grid_numerical_radius, schur_eigenbasis
 
 HYPERBOLIC = CatMatrix(2, 1, 3, 2)
 
@@ -208,6 +213,70 @@ def test_eigenbasis_spectral_reconstruction():
     assert np.linalg.norm(rebuilt - op.entries) <= 1e-8
 
 
+def _odd_primes(lo, hi):
+    return [n for n in range(lo, hi + 1)
+            if n % 2 and all(n % d for d in range(3, int(n**0.5) + 1, 2))]
+
+
+def _planted_unitary():
+    """Q diag(lambda) Q* with a conjugate pair, a 3-dim cluster, near-equal cosines
+    and a 2-dim cluster across the branch cut at -1."""
+    angles = [0.7, -0.7, 2.0, 2.0, 2.0, 1.0, 1.0 + 1e-4, -2.6, np.pi - 1e-10,
+              1e-10 - np.pi, 0.0, 0.3]
+    rng = np.random.default_rng(2026)
+    raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    q, _ = np.linalg.qr(raw)
+    return QOperator(12, (q * np.exp(1j * np.array(angles))) @ q.conj().T, kind="unitary")
+
+
+@pytest.mark.parametrize(
+    "op",
+    [cat_unitary(n, HYPERBOLIC) for n in _odd_primes(5, 131)]
+    + [translation_op(9, (0, 0)), _planted_unitary()],
+    ids=lambda op: f"N{op.modulus}",
+)
+def test_eigenbasis_matches_full_schur_oracle(op):
+    n = op.modulus
+    spaces = eigenbasis(op)
+    expected = schur_eigenbasis(op.entries, CLUSTER_TOL)
+    assert sorted(s.dim for s in spaces) == sorted(b.shape[1] for _, b in expected)
+    for lam, basis in spaces:
+        want_lam, want_basis = min(expected, key=lambda pair: abs(pair[0] - lam))
+        assert basis.shape[1] == want_basis.shape[1]
+        assert abs(lam - want_lam / abs(want_lam)) <= 1e-10
+        got = basis @ basis.conj().T / n
+        want = want_basis @ want_basis.conj().T
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def test_eigenbasis_planted_clusters():
+    dims = sorted(space.dim for space in eigenbasis(_planted_unitary()))
+    # 2.0 three times; the pair at -1 wraps around; 1.0 and 1.0 + 1e-4 stay
+    # apart though their cosines share a block.
+    assert dims == [1] * 7 + [2, 3]
+
+
+def test_eigenbasis_rejects_a_bad_decomposition(monkeypatch):
+    op = cat_unitary(31, HYPERBOLIC)
+    real_eigh = np.linalg.eigh
+    rng = np.random.default_rng(7)
+
+    def mixed(mat):
+        vals, vecs = real_eigh(mat)
+        return vals, vecs + 1e-6 * rng.normal(size=vecs.shape)
+
+    def stretched(mat):
+        vals, vecs = real_eigh(mat)
+        return vals, vecs * (1 + 1e-6)
+
+    for fake in (mixed, stretched):
+        monkeypatch.setattr(catmap, "eigh", fake)
+        with pytest.raises(InvariantViolated):
+            eigenbasis(op)
+    monkeypatch.setattr(catmap, "eigh", real_eigh)
+    assert sum(space.dim for space in eigenbasis(op)) == 31
+
+
 def test_eigenbasis_requires_unitary_and_caps_size():
     with pytest.raises(ValueError):
         eigenbasis(QOperator(2, [[0, 1], [0, 0]]))
@@ -275,28 +344,65 @@ def test_numerical_radius_agrees_with_hermitian_spectrum():
     assert abs(_numerical_radius(cell) - 0.5) <= 1e-6
 
 
+def test_numerical_radius_matches_full_grid_oracle():
+    rng = np.random.default_rng(11)
+    for k in range(1, 7):
+        for _ in range(4):
+            comp = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+            want = grid_numerical_radius(comp, PHASE_GRID)
+            got = _numerical_radius(comp)
+            assert abs(got - want) <= 1e-12 * want
+            if k == 1:
+                assert got == want
+    # The maximiser of Re(e^{i theta} c) for c = -1 sits at theta = pi.
+    minus_one = np.array([[-1.0 + 0j]])
+    assert _numerical_radius(minus_one) == grid_numerical_radius(minus_one, PHASE_GRID) == 1.0
+    for k in (1, 2, 3):
+        assert _numerical_radius(np.zeros((k, k), dtype=complex)) == 0.0
+
+
+def test_matrix_element_check_shares_one_eigenbasis(monkeypatch):
+    calls = []
+    real = catmap.eigenbasis
+    monkeypatch.setattr(catmap, "eigenbasis",
+                        lambda U, max_dim: calls.append(U.modulus) or real(U, max_dim))
+    rep2, rep3 = matrix_element_check(HYPERBOLIC, 13, (1, 0), (2, 3))
+    assert calls == [13]
+    assert (rep2.nu, rep3.nu) == (2, 3) and rep2.sup_abs == rep3.sup_abs
+    (alone,) = matrix_element_check(HYPERBOLIC, 13, (1, 0), (3,))
+    assert alone == rep3
+    # tau = 12 at p = 13: the nu = 3 orbit count is capped before the eigenbasis runs.
+    calls.clear()
+    capped, kept = matrix_element_check(HYPERBOLIC, 13, (1, 0), (3, 2), max_tau={3: 11})
+    assert isinstance(capped, BudgetExceeded) and capped.estimated_work == 12**3
+    assert kept == rep2 and calls == [13]
+    # A max_dim cap skips every exponent with the N^3 estimate.
+    skipped = matrix_element_check(HYPERBOLIC, 13, (1, 0), (2, 3), max_dim=12)
+    assert [err.estimated_work for err in skipped] == [13**3, 13**3]
+
+
 def test_matrix_element_inequality_reports():
-    rep = matrix_element_check(HYPERBOLIC, 11, (1, 0), 2)
+    (rep,) = matrix_element_check(HYPERBOLIC, 11, (1, 0), (2,))
     assert rep.passed and rep.tau == 10
     assert rep.sup_power <= rep.bound
     assert 0 < rep.ratio <= 1
-    rep3 = matrix_element_check(HYPERBOLIC, 13, (1, 0), 3)
+    (rep3,) = matrix_element_check(HYPERBOLIC, 13, (1, 0), (3,))
     assert rep3.passed and rep3.tau == 12
     assert rep3.nu == 3 and rep3.p == 13
 
 
 def test_matrix_element_rejects_dependent_pairs():
     with pytest.raises(DependentVectors):
-        matrix_element_check(HYPERBOLIC, 11, (0, 0), 2)
+        matrix_element_check(HYPERBOLIC, 11, (0, 0), (2,))
     # (6, 1) spans a stable line mod 11, so the pair and its image align.
     with pytest.raises(DependentVectors):
-        matrix_element_check(HYPERBOLIC, 11, (6, 1), 2)
+        matrix_element_check(HYPERBOLIC, 11, (6, 1), (2,))
 
 
 def test_matrix_element_rejects_degenerate_reduction():
     # Trace 10 is 1 mod 3 with a repeated root, and the reduction is not scalar.
     stuck = CatMatrix(5, 4, 6, 5)
     with pytest.raises(DegenerateParameters):
-        matrix_element_check(stuck, 3, (1, 0), 2)
+        matrix_element_check(stuck, 3, (1, 0), (2,))
     with pytest.raises(ValueError):
-        matrix_element_check(HYPERBOLIC, 11, (1, 0), 1)
+        matrix_element_check(HYPERBOLIC, 11, (1, 0), (1,))

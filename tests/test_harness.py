@@ -258,6 +258,34 @@ def test_lemma81_ceiling_breach_is_a_fail_row(monkeypatch):
         assert rec.ratio > 1
 
 
+def test_lemma81_instance_is_one_modulus(tmp_path):
+    cfg = build_config({"experiment": "lemma81", "p_min": "5", "p_max": "23"})
+    assert build_instances(cfg) == [(p,) for p in (5, 7, 11, 13, 17, 19, 23)]
+    full = _all_rows(build_config({"experiment": "lemma81", "p_min": "11", "p_max": "11"}))
+    assert [rec.quantity for rec in full] == ["element-power-2", "element-power-3"]
+    # tau = 10 at p = 11; budget 0.024 scales the nu caps to 72 and 9 and max_dim to 12.
+    mixed = _all_rows(build_config({"experiment": "lemma81", "p_min": "11",
+                                    "p_max": "11", "budget": "0.024"}))
+    assert mixed[0] == full[0]
+    assert mixed[1].quantity == "element-power-3" and mixed[1].status == "skipped"
+    assert mixed[1].bound_value == 10**3
+    # tau = 5 at p = 19; budget 0.02 leaves both nu caps above 5 and max_dim at 10.
+    capped = _all_rows(build_config({"experiment": "lemma81", "p_min": "19",
+                                     "p_max": "19", "budget": "0.02", "nu": "3,2"}))
+    assert [rec.quantity for rec in capped] == ["element-power-3", "element-power-2"]
+    assert all(rec.status == "skipped" and rec.bound_value == 19**3 for rec in capped)
+    outputs = []
+    for workers in (1, 3):
+        out = str(tmp_path / f"w{workers}")
+        run_experiment(build_config({"experiment": "lemma81", "p_min": "5", "p_max": "23",
+                                     "budget": "0.024", "workers": str(workers),
+                                     "out": out}))
+        with open(os.path.join(out, "lemma81.csv"), "rb") as fh:
+            outputs.append(fh.read())
+    assert outputs[0] == outputs[1]
+    assert b"skipped" in outputs[0] and b"pass" in outputs[0]
+
+
 def test_csv_formatting():
     rows = _all_rows(_cfg(p_max="5"))
     line = record_to_csv(rows[0])
