@@ -3,8 +3,6 @@
 from .catmap import (
     CatMatrix,
     Observable,
-    QOperator,
-    QState,
     cat_unitary,
     delta_Nf,
     egorov_defect,
@@ -55,7 +53,6 @@ from .harness import (
     compute_instance,
     load_config,
     run_experiment,
-    scan_sl2,
 )
 from .matgrp import (
     MatEntity,
@@ -73,7 +70,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CatMatrix", "CharacterSpec", "CurveSpec", "EXPERIMENT_NAMES",
     "ExperimentConfig", "FFElem", "FieldCtx", "MatEntity", "Observable",
-    "QOperator", "QState", "SubgroupSpec", "VecEntity",
+    "SubgroupSpec", "VecEntity",
     "analyze_instance", "build_instances", "cat_unitary", "char_poly_factor",
     "companion_realization", "compute_instance", "count_JK", "count_Q",
     "count_Q_eigen", "count_points", "count_product_eq",
@@ -83,6 +80,6 @@ __all__ = [
     "kloosterman_subgroup", "load_config", "make_field",
     "matrix_element_check", "matrix_exp_sum", "matrix_order", "mult_order",
     "orbit_sum_distribution", "primitive_root", "quantize", "run_experiment",
-    "scan_sl2", "sequence_energy", "sl2_companion", "standard_character",
+    "sequence_energy", "sl2_companion", "standard_character",
     "subgroup_of_order", "sum_moment", "sumset_cover", "translation_op",
 ]

@@ -41,89 +41,7 @@ _EIGEN_TOL = 1e-9
 PHASE_GRID = 720
 _PHASES = np.exp(1j * (np.arange(PHASE_GRID) * (2 * np.pi / PHASE_GRID)))
 
-_UNITARY_TOL = 1e-9
-_HERMITIAN_TOL = 1e-12
 _REALITY_TOL = 1e-12
-
-
-class QState:
-    """Wavefunction on Z_N, normalized so the mean square amplitude is one."""
-
-    __slots__ = ("modulus", "amplitudes")
-
-    def __init__(self, modulus: int, amplitudes) -> None:
-        if modulus < 1:
-            raise ValueError(f"modulus must be positive, got {modulus}")
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        if amps.shape != (modulus,):
-            raise ValueError(f"expected {modulus} amplitudes, got shape {amps.shape}")
-        total = float(np.sum(np.abs(amps) ** 2))
-        if abs(total - modulus) > 1e-9:
-            raise ValueError(f"state norm mismatch: sum of squares {total}, need {modulus}")
-        self.modulus = modulus
-        self.amplitudes = amps
-
-    @staticmethod
-    def normalized(modulus: int, amplitudes) -> "QState":
-        """Scale an arbitrary nonzero vector onto the unit sphere of the mean-square product."""
-        amps = np.asarray(amplitudes, dtype=np.complex128)
-        total = float(np.sum(np.abs(amps) ** 2))
-        if total == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return QState(modulus, amps * np.sqrt(modulus / total))
-
-    def inner(self, other: "QState") -> complex:
-        """Mean-weighted scalar product, conjugating the second argument."""
-        if self.modulus != other.modulus:
-            raise ValueError("states live on different moduli")
-        return complex(np.sum(self.amplitudes * np.conj(other.amplitudes)) / self.modulus)
-
-    def __repr__(self) -> str:
-        return f"QState(N={self.modulus})"
-
-
-class QOperator:
-    """Dense operator on length-N wavefunctions with an optional structure tag."""
-
-    __slots__ = ("modulus", "entries", "kind")
-
-    def __init__(self, modulus: int, entries, kind: str = "generic") -> None:
-        if kind not in ("generic", "unitary", "hermitian"):
-            raise ValueError(f"unknown operator kind {kind!r}")
-        mat = np.asarray(entries, dtype=np.complex128)
-        if mat.shape != (modulus, modulus):
-            raise ValueError(f"expected {modulus}x{modulus} entries, got {mat.shape}")
-        if kind == "unitary":
-            defect = np.linalg.norm(mat @ mat.conj().T - np.eye(modulus))
-            if defect > _UNITARY_TOL:
-                raise ValueError(f"unitarity defect {defect:.3e} exceeds {_UNITARY_TOL}")
-        elif kind == "hermitian":
-            defect = float(np.max(np.abs(mat - mat.conj().T)))
-            if defect > _HERMITIAN_TOL:
-                raise ValueError(f"hermiticity defect {defect:.3e} exceeds {_HERMITIAN_TOL}")
-        self.modulus = modulus
-        self.entries = mat
-        self.kind = kind
-
-    def adjoint(self) -> "QOperator":
-        """Conjugate transpose, keeping the unitary or hermitian tag."""
-        return QOperator(self.modulus, self.entries.conj().T, self.kind)
-
-    def apply(self, state: QState) -> np.ndarray:
-        """Raw image vector of a state; not re-normalized."""
-        if state.modulus != self.modulus:
-            raise ValueError("state and operator moduli differ")
-        return self.entries @ state.amplitudes
-
-    def __matmul__(self, other: "QOperator") -> "QOperator":
-        if not isinstance(other, QOperator):
-            return NotImplemented
-        if self.modulus != other.modulus:
-            raise ValueError("operator moduli differ")
-        return QOperator(self.modulus, self.entries @ other.entries)
-
-    def __repr__(self) -> str:
-        return f"QOperator(N={self.modulus}, kind={self.kind!r})"
 
 
 class Observable:
@@ -219,7 +137,7 @@ class MatrixElementReport:
     passed: bool
 
 
-def translation_op(N: int, a: tuple) -> QOperator:
+def translation_op(N: int, a: tuple) -> np.ndarray:
     """Phase-twisted shift operator; the pair a matters modulo 2N, not N."""
     if N < 1:
         raise ValueError(f"modulus must be positive, got {N}")
@@ -229,16 +147,20 @@ def translation_op(N: int, a: tuple) -> QOperator:
     row_phase = half * np.exp(2j * np.pi * ((a2 * u) % N) / N)
     mat = np.zeros((N, N), dtype=np.complex128)
     mat[u, (u + a1) % N] = row_phase
-    return QOperator(N, mat, kind="unitary")
+    return mat
 
 
-def quantize(N: int, f: Observable) -> QOperator:
-    """Coefficient-weighted sum of translation operators for each Fourier mode."""
+def quantize(N: int, f: Observable) -> np.ndarray:
+    """Coefficient-weighted sum of translation operators for each Fourier mode.
+
+    T(a)* = T(-a), so a real observable, whose coefficient at -a conjugates the
+    one at a (Observable checks this), quantizes to a Hermitian matrix.
+    """
     total = np.zeros((N, N), dtype=np.complex128)
     for a, coeff in f.fourier.items():
         if coeff != 0:
-            total += coeff * translation_op(N, a).entries
-    return QOperator(N, total, kind="hermitian" if f.real else "generic")
+            total += coeff * translation_op(N, a)
+    return total
 
 
 def _require_odd_prime(N: int) -> None:
@@ -248,7 +170,7 @@ def _require_odd_prime(N: int) -> None:
         raise CompositeModulus(f"modulus must be an odd prime, got {N}")
 
 
-def cat_unitary(N: int, A: CatMatrix) -> QOperator:
+def cat_unitary(N: int, A: CatMatrix) -> np.ndarray:
     """Quadratic-kernel propagator implementing the automorphism on wavefunctions."""
     _require_odd_prime(N)
     if gcd(A.a21, N) != 1:
@@ -263,41 +185,42 @@ def cat_unitary(N: int, A: CatMatrix) -> QOperator:
     # Global phase: rotate so the first nonzero entry of column zero is real positive.
     first = mat[:, 0]
     k = int(np.argmax(np.abs(first) > 1e-12))
-    mat = mat * (abs(first[k]) / first[k])
-    return QOperator(N, mat, kind="unitary")
+    return mat * (abs(first[k]) / first[k])
 
 
-def egorov_defect(U: QOperator, A: CatMatrix, a: tuple) -> float:
+def egorov_defect(U: np.ndarray, A: CatMatrix, a: tuple) -> float:
     """Phase-minimized Frobenius distance between U* T(a) U and T(a A)."""
-    N = U.modulus
-    lhs = U.entries.conj().T @ translation_op(N, a).entries @ U.entries
-    rhs = translation_op(N, A.image_of(a)).entries
+    N = len(U)
+    lhs = U.conj().T @ translation_op(N, a) @ U
+    rhs = translation_op(N, A.image_of(a))
     overlap = np.trace(rhs.conj().T @ lhs)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-12 else 1.0
     return float(np.linalg.norm(lhs - phase * rhs))
 
 
-def eigenbasis(U: QOperator, max_dim: int = EIGEN_DIM_CAP) -> list:
+def eigenbasis(U: np.ndarray, max_dim: int = EIGEN_DIM_CAP) -> list:
     """Eigenvalue clusters with bases orthonormal under the mean-weighted product.
 
-    U is unitary, so its Hermitian part H = (U + U*) / 2 commutes with it and
+    For a unitary U the Hermitian part H = (U + U*) / 2 commutes with U and
     has the eigenvalues cos(theta).  One eigh of H cuts C^N into U-invariant
     blocks wherever consecutive cosines differ by more than _BLOCK_GAP, and U
     compressed to each block is diagonalized by a small complex Schur, one
     batched call per block size.  Raises InvariantViolated when the eigen
-    residual U Z - Z Lambda or a block's Gram matrix Z* Z - I exceeds _EIGEN_TOL.
+    residual U Z - Z Lambda, a block's Gram matrix Z* Z - I or some
+    ||lambda| - 1| exceeds _EIGEN_TOL.  The blocks span orthogonal eigh
+    columns, so passing all three checks shows U = Z Lambda Z* is unitary.
     """
-    if U.kind != "unitary":
-        raise ValueError("eigenbasis requires a unitary-tagged operator")
-    N = U.modulus
+    U = np.asarray(U, dtype=np.complex128)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise ValueError(f"eigenbasis needs a square matrix, got shape {U.shape}")
+    N = len(U)
     if N > max_dim:
         raise BudgetExceeded(
             f"dense eigen-decomposition capped at {max_dim}, got {N}",
             estimated_work=N**3,
         )
-    mat = U.entries
-    cosines, herm_vecs = eigh((mat + mat.conj().T) / 2)
-    images = mat @ herm_vecs
+    cosines, herm_vecs = eigh((U + U.conj().T) / 2)
+    images = U @ herm_vecs
     blocks = np.split(np.arange(N), np.flatnonzero(np.diff(cosines) > _BLOCK_GAP) + 1)
     eigs = np.empty(N, dtype=np.complex128)
     vecs = np.empty((N, N), dtype=np.complex128)
@@ -312,7 +235,8 @@ def eigenbasis(U: QOperator, max_dim: int = EIGEN_DIM_CAP) -> list:
         block_vecs = sub @ rot
         residual = np.max(np.abs(moved @ rot - block_vecs * vals[:, None, :]))
         gram = np.conj(block_vecs.transpose(0, 2, 1)) @ block_vecs - np.eye(size)
-        defect = max(residual, float(np.max(np.abs(gram))))
+        defect = max(residual, float(np.max(np.abs(gram))),
+                     float(np.max(np.abs(np.abs(vals) - 1))))
         if not defect <= _EIGEN_TOL:
             raise InvariantViolated(
                 f"eigenbasis defect {defect:.3e} exceeds {_EIGEN_TOL} on {size}-blocks"
@@ -334,6 +258,19 @@ def eigenbasis(U: QOperator, max_dim: int = EIGEN_DIM_CAP) -> list:
     return spaces
 
 
+def _compressions(A: CatMatrix, N: int, op: np.ndarray, max_dim: int) -> list:
+    """Z_k* op Z_k / N for each eigenspace basis Z_k of the propagator, in eigenbasis order.
+
+    The bases are stacked into one N x N matrix Z, so all compressions are the
+    diagonal blocks of a single product Z* op Z / N.
+    """
+    spaces = eigenbasis(cat_unitary(N, A), max_dim=max_dim)
+    stacked = np.concatenate([basis for _, basis in spaces], axis=1)
+    full = stacked.conj().T @ op @ stacked / N
+    ends = np.cumsum([space.dim for space in spaces])
+    return [full[end - space.dim:end, end - space.dim:end] for space, end in zip(spaces, ends)]
+
+
 def delta_Nf(A: CatMatrix, N: int, f: Observable, max_dim: int = EIGEN_DIM_CAP) -> float:
     """Largest deviation of an eigenfunction average from the torus average."""
     if not f.real:
@@ -342,14 +279,8 @@ def delta_Nf(A: CatMatrix, N: int, f: Observable, max_dim: int = EIGEN_DIM_CAP) 
     centered = Observable(
         {a: c for a, c in f.fourier.items() if a != (0, 0)}, real=True
     )
-    op = quantize(N, centered).entries
-    best = 0.0
-    for _, basis in eigenbasis(cat_unitary(N, A), max_dim=max_dim):
-        comp = basis.conj().T @ op @ basis / N
-        comp = (comp + comp.conj().T) / 2
-        vals = np.linalg.eigvalsh(comp)
-        best = max(best, float(np.max(np.abs(vals))))
-    return best
+    return max(float(np.max(np.abs(np.linalg.eigvalsh((comp + comp.conj().T) / 2))))
+               for comp in _compressions(A, N, quantize(N, centered), max_dim))
 
 
 def _numerical_radius(comp: np.ndarray) -> float:
@@ -376,9 +307,8 @@ def _numerical_radius(comp: np.ndarray) -> float:
 
 def _element_sup(A: CatMatrix, p: int, a: tuple, max_dim: int) -> float:
     """Largest numerical radius of T(a) compressed to an eigenspace of the propagator."""
-    shift = translation_op(p, a).entries
-    return max(_numerical_radius(basis.conj().T @ shift @ basis / p)
-               for _, basis in eigenbasis(cat_unitary(p, A), max_dim=max_dim))
+    return max(_numerical_radius(comp)
+               for comp in _compressions(A, p, translation_op(p, a), max_dim))
 
 
 def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: int = EIGEN_DIM_CAP,

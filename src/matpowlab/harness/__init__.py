@@ -1,7 +1,7 @@
 """Experiment driver: instance grids, bound reports, CSV and JSON emission."""
 
 from .config import EXPERIMENT_NAMES, ExperimentConfig, load_config
-from .experiments import build_instances, compute_instance, scan_sl2
+from .experiments import build_instances, compute_instance
 from .prng import ShiftRegister, derive_stream
 from .runner import InstanceRecord, run_experiment
 
@@ -15,5 +15,4 @@ __all__ = [
     "derive_stream",
     "load_config",
     "run_experiment",
-    "scan_sl2",
 ]

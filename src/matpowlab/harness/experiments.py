@@ -145,12 +145,6 @@ def _sl2_traces(p: int, class_filter: str):
             yield u
 
 
-def scan_sl2(p: int, class_filter: str = "all"):
-    """Companion representatives [[0,-1],[1,u]] per trace, minus repeated-root traces."""
-    ctx = make_field(p)
-    return [sl2_companion(ctx, u) for u in _sl2_traces(p, class_filter)]
-
-
 def _primes(cfg):
     return [p for p in range(cfg.p_min, cfg.p_max + 1) if p % 2 and _is_prime(p)]
 
@@ -453,8 +447,7 @@ def _catmap_rows(cfg, desc):
         propagator = cat_unitary(N, cat)
     except SingularLowerLeft as err:
         return [_skipped(cfg, info, "propagator", err)]
-    unit_dev = float(np.linalg.norm(
-        propagator.entries @ propagator.entries.conj().T - np.eye(N)))
+    unit_dev = float(np.linalg.norm(propagator @ propagator.conj().T - np.eye(N)))
     rows = [_checked(cfg, info, "unitary-deviation", unit_dev, "tolerance", 1e-9)]
     for vec in ((1, 0), (0, 1)):
         defect = egorov_defect(propagator, cat, vec)

@@ -402,6 +402,12 @@ def schur_eigenbasis(mat, cluster_tol):
     return [(complex(np.mean(eigs[members])), vecs[:, members]) for members in clusters]
 
 
+def per_cluster_compressions(spaces, op):
+    """[basis* op basis / N] for each (eigenvalue, basis) of eigenbasis(), one product per cluster."""
+    n = len(op)
+    return [basis.conj().T @ op @ basis / n for _, basis in spaces]
+
+
 def grid_numerical_radius(comp, grid):
     """max(0, max over grid phases theta of the top eigenvalue of Re(e^{i theta} comp))."""
     spin = np.exp(1j * (np.arange(grid) * (2 * np.pi / grid)))[:, None, None]

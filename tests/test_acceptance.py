@@ -227,7 +227,7 @@ def test_criterion_07_egorov_validation():
     worst_defect = 0.0
     for N in _odd_primes(5, 61):
         U = cat_unitary(N, CAT)
-        gram = U.entries @ U.entries.conj().T - np.eye(N)
+        gram = U @ U.conj().T - np.eye(N)
         worst_unit = max(worst_unit, float(np.linalg.norm(gram)))
         for vec in ((1, 0), (0, 1)):
             worst_defect = max(worst_defect, egorov_defect(U, CAT, vec))

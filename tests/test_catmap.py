@@ -10,8 +10,8 @@ from matpowlab.catmap import (
     EIGEN_DIM_CAP,
     PHASE_GRID,
     Observable,
-    QOperator,
-    QState,
+    _compressions,
+    _element_sup,
     _numerical_radius,
     cat_unitary,
     delta_Nf,
@@ -31,42 +31,19 @@ from matpowlab.errors import (
     NonRealObservable,
     SingularLowerLeft,
 )
-from oracles import grid_numerical_radius, schur_eigenbasis
+from oracles import grid_numerical_radius, per_cluster_compressions, schur_eigenbasis
 
 HYPERBOLIC = CatMatrix(2, 1, 3, 2)
 
 
-def test_qstate_validation():
-    state = QState(4, [1, 1, 1, 1])
-    assert state.modulus == 4
-    with pytest.raises(ValueError):
-        QState(4, [1, 1, 1])
-    with pytest.raises(ValueError):
-        QState(4, [1, 1, 1, 2])
-    with pytest.raises(ValueError):
-        QState.normalized(3, [0, 0, 0])
-    scaled = QState.normalized(3, [2j, 0, 0])
-    assert abs(np.sum(np.abs(scaled.amplitudes) ** 2) - 3) < 1e-12
-    assert abs(scaled.inner(scaled) - 1) < 1e-12
-
-
-def test_qoperator_tags():
-    with pytest.raises(ValueError):
-        QOperator(2, [[1, 1], [0, 1]], kind="unitary")
-    with pytest.raises(ValueError):
-        QOperator(2, [[0, 1], [0, 0]], kind="hermitian")
-    with pytest.raises(ValueError):
-        QOperator(2, np.eye(2), kind="special")
-    op = QOperator(2, [[0, 1], [1, 0]], kind="unitary")
-    assert op.adjoint().kind == "unitary"
-    state = QState(2, [1, 1])
-    assert np.allclose(op.apply(state), [1, 1])
+def _unitarity_defect(mat):
+    return float(np.max(np.abs(mat @ mat.conj().T - np.eye(len(mat)))))
 
 
 def test_translation_identity_cases():
     for n in (1, 6, 7):
-        assert np.allclose(translation_op(n, (0, 0)).entries, np.eye(n))
-        assert np.allclose(translation_op(n, (2 * n, 0)).entries, np.eye(n))
+        assert np.allclose(translation_op(n, (0, 0)), np.eye(n))
+        assert np.allclose(translation_op(n, (2 * n, 0)), np.eye(n))
 
 
 def test_translation_heisenberg_relation():
@@ -75,26 +52,27 @@ def test_translation_heisenberg_relation():
     for _ in range(12):
         a = tuple(int(x) for x in rng.integers(-10, 11, 2))
         b = tuple(int(x) for x in rng.integers(-10, 11, 2))
-        lhs = translation_op(n, a).entries @ translation_op(n, b).entries
+        lhs = translation_op(n, a) @ translation_op(n, b)
         phase = np.exp(1j * np.pi * (a[0] * b[1] - a[1] * b[0]) / n)
-        rhs = phase * translation_op(n, (a[0] + b[0], a[1] + b[1])).entries
+        rhs = phase * translation_op(n, (a[0] + b[0], a[1] + b[1]))
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
 def test_translation_adjoint_is_negation():
     for n, a in ((5, (1, 2)), (7, (3, 4)), (9, (-2, 5))):
-        fwd = translation_op(n, a).entries
-        rev = translation_op(n, (-a[0], -a[1])).entries
+        fwd = translation_op(n, a)
+        rev = translation_op(n, (-a[0], -a[1]))
         assert np.max(np.abs(fwd.conj().T - rev)) <= 1e-12
+        assert _unitarity_defect(fwd) <= 1e-10
 
 
 def test_translation_depends_on_pair_mod_2n():
     n = 5
-    bumped = translation_op(n, (1, n)).entries
-    base = translation_op(n, (1, 0)).entries
+    bumped = translation_op(n, (1, n))
+    base = translation_op(n, (1, 0))
     assert np.max(np.abs(bumped + base)) <= 1e-12
-    full = translation_op(n, (2 * n, 3)).entries
-    assert np.max(np.abs(full - translation_op(n, (0, 3)).entries)) <= 1e-12
+    full = translation_op(n, (2 * n, 3))
+    assert np.max(np.abs(full - translation_op(n, (0, 3)))) <= 1e-12
 
 
 def test_observable_reality_flag():
@@ -111,14 +89,13 @@ def test_observable_reality_flag():
 
 def test_quantize_constant_is_identity():
     op = quantize(6, Observable({(0, 0): 1.0}))
-    assert np.allclose(op.entries, np.eye(6))
-    assert op.kind == "hermitian"
+    assert np.allclose(op, np.eye(6))
 
 
 def test_quantize_symmetric_pair_is_hermitian():
     op = quantize(11, Observable({(2, 3): 0.5, (-2, -3): 0.5}))
-    assert op.kind == "hermitian"
-    assert np.max(np.abs(op.entries - op.entries.conj().T)) <= 1e-12
+    assert op.dtype == np.complex128
+    assert np.max(np.abs(op - op.conj().T)) <= 1e-12
 
 
 def test_quantize_norm_below_coefficient_mass():
@@ -132,7 +109,9 @@ def test_quantize_norm_below_coefficient_mass():
             modes[a] = modes.get(a, 0) + c
             modes[(-a[0], -a[1])] = modes.get((-a[0], -a[1]), 0) + c.conjugate()
         f = Observable(modes)
-        op_norm = np.linalg.norm(quantize(n, f).entries, 2)
+        op = quantize(n, f)
+        assert np.max(np.abs(op - op.conj().T)) <= 1e-12
+        op_norm = np.linalg.norm(op, 2)
         mass = sum(abs(c) for c in f.fourier.values())
         assert op_norm <= mass + 1e-9
 
@@ -154,11 +133,10 @@ def test_cat_matrix_validation():
 
 
 def test_cat_unitary_unitarity_and_phase():
+    for n in (5, 7, 13, 61):
+        assert _unitarity_defect(cat_unitary(n, HYPERBOLIC)) <= 1e-10
     op = cat_unitary(5, HYPERBOLIC)
-    assert op.kind == "unitary"
-    defect = np.linalg.norm(op.entries @ op.entries.conj().T - np.eye(5))
-    assert defect <= 1e-10
-    anchor = op.entries[0, 0]
+    anchor = op[0, 0]
     assert abs(anchor.imag) <= 1e-12 and anchor.real > 0
 
 
@@ -187,8 +165,8 @@ def test_conjugation_preserves_frobenius_norm():
     n = 11
     op = cat_unitary(n, HYPERBOLIC)
     for a in ((1, 0), (2, 5)):
-        shift = translation_op(n, a).entries
-        moved = op.entries.conj().T @ shift @ op.entries
+        shift = translation_op(n, a)
+        moved = op.conj().T @ shift @ op
         assert abs(np.linalg.norm(moved) - np.linalg.norm(shift)) <= 1e-9
 
 
@@ -210,7 +188,7 @@ def test_eigenbasis_spectral_reconstruction():
         gram = basis.conj().T @ basis / n
         assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-9
         rebuilt += lam * (basis @ basis.conj().T) / n
-    assert np.linalg.norm(rebuilt - op.entries) <= 1e-8
+    assert np.linalg.norm(rebuilt - op) <= 1e-8
 
 
 def _odd_primes(lo, hi):
@@ -226,19 +204,19 @@ def _planted_unitary():
     rng = np.random.default_rng(2026)
     raw = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     q, _ = np.linalg.qr(raw)
-    return QOperator(12, (q * np.exp(1j * np.array(angles))) @ q.conj().T, kind="unitary")
+    return (q * np.exp(1j * np.array(angles))) @ q.conj().T
 
 
 @pytest.mark.parametrize(
     "op",
     [cat_unitary(n, HYPERBOLIC) for n in _odd_primes(5, 131)]
     + [translation_op(9, (0, 0)), _planted_unitary()],
-    ids=lambda op: f"N{op.modulus}",
+    ids=lambda op: f"N{len(op)}",
 )
 def test_eigenbasis_matches_full_schur_oracle(op):
-    n = op.modulus
+    n = len(op)
     spaces = eigenbasis(op)
-    expected = schur_eigenbasis(op.entries, CLUSTER_TOL)
+    expected = schur_eigenbasis(op, CLUSTER_TOL)
     assert sorted(s.dim for s in spaces) == sorted(b.shape[1] for _, b in expected)
     for lam, basis in spaces:
         want_lam, want_basis = min(expected, key=lambda pair: abs(pair[0] - lam))
@@ -278,11 +256,16 @@ def test_eigenbasis_rejects_a_bad_decomposition(monkeypatch):
 
 
 def test_eigenbasis_requires_unitary_and_caps_size():
+    # A nilpotent and a Jordan block fail the eigen-residual; 2 I and diag(1, i, 0.5)
+    # pass the residual and Gram checks and fail only |lambda| = 1.
+    for mat in ([[0, 1], [0, 0]], [[1, 1], [0, 1]], 2 * np.eye(2), np.diag([1, 1j, 0.5])):
+        with pytest.raises(InvariantViolated):
+            eigenbasis(np.array(mat, dtype=complex))
     with pytest.raises(ValueError):
-        eigenbasis(QOperator(2, [[0, 1], [0, 0]]))
+        eigenbasis(np.ones((2, 3), dtype=complex))
     big = EIGEN_DIM_CAP + 1
     with pytest.raises(BudgetExceeded) as info:
-        eigenbasis(QOperator(big, np.eye(big), kind="unitary"))
+        eigenbasis(np.eye(big))
     assert info.value.estimated_work == big**3
 
 
@@ -319,11 +302,10 @@ def test_delta_matches_randomized_sup_oracle():
     n = 13
     f = Observable({(1, 0): 0.5, (-1, 0): 0.5})
     reported = delta_Nf(HYPERBOLIC, n, f)
-    op = quantize(n, Observable({(1, 0): 0.5, (-1, 0): 0.5})).entries
+    op = quantize(n, Observable({(1, 0): 0.5, (-1, 0): 0.5}))
     rng = np.random.default_rng(20260816)
     sampled = 0.0
-    for _, basis in eigenbasis(cat_unitary(n, HYPERBOLIC)):
-        comp = basis.conj().T @ op @ basis / n
+    for comp in per_cluster_compressions(eigenbasis(cat_unitary(n, HYPERBOLIC)), op):
         draws = rng.normal(size=(10000, comp.shape[0])) + 1j * rng.normal(
             size=(10000, comp.shape[0])
         )
@@ -331,6 +313,22 @@ def test_delta_matches_randomized_sup_oracle():
         vals = np.abs(np.einsum("ij,jk,ik->i", draws.conj(), comp, draws))
         sampled = max(sampled, float(np.max(vals)))
     assert abs(reported - sampled) <= 1e-6
+
+
+def test_compressions_match_per_cluster_oracle():
+    f = Observable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.3, (-1, -2): 0.3})
+    for n in _odd_primes(5, 61):
+        spaces = eigenbasis(cat_unitary(n, HYPERBOLIC))
+        shift = translation_op(n, (1, 0))
+        want = per_cluster_compressions(spaces, shift)
+        got = _compressions(HYPERBOLIC, n, shift, EIGEN_DIM_CAP)
+        assert [c.shape for c in got] == [c.shape for c in want]
+        assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) <= 1e-12
+        want_sup = max(_numerical_radius(c) for c in want)
+        assert abs(_element_sup(HYPERBOLIC, n, (1, 0), EIGEN_DIM_CAP) - want_sup) <= 1e-12 * want_sup
+        want_delta = max(float(np.max(np.abs(np.linalg.eigvalsh((c + c.conj().T) / 2))))
+                         for c in per_cluster_compressions(spaces, quantize(n, f)))
+        assert abs(delta_Nf(HYPERBOLIC, n, f) - want_delta) <= 1e-12 * want_delta
 
 
 def test_numerical_radius_agrees_with_hermitian_spectrum():
@@ -365,7 +363,7 @@ def test_matrix_element_check_shares_one_eigenbasis(monkeypatch):
     calls = []
     real = catmap.eigenbasis
     monkeypatch.setattr(catmap, "eigenbasis",
-                        lambda U, max_dim: calls.append(U.modulus) or real(U, max_dim))
+                        lambda U, max_dim: calls.append(len(U)) or real(U, max_dim))
     rep2, rep3 = matrix_element_check(HYPERBOLIC, 13, (1, 0), (2, 3))
     assert calls == [13]
     assert (rep2.nu, rep3.nu) == (2, 3) and rep2.sup_abs == rep3.sup_abs

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from matpowlab.errors import ConfigError
+from matpowlab.ffield import make_field
 from matpowlab.harness import (
     EXPERIMENT_NAMES,
     ShiftRegister,
@@ -14,12 +15,11 @@ from matpowlab.harness import (
     compute_instance,
     derive_stream,
     run_experiment,
-    scan_sl2,
 )
 from matpowlab.harness.cli import main
 from matpowlab.harness.config import build_config, load_config, parse_pairs
 from matpowlab.harness.runner import CSV_COLUMNS, record_to_csv
-from matpowlab.matgrp import char_poly_factor
+from matpowlab.matgrp import char_poly_factor, sl2_companion
 
 
 def _cfg(**kw):
@@ -127,17 +127,16 @@ def test_load_config_missing_file():
 # ---- instance grids -----------------------------------------------------------------
 
 
-def test_scan_sl2_partition():
+def test_trace_grid_partition():
     for p in (5, 7, 11, 13):
-        both = scan_sl2(p)
-        split = scan_sl2(p, "split")
-        irred = scan_sl2(p, "irreducible")
-        assert len(both) == p - 2  # u = 2 and u = -2 are the repeated-root traces
-        assert len(split) + len(irred) == len(both)
-        for A in split:
-            assert char_poly_factor(A).tag == "split"
-        for A in irred:
-            assert char_poly_factor(A).tag == "irreducible"
+        grids = {f: build_instances(_cfg(p_min=p, p_max=p, class_filter=f))
+                 for f in ("all", "split", "irreducible")}
+        assert len(grids["all"]) == p - 2  # u = 2 and u = -2 are the repeated-root traces
+        assert sorted(grids["split"] + grids["irreducible"]) == sorted(grids["all"])
+        ctx = make_field(p)
+        for tag in ("split", "irreducible"):
+            for _, u in grids[tag]:
+                assert char_poly_factor(sl2_companion(ctx, u)).tag == tag
 
 
 def test_grid_respects_class_filter():
