@@ -13,10 +13,12 @@ from .catmap import (
 )
 from .charsums import (
     analyze_instance,
+    analyze_instances,
     evaluate_bounds,
     gauss_subgroup,
     kloosterman_subgroup,
     matrix_exp_sum,
+    matrix_exp_sums,
     sum_moment,
 )
 from .counting import (
@@ -71,15 +73,15 @@ __all__ = [
     "CatMatrix", "CharacterSpec", "CurveSpec", "EXPERIMENT_NAMES",
     "ExperimentConfig", "FFElem", "FieldCtx", "MatEntity", "Observable",
     "SubgroupSpec", "VecEntity",
-    "analyze_instance", "build_instances", "cat_unitary", "char_poly_factor",
-    "companion_realization", "compute_instance", "count_JK", "count_Q",
-    "count_Q_eigen", "count_points", "count_product_eq",
+    "analyze_instance", "analyze_instances", "build_instances", "cat_unitary",
+    "char_poly_factor", "companion_realization", "compute_instance", "count_JK",
+    "count_Q", "count_Q_eigen", "count_points", "count_product_eq",
     "cubic_factor_exclusion", "delta_Nf", "det_order", "egorov_defect",
-    "eigenbasis", "evaluate_bounds", "extension_regime_bound",
-    "gauss_subgroup", "high_degree_bound", "is_diagonalizable",
-    "kloosterman_subgroup", "load_config", "make_field",
-    "matrix_element_check", "matrix_exp_sum", "matrix_order", "mult_order",
-    "orbit_sum_distribution", "primitive_root", "quantize", "run_experiment",
-    "sequence_energy", "sl2_companion", "standard_character",
-    "subgroup_of_order", "sum_moment", "sumset_cover", "translation_op",
+    "eigenbasis", "evaluate_bounds", "extension_regime_bound", "gauss_subgroup",
+    "high_degree_bound", "is_diagonalizable", "kloosterman_subgroup",
+    "load_config", "make_field", "matrix_element_check", "matrix_exp_sum",
+    "matrix_exp_sums", "matrix_order", "mult_order", "orbit_sum_distribution",
+    "primitive_root", "quantize", "run_experiment", "sequence_energy",
+    "sl2_companion", "standard_character", "subgroup_of_order", "sum_moment",
+    "sumset_cover", "translation_op",
 ]

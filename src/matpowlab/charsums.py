@@ -7,7 +7,12 @@ specialisations.  Every sum walks a residue orbit (ffield.residue_orbit),
 maps it to trace arguments Tr(alpha z) mod p through the integer trace form,
 and counts the arguments in an exact integer histogram; float rounding is
 confined to one p-term dot product of that histogram with the roots of
-unity.  Moments over every coefficient walk one representative per
+unity.  Matrix sums run as stacks (matrix_exp_sums): the walks of many
+(a, b, A) triples are one batched residue_orbit per row-bounded block, and
+their histograms one shared bincount, while each sum keeps its own checks
+and its own dot, so matrix_exp_sum is the stack of one.  The hypothesis
+flags of a stack are likewise one stacked Krylov check (analyze_instances).
+Moments over every coefficient walk one representative per
 G-orbit of coefficients, weighted by the orbit size, since a sum is
 constant on each orbit.  evaluate_bounds compares a computed sum against
 every estimate whose hypotheses the instance satisfies; only inequalities
@@ -23,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import sequence_energy, vector_orbit
+from .counting import sequence_energy
 from .errors import BudgetExceeded, InvariantViolated, MixedContext
 from .ffield import (
     CharacterSpec,
@@ -41,16 +46,24 @@ from .matgrp import (
     VecEntity,
     char_poly_factor,
     det_order,
-    independence_check,
+    independence_checks,
     is_diagonalizable,
     matrix_order,
+    residue_map,
 )
 
+# Charges a walk sum its length tau: tau residue rows walked, mapped to
+# arguments and binned.  A stack of matrix walks runs in blocks of at most
+# _WALK_BLOCK_ROWS rows (a longer walk alone), so the cap bounds the work and
+# memory of each walk, not of the stack.
 SUM_TAU_CAP = 10 ** 6
 MOMENT_WORK_CAP = 10 ** 9
 
 _PASS_SLACK = 1e-9
 _MOMENT_BLOCK = 1 << 22  # complex entries materialized per moment block
+# Residue rows per block of stacked matrix walks; blocks of 2^12 to 2^18 rows
+# ran the sums grid at p 241-257 equally fast, and larger ones hold more memory.
+_WALK_BLOCK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,21 +78,39 @@ class SumResult:
     parameters: dict
 
 
-def _walk_sum(args: np.ndarray, chi: CharacterSpec, kind: str, parameters: dict) -> SumResult:
-    """Sum of e_p(args): an exact histogram of the arguments, then one p-term dot."""
+def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec, kind: str,
+               parameters) -> list[SumResult]:
+    """Sum of e_p over the first lengths[k] entries of each row k of args.
+
+    The rows share one bincount, row k offset by k p, which gives each an
+    exact histogram; float rounding is confined to one p-term dot per row.
+    """
     p = chi.ctx.p
-    length = args.shape[0]
-    # only the p valid bins are kept, so an argument >= p shows up as lost mass
-    hist = np.bincount(args, minlength=p)[:p]
-    mass = int(hist.sum())
-    if mass != length:
-        raise InvariantViolated(f"histogram mass {mass} != walk length {length}")
-    value = complex(hist @ chi.ctx.roots_of_unity())
-    mag = abs(value)
-    # unit-modulus terms force |sum| <= length up to the dot product's rounding
-    if mag > length + 1e-9:
-        raise InvariantViolated(f"|sum| = {mag} exceeds the walk length {length}")
-    return SumResult(value, mag, length, chi, kind, parameters)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    walked = args[np.arange(args.shape[1]) < lengths[:, None]]
+    # once offset, an argument outside [0, p) would land in another row's bins
+    if walked.size and (walked.min() < 0 or walked.max() >= p):
+        raise InvariantViolated(f"a walk argument lies outside [0, {p})")
+    offsets = np.repeat(np.arange(len(lengths), dtype=np.int64) * p, lengths)
+    hists = np.bincount(walked + offsets, minlength=len(lengths) * p).reshape(-1, p)
+    roots = chi.ctx.roots_of_unity()
+    out = []
+    for hist, length, params in zip(hists, lengths.tolist(), parameters):
+        mass = int(hist.sum())
+        if mass != length:
+            raise InvariantViolated(f"histogram mass {mass} != walk length {length}")
+        value = complex(hist @ roots)
+        mag = abs(value)
+        # unit-modulus terms force |sum| <= length up to the dot product's rounding
+        if mag > length + 1e-9:
+            raise InvariantViolated(f"|sum| = {mag} exceeds the walk length {length}")
+        out.append(SumResult(value, mag, length, chi, kind, params))
+    return out
+
+
+def _walk_sum(args: np.ndarray, chi: CharacterSpec, kind: str, parameters: dict) -> SumResult:
+    """Sum of e_p(args): the one-row call of _walk_sums."""
+    return _walk_sums(args[None], [len(args)], chi, kind, [parameters])[0]
 
 
 def _forms(chi: CharacterSpec, elems) -> np.ndarray:
@@ -101,26 +132,77 @@ def _default_character(ctx, chi):
     return chi
 
 
+def _walk_blocks(walks):
+    """Cut (tau, index) pairs, sorted by tau, into blocks of at most
+    _WALK_BLOCK_ROWS rows (block size times its longest tau); a longer walk
+    is a block of its own."""
+    block = []
+    for walk in walks:
+        if block and (len(block) + 1) * walk[0] > _WALK_BLOCK_ROWS:
+            yield block
+            block = []
+        block.append(walk)
+    if block:
+        yield block
+
+
+def matrix_exp_sums(entries, chi: CharacterSpec | None = None,
+                    max_tau: int | None = None) -> list:
+    """Sum psi(a A^x b), x = 1..tau, for each (a_vec, b_vec, A) of one field and one n.
+
+    Returns one entry per triple, in order: its SumResult, or the
+    BudgetExceeded that skipped it (a period above max_tau, SUM_TAU_CAP by
+    default).  The residue orbits of the b's are walked as stacks, sorted by
+    period and cut into row-bounded blocks; each walk keeps its own
+    histogram checks and its own p-term dot, so a sum is bit for bit the
+    one its triple gives alone.
+    """
+    entries = list(entries)
+    if not entries:
+        return []
+    ctx, n = entries[0][2].ctx, entries[0][2].n
+    for a_vec, b_vec, A in entries:
+        if A.ctx != ctx or a_vec.ctx != ctx or b_vec.ctx != ctx:
+            raise MixedContext("vectors and matrices live in different fields")
+        if a_vec.orientation != "row" or b_vec.orientation != "column":
+            raise ValueError("need a row vector on the left and a column vector on the right")
+        if A.n != n or a_vec.n != n or b_vec.n != n:
+            raise ValueError("dimension mismatch")
+    chi = _default_character(ctx, chi)
+    cap = SUM_TAU_CAP if max_tau is None else max_tau
+    p, d = ctx.p, ctx.degree
+    results = [None] * len(entries)
+    walks = []
+    for k, (_, _, A) in enumerate(entries):
+        tau = matrix_order(A)
+        if tau > cap:
+            results[k] = BudgetExceeded(f"period {tau} exceeds the cap {cap}",
+                                        estimated_work=tau)
+        else:
+            walks.append((tau, k))
+    lefts = _forms(chi, [x for a_vec, _, _ in entries for x in a_vec.entries])
+    lefts = lefts.reshape(len(entries), n * d)
+    starts = np.array([b.residues() for _, b, _ in entries], dtype=np.int64)
+    for block in _walk_blocks(sorted(walks)):
+        taus, ks = zip(*block)
+        maps = np.stack([residue_map(entries[k][2], "column") for k in ks])
+        orbit = residue_orbit(maps, starts[list(ks)], taus[-1], p)
+        args = np.einsum("klm,km->kl", orbit, lefts[list(ks)]) % p
+        params = [{"p": p, "degree": d, "n": n, "tau": tau} for tau in taus]
+        for k, result in zip(ks, _walk_sums(args, taus, chi, "matrix", params)):
+            results[k] = result
+    return results
+
+
 def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
                    chi: CharacterSpec | None = None,
                    max_tau: int | None = None) -> SumResult:
-    """Sum psi(a A^x b) for x = 1..tau over the residue orbit of b."""
-    ctx = A.ctx
-    if a_vec.ctx != ctx or b_vec.ctx != ctx:
-        raise MixedContext("vectors and matrix live in different fields")
-    if a_vec.orientation != "row" or b_vec.orientation != "column":
-        raise ValueError("need a row vector on the left and a column vector on the right")
-    if a_vec.n != A.n or b_vec.n != A.n:
-        raise ValueError("dimension mismatch")
-    chi = _default_character(ctx, chi)
-    tau = matrix_order(A)
-    cap = SUM_TAU_CAP if max_tau is None else max_tau
-    if tau > cap:
-        raise BudgetExceeded(f"period {tau} exceeds the cap {cap}", estimated_work=tau)
-    left = _forms(chi, a_vec.entries).ravel()
-    args = vector_orbit(b_vec, A, tau) @ left % ctx.p
-    params = {"p": ctx.p, "degree": ctx.degree, "n": A.n, "tau": tau}
-    return _walk_sum(args, chi, "matrix", params)
+    """Sum psi(a A^x b) for x = 1..tau: the one-entry call of matrix_exp_sums,
+    raising the BudgetExceeded that would skip the entry."""
+    (result,) = matrix_exp_sums([(a_vec, b_vec, A)], chi, max_tau)
+    if isinstance(result, BudgetExceeded):
+        raise result
+    return result
 
 
 def _check_group_budget(G: SubgroupSpec, max_order):
@@ -279,23 +361,38 @@ class Hypotheses:
     unit_det: bool
 
 
+def analyze_instances(entries) -> list[Hypotheses]:
+    """Hypothesis flags for each (a_vec, b_vec, A) of one field and one n.
+
+    The Krylov checks of every nonzero vector run as one stack
+    (independence_checks); a zero vector is not independent.
+    """
+    entries = list(entries)
+    verdicts = iter(independence_checks(
+        [(v, A) for a_vec, b_vec, A in entries for v in (a_vec, b_vec) if v]).tolist())
+    out = []
+    for a_vec, b_vec, A in entries:
+        ctx = A.ctx
+        out.append(Hypotheses(
+            n=A.n,
+            p=ctx.p,
+            degree=ctx.degree,
+            q=ctx.q,
+            tau=matrix_order(A),
+            t=det_order(A),
+            class_tag=char_poly_factor(A).tag,
+            diagonalizable=is_diagonalizable(A),
+            left_independent=next(verdicts) if a_vec else False,
+            right_independent=next(verdicts) if b_vec else False,
+            vectors_nonzero=bool(a_vec) and bool(b_vec),
+            unit_det=A.det() == ctx.one,
+        ))
+    return out
+
+
 def analyze_instance(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity) -> Hypotheses:
     """Collect every hypothesis flag the bound menu needs for (a, b, A)."""
-    ctx = A.ctx
-    return Hypotheses(
-        n=A.n,
-        p=ctx.p,
-        degree=ctx.degree,
-        q=ctx.q,
-        tau=matrix_order(A),
-        t=det_order(A),
-        class_tag=char_poly_factor(A).tag,
-        diagonalizable=is_diagonalizable(A),
-        left_independent=independence_check(a_vec, A) if a_vec else False,
-        right_independent=independence_check(b_vec, A) if b_vec else False,
-        vectors_nonzero=bool(a_vec) and bool(b_vec),
-        unit_det=A.det() == ctx.one,
-    )
+    return analyze_instances([(a_vec, b_vec, A)])[0]
 
 
 @dataclass(frozen=True)

@@ -408,21 +408,26 @@ def trace_form(chi: CharacterSpec) -> np.ndarray:
 def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
     """Rows (M^1 s), ..., (M^length s) mod p, by doubling in ~log2(length) matmuls.
 
-    The rows are filled into one array of exactly length rows.
+    M may be one m x m matrix or a stack (..., m, m), and start one residue
+    row (m,) or a stack (..., m) that broadcasts with it; the walks come back
+    as one array (..., length, m) of exactly length rows per walk, each
+    doubling step one batched matmul over the whole stack.
 
     Every intermediate is reduced mod p, so each product sums at most
     d terms below p^2: d p^2 < 2^63 for every p up to _MAX_P.
     """
-    M = np.asarray(M, dtype=np.int64) % p
-    rows = np.empty((length, M.shape[0]), dtype=np.int64)
-    rows[:1] = M @ np.asarray(start, dtype=np.int64) % p
-    done, power = 1, M
+    # the walks are rows, so they are multiplied by M^T
+    power_t = np.swapaxes(np.asarray(M, dtype=np.int64) % p, -1, -2)
+    first = np.asarray(start, dtype=np.int64)[..., None, :] @ power_t % p
+    rows = np.empty(first.shape[:-2] + (length, first.shape[-1]), dtype=np.int64)
+    rows[..., :1, :] = first
+    done = 1
     while done < length:
         # rows done..done+step-1 are M^done times rows 0..step-1
         step = min(done, length - done)
-        rows[done:done + step] = rows[:step] @ power.T % p
+        rows[..., done:done + step, :] = rows[..., :step, :] @ power_t % p
         done += step
-        power = power @ power % p
+        power_t = power_t @ power_t % p
     return rows
 
 

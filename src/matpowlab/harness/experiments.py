@@ -18,11 +18,11 @@ from ..catmap import (
 from ..charsums import (
     MOMENT_WORK_CAP,
     SUM_TAU_CAP,
-    analyze_instance,
+    analyze_instances,
     evaluate_bounds,
     gauss_subgroup,
     kloosterman_subgroup,
-    matrix_exp_sum,
+    matrix_exp_sums,
     nonsplit_pair_bound,
     split_pair_bound,
     sum_moment,
@@ -173,8 +173,6 @@ def build_instances(cfg: ExperimentConfig):
     kind = cfg.experiment
     if kind in ("energy", "q3", "orbit"):
         return _trace_grid(cfg)
-    if kind == "sums":
-        return [(p, u, j) for (p, u) in _trace_grid(cfg) for j in range(cfg.samples)]
     if kind == "kloosterman":
         return [(p, m, j) for p in _primes(cfg) for m in _divisors(p - 1)
                 for j in range(cfg.samples)]
@@ -193,9 +191,7 @@ def build_instances(cfg: ExperimentConfig):
                 grid.extend((p, s, j) for j in range(cfg.samples))
             grid.extend((p, 0, j) for j in range(cfg.samples))
         return grid
-    if kind == "catmap":
-        return [(p,) for p in _primes(cfg)]
-    if kind == "lemma81":
+    if kind in ("sums", "catmap", "lemma81"):
         return [(p,) for p in _primes(cfg)]
     raise ValueError(f"unknown experiment {kind!r}")
 
@@ -261,26 +257,35 @@ def _nonzero_pair(stream, p):
 
 
 def _sums_rows(cfg, desc):
-    p, u, j = desc
-    built = _companion_context(cfg, p, u)
-    if built is None:
-        return []
-    ctx, A, data, tau, info = built
-    stream = _stream(cfg, p, u, j)
-    left = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "row")
-    right = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "column")
-    quantity = f"matrix-sum-{j}"
-    try:
-        result = matrix_exp_sum(left, right, A,
-                                max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
-    except BudgetExceeded as err:
-        return [_skipped(cfg, info, quantity, err)]
-    hyp = analyze_instance(left, right, A)
-    report = evaluate_bounds(result, A, left, right, hyp)
-    return [
-        _row(cfg, info, quantity, result.value, entry.name, entry.value, entry.status)
-        for entry in report.bounds
-    ]
+    """Every sampled sum of one prime: one stacked walk and one stacked
+    analysis, rows in (trace, sample) order."""
+    (p,) = desc
+    labels, entries = [], []
+    for u in _sl2_traces(p, cfg.class_filter):
+        built = _companion_context(cfg, p, u)
+        if built is None:
+            continue
+        ctx, A, data, tau, info = built
+        for j in range(cfg.samples):
+            stream = _stream(cfg, p, u, j)
+            left = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "row")
+            right = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "column")
+            labels.append((info, f"matrix-sum-{j}"))
+            entries.append((left, right, A))
+    results = matrix_exp_sums(entries, max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
+    computed = [entry for entry, result in zip(entries, results)
+                if not isinstance(result, BudgetExceeded)]
+    hypotheses = iter(analyze_instances(computed))
+    rows = []
+    for (info, quantity), (left, right, A), result in zip(labels, entries, results):
+        if isinstance(result, BudgetExceeded):
+            rows.append(_skipped(cfg, info, quantity, result))
+            continue
+        report = evaluate_bounds(result, A, left, right, next(hypotheses))
+        rows.extend(_row(cfg, info, quantity, result.value, entry.name, entry.value,
+                         entry.status)
+                    for entry in report.bounds)
+    return rows
 
 
 def _moment_row(cfg, info, family, group, bound_name, bound):

@@ -1,18 +1,21 @@
 """Square matrices and vectors over a FieldCtx: orders, eigenvalues, independence.
 
 MatEntity and VecEntity are values; computation runs on their flat residues
-(residue_map). Characteristic polynomials use per-dimension closed forms
-(n <= 3) and roots are located by discriminant analysis (n = 2) or a direct
-scan of the field (n = 3), with eigenvalues landing in the quadratic extension
-when needed. Diagonalizability and orders are read off those eigenvalues;
-only n >= 4 or eigenvalues beyond the quadratic extension fall back to capped
-power iteration.
+(residue_map), and Krylov independence is a Leibniz determinant of residue
+rows, checked for a whole stack of (v, A) pairs at once. Characteristic
+polynomials use per-dimension closed forms (n <= 3) and roots are located by
+discriminant analysis (n = 2) or a direct scan of the field (n = 3), with
+eigenvalues landing in the quadratic extension when needed. Diagonalizability
+and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
+the quadratic extension fall back to capped power iteration.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .errors import (
     ZeroVector,
 )
 from .ffield import (FFElem, FieldCtx, is_square, mul_matrix, mult_order, residue_orbit,
-                     sqrt, trace_norm)
+                     residue_product, sqrt, trace_norm)
 
 ORDER_ITERATION_CAP = 10 ** 6
 _ROOT_SCAN_CAP = 10 ** 6
@@ -88,7 +91,7 @@ class VecEntity:
 class MatEntity:
     """Immutable n x n matrix over a FieldCtx (a value), with cached eigen analysis."""
 
-    __slots__ = ("ctx", "n", "rows", "_charpoly", "_order", "_det")
+    __slots__ = ("ctx", "n", "rows", "_charpoly", "_order", "_det", "_maps")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -106,6 +109,7 @@ class MatEntity:
         self._charpoly = None
         self._order = None
         self._det = None
+        self._maps = {}
 
     # ---- construction helpers -------------------------------------------------
 
@@ -143,7 +147,8 @@ class MatEntity:
         return acc
 
     def det(self) -> FFElem:
-        """Determinant: ad - bc and the six-term expansion for n <= 3, else elimination."""
+        """Determinant: ad - bc and the six-term expansion for n <= 3, else the
+        Leibniz expansion on residue rows."""
         if self._det is None:
             r = self.rows
             if self.n == 1:
@@ -155,7 +160,8 @@ class MatEntity:
                              - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
                              + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
             else:
-                self._det = _det_eliminate([list(row) for row in r], self.ctx)
+                residues = np.array(self.residues()).reshape(1, self.n, self.n, -1)
+                self._det = self.ctx.elem(*leibniz_dets(residues, self.ctx)[0])
         return self._det
 
     def residues(self) -> tuple[int, ...]:
@@ -175,16 +181,21 @@ def residue_map(A: MatEntity, side: str) -> np.ndarray:
 
     Entry i of a vector fills residue coordinates i d .. i d + d - 1 (d the
     degree). The column side is a ring map from n x n matrices over F_q into
-    integer matrices mod p: block (i, j) is mul_matrix(A[i][j]).
+    integer matrices mod p: block (i, j) is mul_matrix(A[i][j]). Each side
+    is built once per matrix and cached on it, read-only.
     """
-    n, d = A.n, A.ctx.degree
-    blocks = np.empty((n, n, d, d), dtype=np.int64)
-    for i, row in enumerate(A.rows):
-        for j, x in enumerate(row):
-            blocks[i, j] = mul_matrix(x)
-    if side == "row":
-        blocks = blocks.transpose(1, 0, 2, 3)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+    if side not in A._maps:
+        n, d = A.n, A.ctx.degree
+        blocks = np.empty((n, n, d, d), dtype=np.int64)
+        for i, row in enumerate(A.rows):
+            for j, x in enumerate(row):
+                blocks[i, j] = mul_matrix(x)
+        if side == "row":
+            blocks = blocks.transpose(1, 0, 2, 3)
+        flat = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        flat.flags.writeable = False
+        A._maps[side] = flat
+    return A._maps[side]
 
 
 def check_vector_orbit(v: VecEntity, A: MatEntity):
@@ -195,28 +206,6 @@ def check_vector_orbit(v: VecEntity, A: MatEntity):
         raise MixedContext("vector and matrix field contexts differ")
     if v.n != A.n:
         raise ValueError("dimension mismatch")
-
-
-# ---- elimination helpers ---------------------------------------------------------
-
-
-def _det_eliminate(rows, ctx):
-    n = len(rows)
-    det = ctx.one
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot is None:
-            return ctx.zero
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
-        for i in range(col + 1, n):
-            if rows[i][col]:
-                f = rows[i][col] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
-    return det
 
 
 # ---- polynomial helpers (coefficient lists, ascending, over one ctx) -------------
@@ -443,14 +432,51 @@ def det_order(A: MatEntity) -> int:
 
 def independence_check(v: VecEntity, A: MatEntity) -> bool:
     """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n,
-    i.e. the Krylov matrix with these n vectors as rows has nonzero determinant.
-    The vectors are residue rows of the orbit of v, read back into F_q."""
-    check_vector_orbit(v, A)
-    ctx, n = A.ctx, A.n
-    start = v.residues()
-    orbit = residue_orbit(residue_map(A, v.orientation), start, n - 1, ctx.p)
-    krylov = np.vstack([start, orbit]).reshape(n, n, ctx.degree).tolist()
-    return bool(MatEntity([[ctx.elem(*x) for x in row] for row in krylov]).det())
+    i.e. the Krylov matrix with these n vectors as rows has nonzero determinant."""
+    return bool(independence_checks([(v, A)])[0])
+
+
+@lru_cache(maxsize=None)
+def _leibniz_terms(n: int):
+    """The n! permutations of range(n) as rows of an index array, and their signs."""
+    perms = list(itertools.permutations(range(n)))
+    signs = [(-1) ** sum(a > b for i, a in enumerate(s) for b in s[i + 1:]) for s in perms]
+    return np.array(perms, dtype=np.intp), np.array(signs, dtype=np.int64)
+
+
+def leibniz_dets(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Residues of the determinants of a stack (..., n, n, degree) of matrices
+    over ctx: the sums of sign(s) prod_i M[i, s(i)] over the permutations s,
+    each product taken by residue_product, so one formula serves every n and
+    both degrees. Entries must be reduced mod p."""
+    perms, signs = _leibniz_terms(mats.shape[-2])
+    terms = mats[..., 0, perms[:, 0], :]
+    for i in range(1, mats.shape[-2]):
+        terms = residue_product(terms, mats[..., i, perms[:, i], :], ctx)
+    return (signs[:, None] * terms).sum(axis=-2) % ctx.p
+
+
+def independence_checks(pairs) -> np.ndarray:
+    """independence_check of every (v, A) pair, for pairs over one field with one n.
+
+    The Krylov rows of all pairs are one stack of residue_orbit walks, and
+    their determinants one stacked leibniz_dets.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return np.zeros(0, dtype=bool)
+    ctx, n = pairs[0][1].ctx, pairs[0][1].n
+    for v, A in pairs:
+        check_vector_orbit(v, A)
+        if A.ctx != ctx:
+            raise MixedContext("pairs live in different fields")
+        if A.n != n:
+            raise ValueError("pairs of different dimensions")
+    starts = np.array([v.residues() for v, _ in pairs], dtype=np.int64)
+    maps = np.stack([residue_map(A, v.orientation) for v, A in pairs])
+    orbit = residue_orbit(maps, starts, n - 1, ctx.p)
+    krylov = np.concatenate((starts[:, None, :], orbit), axis=1)
+    return leibniz_dets(krylov.reshape(len(pairs), n, n, ctx.degree), ctx).any(axis=1)
 
 
 def companion_realization(lam: FFElem, a: FFElem):

@@ -14,12 +14,15 @@ import matpowlab
 from matpowlab.charsums import (
     SumResult,
     _walk_sum,
+    _walk_sums,
     analyze_instance,
+    analyze_instances,
     evaluate_bounds,
     gauss_subgroup,
     kappa_n,
     kloosterman_subgroup,
     matrix_exp_sum,
+    matrix_exp_sums,
     nonsplit_pair_bound,
     split_pair_bound,
     sum_moment,
@@ -184,6 +187,112 @@ def test_sum_result_invariants_on_batch():
         res = matrix_exp_sum(_row(ctx, 1, 3), _col(ctx, 2, 1), A)
         assert abs(res.abs - abs(res.value)) < 1e-12
         assert res.abs <= res.length + 1e-9
+
+
+def _random_stack(ctx, n, count, rng):
+    """count (a, b, A) triples over ctx with invertible A, zero vectors allowed."""
+    def draw(k):
+        return [ctx.from_index(int(i)) for i in rng.integers(ctx.q, size=k)]
+    out = []
+    while len(out) < count:
+        A = MatEntity([draw(n) for _ in range(n)])
+        if A.det():
+            out.append((VecEntity(draw(n), "row"), VecEntity(draw(n), "column"), A))
+    return out
+
+
+def _one_by_one(entries, chi=None, max_tau=None):
+    out = []
+    for a, b, A in entries:
+        try:
+            out.append(matrix_exp_sum(a, b, A, chi=chi, max_tau=max_tau))
+        except BudgetExceeded as err:
+            out.append(err)
+    return out
+
+
+@pytest.mark.parametrize("p, degree", [(7, 1), (13, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_sums_equal_the_one_entry_sums(p, degree, n):
+    # random matrices mix their periods within one block; values compare with ==
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(100 * p + 10 * degree + n)
+    entries = _random_stack(ctx, n, 12, rng)
+    chi = CharacterSpec(ctx.from_index(2))
+    assert len({matrix_order(A) for _, _, A in entries}) > 1
+    for character in (None, chi):
+        got = matrix_exp_sums(entries, chi=character)
+        want = _one_by_one(entries, chi=character)
+        assert [(r.value, r.abs, r.length, r.kind, r.parameters) for r in got] == \
+               [(r.value, r.abs, r.length, r.kind, r.parameters) for r in want]
+    assert matrix_exp_sums(entries, chi=chi) == _one_by_one(entries, chi=chi)
+
+
+def test_stacked_sums_return_a_skip_in_place():
+    ctx = make_field(13)
+    rng = np.random.default_rng(5)
+    entries = _random_stack(ctx, 2, 10, rng)
+    taus = [matrix_order(A) for _, _, A in entries]
+    cap = sorted(taus)[len(taus) // 2]
+    assert min(taus) <= cap < max(taus)
+    chi = standard_character(ctx)
+    got = matrix_exp_sums(entries, chi=chi, max_tau=cap)
+    for result, tau, want in zip(got, taus, _one_by_one(entries, chi=chi, max_tau=cap)):
+        if tau > cap:
+            assert isinstance(result, BudgetExceeded) and result.estimated_work == tau
+            assert isinstance(want, BudgetExceeded)
+        else:
+            assert result == want
+
+
+def test_stacked_sums_walk_row_bounded_blocks(monkeypatch):
+    # periods 3, 6, 8, 12, 12, 14, 28, 28, 42, 56, 168, 168: a 16-row target puts
+    # 3 and 6 in one block and walks the rest alone; at 10 rows every walk is
+    # alone, eight of them longer than the target
+    import matpowlab.charsums as charsums_mod
+
+    ctx = make_field(13)
+    entries = _random_stack(ctx, 2, 12, np.random.default_rng(9))
+    taus = sorted(matrix_order(A) for _, _, A in entries)
+    assert taus == [3, 6, 8, 12, 12, 14, 28, 28, 42, 56, 168, 168]
+    chi = standard_character(ctx)
+    want = _one_by_one(entries, chi=chi)
+    real, walks = charsums_mod.residue_orbit, []
+
+    def spy(M, start, length, p):
+        walks.append((len(M), length))
+        return real(M, start, length, p)
+
+    monkeypatch.setattr(charsums_mod, "residue_orbit", spy)
+    for target, blocks in ((16, [(2, 6)] + [(1, t) for t in taus[2:]]),
+                           (10, [(1, t) for t in taus])):
+        monkeypatch.setattr(charsums_mod, "_WALK_BLOCK_ROWS", target)
+        walks.clear()
+        assert matrix_exp_sums(entries, chi=chi) == want
+        assert walks == blocks
+
+
+def test_stacked_sums_edge_inputs():
+    assert matrix_exp_sums([]) == []
+    ctx, other = make_field(13), make_field(7)
+    A = sl2_companion(ctx, 1)
+    B = sl2_companion(other, 1)
+    with pytest.raises(MixedContext):
+        matrix_exp_sums([(_row(ctx, 1, 0), _col(ctx, 1, 0), A),
+                         (_row(other, 1, 0), _col(other, 1, 0), B)])
+    with pytest.raises(ValueError):
+        matrix_exp_sums([(_row(ctx, 1, 0), _col(ctx, 1, 0), A),
+                         (_row(ctx, 1), _col(ctx, 1), MatEntity([[ctx.elem(2)]]))])
+
+
+def test_stacked_analysis_equals_the_one_entry_analysis():
+    ctx = make_field(7)
+    entries = _random_stack(ctx, 2, 30, np.random.default_rng(3))
+    entries.append((_row(ctx, 0, 0), _col(ctx, 1, 0), entries[0][2]))
+    got = analyze_instances(entries)
+    assert got == [analyze_instance(*entry) for entry in entries]
+    assert {h.left_independent for h in got} == {True, False}
+    assert analyze_instances([]) == []
 
 
 def test_kloosterman_two_term_hand_value():
@@ -588,6 +697,23 @@ def test_histogram_sum_rejects_out_of_range_arguments():
     chi = standard_character(make_field(23))
     with pytest.raises(InvariantViolated):
         _walk_sum(np.array([0, 5, 23]), chi, "test", {})
+    for args in (
+        [[0, 5, 23]],        # the last row: past the shared bincount's end
+        [[0, 23], [5, 0]],   # would count in the next row's bin 0
+        [[0, 1], [-1, 3]],   # below the row's first bin
+        [[1, 2], [3, 23]],   # the last row again, behind a valid one
+    ):
+        lengths = [len(row) for row in args]
+        with pytest.raises(InvariantViolated):
+            _walk_sums(np.array(args), lengths, chi, "test", [{}] * len(args))
+
+
+def test_histogram_sums_read_only_each_rows_walked_prefix():
+    # entries past a row's length are padding, whatever their values
+    chi = standard_character(make_field(23))
+    got = _walk_sums(np.array([[0, 5, 99], [7, -4, 23]]), [2, 1], chi, "test", [{}, {}])
+    want = [_walk_sum(np.array([0, 5]), chi, "test", {}), _walk_sum(np.array([7]), chi, "test", {})]
+    assert got == want
 
 
 def test_invariant_checks_survive_optimized_python():

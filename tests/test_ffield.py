@@ -28,6 +28,7 @@ from matpowlab.ffield import (
     trace_form,
     trace_norm,
 )
+from matpowlab.matgrp import MatEntity, residue_map
 
 from oracles import (
     naive_field_trace,
@@ -295,6 +296,32 @@ def test_residue_matrices_match_field_arithmetic(p, degree):
         args = np.array([char_argument(chi, y) for y in elems])
         assert list(args) == [naive_field_trace(alpha * y) for y in elems]
         assert np.array_equal(res @ trace_form(chi) @ res.T % p, args[prod])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("length", [0, 1, 37])
+def test_stacked_residue_orbit_matches_the_per_matrix_walks(degree, length):
+    # residue maps of random 2 x 2 matrices over F_q, q = 7^degree, walked as one stack
+    p = 7
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(10 * length + degree)
+    maps = np.stack([
+        residue_map(MatEntity([[ctx.from_index(int(i)) for i in rng.integers(ctx.q, size=2)]
+                               for _ in range(2)]), side)
+        for side in ("row", "column", "row", "column", "column")])
+    starts = rng.integers(p, size=(len(maps), 2 * degree))
+    stacked = ffield.residue_orbit(maps, starts, length, p)
+    assert stacked.shape == (len(maps), length, 2 * degree)
+    for M, s, rows in zip(maps, starts, stacked):
+        assert np.array_equal(rows, ffield.residue_orbit(M, s, length, p))
+        prev = s
+        for row in rows:  # row x + 1 is M times row x
+            assert np.array_equal(row, M @ prev % p)
+            prev = row
+    # one matrix broadcasts against a stack of starts
+    shared = ffield.residue_orbit(maps[0], starts, length, p)
+    for s, rows in zip(starts, shared):
+        assert np.array_equal(rows, ffield.residue_orbit(maps[0], s, length, p))
 
 
 def test_sqrt_roundtrip():

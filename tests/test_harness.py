@@ -285,6 +285,36 @@ def test_lemma81_instance_is_one_modulus(tmp_path):
     assert b"skipped" in outputs[0] and b"pass" in outputs[0]
 
 
+def test_sums_instance_is_one_prime(tmp_path):
+    cfg = build_config({"experiment": "sums", "p_min": "5", "p_max": "23"})
+    assert build_instances(cfg) == [(p,) for p in (5, 7, 11, 13, 17, 19, 23)]
+    # budget 1e-5 scales SUM_TAU_CAP to 10: at p = 13 the traces of period 12
+    # and 14 are skipped rows carrying that period, the shorter ones computed
+    rows = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13",
+                                   "budget": "1e-5"}))
+    assert [(rec.trace, rec.quantity) for rec in rows] == sorted(
+        (rec.trace, rec.quantity) for rec in rows)
+    skipped = [rec for rec in rows if rec.status == "skipped"]
+    assert {rec.tau for rec in skipped} == {12, 14}
+    assert all(rec.bound_value == rec.tau for rec in skipped)
+    # the computed rows are those of the full budget, bounds and all
+    full = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13"}))
+    computed = [rec for rec in full if rec.tau <= 10]
+    assert computed and [rec for rec in rows if rec.status != "skipped"] == computed
+    outputs = {}
+    for workers in (1, 3):
+        out = str(tmp_path / f"w{workers}")
+        run_experiment(build_config({"experiment": "sums", "p_min": "5", "p_max": "23",
+                                     "budget": "1e-5", "workers": str(workers),
+                                     "out": out}))
+        outputs[workers] = []
+        for name in ("sums.csv", "sums.summary.json"):
+            with open(os.path.join(out, name), "rb") as fh:
+                outputs[workers].append(fh.read())
+    assert outputs[1] == outputs[3]
+    assert b"skipped" in outputs[1][0] and b"pass" in outputs[1][0]
+
+
 def test_csv_formatting():
     rows = _all_rows(_cfg(p_max="5"))
     line = record_to_csv(rows[0])

@@ -6,6 +6,7 @@ import pytest
 from matpowlab import matgrp
 from matpowlab.errors import (
     DegenerateParameters,
+    MixedContext,
     NormNotOne,
     OrderCapExceeded,
     UnsupportedDimension,
@@ -58,11 +59,12 @@ def _random_field_matrix(ctx, n, rng):
 
 
 def test_det_matches_permutation_expansion():
-    # closed forms for n <= 3 and elimination for n = 4, over F_5, F_11, F_9, F_25
+    # closed forms for n <= 3 and the residue-array Leibniz sum for n = 4, 5,
+    # over F_5, F_11, F_9, F_25
     rng = np.random.default_rng(7)
     for p, degree in ((5, 1), (11, 1), (3, 2), (5, 2)):
         ctx = make_field(p, degree)
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             for _ in range(20):
                 rows = [[ctx.from_index(int(rng.integers(0, ctx.q))) for _ in range(n)]
                         for _ in range(n)]
@@ -468,6 +470,35 @@ def test_independence_check_matches_the_krylov_rank_oracle(p, degree):
                     assert got == (_krylov_rank(v, rows, side) == n), (rows, v, side)
                     verdicts.add(got)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p, degree", [(5, 1), (3, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_independence_checks_match_the_krylov_rank_oracle(p, degree, n):
+    # row and column vectors of random matrices, with eigenvectors of diagonal
+    # matrices for dependent cases, checked as one stack
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(100 * n + 10 * p + degree)
+    pairs = []
+    for k in range(12):
+        A = _random_field_matrix(ctx, n, rng)
+        v = [ctx.from_index(int(i)) for i in rng.integers(ctx.q, size=n)]
+        if k % 3 == 0:
+            A = MatEntity(diagonal([ctx.from_index(int(i))
+                                    for i in rng.integers(1, ctx.q, size=n)]))
+            v = scalar(ctx.one, n)[k % n]
+        if any(v):
+            pairs.append((VecEntity(v, "row" if k % 2 else "column"), A))
+    got = matgrp.independence_checks(pairs)
+    want = [_krylov_rank(v.entries, A.rows, v.orientation) == n for v, A in pairs]
+    assert got.tolist() == want
+    assert got.tolist() == [independence_check(v, A) for v, A in pairs]
+    assert True in want and (False in want or n == 1)
+    assert matgrp.independence_checks([]).shape == (0,)
+    other = make_field(7)
+    with pytest.raises(MixedContext):
+        matgrp.independence_checks(
+            pairs[:1] + [(VecEntity([other.one] * n), MatEntity.identity(other, n))])
 
 
 def test_rank_small():
