@@ -451,6 +451,26 @@ def residue_product(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return out % p
 
 
+def residue_inverse(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Residue rows of the inverses of an array of reduced residue rows, 0 for 0.
+
+    As FFElem.inverse: the conjugate over the norm, the norm N in F_p inverted
+    as N^(p-2) mod p by one square-and-multiply over the whole array.
+    """
+    p = ctx.p
+    conj = x.copy()
+    conj[..., 1:] = -conj[..., 1:] % p
+    base = residue_product(x, conj, ctx)[..., :1]
+    nrm_inv = np.ones_like(base)
+    e = p - 2
+    while e:
+        if e & 1:
+            nrm_inv = nrm_inv * base % p
+        e >>= 1
+        base = base * base % p
+    return conj * nrm_inv % p
+
+
 def char_argument(chi: CharacterSpec, z: FFElem) -> int:
     """The residue Tr(alpha z) mod p that indexes the root-of-unity table."""
     if z.ctx != chi.ctx:

@@ -94,8 +94,9 @@ def run_experiment(cfg: ExperimentConfig, timings: bool = False) -> int:
     """Evaluate the grid, write <out>/<experiment>.csv and .summary.json."""
     descriptors = build_instances(cfg)
     tasks = [(cfg, desc, timings) for desc in descriptors]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             groups = list(pool.map(_compute_task, tasks, chunksize=1))
     else:
         groups = [_compute_task(task) for task in tasks]

@@ -1,8 +1,8 @@
 """Square matrices and vectors over a FieldCtx: orders, eigenvalues, independence.
 
 MatEntity and VecEntity are values; computation runs on their flat residues
-(residue_map), and Krylov independence is a Leibniz determinant of residue
-rows, checked for a whole stack of (v, A) pairs at once. Characteristic
+(residue_map), and Krylov independence is a determinant of residue rows by
+elimination, checked for a whole stack of (v, A) pairs at once. Characteristic
 polynomials use per-dimension closed forms (n <= 3) and roots are located by
 discriminant analysis (n = 2) or a direct scan of the field (n = 3), with
 eigenvalues landing in the quadratic extension when needed. Diagonalizability
@@ -12,10 +12,8 @@ the quadratic extension fall back to capped power iteration.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .errors import (
     ZeroVector,
 )
 from .ffield import (FFElem, FieldCtx, is_square, mul_matrix, mult_order, residue_orbit,
-                     residue_product, sqrt, trace_norm)
+                     residue_inverse, residue_product, sqrt, trace_norm)
 
 ORDER_ITERATION_CAP = 10 ** 6
 _ROOT_SCAN_CAP = 10 ** 6
@@ -147,8 +145,8 @@ class MatEntity:
         return acc
 
     def det(self) -> FFElem:
-        """Determinant: ad - bc and the six-term expansion for n <= 3, else the
-        Leibniz expansion on residue rows."""
+        """Determinant: ad - bc and the six-term expansion for n <= 3, else
+        elimination on residue rows (residue_dets)."""
         if self._det is None:
             r = self.rows
             if self.n == 1:
@@ -161,7 +159,7 @@ class MatEntity:
                              + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
             else:
                 residues = np.array(self.residues()).reshape(1, self.n, self.n, -1)
-                self._det = self.ctx.elem(*leibniz_dets(residues, self.ctx)[0])
+                self._det = self.ctx.elem(*residue_dets(residues, self.ctx)[0].tolist())
         return self._det
 
     def residues(self) -> tuple[int, ...]:
@@ -436,31 +434,42 @@ def independence_check(v: VecEntity, A: MatEntity) -> bool:
     return bool(independence_checks([(v, A)])[0])
 
 
-@lru_cache(maxsize=None)
-def _leibniz_terms(n: int):
-    """The n! permutations of range(n) as rows of an index array, and their signs."""
-    perms = list(itertools.permutations(range(n)))
-    signs = [(-1) ** sum(a > b for i, a in enumerate(s) for b in s[i + 1:]) for s in perms]
-    return np.array(perms, dtype=np.intp), np.array(signs, dtype=np.int64)
+def residue_dets(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Residues (N, degree) of the determinants of a stack (N, n, n, degree) of
+    matrices over ctx with reduced entries, by Gaussian elimination on the
+    whole stack at once.
 
-
-def leibniz_dets(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
-    """Residues of the determinants of a stack (..., n, n, degree) of matrices
-    over ctx: the sums of sign(s) prod_i M[i, s(i)] over the permutations s,
-    each product taken by residue_product, so one formula serves every n and
-    both degrees. Entries must be reduced mod p."""
-    perms, signs = _leibniz_terms(mats.shape[-2])
-    terms = mats[..., 0, perms[:, 0], :]
-    for i in range(1, mats.shape[-2]):
-        terms = residue_product(terms, mats[..., i, perms[:, i], :], ctx)
-    return (signs[:, None] * terms).sum(axis=-2) % ctx.p
+    Column by column, each matrix takes its first nonzero entry on or below
+    the diagonal as pivot (a row swap negates the determinant), multiplies it
+    into the determinant and clears the rows below it with residue_product:
+    O(n^3) products for every n and both degrees. A singular matrix meets a
+    zero pivot, whose residue_inverse is 0, and keeps determinant 0.
+    """
+    p, n = ctx.p, mats.shape[1]
+    m = np.array(mats, dtype=np.int64)
+    det = np.zeros((len(m), ctx.degree), dtype=np.int64)
+    det[:, 0] = 1
+    stack = np.arange(len(m))
+    for col in range(n):
+        pivot = col + m[:, col:, col].any(axis=-1).argmax(axis=1)
+        swapped = pivot != col
+        det[swapped] = -det[swapped] % p
+        m[stack, col], m[stack, pivot] = m[stack, pivot], m[stack, col]
+        lead = m[:, col, col]
+        det = residue_product(det, lead, ctx)
+        if col + 1 < n:
+            inverse = residue_inverse(lead, ctx)[:, None]
+            factors = residue_product(m[:, col + 1:, col], inverse, ctx)
+            m[:, col + 1:] = (m[:, col + 1:]
+                              - residue_product(factors[:, :, None], m[:, None, col], ctx)) % p
+    return det
 
 
 def independence_checks(pairs) -> np.ndarray:
     """independence_check of every (v, A) pair, for pairs over one field with one n.
 
     The Krylov rows of all pairs are one stack of residue_orbit walks, and
-    their determinants one stacked leibniz_dets.
+    their determinants one stacked residue_dets.
     """
     pairs = list(pairs)
     if not pairs:
@@ -476,7 +485,7 @@ def independence_checks(pairs) -> np.ndarray:
     maps = np.stack([residue_map(A, v.orientation) for v, A in pairs])
     orbit = residue_orbit(maps, starts, n - 1, ctx.p)
     krylov = np.concatenate((starts[:, None, :], orbit), axis=1)
-    return leibniz_dets(krylov.reshape(len(pairs), n, n, ctx.degree), ctx).any(axis=1)
+    return residue_dets(krylov.reshape(len(pairs), n, n, ctx.degree), ctx).any(axis=1)
 
 
 def companion_realization(lam: FFElem, a: FFElem):

@@ -20,6 +20,7 @@ from matpowlab.ffield import (
     mult_order,
     norm_subgroup,
     primitive_root,
+    residue_inverse,
     residue_product,
     sqrt,
     standard_character,
@@ -322,6 +323,20 @@ def test_stacked_residue_orbit_matches_the_per_matrix_walks(degree, length):
     shared = ffield.residue_orbit(maps[0], starts, length, p)
     for s, rows in zip(starts, shared):
         assert np.array_equal(rows, ffield.residue_orbit(maps[0], s, length, p))
+
+
+@pytest.mark.parametrize("p, degree", [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2)])
+def test_residue_inverse_matches_the_element_inverse(p, degree):
+    # every element of F_q as one (q, degree) stack, and the same stack as (q, 1, degree)
+    ctx = make_field(p, degree)
+    elems = list(ctx.iter_elements())
+    rows = np.array([x.residues() for x in elems], dtype=np.int64)
+    kept = rows.copy()
+    got = residue_inverse(rows, ctx)
+    assert np.array_equal(residue_inverse(rows[:, None], ctx)[:, 0], got)
+    for x, inv in zip(elems, got.tolist()):
+        assert tuple(inv) == (x.inverse().residues() if x else (0,) * degree)
+    assert np.array_equal(rows, kept)  # the input is left as it was
 
 
 def test_sqrt_roundtrip():

@@ -18,6 +18,7 @@ from matpowlab.harness import (
 )
 from matpowlab.harness.cli import main
 from matpowlab.harness.config import build_config, load_config, parse_pairs
+from matpowlab.harness import runner
 from matpowlab.harness.runner import CSV_COLUMNS, record_to_csv
 from matpowlab.matgrp import char_poly_factor, sl2_companion
 
@@ -313,6 +314,23 @@ def test_sums_instance_is_one_prime(tmp_path):
                 outputs[workers].append(fh.read())
     assert outputs[1] == outputs[3]
     assert b"skipped" in outputs[1][0] and b"pass" in outputs[1][0]
+
+
+def test_one_instance_runs_without_a_worker_pool(tmp_path, monkeypatch):
+    # a one-prime sums window is one instance: workers = 3 must not start a pool
+    def sums_csv(workers):
+        out = str(tmp_path / f"w{workers}")
+        run_experiment(build_config({"experiment": "sums", "p_min": "11", "p_max": "11",
+                                     "workers": workers, "out": out}))
+        with open(os.path.join(out, "sums.csv"), "rb") as fh:
+            return fh.read()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one instance")
+
+    serial = sums_csv("1")
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+    assert sums_csv("3") == serial
 
 
 def test_csv_formatting():

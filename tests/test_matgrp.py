@@ -59,8 +59,8 @@ def _random_field_matrix(ctx, n, rng):
 
 
 def test_det_matches_permutation_expansion():
-    # closed forms for n <= 3 and the residue-array Leibniz sum for n = 4, 5,
-    # over F_5, F_11, F_9, F_25
+    # closed forms for n <= 3 and elimination on residue arrays for n = 4, 5,
+    # over F_5, F_11, F_9, F_25; the coordinates are Python ints either way
     rng = np.random.default_rng(7)
     for p, degree in ((5, 1), (11, 1), (3, 2), (5, 2)):
         ctx = make_field(p, degree)
@@ -70,6 +70,46 @@ def test_det_matches_permutation_expansion():
                         for _ in range(n)]
                 A = MatEntity(rows)
                 assert A.det() == naive_det(rows)
+                assert type(A.det().c0) is int and type(A.det().c1) is int
+
+
+def _permuted_triangular(ctx, n, rng):
+    """Rows of an upper-triangular matrix with a random diagonal, each row plus
+    a random multiple of the row above it (top down), put in a random order, and
+    its determinant: the sign of the order times the diagonal product."""
+    diagonal = [ctx.from_index(int(rng.integers(ctx.q))) for _ in range(n)]
+    upper = [[diagonal[i] if j == i else
+              ctx.from_index(int(rng.integers(ctx.q))) if j > i else ctx.zero
+              for j in range(n)] for i in range(n)]
+    for i in range(1, n):
+        c = ctx.from_index(int(rng.integers(ctx.q)))
+        upper[i] = [x + c * y for x, y in zip(upper[i], upper[i - 1])]
+    order = [int(i) for i in rng.permutation(n)]
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
+    det = ctx.one if inversions % 2 == 0 else -ctx.one
+    for x in diagonal:
+        det = det * x
+    return [upper[i] for i in order], det
+
+
+@pytest.mark.parametrize("p, degree", [(5, 1), (101, 1), (3, 2), (7, 2)])
+def test_det_of_large_matrices_by_elimination(p, degree):
+    # n up to 16, where a permutation expansion would be out of reach; zero
+    # diagonal entries make singular cases, and shuffled rows need swaps
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(p * degree)
+    for n in (4, 7, 12, 16):
+        for _ in range(6):
+            rows, det = _permuted_triangular(ctx, n, rng)
+            assert MatEntity(rows).det() == det
+    stack = [_permuted_triangular(ctx, 9, rng) for _ in range(5)]
+    mats = np.array([[[x.residues() for x in row] for row in rows] for rows, _ in stack])
+    got = matgrp.residue_dets(mats, ctx)
+    assert [ctx.elem(*d) for d in got.tolist()] == [det for _, det in stack]
+    # the 12-cycle permutation matrix: det -1, and order 12 by capped iteration
+    cycle = MatEntity.from_ints(ctx, [[int(j == (i + 1) % 12) for j in range(12)]
+                                      for i in range(12)])
+    assert cycle.det() == -ctx.one and det_order(cycle) == 2 and matrix_order(cycle) == 12
 
 
 def test_char_poly_frozen_examples():
@@ -283,6 +323,19 @@ def test_det_order_divides_matrix_order():
         A = _random_matrix(ctx, 2, rng)
         assert matrix_order(A) % det_order(A) == 0
     assert det_order(sl2_companion(ctx, 3)) == 1
+    # n = 4, 5 take the elimination determinant; its value must take powers,
+    # inverses and orders like any other element, over F_p and F_{p^2}
+    for p, degree, n, count in ((11, 1, 4, 6), (5, 1, 5, 4), (3, 2, 4, 4), (3, 2, 5, 2)):
+        ctx = make_field(p, degree)
+        for _ in range(count):
+            A = _random_field_matrix(ctx, n, rng)
+            while not A.det():
+                A = _random_field_matrix(ctx, n, rng)
+            d, t = A.det(), det_order(A)
+            assert d ** t == ctx.one and d * d.inverse() == ctx.one
+            assert (ctx.q - 1) % t == 0
+            if n == 4:
+                assert matrix_order(A) % t == 0
 
 
 def test_matrix_order_cap(monkeypatch):
