@@ -1,9 +1,11 @@
-"""Complete character sums over matrix power orbits and subgroup walks.
+"""Complete character sums over matrix power orbits.
 
 The central object is the length-tau sum of psi(a A^x b) taken over one
-full period of an invertible matrix A.  Kloosterman walks (a u + b / u)
-and Gauss walks (a u) over a cyclic subgroup are the scalar
-specialisations.  Every sum walks a residue orbit (ffield.residue_orbit),
+full period of an invertible matrix A, and every sum is one: over a cyclic
+subgroup G = <g>, a Kloosterman sum (a u + b / u) is the sum of
+a = (a, b) with A = diag(g, 1/g) and b = (1, 1), and a Gauss sum (a u) that
+of a = (a) with A = [[g]] and b = (1) (subgroup_entry); their moments walk
+the same orbit of b.  Every sum walks a residue orbit (ffield.residue_orbit),
 maps it to trace arguments Tr(alpha z) mod p through the integer trace form,
 and counts the arguments in an exact integer histogram; float rounding is
 confined to one p-term dot product of that histogram with the roots of
@@ -25,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .counting import sequence_energy
+from .counting import sequence_energy, vector_orbit
 from .errors import BudgetExceeded, InvariantViolated, MixedContext
 from .ffield import (
     CharacterSpec,
@@ -38,7 +41,6 @@ from .ffield import (
     primitive_root,
     residue_orbit,
     standard_character,
-    subgroup_walk,
     trace_form,
 )
 from .matgrp import (
@@ -55,7 +57,9 @@ from .matgrp import (
 # Charges a walk sum its length tau: tau residue rows walked, mapped to
 # arguments and binned.  A stack of matrix walks runs in blocks of at most
 # _WALK_BLOCK_ROWS rows (a longer walk alone), so the cap bounds the work and
-# memory of each walk, not of the stack.
+# memory of each walk, not of the stack.  The Kloosterman and Gauss walks
+# over a subgroup are matrix walks too, charged their order through
+# matrix_exp_sums.
 SUM_TAU_CAP = 10 ** 6
 MOMENT_WORK_CAP = 10 ** 9
 
@@ -74,11 +78,10 @@ class SumResult:
     abs: float
     length: int
     character: CharacterSpec
-    kind: str
     parameters: dict
 
 
-def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec, kind: str,
+def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec,
                parameters) -> list[SumResult]:
     """Sum of e_p over the first lengths[k] entries of each row k of args.
 
@@ -104,24 +107,14 @@ def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec, kind: str,
         # unit-modulus terms force |sum| <= length up to the dot product's rounding
         if mag > length + 1e-9:
             raise InvariantViolated(f"|sum| = {mag} exceeds the walk length {length}")
-        out.append(SumResult(value, mag, length, chi, kind, params))
+        out.append(SumResult(value, mag, length, chi, params))
     return out
-
-
-def _walk_sum(args: np.ndarray, chi: CharacterSpec, kind: str, parameters: dict) -> SumResult:
-    """Sum of e_p(args): the one-row call of _walk_sums."""
-    return _walk_sums(args[None], [len(args)], chi, kind, [parameters])[0]
 
 
 def _forms(chi: CharacterSpec, elems) -> np.ndarray:
     """One row res(x) T per element x, so Tr(alpha x z) = row . res(z) (mod p)."""
     res = np.array([x.residues() for x in elems], dtype=np.int64)
     return res @ trace_form(chi) % chi.ctx.p
-
-
-def _inverse_walk(us: np.ndarray) -> np.ndarray:
-    """Rows of g^-1, ..., g^-order from the walk rows: g^-x = g^(order - x)."""
-    return np.roll(us[::-1], -1, axis=0)
 
 
 def _default_character(ctx, chi):
@@ -189,7 +182,7 @@ def matrix_exp_sums(entries, chi: CharacterSpec | None = None,
         orbit = residue_orbit(maps, starts[list(ks)], taus[-1], p)
         args = np.einsum("klm,km->kl", orbit, lefts[list(ks)]) % p
         params = [{"p": p, "degree": d, "n": n, "tau": tau} for tau in taus]
-        for k, result in zip(ks, _walk_sums(args, taus, chi, "matrix", params)):
+        for k, result in zip(ks, _walk_sums(args, taus, chi, params)):
             results[k] = result
     return results
 
@@ -205,41 +198,36 @@ def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
     return result
 
 
-def _check_group_budget(G: SubgroupSpec, max_order):
-    cap = SUM_TAU_CAP if max_order is None else max_order
-    if G.order > cap:
-        raise BudgetExceeded(f"subgroup order {G.order} exceeds the cap {cap}",
-                             estimated_work=G.order)
+def subgroup_entry(family: str, G: SubgroupSpec) -> tuple[MatEntity, VecEntity]:
+    """The (A, b_vec) whose walk A^x b_vec, x = 1..|G|, has the columns u and
+    1 / u ("kloosterman": A = diag(g, 1/g)) or u ("gauss": A = [[g]]), where
+    u = g^x runs over G in generator-power order."""
+    ctx, g = G.ctx, G.generator
+    if family == "kloosterman":
+        A = MatEntity([[g, ctx.zero], [ctx.zero, g.inverse()]])
+    elif family == "gauss":
+        A = MatEntity([[g]])
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return A, VecEntity([ctx.one] * A.n, "column")
 
 
 def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
                          chi: CharacterSpec | None = None,
                          max_order: int | None = None) -> SumResult:
-    """Sum psi(a u + b / u) as u walks the subgroup in generator-power order."""
-    ctx = G.ctx
-    if a.ctx != ctx or b.ctx != ctx:
-        raise MixedContext("coefficients and subgroup live in different fields")
-    chi = _default_character(ctx, chi)
-    _check_group_budget(G, max_order)
-    us = subgroup_walk(G)
-    form_a, form_b = _forms(chi, (a, b))
-    args = (us @ form_a + _inverse_walk(us) @ form_b) % ctx.p
-    params = {"p": ctx.p, "degree": ctx.degree, "order": G.order}
-    return _walk_sum(args, chi, "kloosterman", params)
+    """Sum psi(a u + b / u) over the subgroup: the matrix sum of (a, b) on
+    subgroup_entry("kloosterman", G)."""
+    A, ones = subgroup_entry("kloosterman", G)
+    return matrix_exp_sum(VecEntity([a, b], "row"), ones, A, chi, max_order)
 
 
 def gauss_subgroup(G: SubgroupSpec, a: FFElem,
                    chi: CharacterSpec | None = None,
                    max_order: int | None = None) -> SumResult:
-    """Sum psi(a u) as u walks the subgroup in generator-power order."""
-    ctx = G.ctx
-    if a.ctx != ctx:
-        raise MixedContext("coefficient and subgroup live in different fields")
-    chi = _default_character(ctx, chi)
-    _check_group_budget(G, max_order)
-    args = subgroup_walk(G) @ _forms(chi, (a,))[0] % ctx.p
-    params = {"p": ctx.p, "degree": ctx.degree, "order": G.order}
-    return _walk_sum(args, chi, "gauss", params)
+    """Sum psi(a u) over the subgroup: the matrix sum of (a) on
+    subgroup_entry("gauss", G)."""
+    A, ones = subgroup_entry("gauss", G)
+    return matrix_exp_sum(VecEntity([a], "row"), ones, A, chi, max_order)
 
 
 @dataclass(frozen=True)
@@ -265,40 +253,41 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     are walked, weighted by the orbit sizes 1 and |G|;
     parameters["representatives"] records those L + 1 rows.  The weighted
     second moment must equal its closed form (q |G| for Gauss, q^2 |G| for
-    Kloosterman), and even orders 2, 4 and 6 also carry the exact integer
-    value obtained by solution counting; a float value more than 1e-9
-    relative away from either raises InvariantViolated.
+    Kloosterman), and even orders 2 nu = 2, 4 and 6 also carry the exact
+    integer value q^n E_nu, with E_nu the nu-fold additive energy of the walk
+    of (A, b) = subgroup_entry(family, G) (count_JK(b, A, nu)); a float value
+    more than 1e-9 relative away from either raises InvariantViolated.
     """
-    if family not in ("kloosterman", "gauss"):
-        raise ValueError(f"unknown family {family!r}")
     if m < 1:
         raise ValueError("moment order must be positive")
+    A, ones = subgroup_entry(family, G)
     ctx = G.ctx
     chi = _default_character(ctx, chi)
     q = ctx.q
     tau = G.order
-    work = q * q * tau if family == "kloosterman" else q * tau
+    work = q ** A.n * tau
     cap = MOMENT_WORK_CAP if max_work is None else max_work
     if work > cap:
         raise BudgetExceeded(f"moment work {work} exceeds the cap {cap}",
                              estimated_work=work)
 
-    p = ctx.p
+    p, d = ctx.p, ctx.degree
     cosets = (q - 1) // tau
     # g^1..g^L represent the cosets of G; Kloosterman walks on to g^(q-1) for every b
     length = q - 1 if family == "kloosterman" else cosets
     walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), length, p)
-    forms = np.vstack((np.zeros((1, ctx.degree), dtype=np.int64), walk)) @ trace_form(chi) % p
+    forms = np.vstack((np.zeros((1, d), dtype=np.int64), walk)) @ trace_form(chi) % p
     reps = forms[:cosets + 1]
     weights = np.full(cosets + 1, float(tau))
     weights[0] = 1.0
     table = ctx.roots_of_unity()
-    us = subgroup_walk(G)
+    # the columns of the walk are u, then 1 / u for Kloosterman
+    orbit = vector_orbit(ones, A, tau)
+    us = orbit[:, :d]
 
     if family == "kloosterman":
-        vs = _inverse_walk(us)
         # one column per b in {0} and the walk: e_p(Tr(alpha b / u)) down the u
-        right = table[forms @ vs.T % p].T
+        right = table[forms @ orbit[:, d:].T % p].T
     else:
         right = np.ones((tau, 1))
     # the widest per-row array is the terms (tau) or the sums (right's columns)
@@ -317,19 +306,16 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
         raise InvariantViolated(f"second moment {second} is not its closed form {work}")
     exact = None
     if m in (2, 4, 6):
-        nu = m // 2
-        if family == "kloosterman":
-            exact = q * q * sequence_energy(np.hstack((us, vs)), p, nu)
-        else:
-            exact = q * sequence_energy(us, p, nu)
+        exact = q ** A.n * sequence_energy(orbit, p, m // 2)
         # the float moment counts the same solutions; its round-off is ~1e-15 relative
         if abs(total - exact) > 1e-9 * exact:
             raise InvariantViolated(f"moment {total} is not the exact count {exact}")
-    params = {"p": p, "degree": ctx.degree, "q": q, "order": tau,
+    params = {"p": p, "degree": d, "q": q, "order": tau,
               "representatives": cosets + 1}
     return MomentResult(family, m, total, exact, params)
 
 
+@lru_cache(maxsize=None)
 def kappa_n(n: int) -> Fraction:
     """Exact fractional saving exponent used by the diagonalizable sum bound."""
     if n < 1:

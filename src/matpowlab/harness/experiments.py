@@ -21,10 +21,10 @@ from ..charsums import (
     analyze_instances,
     evaluate_bounds,
     gauss_subgroup,
-    kloosterman_subgroup,
     matrix_exp_sums,
     nonsplit_pair_bound,
     split_pair_bound,
+    subgroup_entry,
     sum_moment,
     weil_explicit_bound,
 )
@@ -174,14 +174,9 @@ def build_instances(cfg: ExperimentConfig):
     if kind in ("energy", "q3", "orbit"):
         return _trace_grid(cfg)
     if kind == "kloosterman":
-        return [(p, m, j) for p in _primes(cfg) for m in _divisors(p - 1)
-                for j in range(cfg.samples)]
+        return [(p, m) for p in _primes(cfg) for m in _divisors(p - 1)]
     if kind == "gauss":
-        grid = []
-        for p in _primes(cfg):
-            grid.append((p, 0, 0))
-            grid.extend((p, m, j) for m in _divisors(p + 1) for j in range(cfg.samples))
-        return grid
+        return [(p, m) for p in _primes(cfg) for m in [0] + _divisors(p + 1)]
     if kind == "curves":
         grid = []
         for p in _primes(cfg):
@@ -301,38 +296,45 @@ def _moment_row(cfg, info, family, group, bound_name, bound):
     return _row(cfg, info, quantity, moment.value)
 
 
-def _kloosterman_rows(cfg, desc):
-    p, m, j = desc
-    if not _tau_selected(cfg, m):
-        return []
-    ctx = make_field(p)
-    group = subgroup_of_order(ctx, m)
-    info = _ctxinfo(p, p, n=1, tau=m)
-    stream = _stream(cfg, p, m, j)
-    a = ctx.elem(stream.unit_nonzero(p))
-    b = ctx.elem(stream.unit_nonzero(p))
-    quantity = f"kloosterman-{j}"
-    try:
-        value = kloosterman_subgroup(group, a, b,
-                                     max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value
-    except BudgetExceeded as err:
-        rows = [_skipped(cfg, info, quantity, err)]
-    else:
-        rows = [
-            _checked(cfg, info, quantity, value, "trivial", float(m), slack=1e-9),
-            _row(cfg, info, quantity, value, "split-pair", split_pair_bound(m, p)),
-        ]
-        if m == p - 1:
-            rows.append(_checked(cfg, info, quantity, value, "weil",
-                                 weil_explicit_bound(p), slack=1e-9))
-    if j == 0:
-        rows.append(_moment_row(cfg, info, "kloosterman", group,
-                                "sixth-moment-split", p * p * m ** (11 / 3)))
+def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound):
+    """The sampled sums of one subgroup as one matrix_exp_sums stack over its
+    subgroup_entry, each against the trivial bound and the (name, value,
+    checked) bounds; the moment row follows the j = 0 rows."""
+    A, ones = subgroup_entry(family, group)
+    results = matrix_exp_sums([(VecEntity(c, "row"), ones, A) for c in coefficients],
+                              max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
+    bounds = [("trivial", float(group.order), True)] + bounds
+    rows = []
+    for j, result in enumerate(results):
+        quantity = f"{family}-{j}"
+        if isinstance(result, BudgetExceeded):
+            rows.append(_skipped(cfg, info, quantity, result))
+        else:
+            rows.extend(_checked(cfg, info, quantity, result.value, name, bound, slack=1e-9)
+                        if checked else _row(cfg, info, quantity, result.value, name, bound)
+                        for name, bound, checked in bounds)
+        if j == 0:
+            rows.append(_moment_row(cfg, info, family, group, *moment_bound))
     return rows
 
 
+def _kloosterman_rows(cfg, desc):
+    p, m = desc
+    if not _tau_selected(cfg, m):
+        return []
+    ctx = make_field(p)
+    streams = [_stream(cfg, p, m, j) for j in range(cfg.samples)]
+    coefficients = [[ctx.elem(s.unit_nonzero(p)) for _ in range(2)] for s in streams]
+    bounds = [("split-pair", split_pair_bound(m, p), False)]
+    if m == p - 1:
+        bounds.append(("weil", weil_explicit_bound(p), True))
+    return _subgroup_rows(cfg, _ctxinfo(p, p, n=1, tau=m), "kloosterman",
+                          subgroup_of_order(ctx, m), coefficients, bounds,
+                          ("sixth-moment-split", p * p * m ** (11 / 3)))
+
+
 def _gauss_rows(cfg, desc):
-    p, m, j = desc
+    p, m = desc
     ctx = make_field(p, 2)
     q = p * p
     if m == 0:
@@ -348,24 +350,12 @@ def _gauss_rows(cfg, desc):
                          "tolerance", 1e-9)]
     if not _tau_selected(cfg, m):
         return []
-    group = subgroup_of_order(ctx, m)
-    info = _ctxinfo(p, q, n=1, tau=m)
-    stream = _stream(cfg, p, m, j)
-    a = ctx.from_index(1 + stream.below(q - 1))
-    quantity = f"gauss-{j}"
-    try:
-        value = gauss_subgroup(group, a, max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value
-    except BudgetExceeded as err:
-        rows = [_skipped(cfg, info, quantity, err)]
-    else:
-        rows = [
-            _checked(cfg, info, quantity, value, "trivial", float(m), slack=1e-9),
-            _row(cfg, info, quantity, value, "nonsplit-pair", nonsplit_pair_bound(m, p)),
-        ]
-    if j == 0:
-        rows.append(_moment_row(cfg, info, "gauss", group, "sixth-moment-nonsplit",
-                                q * (m ** (19 / 5) + m**5 / p)))
-    return rows
+    coefficients = [[ctx.from_index(1 + _stream(cfg, p, m, j).below(q - 1))]
+                    for j in range(cfg.samples)]
+    return _subgroup_rows(cfg, _ctxinfo(p, q, n=1, tau=m), "gauss",
+                          subgroup_of_order(ctx, m), coefficients,
+                          [("nonsplit-pair", nonsplit_pair_bound(m, p), False)],
+                          ("sixth-moment-nonsplit", q * (m ** (19 / 5) + m**5 / p)))
 
 
 def _curve_pair(stream, ctx):

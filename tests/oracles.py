@@ -311,26 +311,26 @@ def naive_extension_independent(v, A):
     return rank(vecs) == n
 
 
+def naive_subgroup_sum(G, coeff, chi):
+    """Sum over u in G of e_p(Tr(alpha coeff(u))), term by term in FFElem arithmetic."""
+    return naive_char_sum([
+        cmath.exp(2j * math.pi * naive_field_trace(chi.alpha * coeff(u)) / G.ctx.p)
+        for u in G.elements()])
+
+
 def naive_moment(family, G, m, chi):
     """Sum of |S|^m over every coefficient a (Gauss) or pair (a, b) (Kloosterman).
 
     Each complete sum S = sum over u in G of e_p(Tr(alpha c(u))), with
     c(u) = a u or a u + b / u, is enumerated term by term.
     """
-    ctx = G.ctx
-    us = list(G.elements())
-
-    def walk_abs(coeff):
-        terms = [cmath.exp(2j * math.pi * naive_field_trace(chi.alpha * coeff(u)) / ctx.p)
-                 for u in us]
-        return abs(naive_char_sum(terms))
-
-    field = list(ctx.iter_elements())
+    field = list(G.ctx.iter_elements())
     if family == "gauss":
-        mags = [walk_abs(lambda u: a * u) for a in field]
+        sums = [naive_subgroup_sum(G, lambda u: a * u, chi) for a in field]
     else:
-        mags = [walk_abs(lambda u: a * u + b / u) for a in field for b in field]
-    return math.fsum(x ** m for x in mags)
+        sums = [naive_subgroup_sum(G, lambda u: a * u + b / u, chi)
+                for a in field for b in field]
+    return math.fsum(abs(x) ** m for x in sums)
 
 
 def naive_point_count(ctx, s, a, b):

@@ -13,7 +13,6 @@ import pytest
 import matpowlab
 from matpowlab.charsums import (
     SumResult,
-    _walk_sum,
     _walk_sums,
     analyze_instance,
     analyze_instances,
@@ -25,10 +24,11 @@ from matpowlab.charsums import (
     matrix_exp_sums,
     nonsplit_pair_bound,
     split_pair_bound,
+    subgroup_entry,
     sum_moment,
     weil_explicit_bound,
 )
-from matpowlab.counting import count_JK
+from matpowlab.counting import count_JK, vector_orbit
 from matpowlab.errors import BudgetExceeded, InvariantViolated, MixedContext
 from matpowlab.ffield import (
     CharacterSpec,
@@ -48,7 +48,7 @@ from matpowlab.matgrp import (
     sl2_companion,
 )
 from oracles import (dot, mat_mul, naive_char_sum, naive_extension_independent, naive_moment,
-                     vec_mat)
+                     naive_subgroup_sum, vec_mat)
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                  61, 67, 71, 73, 79, 83, 89, 97, 101]
@@ -223,8 +223,8 @@ def test_stacked_sums_equal_the_one_entry_sums(p, degree, n):
     for character in (None, chi):
         got = matrix_exp_sums(entries, chi=character)
         want = _one_by_one(entries, chi=character)
-        assert [(r.value, r.abs, r.length, r.kind, r.parameters) for r in got] == \
-               [(r.value, r.abs, r.length, r.kind, r.parameters) for r in want]
+        assert [(r.value, r.abs, r.length, r.parameters) for r in got] == \
+               [(r.value, r.abs, r.length, r.parameters) for r in want]
     assert matrix_exp_sums(entries, chi=chi) == _one_by_one(entries, chi=chi)
 
 
@@ -347,22 +347,91 @@ def test_gauss_full_group_is_minus_one():
 
 
 def test_kloosterman_matches_diagonal_matrix_sum():
-    # a u + b / u along the subgroup equals the (a,1) A^x (1,b) walk with
-    # A = diag(g, 1/g)
+    # a u + b / u along the subgroup, summed term by term in FFElem arithmetic,
+    # equals kloosterman_subgroup (the (a, b) A^x (1, 1) walk) and the
+    # (a, 1) A^x (1, b) walk, both with A = diag(g, 1/g)
     rng = np.random.default_rng(7)
-    for p, order in ((7, 6), (13, 4), (31, 15)):
-        ctx = make_field(p)
+    for p, degree, order in ((7, 1, 6), (13, 1, 4), (31, 1, 15), (5, 2, 8), (7, 2, 16)):
+        ctx = make_field(p, degree)
         G = subgroup_of_order(ctx, order)
         g = G.generator
         A = MatEntity([[g, ctx.zero], [ctx.zero, g.inverse()]])
-        for _ in range(4):
-            a = ctx.elem(int(rng.integers(0, p)))
-            b = ctx.elem(int(rng.integers(0, p)))
-            lhs = kloosterman_subgroup(G, a, b)
-            rhs = matrix_exp_sum(VecEntity([a, ctx.one], "row"),
-                                 VecEntity([ctx.one, b], "column"), A)
-            assert lhs.length == rhs.length == order
-            assert abs(lhs.value - rhs.value) < 1e-9
+        for character in (standard_character(ctx), CharacterSpec(primitive_root(ctx))):
+            for _ in range(4):
+                a = ctx.from_index(int(rng.integers(0, ctx.q)))
+                b = ctx.from_index(int(rng.integers(0, ctx.q)))
+                want = naive_subgroup_sum(G, lambda u: a * u + b / u, character)
+                lhs = kloosterman_subgroup(G, a, b, chi=character)
+                rhs = matrix_exp_sum(VecEntity([a, ctx.one], "row"),
+                                     VecEntity([ctx.one, b], "column"), A, chi=character)
+                assert lhs.length == rhs.length == order
+                assert abs(lhs.value - want) < 1e-9
+                assert abs(rhs.value - want) < 1e-9
+
+
+def test_gauss_matches_brute_force_sum():
+    rng = np.random.default_rng(8)
+    for p, degree, order in ((7, 1, 3), (13, 1, 12), (5, 2, 6), (7, 2, 48)):
+        ctx = make_field(p, degree)
+        G = subgroup_of_order(ctx, order)
+        for character in (standard_character(ctx), CharacterSpec(primitive_root(ctx))):
+            for _ in range(4):
+                a = ctx.from_index(int(rng.integers(0, ctx.q)))
+                got = gauss_subgroup(G, a, chi=character)
+                assert got.length == order
+                assert abs(got.value - naive_subgroup_sum(G, lambda u: a * u, character)) < 1e-9
+
+
+def test_subgroup_entry_walks_the_subgroup():
+    for p, degree, order in ((13, 1, 6), (5, 2, 8)):
+        ctx = make_field(p, degree)
+        G = subgroup_of_order(ctx, order)
+        us = list(G.elements())
+        A, ones = subgroup_entry("kloosterman", G)
+        assert matrix_order(A) == order and ones.orientation == "column"
+        assert vector_orbit(ones, A).tolist() == [
+            list(u.residues() + u.inverse().residues()) for u in us]
+        A, ones = subgroup_entry("gauss", G)
+        assert A.n == 1 and matrix_order(A) == order
+        assert vector_orbit(ones, A).tolist() == [list(u.residues()) for u in us]
+    with pytest.raises(ValueError):
+        subgroup_entry("legendre", G)
+
+
+def test_subgroup_sums_keep_their_checks():
+    ctx, other = make_field(13), make_field(7)
+    G = subgroup_of_order(ctx, 12)
+    with pytest.raises(BudgetExceeded) as err:
+        kloosterman_subgroup(G, ctx.one, ctx.one, max_order=11)
+    assert err.value.estimated_work == 12
+    with pytest.raises(BudgetExceeded) as err:
+        gauss_subgroup(G, ctx.one, max_order=11)
+    assert err.value.estimated_work == 12
+    assert kloosterman_subgroup(G, ctx.one, ctx.one, max_order=12).length == 12
+    with pytest.raises(MixedContext):
+        kloosterman_subgroup(G, other.one, other.one)
+    with pytest.raises(MixedContext):
+        kloosterman_subgroup(G, ctx.one, other.one)
+    with pytest.raises(MixedContext):
+        gauss_subgroup(G, other.one)
+    with pytest.raises(MixedContext):
+        gauss_subgroup(G, ctx.one, chi=standard_character(other))
+
+
+@pytest.mark.parametrize("family", ["kloosterman", "gauss"])
+@pytest.mark.parametrize("p", [7, 13, 31, 61])
+def test_moment_is_q_power_times_orbit_count(family, p):
+    # the paper's bridge: sum over coefficients of |S|^(2 nu) = q^n J_nu(b, A),
+    # with (A, b) the subgroup entry and J_nu its nu-fold orbit energy
+    ctx = make_field(p, 1 if family == "kloosterman" else 2)
+    for order in (m for m in range(1, ctx.q) if (ctx.q - 1) % m == 0):
+        G = subgroup_of_order(ctx, order)
+        A, ones = subgroup_entry(family, G)
+        for nu in (2, 3):
+            count = count_JK(ones, A, nu, max_tau=order).value
+            moment = sum_moment(family, G, 2 * nu)
+            assert moment.exact == ctx.q ** A.n * count
+            assert abs(moment.value - moment.exact) <= 1e-9 * moment.exact
 
 
 def test_gauss_matches_companion_matrix_sum():
@@ -560,8 +629,11 @@ def test_kappa_frozen_values():
     assert kappa_n(5) == Fraction(1, 80)
     # large-n check against the 3 n^2 asymptotic shape
     assert kappa_n(100) == Fraction(1, 4 * 100 * 75)
-    with pytest.raises(ValueError):
-        kappa_n(0)
+    # computed once per n; a bad n raises on every call, not only the first
+    assert kappa_n(2) is kappa_n(2)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            kappa_n(0)
 
 
 def test_bound_report_split_instance():
@@ -636,7 +708,7 @@ def test_bound_report_fail_status_on_forged_observation():
     b = _col(ctx, 0, 1)
     real = matrix_exp_sum(a, b, A)
     forged = SumResult(real.value, real.length + 5.0, real.length,
-                       real.character, real.kind, real.parameters)
+                       real.character, real.parameters)
     report = evaluate_bounds(forged, A, a, b)
     assert report.bounds[0].name == "trivial"
     assert report.bounds[0].status == "fail"
@@ -687,7 +759,7 @@ def test_histogram_sum_matches_fsum():
     chi = standard_character(make_field(23))
     table = np.exp(2j * np.pi * np.arange(23) / 23)
     args = rng.integers(0, 23, size=5000)
-    got = _walk_sum(args, chi, "test", {})
+    (got,) = _walk_sums(args[None], [len(args)], chi, [{}])
     want = naive_char_sum([complex(table[k]) for k in args])
     assert got.length == 5000
     assert abs(got.value - want) < 1e-12
@@ -695,24 +767,22 @@ def test_histogram_sum_matches_fsum():
 
 def test_histogram_sum_rejects_out_of_range_arguments():
     chi = standard_character(make_field(23))
-    with pytest.raises(InvariantViolated):
-        _walk_sum(np.array([0, 5, 23]), chi, "test", {})
     for args in (
-        [[0, 5, 23]],        # the last row: past the shared bincount's end
+        [[0, 5, 23]],        # a one-row call: past the bincount's end
         [[0, 23], [5, 0]],   # would count in the next row's bin 0
         [[0, 1], [-1, 3]],   # below the row's first bin
         [[1, 2], [3, 23]],   # the last row again, behind a valid one
     ):
         lengths = [len(row) for row in args]
         with pytest.raises(InvariantViolated):
-            _walk_sums(np.array(args), lengths, chi, "test", [{}] * len(args))
+            _walk_sums(np.array(args), lengths, chi, [{}] * len(args))
 
 
 def test_histogram_sums_read_only_each_rows_walked_prefix():
     # entries past a row's length are padding, whatever their values
     chi = standard_character(make_field(23))
-    got = _walk_sums(np.array([[0, 5, 99], [7, -4, 23]]), [2, 1], chi, "test", [{}, {}])
-    want = [_walk_sum(np.array([0, 5]), chi, "test", {}), _walk_sum(np.array([7]), chi, "test", {})]
+    got = _walk_sums(np.array([[0, 5, 99], [7, -4, 23]]), [2, 1], chi, [{}, {}])
+    want = [_walk_sums(np.array([row]), [len(row)], chi, [{}])[0] for row in ([0, 5], [7])]
     assert got == want
 
 
@@ -720,12 +790,12 @@ def test_invariant_checks_survive_optimized_python():
     script = "\n".join((
         "import sys",
         "import numpy as np",
-        "from matpowlab.charsums import _walk_sum",
+        "from matpowlab.charsums import _walk_sums",
         "from matpowlab.errors import InvariantViolated",
         "from matpowlab.ffield import make_field, standard_character",
         "print(sys.flags.optimize)",
         "try:",
-        "    _walk_sum(np.array([0, 5, 23]), standard_character(make_field(23)), 'test', {})",
+        "    _walk_sums(np.array([[0, 5, 23]]), [3], standard_character(make_field(23)), [{}])",
         "except InvariantViolated:",
         "    print('raised')",
         "import matpowlab.charsums as charsums",

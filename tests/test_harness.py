@@ -316,6 +316,46 @@ def test_sums_instance_is_one_prime(tmp_path):
     assert b"skipped" in outputs[1][0] and b"pass" in outputs[1][0]
 
 
+@pytest.mark.parametrize("experiment, orders, long_order", [
+    ("kloosterman", [2, 3, 4, 6, 12], 12),
+    ("gauss", [0, 2, 7, 14], 14),
+])
+def test_subgroup_instance_is_one_subgroup(tmp_path, experiment, orders, long_order):
+    # one instance per subgroup (gauss adds m = 0, its full-group row), however
+    # many samples; the samples of a subgroup are one stacked walk
+    cfg = build_config({"experiment": experiment, "p_min": "13", "p_max": "13",
+                        "samples": "3"})
+    assert build_instances(cfg) == [(13, m) for m in orders]
+    # budget 1e-5 scales SUM_TAU_CAP to 10: each sample of the largest subgroup
+    # is a skipped row carrying its order, its moment row still follows the
+    # j = 0 row, and every other row is the one computed at full budget
+    full = _all_rows(cfg)
+    rows = _all_rows(build_config({"experiment": experiment, "p_min": "13",
+                                   "p_max": "13", "samples": "3", "budget": "1e-5"}))
+    walked = [rec for rec in rows if rec.tau == long_order]
+    assert [rec.quantity for rec in walked] == [
+        f"{experiment}-0", "moment6", f"{experiment}-1", f"{experiment}-2"]
+    for rec in walked[:1] + walked[2:]:
+        assert (rec.status, rec.bound_name, rec.bound_value) == ("skipped", "budget", long_order)
+    assert walked[1] == next(rec for rec in full
+                             if rec.tau == long_order and rec.quantity == "moment6")
+    short = [rec for rec in rows if rec.tau <= 10]
+    assert short and short == [rec for rec in full if rec.tau <= 10]
+    assert all(rec.status != "skipped" for rec in short)
+    outputs = {}
+    for workers in (1, 3):
+        out = str(tmp_path / f"w{workers}")
+        run_experiment(build_config({"experiment": experiment, "p_min": "5", "p_max": "23",
+                                     "budget": "1e-5", "workers": str(workers),
+                                     "out": out}))
+        outputs[workers] = []
+        for name in (f"{experiment}.csv", f"{experiment}.summary.json"):
+            with open(os.path.join(out, name), "rb") as fh:
+                outputs[workers].append(fh.read())
+    assert outputs[1] == outputs[3]
+    assert b"skipped" in outputs[1][0] and b"pass" in outputs[1][0]
+
+
 def test_one_instance_runs_without_a_worker_pool(tmp_path, monkeypatch):
     # a one-prime sums window is one instance: workers = 3 must not start a pool
     def sums_csv(workers):
