@@ -258,21 +258,24 @@ def eigenbasis(U: np.ndarray, max_dim: int = EIGEN_DIM_CAP) -> list:
     return spaces
 
 
-def _compressions(A: CatMatrix, N: int, op: np.ndarray, max_dim: int) -> list:
-    """Z_k* op Z_k / N for each eigenspace basis Z_k of the propagator, in eigenbasis order.
+def _compressions(U: np.ndarray, op: np.ndarray, max_dim: int) -> list:
+    """Z_k* op Z_k / N for each eigenspace basis Z_k of the N x N propagator U, in
+    eigenbasis order.
 
     The bases are stacked into one N x N matrix Z, so all compressions are the
     diagonal blocks of a single product Z* op Z / N.
     """
-    spaces = eigenbasis(cat_unitary(N, A), max_dim=max_dim)
+    N = len(U)
+    spaces = eigenbasis(U, max_dim=max_dim)
     stacked = np.concatenate([basis for _, basis in spaces], axis=1)
     full = stacked.conj().T @ op @ stacked / N
     ends = np.cumsum([space.dim for space in spaces])
     return [full[end - space.dim:end, end - space.dim:end] for space, end in zip(spaces, ends)]
 
 
-def delta_Nf(A: CatMatrix, N: int, f: Observable, max_dim: int = EIGEN_DIM_CAP) -> float:
-    """Largest deviation of an eigenfunction average from the torus average."""
+def delta_Nf(U: np.ndarray, f: Observable, max_dim: int = EIGEN_DIM_CAP) -> float:
+    """Largest deviation of an eigenfunction average from the torus average, over
+    the eigenfunctions of the N x N propagator U (see cat_unitary)."""
     if not f.real:
         raise NonRealObservable("the defect is defined for real observables only")
     # Dropping the zero mode subtracts the average exactly, mode by mode.
@@ -280,7 +283,7 @@ def delta_Nf(A: CatMatrix, N: int, f: Observable, max_dim: int = EIGEN_DIM_CAP) 
         {a: c for a, c in f.fourier.items() if a != (0, 0)}, real=True
     )
     return max(float(np.max(np.abs(np.linalg.eigvalsh((comp + comp.conj().T) / 2))))
-               for comp in _compressions(A, N, quantize(N, centered), max_dim))
+               for comp in _compressions(U, quantize(len(U), centered), max_dim))
 
 
 def _numerical_radius(comp: np.ndarray) -> float:
@@ -305,10 +308,10 @@ def _numerical_radius(comp: np.ndarray) -> float:
     return max(0.0, float(top.max()))
 
 
-def _element_sup(A: CatMatrix, p: int, a: tuple, max_dim: int) -> float:
-    """Largest numerical radius of T(a) compressed to an eigenspace of the propagator."""
+def _element_sup(U: np.ndarray, a: tuple, max_dim: int) -> float:
+    """Largest numerical radius of T(a) compressed to an eigenspace of the propagator U."""
     return max(_numerical_radius(comp)
-               for comp in _compressions(A, p, translation_op(p, a), max_dim))
+               for comp in _compressions(U, translation_op(len(U), a), max_dim))
 
 
 def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: int = EIGEN_DIM_CAP,
@@ -344,7 +347,7 @@ def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: in
             continue
         if sup_abs is None:
             try:
-                sup_abs = _element_sup(A, p, (a1, a2), max_dim)
+                sup_abs = _element_sup(cat_unitary(p, A), (a1, a2), max_dim)
             except BudgetExceeded as err:
                 sup_abs = err
         if isinstance(sup_abs, BudgetExceeded):

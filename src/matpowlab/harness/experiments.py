@@ -55,7 +55,6 @@ from ..errors import (
 from ..ffield import (
     SubgroupSpec,
     _is_prime,
-    is_square,
     make_field,
     primitive_root,
     subgroup_of_order,
@@ -124,44 +123,29 @@ def _checked(cfg, ctxinfo, quantity, value, bound_name, bound_value, slack=0.0):
 
 
 def _skipped(cfg, ctxinfo, quantity, err):
-    cap = getattr(err, "estimated_work", None)
-    return _row(cfg, ctxinfo, quantity, None, "budget",
-                float(cap) if cap else None, "skipped")
+    """A skipped row naming its cause: budget with the estimated work of a
+    BudgetExceeded, the class name of any other error."""
+    if isinstance(err, BudgetExceeded):
+        cap = err.estimated_work
+        return _row(cfg, ctxinfo, quantity, None, "budget",
+                    float(cap) if cap else None, "skipped")
+    return _row(cfg, ctxinfo, quantity, None, type(err).__name__, status="skipped")
 
 
 def _ctxinfo(p, q, n=None, trace=None, class_tag="", tau=None, t=None):
     return dict(p=p, q=q, n=n, trace=trace, class_tag=class_tag, tau=tau, t=t)
 
 
-def _sl2_traces(p: int, class_filter: str):
-    """Traces u mod p whose companion class passes the filter, minus repeated-root traces."""
-    ctx = make_field(p)
-    for u in range(p):
-        disc = (u * u - 4) % p
-        if disc == 0:
-            continue
-        tag = "split" if is_square(ctx.elem(disc)) else "irreducible"
-        if class_filter == "all" or tag == class_filter:
-            yield u
-
-
 def _primes(cfg):
     return [p for p in range(cfg.p_min, cfg.p_max + 1) if p % 2 and _is_prime(p)]
 
 
-def _trace_grid(cfg):
-    return [(p, u) for p in _primes(cfg) for u in _sl2_traces(p, cfg.class_filter)]
-
-
 def _divisors(n):
-    out = [d for d in range(2, n + 1) if n % d == 0]
-    return out
+    return [d for d in range(2, n + 1) if n % d == 0]
 
 
 def _tau_selected(cfg, tau):
-    if tau < cfg.tau_min:
-        return False
-    return cfg.tau_max is None or tau <= cfg.tau_max
+    return cfg.tau_min <= tau and (cfg.tau_max is None or tau <= cfg.tau_max)
 
 
 def _scaled(cap, budget):
@@ -169,24 +153,14 @@ def _scaled(cap, budget):
 
 
 def build_instances(cfg: ExperimentConfig):
-    """Plain-tuple descriptors for the full grid, in deterministic order."""
+    """Plain-tuple descriptors in deterministic order: one subgroup (p, m) for
+    kloosterman and gauss, one prime (p,) for every other experiment."""
     kind = cfg.experiment
-    if kind in ("energy", "q3", "orbit"):
-        return _trace_grid(cfg)
     if kind == "kloosterman":
         return [(p, m) for p in _primes(cfg) for m in _divisors(p - 1)]
     if kind == "gauss":
         return [(p, m) for p in _primes(cfg) for m in [0] + _divisors(p + 1)]
-    if kind == "curves":
-        grid = []
-        for p in _primes(cfg):
-            for s in range(cfg.s_min, cfg.s_max + 1):
-                if s % p == 0:
-                    continue
-                grid.extend((p, s, j) for j in range(cfg.samples))
-            grid.extend((p, 0, j) for j in range(cfg.samples))
-        return grid
-    if kind in ("sums", "catmap", "lemma81"):
+    if kind in EXPERIMENT_NAMES:
         return [(p,) for p in _primes(cfg)]
     raise ValueError(f"unknown experiment {kind!r}")
 
@@ -195,53 +169,57 @@ def _stream(cfg, *tags):
     return derive_stream(cfg.seed, EXPERIMENT_NAMES.index(cfg.experiment), *tags)
 
 
-def _companion_context(cfg, p, u):
+def _companions(cfg, p):
+    """Each SL_2 companion A_u = [[0, -1], [1, u]] of p, in u order, whose class
+    passes the filter and whose order lies in the tau window, as (u, A_u, its
+    char_poly_factor data, tau, row context).  The traces u = +-2, whose
+    eigenvalue repeats, belong to no class."""
     ctx = make_field(p)
-    A = sl2_companion(ctx, u)
-    data = char_poly_factor(A)
-    tau = matrix_order(A)
-    if not _tau_selected(cfg, tau):
-        return None
-    info = _ctxinfo(p, p, n=2, trace=u, class_tag=data.tag, tau=tau, t=det_order(A))
-    return ctx, A, data, tau, info
+    for u in range(p):
+        A = sl2_companion(ctx, u)
+        data = char_poly_factor(A)
+        if data.tag == "repeated" or cfg.class_filter not in ("all", data.tag):
+            continue
+        tau = matrix_order(A)
+        if _tau_selected(cfg, tau):
+            yield u, A, data, tau, _ctxinfo(p, p, n=2, trace=u, class_tag=data.tag,
+                                            tau=tau, t=det_order(A))
 
 
 def _energy_rows(cfg, desc):
-    p, u = desc
-    built = _companion_context(cfg, p, u)
-    if built is None:
-        return []
-    ctx, A, data, tau, info = built
-    try:
-        count = count_Q(A, 2, max_tau=_scaled(DEFAULT_TAU_CAP[2], cfg.budget)).value
-    except BudgetExceeded as err:
-        return [_skipped(cfg, info, "energy2", err)]
-    t = info["t"]
-    rows = [
-        _checked(cfg, info, "energy2", count, "three-tau-squared", 3.0 * tau * tau),
-        _row(cfg, info, "energy2", count, "diag-energy",
-             tau**3 * min(t * tau**-0.25, t * t * tau**-0.5)),
-    ]
-    if data.tag == "irreducible":
-        rows.append(_row(cfg, info, "energy2", count, "irred-energy", t * tau**2.5))
+    (p,) = desc
+    rows = []
+    for u, A, data, tau, info in _companions(cfg, p):
+        try:
+            count = count_Q(A, 2, max_tau=_scaled(DEFAULT_TAU_CAP[2], cfg.budget)).value
+        except BudgetExceeded as err:
+            rows.append(_skipped(cfg, info, "energy2", err))
+            continue
+        t = info["t"]
+        rows.append(_checked(cfg, info, "energy2", count, "three-tau-squared",
+                             3.0 * tau * tau))
+        rows.append(_row(cfg, info, "energy2", count, "diag-energy",
+                         tau**3 * min(t * tau**-0.25, t * t * tau**-0.5)))
+        if data.tag == "irreducible":
+            rows.append(_row(cfg, info, "energy2", count, "irred-energy", t * tau**2.5))
     return rows
 
 
 def _q3_rows(cfg, desc):
-    p, u = desc
-    built = _companion_context(cfg, p, u)
-    if built is None:
-        return []
-    ctx, A, data, tau, info = built
-    try:
-        count = count_Q(A, 3, max_tau=_scaled(DEFAULT_TAU_CAP[3], cfg.budget)).value
-    except BudgetExceeded as err:
-        return [_skipped(cfg, info, "orbit-count-6term", err)]
-    if data.tag == "split":
-        bound_name, bound = "split-six", tau ** (11 / 3)
-    else:
-        bound_name, bound = "nonsplit-six", tau ** (19 / 5) + tau**5 / p
-    return [_row(cfg, info, "orbit-count-6term", count, bound_name, bound)]
+    (p,) = desc
+    rows = []
+    for u, A, data, tau, info in _companions(cfg, p):
+        try:
+            count = count_Q(A, 3, max_tau=_scaled(DEFAULT_TAU_CAP[3], cfg.budget)).value
+        except BudgetExceeded as err:
+            rows.append(_skipped(cfg, info, "orbit-count-6term", err))
+            continue
+        if data.tag == "split":
+            bound_name, bound = "split-six", tau ** (11 / 3)
+        else:
+            bound_name, bound = "nonsplit-six", tau ** (19 / 5) + tau**5 / p
+        rows.append(_row(cfg, info, "orbit-count-6term", count, bound_name, bound))
+    return rows
 
 
 def _nonzero_pair(stream, p):
@@ -255,12 +233,9 @@ def _sums_rows(cfg, desc):
     """Every sampled sum of one prime: one stacked walk and one stacked
     analysis, rows in (trace, sample) order."""
     (p,) = desc
+    ctx = make_field(p)
     labels, entries = [], []
-    for u in _sl2_traces(p, cfg.class_filter):
-        built = _companion_context(cfg, p, u)
-        if built is None:
-            continue
-        ctx, A, data, tau, info = built
+    for u, A, data, tau, info in _companions(cfg, p):
         for j in range(cfg.samples):
             stream = _stream(cfg, p, u, j)
             left = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "row")
@@ -367,69 +342,79 @@ def _curve_pair(stream, ctx):
             return a, b
 
 
-def _curves_rows(cfg, desc):
-    p, s, j = desc
-    stream = _stream(cfg, p, s, j)
-    if s == 0:
-        ctx = make_field(p, 2)
-        s_eff = p - 1
-        a, b = _curve_pair(stream, ctx)
-        info = _ctxinfo(p, ctx.q, n=None, tau=None)
-        quantity = f"point-count-ext-{j}"
-        try:
-            count = count_points(CurveSpec(ctx, s_eff, a, b),
-                                 max_work=_scaled(CURVE_WORK_CAP, cfg.budget)).value
-        except BudgetExceeded as err:
-            return [_skipped(cfg, info, quantity, err)]
-        return [_row(cfg, info, quantity, count, "extension-regime",
-                     extension_regime_bound(s_eff, p))]
-    ctx = make_field(p)
+def _point_count(cfg, ctx, s, stream):
+    """Points of the degree-s curve whose (a, b) is drawn from stream, or the
+    BudgetExceeded that skipped the count."""
     a, b = _curve_pair(stream, ctx)
-    info = _ctxinfo(p, p)
-    quantity = f"point-count-s{s}-{j}"
     try:
-        count = count_points(CurveSpec(ctx, s, a, b),
-                             max_work=_scaled(CURVE_WORK_CAP, cfg.budget)).value
+        return count_points(CurveSpec(ctx, s, a, b),
+                            max_work=_scaled(CURVE_WORK_CAP, cfg.budget)).value
     except BudgetExceeded as err:
-        return [_skipped(cfg, info, quantity, err)]
-    if 3 * s < p:
-        return [_checked(cfg, info, quantity, count, "high-degree",
-                         high_degree_bound(3 * s, p))]
-    return [_row(cfg, info, quantity, count)]
+        return err
+
+
+def _curves_rows(cfg, desc):
+    """The (s, j) rows of one prime over F_p, then its extension rows: degree
+    p - 1 over F_{p^2}, drawn from the streams tagged (p, 0, j)."""
+    (p,) = desc
+    ctx = make_field(p)
+    info = _ctxinfo(p, p)
+    rows = []
+    for s in range(cfg.s_min, cfg.s_max + 1):
+        if s % p == 0:
+            continue
+        for j in range(cfg.samples):
+            quantity = f"point-count-s{s}-{j}"
+            count = _point_count(cfg, ctx, s, _stream(cfg, p, s, j))
+            if isinstance(count, BudgetExceeded):
+                rows.append(_skipped(cfg, info, quantity, count))
+            elif 3 * s < p:
+                rows.append(_checked(cfg, info, quantity, count, "high-degree",
+                                     high_degree_bound(3 * s, p)))
+            else:
+                rows.append(_row(cfg, info, quantity, count))
+    ext = make_field(p, 2)
+    info = _ctxinfo(p, ext.q)
+    for j in range(cfg.samples):
+        quantity = f"point-count-ext-{j}"
+        count = _point_count(cfg, ext, p - 1, _stream(cfg, p, 0, j))
+        if isinstance(count, BudgetExceeded):
+            rows.append(_skipped(cfg, info, quantity, count))
+        else:
+            rows.append(_row(cfg, info, quantity, count, "extension-regime",
+                             extension_regime_bound(p - 1, p)))
+    return rows
 
 
 def _orbit_rows(cfg, desc):
-    p, u = desc
-    built = _companion_context(cfg, p, u)
-    if built is None:
-        return []
-    ctx, A, data, tau, info = built
+    (p,) = desc
+    ctx = make_field(p)
     start = VecEntity((ctx.one, ctx.zero), "row")
     rows = []
-    try:
-        dist = orbit_sum_distribution(start, A, 2,
-                                      max_work=_scaled(DISTRIBUTION_WORK_CAP, cfg.budget))
-        rows.append(_row(cfg, info, "distinct-sums-2", len(dist.rows)))
-    except BudgetExceeded as err:
-        rows.append(_skipped(cfg, info, "distinct-sums-2", err))
-    try:
-        cover = sumset_cover(start, A, 4, max_space=_scaled(COVER_SPACE_CAP, cfg.budget))
-        rows.append(_row(cfg, info, "cover-arity", cover.covered_at or 0))
-    except BudgetExceeded as err:
-        rows.append(_skipped(cfg, info, "cover-arity", err))
-    lam1, lam2 = data.eigenvalues[0], data.eigenvalues[1]
-    ectx = data.eigen_ctx
-    stream = _stream(cfg, p, u)
-    xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
-    xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
-    xi2 = ectx.from_index(stream.below(ectx.q))
-    try:
-        product = count_product_eq(xi0, (xi1, xi2), (lam1, lam2),
-                                   max_tau=_scaled(PRODUCT_EQ_CAP, cfg.budget))
-        rows.append(_row(cfg, info, "product-eq-count", product.value,
-                         "product-decay", tau / product.parameters["L"]**0.5))
-    except BudgetExceeded as err:
-        rows.append(_skipped(cfg, info, "product-eq-count", err))
+    for u, A, data, tau, info in _companions(cfg, p):
+        try:
+            dist = orbit_sum_distribution(
+                start, A, 2, max_work=_scaled(DISTRIBUTION_WORK_CAP, cfg.budget))
+            rows.append(_row(cfg, info, "distinct-sums-2", len(dist.rows)))
+        except BudgetExceeded as err:
+            rows.append(_skipped(cfg, info, "distinct-sums-2", err))
+        try:
+            cover = sumset_cover(start, A, 4, max_space=_scaled(COVER_SPACE_CAP, cfg.budget))
+            rows.append(_row(cfg, info, "cover-arity", cover.covered_at or 0))
+        except BudgetExceeded as err:
+            rows.append(_skipped(cfg, info, "cover-arity", err))
+        ectx = data.eigen_ctx
+        stream = _stream(cfg, p, u)
+        xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
+        xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
+        xi2 = ectx.from_index(stream.below(ectx.q))
+        try:
+            product = count_product_eq(xi0, (xi1, xi2), data.eigenvalues,
+                                       max_tau=_scaled(PRODUCT_EQ_CAP, cfg.budget))
+            rows.append(_row(cfg, info, "product-eq-count", product.value,
+                             "product-decay", tau / product.parameters["L"]**0.5))
+        except BudgetExceeded as err:
+            rows.append(_skipped(cfg, info, "product-eq-count", err))
     return rows
 
 
@@ -449,7 +434,7 @@ def _catmap_rows(cfg, desc):
         rows.append(_checked(cfg, info, f"egorov-{vec[0]}{vec[1]}", defect,
                              "tolerance", 1e-8))
     try:
-        defect = delta_Nf(cat, N, Observable(_CAT_MODES),
+        defect = delta_Nf(propagator, Observable(_CAT_MODES),
                           max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget))
         rows.append(_row(cfg, info, "delta", defect, "ergodic-trend",
                          N ** (-1 / 60)))

@@ -249,7 +249,7 @@ def test_criterion_08_matrix_element_inequality_and_trend():
             checked += 1
     trend = 0.0
     for N in _odd_primes(5, 199):
-        trend = max(trend, delta_Nf(CAT, N, EIGENMODES) * N ** (1 / 60))
+        trend = max(trend, delta_Nf(cat_unitary(N, CAT), EIGENMODES) * N ** (1 / 60))
     # second clause is report-only: the decay exponent is asymptotic
     print(f"  trend report: max Delta(N,f) * N^(1/60) = {trend:.4f} "
           f"over primes N <= 199")

@@ -270,13 +270,14 @@ def test_eigenbasis_requires_unitary_and_caps_size():
 
 
 def test_delta_constant_observable_vanishes():
-    assert delta_Nf(HYPERBOLIC, 7, Observable({(0, 0): 3.75})) == 0.0
+    assert delta_Nf(cat_unitary(7, HYPERBOLIC), Observable({(0, 0): 3.75})) == 0.0
 
 
 def test_delta_constant_shift_cancels_exactly():
     f = Observable({(1, 0): 0.5, (-1, 0): 0.5})
     g = Observable({(1, 0): 0.5, (-1, 0): 0.5, (0, 0): 2.25})
-    assert delta_Nf(HYPERBOLIC, 13, f) == delta_Nf(HYPERBOLIC, 13, g)
+    U = cat_unitary(13, HYPERBOLIC)
+    assert delta_Nf(U, f) == delta_Nf(U, g)
 
 
 def test_delta_bounded_by_mode_mass():
@@ -290,18 +291,18 @@ def test_delta_bounded_by_mode_mass():
         }
     )
     for n in (7, 13):
-        assert delta_Nf(HYPERBOLIC, n, f) <= f.mode_mass() + 1e-12
+        assert delta_Nf(cat_unitary(n, HYPERBOLIC), f) <= f.mode_mass() + 1e-12
 
 
 def test_delta_rejects_nonreal_observable():
     with pytest.raises(NonRealObservable):
-        delta_Nf(HYPERBOLIC, 7, Observable({(1, 0): 1.0}, real=False))
+        delta_Nf(cat_unitary(7, HYPERBOLIC), Observable({(1, 0): 1.0}, real=False))
 
 
 def test_delta_matches_randomized_sup_oracle():
     n = 13
     f = Observable({(1, 0): 0.5, (-1, 0): 0.5})
-    reported = delta_Nf(HYPERBOLIC, n, f)
+    reported = delta_Nf(cat_unitary(n, HYPERBOLIC), f)
     op = quantize(n, Observable({(1, 0): 0.5, (-1, 0): 0.5}))
     rng = np.random.default_rng(20260816)
     sampled = 0.0
@@ -318,17 +319,18 @@ def test_delta_matches_randomized_sup_oracle():
 def test_compressions_match_per_cluster_oracle():
     f = Observable({(1, 0): 0.5, (-1, 0): 0.5, (1, 2): 0.3, (-1, -2): 0.3})
     for n in _odd_primes(5, 61):
-        spaces = eigenbasis(cat_unitary(n, HYPERBOLIC))
+        U = cat_unitary(n, HYPERBOLIC)
+        spaces = eigenbasis(U)
         shift = translation_op(n, (1, 0))
         want = per_cluster_compressions(spaces, shift)
-        got = _compressions(HYPERBOLIC, n, shift, EIGEN_DIM_CAP)
+        got = _compressions(U, shift, EIGEN_DIM_CAP)
         assert [c.shape for c in got] == [c.shape for c in want]
         assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) <= 1e-12
         want_sup = max(_numerical_radius(c) for c in want)
-        assert abs(_element_sup(HYPERBOLIC, n, (1, 0), EIGEN_DIM_CAP) - want_sup) <= 1e-12 * want_sup
+        assert abs(_element_sup(U, (1, 0), EIGEN_DIM_CAP) - want_sup) <= 1e-12 * want_sup
         want_delta = max(float(np.max(np.abs(np.linalg.eigvalsh((c + c.conj().T) / 2))))
                          for c in per_cluster_compressions(spaces, quantize(n, f)))
-        assert abs(delta_Nf(HYPERBOLIC, n, f) - want_delta) <= 1e-12 * want_delta
+        assert abs(delta_Nf(U, f) - want_delta) <= 1e-12 * want_delta
 
 
 def test_numerical_radius_agrees_with_hermitian_spectrum():

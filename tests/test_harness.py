@@ -3,6 +3,7 @@
 import json
 import os
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -128,23 +129,34 @@ def test_load_config_missing_file():
 # ---- instance grids -----------------------------------------------------------------
 
 
+def _traces(rows):
+    return sorted({(rec.p, rec.trace) for rec in rows})
+
+
 def test_trace_grid_partition():
     for p in (5, 7, 11, 13):
-        grids = {f: build_instances(_cfg(p_min=p, p_max=p, class_filter=f))
-                 for f in ("all", "split", "irreducible")}
-        assert len(grids["all"]) == p - 2  # u = 2 and u = -2 are the repeated-root traces
-        assert sorted(grids["split"] + grids["irreducible"]) == sorted(grids["all"])
+        rows = {f: _all_rows(_cfg(p_min=p, p_max=p, class_filter=f))
+                for f in ("all", "split", "irreducible")}
+        traces = {f: _traces(rows[f]) for f in rows}
+        assert len(traces["all"]) == p - 2  # u = 2 and u = -2 are the repeated-root traces
+        assert sorted(traces["split"] + traces["irreducible"]) == traces["all"]
         ctx = make_field(p)
         for tag in ("split", "irreducible"):
-            for _, u in grids[tag]:
-                assert char_poly_factor(sl2_companion(ctx, u)).tag == tag
+            for rec in rows[tag]:
+                assert rec.class_tag == tag
+                assert char_poly_factor(sl2_companion(ctx, rec.trace)).tag == tag
 
 
 def test_grid_respects_class_filter():
-    full = build_instances(_cfg())
-    split = build_instances(_cfg(class_filter="split"))
-    irred = build_instances(_cfg(class_filter="irreducible"))
-    assert sorted(split + irred) == sorted(full)
+    for name in ("energy", "q3", "sums", "orbit"):
+        full = _all_rows(_cfg(experiment=name))
+        split = _all_rows(_cfg(experiment=name, class_filter="split"))
+        irred = _all_rows(_cfg(experiment=name, class_filter="irreducible"))
+        assert sorted(_traces(split) + _traces(irred)) == _traces(full)
+        assert sorted(split + irred, key=lambda rec: (rec.p, rec.trace)) == full
+        ctx = {p: make_field(p) for p in (5, 7, 11)}
+        for rec in full:
+            assert rec.class_tag == char_poly_factor(sl2_companion(ctx[rec.p], rec.trace)).tag
 
 
 def test_tau_window_drops_instances():
@@ -238,6 +250,31 @@ def test_tiny_budget_runs_every_experiment_and_skips_the_orbit_rows():
         assert rec.bound_value > 0
 
 
+def test_every_experiment_runs_at_p3_and_skipped_rows_name_their_cause():
+    # at p = 3 the cat map's lower-left entry 3 vanishes and its reduction is
+    # not diagonalizable: those rows are skipped for that reason, not the budget
+    for name in EXPERIMENT_NAMES:
+        rows = _all_rows(build_config({"experiment": name, "p_min": "3", "p_max": "3"}))
+        assert rows and {rec.p for rec in rows} == {3}, name
+        causes = {(rec.quantity, rec.bound_name, rec.bound_value)
+                  for rec in rows if rec.status == "skipped"}
+        if name == "catmap":
+            assert causes == {("propagator", "SingularLowerLeft", None)}
+        elif name == "lemma81":
+            assert causes == {(f"element-power-{nu}", "DegenerateParameters", None)
+                              for nu in (2, 3)}
+        else:
+            assert causes == set(), name
+        tiny = _all_rows(build_config({"experiment": name, "p_min": "3", "p_max": "3",
+                                       "budget": "1e-9"}))
+        assert tiny and all(rec.status == "skipped" for rec in tiny), name
+        for rec in tiny:
+            if rec.bound_name == "budget":
+                assert rec.bound_value > 0
+            else:
+                assert (rec.quantity, rec.bound_name, rec.bound_value) in causes
+
+
 def test_curves_past_the_old_grid_cap_are_computed():
     # extension rows at p = 101 have p^4 > 10^8 plane cells but p + 2 image points
     rows = _all_rows(build_config({"experiment": "curves", "p_min": "101",
@@ -286,11 +323,33 @@ def test_lemma81_instance_is_one_modulus(tmp_path):
     assert b"skipped" in outputs[0] and b"pass" in outputs[0]
 
 
-def test_sums_instance_is_one_prime(tmp_path):
-    cfg = build_config({"experiment": "sums", "p_min": "5", "p_max": "23"})
-    assert build_instances(cfg) == [(p,) for p in (5, 7, 11, 13, 17, 19, 23)]
-    # budget 1e-5 scales SUM_TAU_CAP to 10: at p = 13 the traces of period 12
-    # and 14 are skipped rows carrying that period, the shorter ones computed
+@pytest.mark.parametrize("experiment", ["energy", "q3", "orbit", "curves", "sums"])
+def test_companion_and_curve_instances_are_one_prime(tmp_path, experiment):
+    # one instance per prime, whatever the traces, samples and exponents; the
+    # rows keep their per-row streams, so workers split primes without moving a
+    # byte, with every row computed (budget 1) and with some skipped (1e-5)
+    cfg = build_config({"experiment": experiment, "p_min": "5", "p_max": "23",
+                        "samples": "3"})
+    primes = (5, 7, 11, 13, 17, 19, 23)
+    assert build_instances(cfg) == [(p,) for p in primes]
+    for budget in (1.0, 1e-5):
+        outputs = {}
+        for workers in (1, 3):
+            out = str(tmp_path / f"b{budget}-w{workers}")
+            run_experiment(replace(cfg, budget=budget, workers=workers, out=out))
+            outputs[workers] = []
+            for name in (f"{experiment}.csv", f"{experiment}.summary.json"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    outputs[workers].append(fh.read())
+        assert outputs[1] == outputs[3]
+        lines = outputs[1][0].decode().splitlines()[1:]
+        assert sorted({int(line.split(",")[1]) for line in lines}) == list(primes)
+
+
+def test_sums_instance_is_one_prime():
+    # every trace and sample of a prime is one stacked walk; budget 1e-5 scales
+    # SUM_TAU_CAP to 10: at p = 13 the traces of period 12 and 14 are skipped
+    # rows carrying that period, the shorter ones computed
     rows = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13",
                                    "budget": "1e-5"}))
     assert [(rec.trace, rec.quantity) for rec in rows] == sorted(
@@ -302,18 +361,6 @@ def test_sums_instance_is_one_prime(tmp_path):
     full = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13"}))
     computed = [rec for rec in full if rec.tau <= 10]
     assert computed and [rec for rec in rows if rec.status != "skipped"] == computed
-    outputs = {}
-    for workers in (1, 3):
-        out = str(tmp_path / f"w{workers}")
-        run_experiment(build_config({"experiment": "sums", "p_min": "5", "p_max": "23",
-                                     "budget": "1e-5", "workers": str(workers),
-                                     "out": out}))
-        outputs[workers] = []
-        for name in ("sums.csv", "sums.summary.json"):
-            with open(os.path.join(out, name), "rb") as fh:
-                outputs[workers].append(fh.read())
-    assert outputs[1] == outputs[3]
-    assert b"skipped" in outputs[1][0] and b"pass" in outputs[1][0]
 
 
 @pytest.mark.parametrize("experiment, orders, long_order", [
