@@ -273,10 +273,10 @@ def power_orbit(A: MatEntity, tau: int | None = None):
     """Residue rows of A^1, ..., A^tau (tau defaults to the order of A)."""
     if tau is None:
         tau = matrix_order(A)
-    # X -> X A acts on each row of the row-major flat X separately
-    step = np.kron(np.eye(A.n, dtype=np.int64), residue_map(A, "row"))
-    identity = MatEntity.identity(A.ctx, A.n).residues()
-    return residue_orbit(step, identity, tau, A.ctx.p)
+    # row i of A^x is e_i A^x: the n identity rows walk as one stack under v -> v A
+    n, d = A.n, A.ctx.degree
+    rows = residue_orbit(residue_map(A, "row"), np.eye(n * d, dtype=np.int64)[::d], tau, A.ctx.p)
+    return rows.transpose(1, 0, 2).reshape(tau, n * n * d)
 
 
 def vector_orbit(v: VecEntity, A: MatEntity, tau: int | None = None):

@@ -59,7 +59,7 @@ from ..ffield import (
     primitive_root,
     subgroup_of_order,
 )
-from ..matgrp import VecEntity, char_poly_factor, det_order, matrix_order, sl2_companion
+from ..matgrp import VecEntity, char_poly_factor, matrix_order, sl2_companion
 from .config import EXPERIMENT_NAMES, ExperimentConfig
 from .prng import derive_stream
 
@@ -173,7 +173,7 @@ def _companions(cfg, p):
     """Each SL_2 companion A_u = [[0, -1], [1, u]] of p, in u order, whose class
     passes the filter and whose order lies in the tau window, as (u, A_u, its
     char_poly_factor data, tau, row context).  The traces u = +-2, whose
-    eigenvalue repeats, belong to no class."""
+    eigenvalue repeats, belong to no class.  det A_u = 1, so t = 1."""
     ctx = make_field(p)
     for u in range(p):
         A = sl2_companion(ctx, u)
@@ -183,7 +183,7 @@ def _companions(cfg, p):
         tau = matrix_order(A)
         if _tau_selected(cfg, tau):
             yield u, A, data, tau, _ctxinfo(p, p, n=2, trace=u, class_tag=data.tag,
-                                            tau=tau, t=det_order(A))
+                                            tau=tau, t=1)
 
 
 def _energy_rows(cfg, desc):

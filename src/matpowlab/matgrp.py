@@ -3,11 +3,13 @@
 MatEntity and VecEntity are values; computation runs on their flat residues
 (residue_map), and Krylov independence is a determinant of residue rows by
 elimination, checked for a whole stack of (v, A) pairs at once. Characteristic
-polynomials use per-dimension closed forms (n <= 3) and roots are located by
-discriminant analysis (n = 2) or a direct scan of the field (n = 3), with
-eigenvalues landing in the quadratic extension when needed. Diagonalizability
-and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
-the quadratic extension fall back to capped power iteration.
+polynomials use per-dimension closed forms (n <= 3). Roots are located by
+discriminant analysis (n = 2), or for n = 3 by one Horner evaluation of the
+cubic on the residue rows of every field element (residue_product), each root
+then peeled off by synthetic division; eigenvalues land in the quadratic
+extension when needed. Diagonalizability and orders are read off those
+eigenvalues; only n >= 4 or eigenvalues beyond the quadratic extension fall
+back to capped power iteration.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .ffield import (FFElem, FieldCtx, is_square, mul_matrix, mult_order, residu
 
 ORDER_ITERATION_CAP = 10 ** 6
 _ROOT_SCAN_CAP = 10 ** 6
+_ROOT_SCAN_BLOCK = 2 ** 16
 
 
 class VecEntity:
@@ -206,43 +209,6 @@ def check_vector_orbit(v: VecEntity, A: MatEntity):
         raise ValueError("dimension mismatch")
 
 
-# ---- polynomial helpers (coefficient lists, ascending, over one ctx) -------------
-
-
-def _poly_trim(c):
-    while len(c) > 1 and not c[-1]:
-        c.pop()
-    return c
-
-
-def _poly_divmod(a, b):
-    ctx = a[0].ctx
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv = lb.inverse()
-    quo = [ctx.zero] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if not a[-1]:
-            a.pop()
-            continue
-        f = a[-1] * inv
-        quo[da - db] = f
-        for i in range(db + 1):
-            a[da - db + i] = a[da - db + i] - f * b[i]
-        a.pop()
-    if not a:
-        a = [ctx.zero]
-    return _poly_trim(quo), _poly_trim(a)
-
-
-def _poly_eval(c, x: FFElem) -> FFElem:
-    acc = c[-1]
-    for k in range(len(c) - 2, -1, -1):
-        acc = acc * x + c[k]
-    return acc
-
-
 # ---- characteristic polynomial and eigenvalues ------------------------------------
 
 
@@ -321,39 +287,56 @@ def _principal_minor_sum(A: MatEntity) -> FFElem:
     return acc
 
 
+def _synthetic_division(coeffs, z):
+    """Quotient (ascending coefficients) and remainder of a polynomial by X - z."""
+    acc, quotient = coeffs[-1], []
+    for c in reversed(coeffs[:-1]):
+        quotient.append(acc)
+        acc = c + z * acc
+    return quotient[::-1], acc
+
+
 def _cubic_factor(coeffs, ctx) -> CharPolyData:
+    """Factor the monic cubic: its roots in F_q come from one Horner evaluation
+    on the residue rows of the field's elements (index order, blocks of
+    _ROOT_SCAN_BLOCK), and each is peeled off with its multiplicity by
+    synthetic division; one root leaves a monic quadratic cofactor."""
     if ctx.q > _ROOT_SCAN_CAP:
         raise BudgetExceeded(
             f"cubic root scan over q = {ctx.q} exceeds {_ROOT_SCAN_CAP}",
             estimated_work=ctx.q,
         )
-    poly = list(coeffs)
+    p = ctx.p
+    residues = np.array([c.residues() for c in coeffs], dtype=np.int64)
     roots = []
-    for x in ctx.iter_elements():
-        if not _poly_eval(poly, x):
-            roots.append(x)
-            if len(roots) == 3:
-                break
-    # peel off each root (with multiplicity) by synthetic division
-    with_mult = []
-    rem = poly
+    for start in range(0, ctx.q, _ROOT_SCAN_BLOCK):
+        w = np.arange(start, min(start + _ROOT_SCAN_BLOCK, ctx.q))
+        x = np.stack((w % p, w // p), axis=1)[:, :ctx.degree]
+        value = residues[-1]
+        for c in residues[-2::-1]:
+            value = (residue_product(value, x, ctx) + c) % p
+        hits = np.flatnonzero(~value.any(axis=1))[:3 - len(roots)]
+        roots.extend(ctx.from_index(start + int(i)) for i in hits)
+        if len(roots) == 3:
+            break
+    with_mult, rem = [], list(coeffs)
     for z in roots:
-        while len(rem) > 1 and not _poly_eval(rem, z):
-            rem, r0 = _poly_divmod(rem, [-z, ctx.one])
-            if any(r0):
-                raise InvariantViolated(f"root {z!r} left a nonzero remainder")
+        quotient, remainder = _synthetic_division(rem, z)
+        if remainder:
+            raise InvariantViolated(f"scanned root {z!r} left a nonzero remainder")
+        while not remainder:
+            rem = quotient
             with_mult.append(z)
-    with_mult.sort(key=lambda t: ctx.element_index(t))
+            quotient, remainder = _synthetic_division(rem, z)
     k = len(with_mult)
     if k == 3:
         tag = "repeated" if len(set(with_mult)) < 3 else "split"
         return CharPolyData(tuple(coeffs), tag, tuple(with_mult), ctx)
     if k == 0:
         return CharPolyData(tuple(coeffs), "irreducible", None, None)
-    # one base root, quadratic cofactor (k == 1; k == 2 impossible over a field)
-    quad = rem
-    # the scan found no root of it in F_q, so its discriminant is nonzero
-    qroots, ectx, _ = _quadratic_roots(quad[0] / quad[2], quad[1] / quad[2], ctx)
+    # one base root and a monic quadratic cofactor rem (k == 2 is impossible over
+    # a field); the scan found no root of rem in F_q, so its discriminant is nonzero
+    qroots, ectx, _ = _quadratic_roots(rem[0], rem[1], ctx)
     if qroots is None:
         return CharPolyData(tuple(coeffs), "mixed", None, None)
     lifted = tuple([ectx.lift(with_mult[0])] + list(qroots))

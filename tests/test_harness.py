@@ -164,6 +164,49 @@ def test_tau_window_drops_instances():
     assert _all_rows(narrow) == []
 
 
+def _computed_values(experiment, quantities):
+    """{(quantity, p, class, tau): {(trace, value) of each computed row}} of an
+    experiment at p 5-61."""
+    groups = {}
+    for rec in _all_rows(_cfg(experiment=experiment, p_max=61)):
+        if rec.quantity in quantities and rec.status != "skipped":
+            groups.setdefault((rec.quantity, rec.p, rec.class_tag, rec.tau), set()).add(
+                (rec.trace, rec.value_re))
+    return groups
+
+
+def test_trace_grid_counts_depend_only_on_class_and_order():
+    # The powers of A_u lie in F_p[A_u], which is F_p x F_p (split) or F_{p^2}
+    # (irreducible); the orbit is the order-tau subgroup of that torus up to an
+    # F_p-linear bijection, and additive counts are invariant under one.
+    shared = 0
+    for experiment, quantities in (("energy", ("energy2",)), ("q3", ("orbit-count-6term",)),
+                                   ("orbit", ("distinct-sums-2", "cover-arity"))):
+        groups = _computed_values(experiment, quantities)
+        assert {key[0] for key in groups} == set(quantities)
+        for key, rows in groups.items():
+            assert len({value for _, value in rows}) == 1, (key, rows)
+        shared += sum(len(rows) > 1 for rows in groups.values())
+    assert shared > 100  # many (p, class, tau) groups hold several traces
+
+
+def test_subgroup_sixth_moments_are_p_squared_times_the_q3_count():
+    # The paper's bridge: the sixth moment of the Kloosterman (Gauss) sums over
+    # a subgroup of order m is p^2 times the 6-term count of a split
+    # (irreducible) companion of order m. Subgroups with no such companion,
+    # such as m = 2, are not compared.
+    q3 = {(p, tag, tau): min(rows)[1] for (_, p, tag, tau), rows
+          in _computed_values("q3", ("orbit-count-6term",)).items()}
+    for family, tag in (("kloosterman", "split"), ("gauss", "irreducible")):
+        compared = 0
+        for (_, p, _, m), rows in _computed_values(family, ("moment6",)).items():
+            if (p, tag, m) in q3:
+                compared += 1
+                [(_, moment)] = rows
+                assert moment == pytest.approx(p * p * q3[p, tag, m], rel=1e-9), (p, m)
+        assert compared > 50, family
+
+
 # ---- row invariants -----------------------------------------------------------------
 
 

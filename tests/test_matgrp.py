@@ -6,6 +6,7 @@ import pytest
 from matpowlab import matgrp
 from matpowlab.errors import (
     DegenerateParameters,
+    InvariantViolated,
     MixedContext,
     NormNotOne,
     OrderCapExceeded,
@@ -13,7 +14,8 @@ from matpowlab.errors import (
     ZeroElement,
     ZeroVector,
 )
-from matpowlab.ffield import make_field, mult_order, norm_subgroup, primitive_root, trace_norm
+from matpowlab.ffield import (make_field, mult_order, norm_subgroup, primitive_root,
+                              residue_product, trace_norm)
 from matpowlab.matgrp import (
     MatEntity,
     VecEntity,
@@ -137,9 +139,8 @@ def test_char_poly_agrees_with_det_of_shift():
                 coeffs = char_poly_factor(A).coeffs
                 for x in ctx.iter_elements():
                     shifted = mat_add(scalar(x, n), [[-a for a in r] for r in A.rows])
-                    expect = naive_det(shifted)
-                    got = matgrp._poly_eval(list(coeffs), x)
-                    assert got == expect
+                    # P(x) as the 1 x 1 matrix P((x))
+                    assert poly_eval_matrix(coeffs, ((x,),)) == ((naive_det(shifted),),)
 
 
 def test_eigenvalues_satisfy_char_poly():
@@ -197,6 +198,104 @@ def test_cubic_tags():
     datam = char_poly_factor(mixed)
     assert datam.tag == "mixed"
     assert datam.eigen_ctx == make_field(7, 2)
+
+
+def _random_jordan_types(ctx, rng):
+    """P J P^-1 for a random invertible P and each Jordan type J of a 3 x 3
+    matrix with eigenvalues in ctx, the eigenvalues drawn at random (zero allowed)."""
+    lam, mu, nu = (ctx.from_index(int(i)) for i in rng.choice(ctx.q, 3, replace=False))
+    zero, one = ctx.zero, ctx.one
+    forms = [[[lam, zero, zero], [zero, mu, zero], [zero, zero, nu]],
+             [[lam, zero, zero], [zero, lam, zero], [zero, zero, mu]],
+             [[lam, one, zero], [zero, lam, zero], [zero, zero, mu]],
+             [[lam, zero, zero], [zero, lam, zero], [zero, zero, lam]],
+             [[lam, one, zero], [zero, lam, zero], [zero, zero, lam]],
+             [[lam, one, zero], [zero, lam, one], [zero, zero, lam]]]
+    for rows in forms:
+        P = _random_field_matrix(ctx, 3, rng)
+        while not P.det():
+            P = _random_field_matrix(ctx, 3, rng)
+        yield MatEntity(mat_mul(mat_mul(P.rows, rows), mat_inv(P.rows)))
+
+
+def _brute_force_roots(A):
+    """Every x in index order with det(x I - A) = 0, repeated by its algebraic
+    multiplicity, the nullity of (A - x I)^3."""
+    roots = []
+    for x in A.ctx.iter_elements():
+        shifted = mat_add(scalar(x, 3), [[-a for a in r] for r in A.rows])
+        if not naive_det(shifted):
+            roots += [x] * (3 - rank(mat_pow(shifted, 3)))
+    return roots
+
+
+def _assert_base_roots(A, roots):
+    """char_poly_factor(A) has exactly these base-field roots, in this order."""
+    data = char_poly_factor(A)
+    if data.tag in ("split", "repeated"):
+        assert list(data.eigenvalues) == roots
+    elif data.tag == "mixed":
+        assert len(roots) == 1
+        if data.eigenvalues is not None:
+            assert data.eigenvalues[0] == data.eigen_ctx.lift(roots[0])
+    else:
+        assert data.tag == "irreducible" and roots == []
+
+
+@pytest.mark.parametrize("p, degree", [(3, 1), (5, 1), (3, 2), (5, 2)])
+def test_cubic_roots_match_brute_force(p, degree):
+    # every Jordan type over F_3 (characteristic = n), F_5, F_9 and F_25, plus
+    # random matrices for the mixed and irreducible cubics
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(10 * p + degree)
+    cases = [A for _ in range(4) for A in _random_jordan_types(ctx, rng)]
+    cases += [_random_field_matrix(ctx, 3, rng) for _ in range(40)]
+    tags = set()
+    for A in cases:
+        _assert_base_roots(A, _brute_force_roots(A))
+        tags.add(char_poly_factor(A).tag)
+    assert tags == {"split", "repeated", "mixed", "irreducible"}
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_cubic_roots_straddle_scan_blocks(monkeypatch, block):
+    # diagonal matrices with every multiset of eigenvalues over F_7 and F_9, and
+    # one root with an irreducible quadratic cofactor, scanned in small blocks
+    monkeypatch.setattr(matgrp, "_ROOT_SCAN_BLOCK", block)
+    for p, degree in ((7, 1), (3, 2)):
+        ctx = make_field(p, degree)
+        for diag in itertools.combinations_with_replacement(ctx.iter_elements(), 3):
+            _assert_base_roots(MatEntity(diagonal(diag)), list(diag))
+    mixed = MatEntity.from_ints(make_field(7), [[5, 0, 0], [0, 0, 6], [0, 1, 0]])
+    _assert_base_roots(mixed, [make_field(7).elem(5)])
+
+
+def test_cubic_root_scan_stops_at_the_third_root(monkeypatch):
+    # with one-element blocks, the roots 0, 1, 2 of F_7 end the scan after three
+    # blocks of three Horner steps each
+    calls = []
+
+    def counted(x, y, ctx):
+        calls.append(len(y))
+        return residue_product(x, y, ctx)
+
+    monkeypatch.setattr(matgrp, "_ROOT_SCAN_BLOCK", 1)
+    monkeypatch.setattr(matgrp, "residue_product", counted)
+    ctx = make_field(7)
+    A = MatEntity(diagonal([ctx.elem(2), ctx.elem(0), ctx.elem(1)]))
+    assert char_poly_factor(A).eigenvalues == (ctx.elem(0), ctx.elem(1), ctx.elem(2))
+    assert calls == [1] * 9
+
+
+def test_a_scanned_root_the_division_rejects_raises_invariant_violated(monkeypatch):
+    # a scan whose products all vanish reads P(x) as P(0) = 0 for every x of
+    # this singular matrix, so it reports 0, 1, 2 as roots; dividing out 1
+    # leaves the remainder P(1) = 4
+    monkeypatch.setattr(matgrp, "residue_product", lambda x, y, ctx: np.zeros_like(y))
+    ctx = make_field(7)
+    A = MatEntity(diagonal([ctx.elem(0), ctx.elem(3), ctx.elem(3)]))
+    with pytest.raises(InvariantViolated, match="nonzero remainder"):
+        char_poly_factor(A)
 
 
 def test_unsupported_dimension():
