@@ -16,10 +16,11 @@ and its own dot, so matrix_exp_sum is the stack of one.  The hypothesis
 flags of a stack are likewise one stacked Krylov check (analyze_instances).
 Moments over every coefficient walk one representative per
 G-orbit of coefficients, weighted by the orbit size, since a sum is
-constant on each orbit.  evaluate_bounds compares a computed sum against
-every estimate whose hypotheses the instance satisfies; only inequalities
-with an explicit constant are marked pass or fail, saving estimates with
-unspecified constants come back as ratio reports.
+constant on each orbit.  evaluate_bounds(result, hypotheses) returns one
+BoundEntry per estimate whose hypotheses the instance satisfies (the
+Hypotheses of analyze_instance); only inequalities with an explicit constant
+are marked pass or fail, saving estimates with unspecified constants come
+back as ratio reports.
 """
 
 from __future__ import annotations
@@ -330,13 +331,13 @@ class Hypotheses:
 
     Every flag is decided over the base field of A.  Orbit independence in
     particular needs no extension-field check: the rank of vectors with
-    entries in F_q is the same over every extension of F_q.
+    entries in F_q is the same over every extension of F_q.  The field size
+    is q = p ** degree, and det A = 1 exactly when t == 1.
     """
 
     n: int
     p: int
     degree: int
-    q: int
     tau: int
     t: int
     class_tag: str
@@ -344,7 +345,6 @@ class Hypotheses:
     left_independent: bool
     right_independent: bool
     vectors_nonzero: bool
-    unit_det: bool
 
 
 def analyze_instances(entries) -> list[Hypotheses]:
@@ -363,7 +363,6 @@ def analyze_instances(entries) -> list[Hypotheses]:
             n=A.n,
             p=ctx.p,
             degree=ctx.degree,
-            q=ctx.q,
             tau=matrix_order(A),
             t=det_order(A),
             class_tag=char_poly_factor(A).tag,
@@ -371,7 +370,6 @@ def analyze_instances(entries) -> list[Hypotheses]:
             left_independent=next(verdicts) if a_vec else False,
             right_independent=next(verdicts) if b_vec else False,
             vectors_nonzero=bool(a_vec) and bool(b_vec),
-            unit_det=A.det() == ctx.one,
         ))
     return out
 
@@ -388,18 +386,6 @@ class BoundEntry:
     value: float
     status: str
     ratio: float
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Observed modulus against every applicable estimate."""
-
-    observed: float
-    bounds: tuple[BoundEntry, ...]
-    kappa: Fraction
-    tau: int
-    t: int
-    q: int
 
 
 def _explicit_entry(name, formula, value, observed) -> BoundEntry:
@@ -430,40 +416,37 @@ def weil_explicit_bound(p: int) -> float:
     return 2.0 * math.sqrt(p)
 
 
-def evaluate_bounds(result: SumResult, A: MatEntity,
-                    a_vec: VecEntity, b_vec: VecEntity,
-                    hypotheses: Hypotheses | None = None) -> BoundReport:
-    """Compare a computed sum against every estimate whose hypotheses hold."""
-    h = hypotheses if hypotheses is not None else analyze_instance(a_vec, b_vec, A)
-    observed = result.abs
-    kappa = kappa_n(h.n)
+def evaluate_bounds(result: SumResult, hypotheses: Hypotheses) -> tuple[BoundEntry, ...]:
+    """One entry per estimate whose hypotheses hold, comparing result.abs with it."""
+    h, observed = hypotheses, result.abs
+    q = h.p ** h.degree
     entries = [_explicit_entry("trivial", "tau", float(h.tau), observed)]
     both_independent = h.left_independent and h.right_independent
     if both_independent:
         # distinct orbit points make the first/first moment counts collapse to tau,
         # which turns the Hoelder chain into an explicit constant-1 inequality
         entries.append(_explicit_entry("square-root", "q^(n/2)",
-                                       float(h.q) ** (h.n / 2), observed))
-    long_period = h.tau * h.tau > h.q ** h.n  # tau > q^(n/2), decided on integers
+                                       float(q) ** (h.n / 2), observed))
+    long_period = h.tau * h.tau > q ** h.n  # tau > q^(n/2), decided on integers
     if h.diagonalizable and both_independent:
-        kf = float(kappa)
+        kf = float(kappa_n(h.n))
         if long_period:
-            value = h.t ** 0.25 * h.tau ** (0.5 - kf) * float(h.q) ** (h.n / 4)
+            value = h.t ** 0.25 * h.tau ** (0.5 - kf) * float(q) ** (h.n / 4)
             formula = "t^(1/4) tau^(1/2-kappa) q^(n/4)"
         else:
-            value = h.t ** 0.25 * h.tau ** (0.75 - kf) * float(h.q) ** (h.n / 8)
+            value = h.t ** 0.25 * h.tau ** (0.75 - kf) * float(q) ** (h.n / 8)
             formula = "t^(1/4) tau^(3/4-kappa) q^(n/8)"
         entries.append(_report_entry("power-saving", formula, value, observed))
     if h.class_tag == "irreducible" and h.vectors_nonzero:
         save = 1 / (4 * h.n)
         if long_period:
-            value = h.t ** 0.25 * h.tau ** (0.5 - save) * float(h.q) ** (h.n / 4)
+            value = h.t ** 0.25 * h.tau ** (0.5 - save) * float(q) ** (h.n / 4)
             formula = "t^(1/4) tau^(1/2-1/(4n)) q^(n/4)"
         else:
-            value = h.t ** 0.25 * h.tau ** (0.75 - save) * float(h.q) ** (h.n / 8)
+            value = h.t ** 0.25 * h.tau ** (0.75 - save) * float(q) ** (h.n / 8)
             formula = "t^(1/4) tau^(3/4-1/(4n)) q^(n/8)"
         entries.append(_report_entry("irreducible-saving", formula, value, observed))
-    if h.n == 2 and h.degree == 1 and h.unit_det:
+    if h.n == 2 and h.degree == 1 and h.t == 1:
         eigen_in_base = h.class_tag in ("split", "repeated")
         if eigen_in_base and h.diagonalizable and both_independent:
             entries.append(_report_entry(
@@ -475,4 +458,4 @@ def evaluate_bounds(result: SumResult, A: MatEntity,
                 "nonsplit-pair",
                 "min(tau^(1/2) p^(1/4), tau^(13/20) p^(1/6), tau^(34/45) p^(1/9))",
                 nonsplit_pair_bound(h.tau, h.p), observed))
-    return BoundReport(observed, tuple(entries), kappa, h.tau, h.t, h.q)
+    return tuple(entries)

@@ -38,7 +38,8 @@ from .errors import (
     ZeroLambda,
     ZeroXi1,
 )
-from .ffield import FFElem, mul_matrix, residue_orbit, residue_product
+from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, residue_orbit,
+                     residue_product)
 from .matgrp import (MatEntity, VecEntity, char_poly_factor, check_vector_orbit,
                      frobenius_orders, is_diagonalizable, matrix_order, residue_map)
 
@@ -80,21 +81,6 @@ class CoverResult:
 
 
 # ---- convolution kernel -------------------------------------------------------------
-
-
-def _key_weights(p: int, d: int) -> np.ndarray:
-    """Base-p place values: a residue row r has the integer key r @ _key_weights(p, d)."""
-    return (p ** np.arange(d)).astype(np.int64)
-
-
-def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
-    """Residue rows of base-p integer keys (inverse of rows @ p^arange(d))."""
-    rows = np.empty((keys.size, d), dtype=np.int64)
-    rem = keys.copy()
-    for j in range(d):
-        rows[:, j] = rem % p
-        rem //= p
-    return rows
 
 
 def _aggregate(sums: np.ndarray, counts: np.ndarray):

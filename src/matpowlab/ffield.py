@@ -471,6 +471,21 @@ def residue_inverse(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return conj * nrm_inv % p
 
 
+def _key_weights(p: int, d: int) -> np.ndarray:
+    """Base-p place values: a residue row r has the integer key r @ _key_weights(p, d)."""
+    return (p ** np.arange(d)).astype(np.int64)
+
+
+def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
+    """Residue rows of base-p integer keys (inverse of rows @ p^arange(d))."""
+    rows = np.empty((keys.size, d), dtype=np.int64)
+    rem = keys.copy()
+    for j in range(d):
+        rows[:, j] = rem % p
+        rem //= p
+    return rows
+
+
 def char_argument(chi: CharacterSpec, z: FFElem) -> int:
     """The residue Tr(alpha z) mod p that indexes the root-of-unity table."""
     if z.ctx != chi.ctx:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
 
@@ -41,9 +41,8 @@ class ExperimentConfig:
     budget: float = 1.0
 
 
-_INT_KEYS = ("p_min", "p_max", "tau_min", "tau_max", "moment", "samples",
-             "s_min", "s_max", "seed", "workers")
-_KNOWN_KEYS = set(_INT_KEYS) | {"experiment", "class_filter", "nu", "out", "budget"}
+# every config key with its annotation, as a string ("int", "int | None", ...)
+_KEY_TYPES = {field.name: field.type for field in fields(ExperimentConfig)}
 
 
 def parse_pairs(text: str) -> dict:
@@ -72,29 +71,29 @@ def _to_int(key: str, value: str) -> int:
 
 def build_config(pairs: dict, overrides: dict | None = None) -> ExperimentConfig:
     """Typed config from raw string pairs plus CLI overrides; validates ranges."""
-    fields = {}
+    typed = {}
     for key, value in pairs.items():
-        if key not in _KNOWN_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key {key!r}")
-        if key in _INT_KEYS:
-            fields[key] = _to_int(key, value)
+        if _KEY_TYPES[key] in ("int", "int | None"):
+            typed[key] = _to_int(key, value)
         elif key == "nu":
             try:
-                fields[key] = tuple(int(part) for part in value.split(","))
+                typed[key] = tuple(int(part) for part in value.split(","))
             except ValueError:
                 raise ConfigError(f"nu must be comma-separated integers, got {value!r}") from None
         elif key == "budget":
             try:
-                fields[key] = float(value)
+                typed[key] = float(value)
             except ValueError:
                 raise ConfigError(f"budget must be a number, got {value!r}") from None
         else:
-            fields[key] = value
+            typed[key] = value
     if overrides:
-        fields.update(overrides)
-    if "experiment" not in fields:
+        typed.update(overrides)
+    if "experiment" not in typed:
         raise ConfigError("missing required key 'experiment'")
-    cfg = ExperimentConfig(**fields)
+    cfg = ExperimentConfig(**typed)
     _validate(cfg)
     return cfg
 

@@ -247,14 +247,13 @@ def _sums_rows(cfg, desc):
                 if not isinstance(result, BudgetExceeded)]
     hypotheses = iter(analyze_instances(computed))
     rows = []
-    for (info, quantity), (left, right, A), result in zip(labels, entries, results):
+    for (info, quantity), result in zip(labels, results):
         if isinstance(result, BudgetExceeded):
             rows.append(_skipped(cfg, info, quantity, result))
             continue
-        report = evaluate_bounds(result, A, left, right, next(hypotheses))
         rows.extend(_row(cfg, info, quantity, result.value, entry.name, entry.value,
                          entry.status)
-                    for entry in report.bounds)
+                    for entry in evaluate_bounds(result, next(hypotheses)))
     return rows
 
 
@@ -461,8 +460,8 @@ def _lemma81_rows(cfg, desc):
             rows.append(_skipped(cfg, info, quantity, report))
             continue
         checked_info = _ctxinfo(p, p, n=2, trace=cat.trace, tau=report.tau)
-        rows.append(_checked(cfg, checked_info, quantity, report.sup_power,
-                             "count-ceiling", report.bound, slack=1e-6))
+        rows.append(_row(cfg, checked_info, quantity, report.sup_power, "count-ceiling",
+                         report.bound, "pass" if report.passed else "fail"))
     return rows
 
 

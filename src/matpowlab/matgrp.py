@@ -31,8 +31,8 @@ from .errors import (
     ZeroElement,
     ZeroVector,
 )
-from .ffield import (FFElem, FieldCtx, is_square, mul_matrix, mult_order, residue_orbit,
-                     residue_inverse, residue_product, sqrt, trace_norm)
+from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix, mult_order,
+                     residue_orbit, residue_inverse, residue_product, sqrt, trace_norm)
 
 ORDER_ITERATION_CAP = 10 ** 6
 _ROOT_SCAN_CAP = 10 ** 6
@@ -311,7 +311,7 @@ def _cubic_factor(coeffs, ctx) -> CharPolyData:
     roots = []
     for start in range(0, ctx.q, _ROOT_SCAN_BLOCK):
         w = np.arange(start, min(start + _ROOT_SCAN_BLOCK, ctx.q))
-        x = np.stack((w % p, w // p), axis=1)[:, :ctx.degree]
+        x = _decode_keys(w, p, ctx.degree)
         value = residues[-1]
         for c in residues[-2::-1]:
             value = (residue_product(value, x, ctx) + c) % p

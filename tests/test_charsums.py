@@ -643,20 +643,22 @@ def test_bound_report_split_instance():
     a = _row(ctx, 1, 1)
     b = _col(ctx, 1, 1)
     res = matrix_exp_sum(a, b, A)
-    report = evaluate_bounds(res, A, a, b)
-    names = [e.name for e in report.bounds]
+    h = analyze_instance(a, b, A)
+    bounds = evaluate_bounds(res, h)
+    names = [e.name for e in bounds]
     assert names == ["trivial", "square-root", "power-saving", "split-pair"]
-    by_name = {e.name: e for e in report.bounds}
+    by_name = {e.name: e for e in bounds}
     assert by_name["trivial"].status == "pass"
     assert by_name["square-root"].status == "pass"
     assert by_name["power-saving"].status == "report"
     # tau^2 = 144 < q^n = 169 selects the short-period branch
     assert "3/4" in by_name["power-saving"].formula
-    assert report.kappa == Fraction(1, 16)
-    assert report.tau == 12 and report.q == 13
+    assert kappa_n(h.n) == Fraction(1, 16)
+    assert h.tau == 12 and h.p ** h.degree == 13 and h.t == 1
+    assert by_name["trivial"].value == h.tau
     assert by_name["split-pair"].value == pytest.approx(split_pair_bound(12, 13))
-    for e in report.bounds:
-        assert e.ratio == pytest.approx(report.observed / e.value)
+    for e in bounds:
+        assert e.ratio == pytest.approx(res.abs / e.value)
 
 
 def test_bound_report_irreducible_instance():
@@ -667,12 +669,12 @@ def test_bound_report_irreducible_instance():
     res = matrix_exp_sum(a, b, A)
     h = analyze_instance(a, b, A)
     assert h.class_tag == "irreducible"
-    report = evaluate_bounds(res, A, a, b, hypotheses=h)
-    names = [e.name for e in report.bounds]
+    bounds = evaluate_bounds(res, h)
+    names = [e.name for e in bounds]
     assert "irreducible-saving" in names
     assert "nonsplit-pair" in names
     assert "split-pair" not in names
-    by_name = {e.name: e for e in report.bounds}
+    by_name = {e.name: e for e in bounds}
     assert by_name["nonsplit-pair"].value == pytest.approx(
         nonsplit_pair_bound(h.tau, 13))
 
@@ -685,8 +687,24 @@ def test_bound_report_dependent_vector_drops_conditional_bounds():
     h = analyze_instance(a, b, A)
     assert not h.left_independent and h.right_independent
     res = matrix_exp_sum(a, b, A)
-    names = [e.name for e in evaluate_bounds(res, A, a, b, hypotheses=h).bounds]
+    names = [e.name for e in evaluate_bounds(res, h)]
     assert names == ["trivial"]
+
+
+def test_pair_bounds_need_a_unit_determinant():
+    # diag(2, 3) over F_13 is split and diagonalizable with independent orbits of
+    # a = b = (1, 1), but det = 6; diag(2, 7) differs only in its det, 14 = 1
+    ctx = make_field(13)
+    a = _row(ctx, 1, 1)
+    b = _col(ctx, 1, 1)
+    for d2, t, expect in ((3, 12, False), (7, 1, True)):
+        A = MatEntity([[ctx.elem(2), ctx.zero], [ctx.zero, ctx.elem(d2)]])
+        h = analyze_instance(a, b, A)
+        assert (h.class_tag, h.diagonalizable, h.t) == ("split", True, t)
+        assert h.left_independent and h.right_independent
+        names = [e.name for e in evaluate_bounds(matrix_exp_sum(a, b, A), h)]
+        assert ("split-pair" in names) == expect
+        assert "power-saving" in names
 
 
 def test_bound_report_long_period_branch():
@@ -695,10 +713,10 @@ def test_bound_report_long_period_branch():
     a = _row(ctx, 1)
     b = _col(ctx, 1)
     res = matrix_exp_sum(a, b, A)
-    report = evaluate_bounds(res, A, a, b)
-    by_name = {e.name: e for e in report.bounds}
+    h = analyze_instance(a, b, A)
+    by_name = {e.name: e for e in evaluate_bounds(res, h)}
     assert "1/2-kappa" in by_name["power-saving"].formula
-    assert report.kappa == Fraction(1, 4)
+    assert kappa_n(h.n) == Fraction(1, 4)
 
 
 def test_bound_report_fail_status_on_forged_observation():
@@ -709,9 +727,9 @@ def test_bound_report_fail_status_on_forged_observation():
     real = matrix_exp_sum(a, b, A)
     forged = SumResult(real.value, real.length + 5.0, real.length,
                        real.character, real.parameters)
-    report = evaluate_bounds(forged, A, a, b)
-    assert report.bounds[0].name == "trivial"
-    assert report.bounds[0].status == "fail"
+    bounds = evaluate_bounds(forged, analyze_instance(a, b, A))
+    assert bounds[0].name == "trivial"
+    assert bounds[0].status == "fail"
 
 
 def _eigenvectors(p, rows):

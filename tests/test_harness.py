@@ -3,7 +3,7 @@
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -18,7 +18,7 @@ from matpowlab.harness import (
     run_experiment,
 )
 from matpowlab.harness.cli import main
-from matpowlab.harness.config import build_config, load_config, parse_pairs
+from matpowlab.harness.config import ExperimentConfig, build_config, load_config, parse_pairs
 from matpowlab.harness import runner
 from matpowlab.harness.runner import CSV_COLUMNS, record_to_csv
 from matpowlab.matgrp import char_poly_factor, sl2_companion
@@ -106,6 +106,26 @@ def test_build_config_rejections():
         build_config({"experiment": "energy", "moment": "3"})
     with pytest.raises(ConfigError):
         build_config({})
+
+
+def test_build_config_accepts_every_field_and_rejects_others():
+    texts = {"experiment": "lemma81", "p_min": "7", "p_max": "11", "class_filter": "split",
+             "tau_min": "2", "tau_max": "9", "nu": "2", "moment": "4", "samples": "3",
+             "s_min": "2", "s_max": "4", "seed": "9", "out": "elsewhere", "workers": "2",
+             "budget": "0.25"}
+    typed = ExperimentConfig(experiment="lemma81", p_min=7, p_max=11, class_filter="split",
+                             tau_min=2, tau_max=9, nu=(2,), moment=4, samples=3, s_min=2,
+                             s_max=4, seed=9, out="elsewhere", workers=2, budget=0.25)
+    assert set(texts) == {field.name for field in fields(ExperimentConfig)}
+    for key, text in texts.items():
+        cfg = build_config({"experiment": "lemma81", key: text})
+        assert getattr(cfg, key) == getattr(typed, key)
+    assert build_config(texts) == typed
+    for key in ("tau_max", "workers"):
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            build_config({"experiment": "energy", key: "2.5"})
+    with pytest.raises(ConfigError, match="unknown key 'bogus'"):
+        build_config({"experiment": "energy", "bogus": "1"})
 
 
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
