@@ -38,14 +38,12 @@ from .curves import (
     high_degree_bound,
 )
 from .ffield import (
-    CharacterSpec,
     FFElem,
     FieldCtx,
     SubgroupSpec,
     make_field,
     mult_order,
     primitive_root,
-    standard_character,
     subgroup_of_order,
 )
 from .harness import (
@@ -70,9 +68,8 @@ from .matgrp import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatMatrix", "CharacterSpec", "CurveSpec", "EXPERIMENT_NAMES",
-    "ExperimentConfig", "FFElem", "FieldCtx", "MatEntity", "Observable",
-    "SubgroupSpec", "VecEntity",
+    "CatMatrix", "CurveSpec", "EXPERIMENT_NAMES", "ExperimentConfig", "FFElem",
+    "FieldCtx", "MatEntity", "Observable", "SubgroupSpec", "VecEntity",
     "analyze_instance", "analyze_instances", "build_instances", "cat_unitary",
     "char_poly_factor", "companion_realization", "compute_instance", "count_JK",
     "count_Q", "count_Q_eigen", "count_points", "count_product_eq",
@@ -82,6 +79,6 @@ __all__ = [
     "load_config", "make_field", "matrix_element_check", "matrix_exp_sum",
     "matrix_exp_sums", "matrix_order", "mult_order", "orbit_sum_distribution",
     "primitive_root", "quantize", "run_experiment", "sequence_energy",
-    "sl2_companion", "standard_character", "subgroup_of_order", "sum_moment",
-    "sumset_cover", "translation_op",
+    "sl2_companion", "subgroup_of_order", "sum_moment", "sumset_cover",
+    "translation_op",
 ]

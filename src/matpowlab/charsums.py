@@ -1,26 +1,27 @@
 """Complete character sums over matrix power orbits.
 
-The central object is the length-tau sum of psi(a A^x b) taken over one
-full period of an invertible matrix A, and every sum is one: over a cyclic
-subgroup G = <g>, a Kloosterman sum (a u + b / u) is the sum of
-a = (a, b) with A = diag(g, 1/g) and b = (1, 1), and a Gauss sum (a u) that
-of a = (a) with A = [[g]] and b = (1) (subgroup_entry); their moments walk
-the same orbit of b.  Every sum walks a residue orbit (ffield.residue_orbit),
-maps it to trace arguments Tr(alpha z) mod p through the integer trace form,
-and counts the arguments in an exact integer histogram; float rounding is
-confined to one p-term dot product of that histogram with the roots of
-unity.  Matrix sums run as stacks (matrix_exp_sums): the walks of many
-(a, b, A) triples are one batched residue_orbit per row-bounded block, and
-their histograms one shared bincount, while each sum keeps its own checks
-and its own dot, so matrix_exp_sum is the stack of one.  The hypothesis
-flags of a stack are likewise one stacked Krylov check (analyze_instances).
-Moments over every coefficient walk one representative per
-G-orbit of coefficients, weighted by the orbit size, since a sum is
-constant on each orbit.  evaluate_bounds(result, hypotheses) returns one
-BoundEntry per estimate whose hypotheses the instance satisfies (the
-Hypotheses of analyze_instance); only inequalities with an explicit constant
-are marked pass or fail, saving estimates with unspecified constants come
-back as ratio reports.
+The central object is the length-tau sum of psi(a A^x b), psi(z) = e_p(Tr z),
+over one full period of an invertible matrix A (the twist psi(alpha z) is the
+sum of alpha a), and every sum is one: over a cyclic subgroup G = <g>, a
+Kloosterman sum (a u + b / u) is the sum of a = (a, b) with A = diag(g, 1/g)
+and b = (1, 1), and a Gauss sum (a u) that of a = (a) with A = [[g]] and
+b = (1) (subgroup_entry); their moments walk the same orbit of b.  Every sum
+walks a residue orbit (ffield.residue_orbit), maps it to trace arguments
+Tr z mod p through the integer trace form, and counts the arguments in an
+exact integer histogram; float rounding is confined to one p-term dot
+product of that histogram with the roots of unity.  Matrix sums run as
+stacks (matrix_exp_sums): the walks of many (a, b, A) triples are one
+batched residue_orbit per row-bounded block, and their histograms one
+shared bincount, while each sum keeps its own checks and its own dot, so
+matrix_exp_sum is the stack of one.  The hypothesis flags of a stack are
+likewise one stacked Krylov check (analyze_instances).  Moments over every
+coefficient walk one representative per G-orbit of coefficients, weighted
+by the orbit size, since a sum is constant on each orbit.
+evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
+whose hypotheses the instance satisfies (the Hypotheses of
+analyze_instance); only inequalities with an explicit constant are marked
+pass or fail (explicit_status), saving estimates with unspecified constants
+come back as ratio reports.
 """
 
 from __future__ import annotations
@@ -35,13 +36,12 @@ import numpy as np
 from .counting import sequence_energy, vector_orbit
 from .errors import BudgetExceeded, InvariantViolated, MixedContext
 from .ffield import (
-    CharacterSpec,
     FFElem,
+    FieldCtx,
     SubgroupSpec,
     mul_matrix,
     primitive_root,
     residue_orbit,
-    standard_character,
     trace_form,
 )
 from .matgrp import (
@@ -62,9 +62,10 @@ from .matgrp import (
 # over a subgroup are matrix walks too, charged their order through
 # matrix_exp_sums.
 SUM_TAU_CAP = 10 ** 6
+# Charges a moment q^n |G|: one walk sum per coefficient of F_q^n, though only
+# one representative per G-orbit of coefficients is walked.
 MOMENT_WORK_CAP = 10 ** 9
 
-_PASS_SLACK = 1e-9
 _MOMENT_BLOCK = 1 << 22  # complex entries materialized per moment block
 # Residue rows per block of stacked matrix walks; blocks of 2^12 to 2^18 rows
 # ran the sums grid at p 241-257 equally fast, and larger ones hold more memory.
@@ -78,18 +79,17 @@ class SumResult:
     value: complex
     abs: float
     length: int
-    character: CharacterSpec
     parameters: dict
 
 
-def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec,
+def _walk_sums(args: np.ndarray, lengths, ctx: FieldCtx,
                parameters) -> list[SumResult]:
     """Sum of e_p over the first lengths[k] entries of each row k of args.
 
     The rows share one bincount, row k offset by k p, which gives each an
     exact histogram; float rounding is confined to one p-term dot per row.
     """
-    p = chi.ctx.p
+    p = ctx.p
     lengths = np.asarray(lengths, dtype=np.int64)
     walked = args[np.arange(args.shape[1]) < lengths[:, None]]
     # once offset, an argument outside [0, p) would land in another row's bins
@@ -97,7 +97,7 @@ def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec,
         raise InvariantViolated(f"a walk argument lies outside [0, {p})")
     offsets = np.repeat(np.arange(len(lengths), dtype=np.int64) * p, lengths)
     hists = np.bincount(walked + offsets, minlength=len(lengths) * p).reshape(-1, p)
-    roots = chi.ctx.roots_of_unity()
+    roots = ctx.roots_of_unity()
     out = []
     for hist, length, params in zip(hists, lengths.tolist(), parameters):
         mass = int(hist.sum())
@@ -108,22 +108,14 @@ def _walk_sums(args: np.ndarray, lengths, chi: CharacterSpec,
         # unit-modulus terms force |sum| <= length up to the dot product's rounding
         if mag > length + 1e-9:
             raise InvariantViolated(f"|sum| = {mag} exceeds the walk length {length}")
-        out.append(SumResult(value, mag, length, chi, params))
+        out.append(SumResult(value, mag, length, params))
     return out
 
 
-def _forms(chi: CharacterSpec, elems) -> np.ndarray:
-    """One row res(x) T per element x, so Tr(alpha x z) = row . res(z) (mod p)."""
+def _forms(ctx: FieldCtx, elems) -> np.ndarray:
+    """One row res(x) T per element x, so Tr(x z) = row . res(z) (mod p)."""
     res = np.array([x.residues() for x in elems], dtype=np.int64)
-    return res @ trace_form(chi) % chi.ctx.p
-
-
-def _default_character(ctx, chi):
-    if chi is None:
-        return standard_character(ctx)
-    if chi.ctx != ctx:
-        raise MixedContext("character and summands live in different fields")
-    return chi
+    return res @ trace_form(ctx) % ctx.p
 
 
 def _walk_blocks(walks):
@@ -140,8 +132,7 @@ def _walk_blocks(walks):
         yield block
 
 
-def matrix_exp_sums(entries, chi: CharacterSpec | None = None,
-                    max_tau: int | None = None) -> list:
+def matrix_exp_sums(entries, max_tau: int | None = None) -> list:
     """Sum psi(a A^x b), x = 1..tau, for each (a_vec, b_vec, A) of one field and one n.
 
     Returns one entry per triple, in order: its SumResult, or the
@@ -162,7 +153,6 @@ def matrix_exp_sums(entries, chi: CharacterSpec | None = None,
             raise ValueError("need a row vector on the left and a column vector on the right")
         if A.n != n or a_vec.n != n or b_vec.n != n:
             raise ValueError("dimension mismatch")
-    chi = _default_character(ctx, chi)
     cap = SUM_TAU_CAP if max_tau is None else max_tau
     p, d = ctx.p, ctx.degree
     results = [None] * len(entries)
@@ -174,7 +164,7 @@ def matrix_exp_sums(entries, chi: CharacterSpec | None = None,
                                         estimated_work=tau)
         else:
             walks.append((tau, k))
-    lefts = _forms(chi, [x for a_vec, _, _ in entries for x in a_vec.entries])
+    lefts = _forms(ctx, [x for a_vec, _, _ in entries for x in a_vec.entries])
     lefts = lefts.reshape(len(entries), n * d)
     starts = np.array([b.residues() for _, b, _ in entries], dtype=np.int64)
     for block in _walk_blocks(sorted(walks)):
@@ -183,17 +173,16 @@ def matrix_exp_sums(entries, chi: CharacterSpec | None = None,
         orbit = residue_orbit(maps, starts[list(ks)], taus[-1], p)
         args = np.einsum("klm,km->kl", orbit, lefts[list(ks)]) % p
         params = [{"p": p, "degree": d, "n": n, "tau": tau} for tau in taus]
-        for k, result in zip(ks, _walk_sums(args, taus, chi, params)):
+        for k, result in zip(ks, _walk_sums(args, taus, ctx, params)):
             results[k] = result
     return results
 
 
 def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
-                   chi: CharacterSpec | None = None,
                    max_tau: int | None = None) -> SumResult:
     """Sum psi(a A^x b) for x = 1..tau: the one-entry call of matrix_exp_sums,
     raising the BudgetExceeded that would skip the entry."""
-    (result,) = matrix_exp_sums([(a_vec, b_vec, A)], chi, max_tau)
+    (result,) = matrix_exp_sums([(a_vec, b_vec, A)], max_tau)
     if isinstance(result, BudgetExceeded):
         raise result
     return result
@@ -214,21 +203,19 @@ def subgroup_entry(family: str, G: SubgroupSpec) -> tuple[MatEntity, VecEntity]:
 
 
 def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
-                         chi: CharacterSpec | None = None,
                          max_order: int | None = None) -> SumResult:
     """Sum psi(a u + b / u) over the subgroup: the matrix sum of (a, b) on
     subgroup_entry("kloosterman", G)."""
     A, ones = subgroup_entry("kloosterman", G)
-    return matrix_exp_sum(VecEntity([a, b], "row"), ones, A, chi, max_order)
+    return matrix_exp_sum(VecEntity([a, b], "row"), ones, A, max_order)
 
 
 def gauss_subgroup(G: SubgroupSpec, a: FFElem,
-                   chi: CharacterSpec | None = None,
                    max_order: int | None = None) -> SumResult:
     """Sum psi(a u) over the subgroup: the matrix sum of (a) on
     subgroup_entry("gauss", G)."""
     A, ones = subgroup_entry("gauss", G)
-    return matrix_exp_sum(VecEntity([a], "row"), ones, A, chi, max_order)
+    return matrix_exp_sum(VecEntity([a], "row"), ones, A, max_order)
 
 
 @dataclass(frozen=True)
@@ -243,7 +230,6 @@ class MomentResult:
 
 
 def sum_moment(family: str, G: SubgroupSpec, m: int,
-               chi: CharacterSpec | None = None,
                max_work: int | None = None) -> MomentResult:
     """Moment sum of |walk sum|^m over every coefficient in the field.
 
@@ -263,7 +249,6 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
         raise ValueError("moment order must be positive")
     A, ones = subgroup_entry(family, G)
     ctx = G.ctx
-    chi = _default_character(ctx, chi)
     q = ctx.q
     tau = G.order
     work = q ** A.n * tau
@@ -277,7 +262,7 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     # g^1..g^L represent the cosets of G; Kloosterman walks on to g^(q-1) for every b
     length = q - 1 if family == "kloosterman" else cosets
     walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), length, p)
-    forms = np.vstack((np.zeros((1, d), dtype=np.int64), walk)) @ trace_form(chi) % p
+    forms = np.vstack((np.zeros((1, d), dtype=np.int64), walk)) @ trace_form(ctx) % p
     reps = forms[:cosets + 1]
     weights = np.full(cosets + 1, float(tau))
     weights[0] = 1.0
@@ -287,7 +272,7 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     us = orbit[:, :d]
 
     if family == "kloosterman":
-        # one column per b in {0} and the walk: e_p(Tr(alpha b / u)) down the u
+        # one column per b in {0} and the walk: e_p(Tr(b / u)) down the u
         right = table[forms @ orbit[:, d:].T % p].T
     else:
         right = np.ones((tau, 1))
@@ -388,9 +373,14 @@ class BoundEntry:
     ratio: float
 
 
+def explicit_status(observed: float, bound: float) -> str:
+    """The verdict of an explicit bound on |S|: pass iff |S| <= bound + 1e-9."""
+    return "pass" if observed <= bound + 1e-9 else "fail"
+
+
 def _explicit_entry(name, formula, value, observed) -> BoundEntry:
-    status = "pass" if observed <= value + _PASS_SLACK else "fail"
-    return BoundEntry(name, formula, float(value), status, observed / value)
+    return BoundEntry(name, formula, float(value), explicit_status(observed, value),
+                      observed / value)
 
 
 def _report_entry(name, formula, value, observed) -> BoundEntry:

@@ -43,9 +43,14 @@ from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, residue_orb
 from .matgrp import (MatEntity, VecEntity, char_poly_factor, check_vector_orbit,
                      frobenius_orders, is_diagonalizable, matrix_order, residue_map)
 
+# Compared with the period tau, per nu: a nu-fold count folds the tau orbit
+# rows nu times, and a skip reports tau^nu as its work.
 DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
+# Compared with the lcm period tau of the product equation: tau rows scanned.
 PRODUCT_EQ_CAP = 10 ** 5
+# Compared with tau^k, the k-fold sums an orbit sum distribution folds.
 DISTRIBUTION_WORK_CAP = 10 ** 8
+# Compared with q^n, the cells of the boolean sumset histogram.
 COVER_SPACE_CAP = 10 ** 7
 DENSE_CAP = 1 << 21  # cells of the tiled copy a dense fold shifts (16 MB of int64)
 

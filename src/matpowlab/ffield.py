@@ -1,4 +1,4 @@
-"""Arithmetic in F_p and F_{p^2}, multiplicative orders, and additive characters.
+"""Arithmetic in F_p and F_{p^2}, multiplicative orders, and the additive character.
 
 Elements are pairs c0 + c1 w of F_p[w] / (w^2 - r). F_{p^2} takes r the least
 quadratic non-residue mod p, so the Frobenius map x -> x^p is conjugation
@@ -9,7 +9,8 @@ integer matrices of multiplication and of the trace pairing sliced to degree.
 Eight places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
 factorization), FieldCtx.elem (it guards c1 = 0), FFElem.__pow__ (builtin
 three-argument pow serves the many F_p powers), FFElem.__repr__ (output text),
-and the input checks of omega, lift, trace_norm and norm_subgroup.
+and the input checks of omega, lift, trace_norm and norm_subgroup. The one
+additive character is psi(z) = e_p(Tr z) (char_eval); any other is psi(alpha z).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .errors import (
     ZeroElement,
 )
 
+# Compared with p when a field is built: it keeps the trial-division prime
+# test and factorizations small, and every residue product below 2^63.
 _MAX_P = 10 ** 6
 
 
@@ -373,36 +376,17 @@ def subgroup_of_order(ctx: FieldCtx, m: int) -> SubgroupSpec:
     return SubgroupSpec(g ** (ctx.group_order // m), m)
 
 
-class CharacterSpec:
-    """Additive character z -> e_p(Tr(alpha z)) with a nonzero twist alpha."""
-
-    def __init__(self, alpha: FFElem):
-        if not alpha:
-            raise ZeroElement("character twist must be nonzero")
-        self.alpha = alpha
-        self.ctx = alpha.ctx
-
-    def __repr__(self):
-        return f"CharacterSpec(alpha={self.alpha!r})"
-
-
-def standard_character(ctx: FieldCtx) -> CharacterSpec:
-    """The character with alpha = 1."""
-    return CharacterSpec(ctx.one)
-
-
 def mul_matrix(x: FFElem) -> np.ndarray:
     """The degree x degree integer matrix of z -> x z acting on residue columns."""
     d = x.ctx.degree
     return np.array([[x.c0, x.ctx.r * x.c1 % x.ctx.p], [x.c1, x.c0]], dtype=np.int64)[:d, :d]
 
 
-def trace_form(chi: CharacterSpec) -> np.ndarray:
-    """The matrix T with Tr(alpha a z) = res(a) T res(z) (mod p), entries reduced mod p."""
-    # Tr(c0 + c1 w) = degree * c0
-    ctx, a, r, d = chi.ctx, chi.alpha, chi.ctx.r, chi.ctx.degree
-    form = d * np.array([[a.c0, r * a.c1], [r * a.c1, r * a.c0]], dtype=np.int64)
-    return form[:d, :d] % ctx.p
+def trace_form(ctx: FieldCtx) -> np.ndarray:
+    """The matrix T with Tr(a z) = res(a) T res(z) (mod p), entries reduced mod p."""
+    # Tr(c0 + c1 w) = degree * c0, and (a z).c0 = a.c0 z.c0 + r a.c1 z.c1
+    d = ctx.degree
+    return (d * np.array([[1, 0], [0, ctx.r]], dtype=np.int64))[:d, :d] % ctx.p
 
 
 def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
@@ -486,16 +470,9 @@ def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
     return rows
 
 
-def char_argument(chi: CharacterSpec, z: FFElem) -> int:
-    """The residue Tr(alpha z) mod p that indexes the root-of-unity table."""
-    if z.ctx != chi.ctx:
-        raise MixedContext("character and argument live in different fields")
-    return int(trace_form(chi)[0] @ z.residues()) % chi.ctx.p
-
-
-def char_eval(chi: CharacterSpec, z: FFElem) -> complex:
-    """Evaluate the additive character at z."""
-    return complex(chi.ctx.roots_of_unity()[char_argument(chi, z)])
+def char_eval(z: FFElem) -> complex:
+    """The additive character e_p(Tr z), Tr(c0 + c1 w) = degree * c0."""
+    return complex(z.ctx.roots_of_unity()[z.ctx.degree * z.c0 % z.ctx.p])
 
 
 def is_square(x: FFElem) -> bool:

@@ -20,6 +20,7 @@ from ..charsums import (
     SUM_TAU_CAP,
     analyze_instances,
     evaluate_bounds,
+    explicit_status,
     gauss_subgroup,
     matrix_exp_sums,
     nonsplit_pair_bound,
@@ -117,8 +118,8 @@ def _row(cfg, ctxinfo, quantity, value, bound_name="", bound_value=None,
     )
 
 
-def _checked(cfg, ctxinfo, quantity, value, bound_name, bound_value, slack=0.0):
-    status = "pass" if abs(complex(value)) <= bound_value * (1 + slack) else "fail"
+def _checked(cfg, ctxinfo, quantity, value, bound_name, bound_value):
+    status = "pass" if abs(complex(value)) <= bound_value else "fail"
     return _row(cfg, ctxinfo, quantity, value, bound_name, bound_value, status)
 
 
@@ -273,7 +274,8 @@ def _moment_row(cfg, info, family, group, bound_name, bound):
 def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound):
     """The sampled sums of one subgroup as one matrix_exp_sums stack over its
     subgroup_entry, each against the trivial bound and the (name, value,
-    checked) bounds; the moment row follows the j = 0 rows."""
+    checked) bounds, a checked one decided as on sums rows (explicit_status);
+    the moment row follows the j = 0 rows."""
     A, ones = subgroup_entry(family, group)
     results = matrix_exp_sums([(VecEntity(c, "row"), ones, A) for c in coefficients],
                               max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
@@ -284,8 +286,8 @@ def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound)
         if isinstance(result, BudgetExceeded):
             rows.append(_skipped(cfg, info, quantity, result))
         else:
-            rows.extend(_checked(cfg, info, quantity, result.value, name, bound, slack=1e-9)
-                        if checked else _row(cfg, info, quantity, result.value, name, bound)
+            rows.extend(_row(cfg, info, quantity, result.value, name, bound,
+                             explicit_status(result.abs, bound) if checked else "report")
                         for name, bound, checked in bounds)
         if j == 0:
             rows.append(_moment_row(cfg, info, family, group, *moment_bound))

@@ -34,7 +34,10 @@ from .errors import (
 from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix, mult_order,
                      residue_orbit, residue_inverse, residue_product, sqrt, trace_norm)
 
+# Compared with the step count of matrix_order's iteration B -> B M (n >= 4, or
+# eigenvalues beyond F_{p^2}): one residue matmul per step.
 ORDER_ITERATION_CAP = 10 ** 6
+# Compared with q: the n = 3 root scan evaluates the cubic at every element of F_q.
 _ROOT_SCAN_CAP = 10 ** 6
 _ROOT_SCAN_BLOCK = 2 ** 16
 

@@ -311,14 +311,14 @@ def naive_extension_independent(v, A):
     return rank(vecs) == n
 
 
-def naive_subgroup_sum(G, coeff, chi):
+def naive_subgroup_sum(G, coeff, alpha):
     """Sum over u in G of e_p(Tr(alpha coeff(u))), term by term in FFElem arithmetic."""
     return naive_char_sum([
-        cmath.exp(2j * math.pi * naive_field_trace(chi.alpha * coeff(u)) / G.ctx.p)
+        cmath.exp(2j * math.pi * naive_field_trace(alpha * coeff(u)) / G.ctx.p)
         for u in G.elements()])
 
 
-def naive_moment(family, G, m, chi):
+def naive_moment(family, G, m, alpha):
     """Sum of |S|^m over every coefficient a (Gauss) or pair (a, b) (Kloosterman).
 
     Each complete sum S = sum over u in G of e_p(Tr(alpha c(u))), with
@@ -326,9 +326,9 @@ def naive_moment(family, G, m, chi):
     """
     field = list(G.ctx.iter_elements())
     if family == "gauss":
-        sums = [naive_subgroup_sum(G, lambda u: a * u, chi) for a in field]
+        sums = [naive_subgroup_sum(G, lambda u: a * u, alpha) for a in field]
     else:
-        sums = [naive_subgroup_sum(G, lambda u: a * u + b / u, chi)
+        sums = [naive_subgroup_sum(G, lambda u: a * u + b / u, alpha)
                 for a in field for b in field]
     return math.fsum(abs(x) ** m for x in sums)
 

@@ -31,13 +31,11 @@ from matpowlab.charsums import (
 from matpowlab.counting import count_JK, vector_orbit
 from matpowlab.errors import BudgetExceeded, InvariantViolated, MixedContext
 from matpowlab.ffield import (
-    CharacterSpec,
     SubgroupSpec,
     char_eval,
     make_field,
     norm_subgroup,
     primitive_root,
-    standard_character,
     subgroup_of_order,
 )
 from matpowlab.matgrp import (
@@ -62,15 +60,18 @@ def _col(ctx, *vals):
     return VecEntity([ctx.elem(v) for v in vals], "column")
 
 
-def _oracle_matrix_sum(a_vec, b_vec, A, chi=None):
-    """Reference sum via full matrix powers and math.fsum."""
-    if chi is None:
-        chi = standard_character(A.ctx)
+def _scaled(alpha, a_vec):
+    """The row vector alpha a, whose sum is the sum of a under z -> e_p(Tr(alpha z))."""
+    return VecEntity([alpha * x for x in a_vec.entries], "row")
+
+
+def _oracle_matrix_sum(a_vec, b_vec, A, alpha=1):
+    """Reference sum of e_p(Tr(alpha a A^x b)) via full matrix powers and math.fsum."""
     tau = matrix_order(A)
     terms = []
     M = A.rows
     for _ in range(tau):
-        terms.append(char_eval(chi, dot(vec_mat(a_vec.entries, M), b_vec.entries)))
+        terms.append(char_eval(alpha * dot(vec_mat(a_vec.entries, M), b_vec.entries)))
         M = mat_mul(M, A.rows)
     return naive_char_sum(terms)
 
@@ -151,14 +152,28 @@ def test_matrix_sum_matches_oracle_quadratic_extension():
 
 
 def test_matrix_sum_nonstandard_character():
+    # the sum twisted by alpha is the standard sum of alpha a
     ctx = make_field(11)
-    chi = CharacterSpec(ctx.elem(4))
+    alpha = ctx.elem(4)
     A = sl2_companion(ctx, 3)
     a = _row(ctx, 2, 1)
     b = _col(ctx, 1, 5)
-    got = matrix_exp_sum(a, b, A, chi=chi)
-    want = _oracle_matrix_sum(a, b, A, chi=chi)
+    got = matrix_exp_sum(_scaled(alpha, a), b, A)
+    want = _oracle_matrix_sum(a, b, A, alpha)
     assert abs(got.value - want) < 1e-9
+
+
+@pytest.mark.parametrize("p, degree", [(7, 1), (13, 1), (31, 1), (5, 2), (7, 2)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twisted_sum_is_the_sum_of_the_scaled_coefficients(p, degree, n):
+    # psi(z) = e_p(Tr(alpha z)) gives psi(a A^x b) = e_p(Tr((alpha a) A^x b)): every
+    # nontrivial additive character is the standard one on scaled coefficients
+    ctx = make_field(p, degree)
+    rng = np.random.default_rng(1000 * p + 10 * degree + n)
+    for a, b, A in _random_stack(ctx, n, 3, rng):
+        for alpha in (ctx.one, primitive_root(ctx), ctx.from_index(int(rng.integers(1, ctx.q)))):
+            got = matrix_exp_sum(_scaled(alpha, a), b, A)
+            assert abs(got.value - _oracle_matrix_sum(a, b, A, alpha)) < 1e-9
 
 
 def test_matrix_sum_budget_and_validation():
@@ -175,9 +190,6 @@ def test_matrix_sum_budget_and_validation():
     other = make_field(7)
     with pytest.raises(MixedContext):
         matrix_exp_sum(_row(other, 1, 0), _col(ctx, 1, 0), A)
-    with pytest.raises(MixedContext):
-        matrix_exp_sum(_row(ctx, 1, 0), _col(ctx, 1, 0), A,
-                       chi=standard_character(other))
 
 
 def test_sum_result_invariants_on_batch():
@@ -201,11 +213,11 @@ def _random_stack(ctx, n, count, rng):
     return out
 
 
-def _one_by_one(entries, chi=None, max_tau=None):
+def _one_by_one(entries, max_tau=None):
     out = []
     for a, b, A in entries:
         try:
-            out.append(matrix_exp_sum(a, b, A, chi=chi, max_tau=max_tau))
+            out.append(matrix_exp_sum(a, b, A, max_tau=max_tau))
         except BudgetExceeded as err:
             out.append(err)
     return out
@@ -218,14 +230,10 @@ def test_stacked_sums_equal_the_one_entry_sums(p, degree, n):
     ctx = make_field(p, degree)
     rng = np.random.default_rng(100 * p + 10 * degree + n)
     entries = _random_stack(ctx, n, 12, rng)
-    chi = CharacterSpec(ctx.from_index(2))
+    alpha = ctx.from_index(2)
     assert len({matrix_order(A) for _, _, A in entries}) > 1
-    for character in (None, chi):
-        got = matrix_exp_sums(entries, chi=character)
-        want = _one_by_one(entries, chi=character)
-        assert [(r.value, r.abs, r.length, r.parameters) for r in got] == \
-               [(r.value, r.abs, r.length, r.parameters) for r in want]
-    assert matrix_exp_sums(entries, chi=chi) == _one_by_one(entries, chi=chi)
+    for stack in (entries, [(_scaled(alpha, a), b, A) for a, b, A in entries]):
+        assert matrix_exp_sums(stack) == _one_by_one(stack)
 
 
 def test_stacked_sums_return_a_skip_in_place():
@@ -235,9 +243,8 @@ def test_stacked_sums_return_a_skip_in_place():
     taus = [matrix_order(A) for _, _, A in entries]
     cap = sorted(taus)[len(taus) // 2]
     assert min(taus) <= cap < max(taus)
-    chi = standard_character(ctx)
-    got = matrix_exp_sums(entries, chi=chi, max_tau=cap)
-    for result, tau, want in zip(got, taus, _one_by_one(entries, chi=chi, max_tau=cap)):
+    got = matrix_exp_sums(entries, max_tau=cap)
+    for result, tau, want in zip(got, taus, _one_by_one(entries, max_tau=cap)):
         if tau > cap:
             assert isinstance(result, BudgetExceeded) and result.estimated_work == tau
             assert isinstance(want, BudgetExceeded)
@@ -255,8 +262,7 @@ def test_stacked_sums_walk_row_bounded_blocks(monkeypatch):
     entries = _random_stack(ctx, 2, 12, np.random.default_rng(9))
     taus = sorted(matrix_order(A) for _, _, A in entries)
     assert taus == [3, 6, 8, 12, 12, 14, 28, 28, 42, 56, 168, 168]
-    chi = standard_character(ctx)
-    want = _one_by_one(entries, chi=chi)
+    want = _one_by_one(entries)
     real, walks = charsums_mod.residue_orbit, []
 
     def spy(M, start, length, p):
@@ -268,7 +274,7 @@ def test_stacked_sums_walk_row_bounded_blocks(monkeypatch):
                            (10, [(1, t) for t in taus])):
         monkeypatch.setattr(charsums_mod, "_WALK_BLOCK_ROWS", target)
         walks.clear()
-        assert matrix_exp_sums(entries, chi=chi) == want
+        assert matrix_exp_sums(entries) == want
         assert walks == blocks
 
 
@@ -356,14 +362,14 @@ def test_kloosterman_matches_diagonal_matrix_sum():
         G = subgroup_of_order(ctx, order)
         g = G.generator
         A = MatEntity([[g, ctx.zero], [ctx.zero, g.inverse()]])
-        for character in (standard_character(ctx), CharacterSpec(primitive_root(ctx))):
+        for alpha in (ctx.one, primitive_root(ctx)):
             for _ in range(4):
                 a = ctx.from_index(int(rng.integers(0, ctx.q)))
                 b = ctx.from_index(int(rng.integers(0, ctx.q)))
-                want = naive_subgroup_sum(G, lambda u: a * u + b / u, character)
-                lhs = kloosterman_subgroup(G, a, b, chi=character)
-                rhs = matrix_exp_sum(VecEntity([a, ctx.one], "row"),
-                                     VecEntity([ctx.one, b], "column"), A, chi=character)
+                want = naive_subgroup_sum(G, lambda u: a * u + b / u, alpha)
+                lhs = kloosterman_subgroup(G, alpha * a, alpha * b)
+                rhs = matrix_exp_sum(VecEntity([alpha * a, alpha], "row"),
+                                     VecEntity([ctx.one, b], "column"), A)
                 assert lhs.length == rhs.length == order
                 assert abs(lhs.value - want) < 1e-9
                 assert abs(rhs.value - want) < 1e-9
@@ -374,12 +380,12 @@ def test_gauss_matches_brute_force_sum():
     for p, degree, order in ((7, 1, 3), (13, 1, 12), (5, 2, 6), (7, 2, 48)):
         ctx = make_field(p, degree)
         G = subgroup_of_order(ctx, order)
-        for character in (standard_character(ctx), CharacterSpec(primitive_root(ctx))):
+        for alpha in (ctx.one, primitive_root(ctx)):
             for _ in range(4):
                 a = ctx.from_index(int(rng.integers(0, ctx.q)))
-                got = gauss_subgroup(G, a, chi=character)
+                got = gauss_subgroup(G, alpha * a)
                 assert got.length == order
-                assert abs(got.value - naive_subgroup_sum(G, lambda u: a * u, character)) < 1e-9
+                assert abs(got.value - naive_subgroup_sum(G, lambda u: a * u, alpha)) < 1e-9
 
 
 def test_subgroup_entry_walks_the_subgroup():
@@ -414,8 +420,6 @@ def test_subgroup_sums_keep_their_checks():
         kloosterman_subgroup(G, ctx.one, other.one)
     with pytest.raises(MixedContext):
         gauss_subgroup(G, other.one)
-    with pytest.raises(MixedContext):
-        gauss_subgroup(G, ctx.one, chi=standard_character(other))
 
 
 @pytest.mark.parametrize("family", ["kloosterman", "gauss"])
@@ -540,11 +544,12 @@ def test_moment_sixth_dual_path_gauss_extension():
 
 
 def test_moment_character_invariance():
+    # a moment over every coefficient is the same for every nontrivial character
     ctx = make_field(13)
     G = subgroup_of_order(ctx, 4)
     base = sum_moment("kloosterman", G, 4)
-    twisted = sum_moment("kloosterman", G, 4, chi=CharacterSpec(ctx.elem(5)))
-    assert abs(base.value - twisted.value) <= 1e-9 * base.value
+    twisted = naive_moment("kloosterman", G, 4, ctx.elem(5))
+    assert abs(base.value - twisted) <= 1e-9 * base.value
 
 
 def test_moment_budget_and_validation():
@@ -584,13 +589,14 @@ _MOMENT_CASES = [
 @pytest.mark.parametrize("family,p,degree,orders", _MOMENT_CASES,
                          ids=[f"{c[0]}-{c[1]}^{c[2]}" for c in _MOMENT_CASES])
 def test_moment_matches_brute_force_oracle(family, p, degree, orders, twisted):
+    # the twisted oracle checks that the moment does not depend on the character
     ctx = make_field(p, degree)
-    chi = CharacterSpec(primitive_root(ctx)) if twisted else standard_character(ctx)
+    alpha = primitive_root(ctx) if twisted else ctx.one
     for tau in orders:
         G = subgroup_of_order(ctx, tau)
-        for m in (1, 2, 3, 5, 6):
-            res = sum_moment(family, G, m, chi)
-            want = naive_moment(family, G, m, chi)
+        for m in range(1, 7):
+            res = sum_moment(family, G, m)
+            want = naive_moment(family, G, m, alpha)
             assert abs(res.value - want) <= 1e-12 * want, (tau, m)
             assert res.parameters["representatives"] == (ctx.q - 1) // tau + 1
 
@@ -725,8 +731,7 @@ def test_bound_report_fail_status_on_forged_observation():
     a = _row(ctx, 1, 0)
     b = _col(ctx, 0, 1)
     real = matrix_exp_sum(a, b, A)
-    forged = SumResult(real.value, real.length + 5.0, real.length,
-                       real.character, real.parameters)
+    forged = SumResult(real.value, real.length + 5.0, real.length, real.parameters)
     bounds = evaluate_bounds(forged, analyze_instance(a, b, A))
     assert bounds[0].name == "trivial"
     assert bounds[0].status == "fail"
@@ -774,17 +779,16 @@ def test_base_field_independence_matches_the_extension_field_rank():
 
 def test_histogram_sum_matches_fsum():
     rng = np.random.default_rng(7)
-    chi = standard_character(make_field(23))
     table = np.exp(2j * np.pi * np.arange(23) / 23)
     args = rng.integers(0, 23, size=5000)
-    (got,) = _walk_sums(args[None], [len(args)], chi, [{}])
+    (got,) = _walk_sums(args[None], [len(args)], make_field(23), [{}])
     want = naive_char_sum([complex(table[k]) for k in args])
     assert got.length == 5000
     assert abs(got.value - want) < 1e-12
 
 
 def test_histogram_sum_rejects_out_of_range_arguments():
-    chi = standard_character(make_field(23))
+    ctx = make_field(23)
     for args in (
         [[0, 5, 23]],        # a one-row call: past the bincount's end
         [[0, 23], [5, 0]],   # would count in the next row's bin 0
@@ -793,14 +797,14 @@ def test_histogram_sum_rejects_out_of_range_arguments():
     ):
         lengths = [len(row) for row in args]
         with pytest.raises(InvariantViolated):
-            _walk_sums(np.array(args), lengths, chi, [{}] * len(args))
+            _walk_sums(np.array(args), lengths, ctx, [{}] * len(args))
 
 
 def test_histogram_sums_read_only_each_rows_walked_prefix():
     # entries past a row's length are padding, whatever their values
-    chi = standard_character(make_field(23))
-    got = _walk_sums(np.array([[0, 5, 99], [7, -4, 23]]), [2, 1], chi, [{}, {}])
-    want = [_walk_sums(np.array([row]), [len(row)], chi, [{}])[0] for row in ([0, 5], [7])]
+    ctx = make_field(23)
+    got = _walk_sums(np.array([[0, 5, 99], [7, -4, 23]]), [2, 1], ctx, [{}, {}])
+    want = [_walk_sums(np.array([row]), [len(row)], ctx, [{}])[0] for row in ([0, 5], [7])]
     assert got == want
 
 
@@ -810,10 +814,10 @@ def test_invariant_checks_survive_optimized_python():
         "import numpy as np",
         "from matpowlab.charsums import _walk_sums",
         "from matpowlab.errors import InvariantViolated",
-        "from matpowlab.ffield import make_field, standard_character",
+        "from matpowlab.ffield import make_field",
         "print(sys.flags.optimize)",
         "try:",
-        "    _walk_sums(np.array([[0, 5, 23]]), [3], standard_character(make_field(23)), [{}])",
+        "    _walk_sums(np.array([[0, 5, 23]]), [3], make_field(23), [{}])",
         "except InvariantViolated:",
         "    print('raised')",
         "import matpowlab.charsums as charsums",

@@ -10,9 +10,7 @@ from matpowlab.errors import (
     ZeroElement,
 )
 from matpowlab.ffield import (
-    CharacterSpec,
     SubgroupSpec,
-    char_argument,
     char_eval,
     is_square,
     make_field,
@@ -23,7 +21,6 @@ from matpowlab.ffield import (
     residue_inverse,
     residue_product,
     sqrt,
-    standard_character,
     subgroup_of_order,
     subgroup_walk,
     trace_form,
@@ -245,18 +242,18 @@ def test_subgroup_spec_validates_order():
 
 
 def test_character_homomorphism_random_pairs():
+    # z -> e_p(Tr(alpha z)) is additive for the twist alpha as for alpha = 1
     rng = np.random.default_rng(123)
     for p, degree in ((13, 1), (7, 2)):
         ctx = make_field(p, degree)
         alpha = ctx.elem(int(rng.integers(1, p)), int(rng.integers(0, p)) if degree == 2 else 0)
         if not alpha:
             alpha = ctx.one
-        chi = CharacterSpec(alpha)
         for _ in range(1000):
             x = ctx.elem(int(rng.integers(0, p)), int(rng.integers(0, p)) if degree == 2 else 0)
             y = ctx.elem(int(rng.integers(0, p)), int(rng.integers(0, p)) if degree == 2 else 0)
-            lhs = char_eval(chi, x + y)
-            rhs = char_eval(chi, x) * char_eval(chi, y)
+            lhs = char_eval(alpha * (x + y))
+            rhs = char_eval(alpha * x) * char_eval(alpha * y)
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -264,26 +261,22 @@ def test_character_full_sum_vanishes():
     # sum over the whole additive group is zero for a nontrivial character
     for p, degree in ((11, 1), (5, 2)):
         ctx = make_field(p, degree)
-        chi = standard_character(ctx)
-        total = sum(char_eval(chi, x) for x in ctx.iter_elements())
+        total = sum(char_eval(x) for x in ctx.iter_elements())
         assert abs(total) < 1e-9
-    with pytest.raises(ZeroElement):
-        CharacterSpec(make_field(7).zero)
 
 
 def test_character_trace_argument():
-    # degree-2 character factors through the trace: psi(z) = e_p(Tr(z)) for alpha = 1
+    # the degree-2 character factors through the trace: psi(z) = e_p(Tr(z))
     ctx = make_field(7, 2)
-    chi = standard_character(ctx)
     for z in ctx.iter_elements():
         tr, _ = trace_norm(z)
         expect = np.exp(2j * np.pi * tr.c0 / 7)
-        assert abs(char_eval(chi, z) - expect) < 1e-12
+        assert abs(char_eval(z) - expect) < 1e-12
 
 
 @pytest.mark.parametrize("p,degree", [(5, 1), (7, 1), (5, 2), (7, 2)])
 def test_residue_matrices_match_field_arithmetic(p, degree):
-    # every alpha != 0, a, z: res(a) T res(z) = Tr(alpha a z) and
+    # every a, z: res(a) T res(z) = Tr(a z), char_eval(z) = e_p(Tr z) and
     # mul_matrix(a) res(z) = residue_product(res(a), res(z)) = res(a z)
     ctx = make_field(p, degree)
     elems = list(ctx.iter_elements())
@@ -292,11 +285,10 @@ def test_residue_matrices_match_field_arithmetic(p, degree):
     for a, row in zip(elems, prod):
         assert np.array_equal(mul_matrix(a) @ res.T % p, res[row].T)
     assert np.array_equal(residue_product(res[:, None], res[None, :], ctx), res[prod])
-    for alpha in elems[1:]:
-        chi = CharacterSpec(alpha)
-        args = np.array([char_argument(chi, y) for y in elems])
-        assert list(args) == [naive_field_trace(alpha * y) for y in elems]
-        assert np.array_equal(res @ trace_form(chi) @ res.T % p, args[prod])
+    traces = np.array([naive_field_trace(y) for y in elems])
+    assert np.array_equal(res @ trace_form(ctx) @ res.T % p, traces[prod])
+    psi = np.exp(2j * np.pi * traces / p)
+    assert max(abs(char_eval(y) - want) for y, want in zip(elems, psi)) < 1e-12
 
 
 @pytest.mark.parametrize("degree", [1, 2])
