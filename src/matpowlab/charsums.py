@@ -132,15 +132,14 @@ def _walk_blocks(walks):
         yield block
 
 
-def matrix_exp_sums(entries, max_tau: int | None = None) -> list:
+def matrix_exp_sums(entries, max_tau: int = SUM_TAU_CAP) -> list:
     """Sum psi(a A^x b), x = 1..tau, for each (a_vec, b_vec, A) of one field and one n.
 
     Returns one entry per triple, in order: its SumResult, or the
-    BudgetExceeded that skipped it (a period above max_tau, SUM_TAU_CAP by
-    default).  The residue orbits of the b's are walked as stacks, sorted by
-    period and cut into row-bounded blocks; each walk keeps its own
-    histogram checks and its own p-term dot, so a sum is bit for bit the
-    one its triple gives alone.
+    BudgetExceeded that skipped it (a period above max_tau).  The residue
+    orbits of the b's are walked as stacks, sorted by period and cut into
+    row-bounded blocks; each walk keeps its own histogram checks and its
+    own p-term dot, so a sum is bit for bit the one its triple gives alone.
     """
     entries = list(entries)
     if not entries:
@@ -153,14 +152,13 @@ def matrix_exp_sums(entries, max_tau: int | None = None) -> list:
             raise ValueError("need a row vector on the left and a column vector on the right")
         if A.n != n or a_vec.n != n or b_vec.n != n:
             raise ValueError("dimension mismatch")
-    cap = SUM_TAU_CAP if max_tau is None else max_tau
     p, d = ctx.p, ctx.degree
     results = [None] * len(entries)
     walks = []
     for k, (_, _, A) in enumerate(entries):
         tau = matrix_order(A)
-        if tau > cap:
-            results[k] = BudgetExceeded(f"period {tau} exceeds the cap {cap}",
+        if tau > max_tau:
+            results[k] = BudgetExceeded(f"period {tau} exceeds the cap {max_tau}",
                                         estimated_work=tau)
         else:
             walks.append((tau, k))
@@ -179,7 +177,7 @@ def matrix_exp_sums(entries, max_tau: int | None = None) -> list:
 
 
 def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
-                   max_tau: int | None = None) -> SumResult:
+                   max_tau: int = SUM_TAU_CAP) -> SumResult:
     """Sum psi(a A^x b) for x = 1..tau: the one-entry call of matrix_exp_sums,
     raising the BudgetExceeded that would skip the entry."""
     (result,) = matrix_exp_sums([(a_vec, b_vec, A)], max_tau)
@@ -203,7 +201,7 @@ def subgroup_entry(family: str, G: SubgroupSpec) -> tuple[MatEntity, VecEntity]:
 
 
 def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
-                         max_order: int | None = None) -> SumResult:
+                         max_order: int = SUM_TAU_CAP) -> SumResult:
     """Sum psi(a u + b / u) over the subgroup: the matrix sum of (a, b) on
     subgroup_entry("kloosterman", G)."""
     A, ones = subgroup_entry("kloosterman", G)
@@ -211,7 +209,7 @@ def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
 
 
 def gauss_subgroup(G: SubgroupSpec, a: FFElem,
-                   max_order: int | None = None) -> SumResult:
+                   max_order: int = SUM_TAU_CAP) -> SumResult:
     """Sum psi(a u) over the subgroup: the matrix sum of (a) on
     subgroup_entry("gauss", G)."""
     A, ones = subgroup_entry("gauss", G)
@@ -230,7 +228,7 @@ class MomentResult:
 
 
 def sum_moment(family: str, G: SubgroupSpec, m: int,
-               max_work: int | None = None) -> MomentResult:
+               max_work: int = MOMENT_WORK_CAP) -> MomentResult:
     """Moment sum of |walk sum|^m over every coefficient in the field.
 
     Kloosterman moments range over all q^2 pairs (a, b), Gauss moments over
@@ -252,9 +250,8 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     q = ctx.q
     tau = G.order
     work = q ** A.n * tau
-    cap = MOMENT_WORK_CAP if max_work is None else max_work
-    if work > cap:
-        raise BudgetExceeded(f"moment work {work} exceeds the cap {cap}",
+    if work > max_work:
+        raise BudgetExceeded(f"moment work {work} exceeds the cap {max_work}",
                              estimated_work=work)
 
     p, d = ctx.p, ctx.degree

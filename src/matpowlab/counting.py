@@ -351,7 +351,7 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
 # ---- product equation --------------------------------------------------------------
 
 
-def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> CountResult:
+def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int = PRODUCT_EQ_CAP) -> CountResult:
     """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0.
 
     tau is the lcm of the base orders, one mult_order per Frobenius orbit
@@ -375,9 +375,8 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> C
             raise ZeroLambda("bases must be nonzero")
     orders = frobenius_orders(lambdas)
     tau = math.lcm(*orders)
-    cap = PRODUCT_EQ_CAP if max_tau is None else max_tau
-    if tau > cap:
-        raise BudgetExceeded(f"lcm period {tau} exceeds {cap}", estimated_work=tau)
+    if tau > max_tau:
+        raise BudgetExceeded(f"lcm period {tau} exceeds {max_tau}", estimated_work=tau)
     p = ctx.p
     prod = np.array(ctx.one.residues(), dtype=np.int64)
     for xi, lam in zip(xis, lambdas):
@@ -395,22 +394,21 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int | None = None) -> C
 
 
 def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
-                           max_work: int | None = None) -> SumDistribution:
+                           max_work: int = DISTRIBUTION_WORK_CAP) -> SumDistribution:
     """Full multiset of k-fold sums of the vector orbit: distinct rows and int64 counts."""
     if k < 1:
         raise ValueError("arity must be positive")
     check_vector_orbit(a, A)
     tau = matrix_order(A)
-    cap = DISTRIBUTION_WORK_CAP if max_work is None else max_work
-    if tau ** k > cap:
-        raise BudgetExceeded(f"tau^k = {tau ** k} exceeds {cap}", estimated_work=tau ** k)
+    if tau ** k > max_work:
+        raise BudgetExceeded(f"tau^k = {tau ** k} exceeds {max_work}", estimated_work=tau ** k)
     orbit = vector_orbit(a, A, tau)
     rows, counts = _folded_distribution(orbit, A.ctx.p, k)
     return SumDistribution(k, rows, counts, tau ** k)
 
 
 def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
-                 max_space: int | None = None) -> CoverResult:
+                 max_space: int = COVER_SPACE_CAP) -> CoverResult:
     """Smallest k <= k_max with S_k = F_q^n for S_1 = orbit, S_{k+1} = S_k + S_1.
 
     Stops early when the sumset stagnates: S_{k+1} = S_k forces S_{k+m} = S_k
@@ -422,9 +420,8 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
     p = A.ctx.p
     d = A.n * A.ctx.degree
     space = p ** d
-    cap = COVER_SPACE_CAP if max_space is None else max_space
-    if space > cap:
-        raise BudgetExceeded(f"q^n = {space} exceeds {cap}", estimated_work=space)
+    if space > max_space:
+        raise BudgetExceeded(f"q^n = {space} exceeds {max_space}", estimated_work=space)
     shifts, _ = _distinct_rows(vector_orbit(a, A, matrix_order(A)), p)
     ones = np.ones(shifts.shape[0], dtype=np.bool_)
     current = np.zeros((p,) * d, dtype=np.bool_)

@@ -75,7 +75,7 @@ def curve_eval(spec: CurveSpec, x: FFElem, y: FFElem) -> FFElem:
     return (head + spec.a) * (head + spec.b * prod) - prod
 
 
-def count_points(spec: CurveSpec, max_work: int | None = None) -> CountResult:
+def count_points(spec: CurveSpec, max_work: int = CURVE_WORK_CAP) -> CountResult:
     """Exact affine point count by a fibre-weighted grid over the power-map image.
 
     F depends on (x, y) only through (X, Y) = (x^s, y^s).  With g = gcd(s, q - 1),
@@ -88,9 +88,8 @@ def count_points(spec: CurveSpec, max_work: int | None = None) -> CountResult:
     g = math.gcd(spec.s, q - 1)
     m = (q - 1) // g
     work = (m + 1) ** 2
-    cap = CURVE_WORK_CAP if max_work is None else max_work
-    if work > cap:
-        raise BudgetExceeded(f"grid work {work} exceeds the cap {cap}",
+    if work > max_work:
+        raise BudgetExceeded(f"grid work {work} exceeds the cap {max_work}",
                              estimated_work=work)
     image = np.vstack([ctx.zero.residues(), subgroup_walk(subgroup_of_order(ctx, m))])
     fibres = np.full(m + 1, g, dtype=np.int64)

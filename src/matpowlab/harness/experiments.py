@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -123,14 +124,22 @@ def _checked(cfg, ctxinfo, quantity, value, bound_name, bound_value):
     return _row(cfg, ctxinfo, quantity, value, bound_name, bound_value, status)
 
 
-def _skipped(cfg, ctxinfo, quantity, err):
-    """A skipped row naming its cause: budget with the estimated work of a
-    BudgetExceeded, the class name of any other error."""
-    if isinstance(err, BudgetExceeded):
-        cap = err.estimated_work
-        return _row(cfg, ctxinfo, quantity, None, "budget",
-                    float(cap) if cap else None, "skipped")
-    return _row(cfg, ctxinfo, quantity, None, type(err).__name__, status="skipped")
+def _guarded(cfg, ctxinfo, quantity, kernel, rows, skips=()):
+    """rows(result) for the result of kernel(), or the one skipped row that
+    names the error skipping it: budget with the estimated work of a
+    BudgetExceeded that kernel() raises or returns, the class name of a
+    precondition error in skips that it raises."""
+    try:
+        result = kernel()
+    except (BudgetExceeded, *skips) as err:
+        result = err
+    if not isinstance(result, (BudgetExceeded, *skips)):
+        return rows(result)
+    if isinstance(result, BudgetExceeded):
+        cap = result.estimated_work
+        return [_row(cfg, ctxinfo, quantity, None, "budget",
+                     float(cap) if cap else None, "skipped")]
+    return [_row(cfg, ctxinfo, quantity, None, type(result).__name__, status="skipped")]
 
 
 def _ctxinfo(p, q, n=None, trace=None, class_tag="", tau=None, t=None):
@@ -191,18 +200,16 @@ def _energy_rows(cfg, desc):
     (p,) = desc
     rows = []
     for u, A, data, tau, info in _companions(cfg, p):
-        try:
-            count = count_Q(A, 2, max_tau=_scaled(DEFAULT_TAU_CAP[2], cfg.budget)).value
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, "energy2", err))
-            continue
         t = info["t"]
-        rows.append(_checked(cfg, info, "energy2", count, "three-tau-squared",
-                             3.0 * tau * tau))
-        rows.append(_row(cfg, info, "energy2", count, "diag-energy",
-                         tau**3 * min(t * tau**-0.25, t * t * tau**-0.5)))
+        bounds = [("diag-energy", tau**3 * min(t * tau**-0.25, t * t * tau**-0.5))]
         if data.tag == "irreducible":
-            rows.append(_row(cfg, info, "energy2", count, "irred-energy", t * tau**2.5))
+            bounds.append(("irred-energy", t * tau**2.5))
+        rows += _guarded(
+            cfg, info, "energy2",
+            lambda: count_Q(A, 2, max_tau=_scaled(DEFAULT_TAU_CAP[2], cfg.budget)).value,
+            lambda count: [_checked(cfg, info, "energy2", count, "three-tau-squared",
+                                    3.0 * tau * tau)]
+            + [_row(cfg, info, "energy2", count, *bound) for bound in bounds])
     return rows
 
 
@@ -210,16 +217,14 @@ def _q3_rows(cfg, desc):
     (p,) = desc
     rows = []
     for u, A, data, tau, info in _companions(cfg, p):
-        try:
-            count = count_Q(A, 3, max_tau=_scaled(DEFAULT_TAU_CAP[3], cfg.budget)).value
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, "orbit-count-6term", err))
-            continue
         if data.tag == "split":
-            bound_name, bound = "split-six", tau ** (11 / 3)
+            bound = ("split-six", tau ** (11 / 3))
         else:
-            bound_name, bound = "nonsplit-six", tau ** (19 / 5) + tau**5 / p
-        rows.append(_row(cfg, info, "orbit-count-6term", count, bound_name, bound))
+            bound = ("nonsplit-six", tau ** (19 / 5) + tau**5 / p)
+        rows += _guarded(
+            cfg, info, "orbit-count-6term",
+            lambda: count_Q(A, 3, max_tau=_scaled(DEFAULT_TAU_CAP[3], cfg.budget)).value,
+            lambda count: [_row(cfg, info, "orbit-count-6term", count, *bound)])
     return rows
 
 
@@ -248,49 +253,42 @@ def _sums_rows(cfg, desc):
                 if not isinstance(result, BudgetExceeded)]
     hypotheses = iter(analyze_instances(computed))
     rows = []
-    for (info, quantity), result in zip(labels, results):
-        if isinstance(result, BudgetExceeded):
-            rows.append(_skipped(cfg, info, quantity, result))
-            continue
-        rows.extend(_row(cfg, info, quantity, result.value, entry.name, entry.value,
-                         entry.status)
-                    for entry in evaluate_bounds(result, next(hypotheses)))
+    for (info, quantity), outcome in zip(labels, results):
+        rows += _guarded(
+            cfg, info, quantity, lambda: outcome,
+            lambda result: [_row(cfg, info, quantity, result.value, entry.name, entry.value,
+                                 entry.status)
+                            for entry in evaluate_bounds(result, next(hypotheses))])
     return rows
-
-
-def _moment_row(cfg, info, family, group, bound_name, bound):
-    """The j = 0 moment row of a walk family; only the sixth moment has a bound."""
-    quantity = f"moment{cfg.moment}"
-    try:
-        moment = sum_moment(family, group, cfg.moment,
-                            max_work=_scaled(MOMENT_WORK_CAP, cfg.budget))
-    except BudgetExceeded as err:
-        return _skipped(cfg, info, quantity, err)
-    if cfg.moment == 6:
-        return _row(cfg, info, quantity, moment.value, bound_name, bound)
-    return _row(cfg, info, quantity, moment.value)
 
 
 def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound):
     """The sampled sums of one subgroup as one matrix_exp_sums stack over its
     subgroup_entry, each against the trivial bound and the (name, value,
     checked) bounds, a checked one decided as on sums rows (explicit_status);
-    the moment row follows the j = 0 rows."""
+    the moment row follows the j = 0 rows, and only the sixth moment has a
+    bound."""
     A, ones = subgroup_entry(family, group)
     results = matrix_exp_sums([(VecEntity(c, "row"), ones, A) for c in coefficients],
                               max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
     bounds = [("trivial", float(group.order), True)] + bounds
+    moment = f"moment{cfg.moment}"
+    if cfg.moment != 6:
+        moment_bound = ()
     rows = []
-    for j, result in enumerate(results):
+    for j, outcome in enumerate(results):
         quantity = f"{family}-{j}"
-        if isinstance(result, BudgetExceeded):
-            rows.append(_skipped(cfg, info, quantity, result))
-        else:
-            rows.extend(_row(cfg, info, quantity, result.value, name, bound,
-                             explicit_status(result.abs, bound) if checked else "report")
-                        for name, bound, checked in bounds)
+        rows += _guarded(
+            cfg, info, quantity, lambda: outcome,
+            lambda result: [_row(cfg, info, quantity, result.value, name, bound,
+                                 explicit_status(result.abs, bound) if checked else "report")
+                            for name, bound, checked in bounds])
         if j == 0:
-            rows.append(_moment_row(cfg, info, family, group, *moment_bound))
+            rows += _guarded(
+                cfg, info, moment,
+                lambda: sum_moment(family, group, cfg.moment,
+                                   max_work=_scaled(MOMENT_WORK_CAP, cfg.budget)).value,
+                lambda value: [_row(cfg, info, moment, value, *moment_bound)])
     return rows
 
 
@@ -316,14 +314,13 @@ def _gauss_rows(cfg, desc):
     if m == 0:
         group = SubgroupSpec(primitive_root(ctx), q - 1)
         info = _ctxinfo(p, q, n=1, tau=q - 1)
-        try:
-            value = gauss_subgroup(group, ctx.one,
-                                   max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value
-        except BudgetExceeded as err:
-            return [_skipped(cfg, info, "gauss-full-deviation", err)]
         # The sum over every invertible element is exactly minus one.
-        return [_checked(cfg, info, "gauss-full-deviation", value + 1,
-                         "tolerance", 1e-9)]
+        return _guarded(
+            cfg, info, "gauss-full-deviation",
+            lambda: gauss_subgroup(group, ctx.one,
+                                   max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value,
+            lambda value: [_checked(cfg, info, "gauss-full-deviation", value + 1,
+                                    "tolerance", 1e-9)])
     if not _tau_selected(cfg, m):
         return []
     coefficients = [[ctx.from_index(1 + _stream(cfg, p, m, j).below(q - 1))]
@@ -344,14 +341,10 @@ def _curve_pair(stream, ctx):
 
 
 def _point_count(cfg, ctx, s, stream):
-    """Points of the degree-s curve whose (a, b) is drawn from stream, or the
-    BudgetExceeded that skipped the count."""
+    """Points of the degree-s curve whose (a, b) is drawn from stream."""
     a, b = _curve_pair(stream, ctx)
-    try:
-        return count_points(CurveSpec(ctx, s, a, b),
-                            max_work=_scaled(CURVE_WORK_CAP, cfg.budget)).value
-    except BudgetExceeded as err:
-        return err
+    return count_points(CurveSpec(ctx, s, a, b),
+                        max_work=_scaled(CURVE_WORK_CAP, cfg.budget)).value
 
 
 def _curves_rows(cfg, desc):
@@ -366,24 +359,19 @@ def _curves_rows(cfg, desc):
             continue
         for j in range(cfg.samples):
             quantity = f"point-count-s{s}-{j}"
-            count = _point_count(cfg, ctx, s, _stream(cfg, p, s, j))
-            if isinstance(count, BudgetExceeded):
-                rows.append(_skipped(cfg, info, quantity, count))
-            elif 3 * s < p:
-                rows.append(_checked(cfg, info, quantity, count, "high-degree",
-                                     high_degree_bound(3 * s, p)))
-            else:
-                rows.append(_row(cfg, info, quantity, count))
+            rows += _guarded(
+                cfg, info, quantity, lambda: _point_count(cfg, ctx, s, _stream(cfg, p, s, j)),
+                lambda count: [_checked(cfg, info, quantity, count, "high-degree",
+                                        high_degree_bound(3 * s, p))
+                               if 3 * s < p else _row(cfg, info, quantity, count)])
     ext = make_field(p, 2)
     info = _ctxinfo(p, ext.q)
     for j in range(cfg.samples):
         quantity = f"point-count-ext-{j}"
-        count = _point_count(cfg, ext, p - 1, _stream(cfg, p, 0, j))
-        if isinstance(count, BudgetExceeded):
-            rows.append(_skipped(cfg, info, quantity, count))
-        else:
-            rows.append(_row(cfg, info, quantity, count, "extension-regime",
-                             extension_regime_bound(p - 1, p)))
+        rows += _guarded(
+            cfg, info, quantity, lambda: _point_count(cfg, ext, p - 1, _stream(cfg, p, 0, j)),
+            lambda count: [_row(cfg, info, quantity, count, "extension-regime",
+                                extension_regime_bound(p - 1, p))])
     return rows
 
 
@@ -393,29 +381,26 @@ def _orbit_rows(cfg, desc):
     start = VecEntity((ctx.one, ctx.zero), "row")
     rows = []
     for u, A, data, tau, info in _companions(cfg, p):
-        try:
-            dist = orbit_sum_distribution(
-                start, A, 2, max_work=_scaled(DISTRIBUTION_WORK_CAP, cfg.budget))
-            rows.append(_row(cfg, info, "distinct-sums-2", len(dist.rows)))
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, "distinct-sums-2", err))
-        try:
-            cover = sumset_cover(start, A, 4, max_space=_scaled(COVER_SPACE_CAP, cfg.budget))
-            rows.append(_row(cfg, info, "cover-arity", cover.covered_at or 0))
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, "cover-arity", err))
+        rows += _guarded(
+            cfg, info, "distinct-sums-2",
+            lambda: orbit_sum_distribution(
+                start, A, 2, max_work=_scaled(DISTRIBUTION_WORK_CAP, cfg.budget)),
+            lambda dist: [_row(cfg, info, "distinct-sums-2", len(dist.rows))])
+        rows += _guarded(
+            cfg, info, "cover-arity",
+            lambda: sumset_cover(start, A, 4, max_space=_scaled(COVER_SPACE_CAP, cfg.budget)),
+            lambda cover: [_row(cfg, info, "cover-arity", cover.covered_at or 0)])
         ectx = data.eigen_ctx
         stream = _stream(cfg, p, u)
         xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
         xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
         xi2 = ectx.from_index(stream.below(ectx.q))
-        try:
-            product = count_product_eq(xi0, (xi1, xi2), data.eigenvalues,
-                                       max_tau=_scaled(PRODUCT_EQ_CAP, cfg.budget))
-            rows.append(_row(cfg, info, "product-eq-count", product.value,
-                             "product-decay", tau / product.parameters["L"]**0.5))
-        except BudgetExceeded as err:
-            rows.append(_skipped(cfg, info, "product-eq-count", err))
+        rows += _guarded(
+            cfg, info, "product-eq-count",
+            lambda: count_product_eq(xi0, (xi1, xi2), data.eigenvalues,
+                                     max_tau=_scaled(PRODUCT_EQ_CAP, cfg.budget)),
+            lambda product: [_row(cfg, info, "product-eq-count", product.value,
+                                  "product-decay", tau / product.parameters["L"]**0.5)])
     return rows
 
 
@@ -424,46 +409,45 @@ def _catmap_rows(cfg, desc):
     cat = CatMatrix(CAT_A11, CAT_A12, CAT_A21, CAT_A22)
     tau = matrix_order(cat.mod_matrix(N))
     info = _ctxinfo(N, N, n=2, trace=cat.trace, tau=tau)
-    try:
-        propagator = cat_unitary(N, cat)
-    except SingularLowerLeft as err:
-        return [_skipped(cfg, info, "propagator", err)]
-    unit_dev = float(np.linalg.norm(propagator @ propagator.conj().T - np.eye(N)))
-    rows = [_checked(cfg, info, "unitary-deviation", unit_dev, "tolerance", 1e-9)]
-    for vec in ((1, 0), (0, 1)):
-        defect = egorov_defect(propagator, cat, vec)
-        rows.append(_checked(cfg, info, f"egorov-{vec[0]}{vec[1]}", defect,
-                             "tolerance", 1e-8))
-    try:
-        defect = delta_Nf(propagator, Observable(_CAT_MODES),
-                          max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget))
-        rows.append(_row(cfg, info, "delta", defect, "ergodic-trend",
-                         N ** (-1 / 60)))
-    except BudgetExceeded as err:
-        rows.append(_skipped(cfg, info, "delta", err))
-    return rows
+
+    def propagator_rows(propagator):
+        unit_dev = float(np.linalg.norm(propagator @ propagator.conj().T - np.eye(N)))
+        rows = [_checked(cfg, info, "unitary-deviation", unit_dev, "tolerance", 1e-9)]
+        for vec in ((1, 0), (0, 1)):
+            defect = egorov_defect(propagator, cat, vec)
+            rows.append(_checked(cfg, info, f"egorov-{vec[0]}{vec[1]}", defect,
+                                 "tolerance", 1e-8))
+        return rows + _guarded(
+            cfg, info, "delta",
+            lambda: delta_Nf(propagator, Observable(_CAT_MODES),
+                             max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget)),
+            lambda defect: [_row(cfg, info, "delta", defect, "ergodic-trend",
+                                 N ** (-1 / 60))])
+
+    return _guarded(cfg, info, "propagator", lambda: cat_unitary(N, cat), propagator_rows,
+                    skips=(SingularLowerLeft,))
 
 
 def _lemma81_rows(cfg, desc):
     (p,) = desc
     cat = CatMatrix(CAT_A11, CAT_A12, CAT_A21, CAT_A22)
     info = _ctxinfo(p, p, n=2, trace=cat.trace)
-    try:
-        reports = matrix_element_check(
-            cat, p, (1, 0), cfg.nu, max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget),
-            max_tau={nu: _scaled(DEFAULT_TAU_CAP[nu], cfg.budget) for nu in cfg.nu})
-    except (DependentVectors, DegenerateParameters, SingularLowerLeft,
-            CompositeModulus) as err:
-        return [_skipped(cfg, info, f"element-power-{nu}", err) for nu in cfg.nu]
+    # one check for every exponent; cache keeps no error, so a precondition
+    # error (raised before any work) is raised again and skips each exponent
+    check = cache(partial(
+        matrix_element_check, cat, p, (1, 0), cfg.nu,
+        max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget),
+        max_tau={nu: _scaled(DEFAULT_TAU_CAP[nu], cfg.budget) for nu in cfg.nu}))
     rows = []
-    for nu, report in zip(cfg.nu, reports):
+    for k, nu in enumerate(cfg.nu):
         quantity = f"element-power-{nu}"
-        if isinstance(report, BudgetExceeded):
-            rows.append(_skipped(cfg, info, quantity, report))
-            continue
-        checked_info = _ctxinfo(p, p, n=2, trace=cat.trace, tau=report.tau)
-        rows.append(_row(cfg, checked_info, quantity, report.sup_power, "count-ceiling",
-                         report.bound, "pass" if report.passed else "fail"))
+        rows += _guarded(
+            cfg, info, quantity, lambda: check()[k],
+            lambda report: [_row(cfg, _ctxinfo(p, p, n=2, trace=cat.trace, tau=report.tau),
+                                 quantity, report.sup_power, "count-ceiling", report.bound,
+                                 "pass" if report.passed else "fail")],
+            skips=(DependentVectors, DegenerateParameters, SingularLowerLeft,
+                   CompositeModulus))
     return rows
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import matpowlab
 from matpowlab.charsums import (
+    SUM_TAU_CAP,
     SumResult,
     _walk_sums,
     analyze_instance,
@@ -213,7 +214,7 @@ def _random_stack(ctx, n, count, rng):
     return out
 
 
-def _one_by_one(entries, max_tau=None):
+def _one_by_one(entries, max_tau=SUM_TAU_CAP):
     out = []
     for a, b, A in entries:
         try:

@@ -1,11 +1,14 @@
-"""Every experiment at its default config (seed 1) against stored golden CSVs.
+"""Every experiment at seed 1 against stored golden CSVs.
 
-The golden files in tests/golden/ pin the behaviour contract that every
-refactor keeps: row order, `status` and the integer columns byte-identical,
-float columns within 1e-9 relative. As in the benchmark gate, the two parts
-of a complex value are compared relative to its magnitude (the imaginary
-part of a real sum is round-off), and rows measured against a `tolerance`
-bound hold round-off residuals near 1e-15, compared within 1e-9 absolute.
+The files in tests/golden/ hold the default config; those in
+tests/golden/edge/ hold p 3-13 at budget 1e-5, where caps, the p = 3
+preconditions and computed rows meet, so skipped rows are pinned too.
+Both pin the behaviour contract that every refactor keeps: row order,
+`status` and the integer columns byte-identical, float columns within 1e-9
+relative. As in the benchmark gate, the two parts of a complex value are
+compared relative to its magnitude (the imaginary part of a real sum is
+round-off), and rows measured against a `tolerance` bound hold round-off
+residuals near 1e-15, compared within 1e-9 absolute.
 """
 
 import csv
@@ -20,6 +23,8 @@ from matpowlab.harness.runner import run_experiment
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FLOAT_COLUMNS = frozenset(("value_re", "value_im", "abs", "bound_value", "ratio"))
 REL_TOL = 1e-9
+# golden subdirectory -> config overrides
+WINDOWS = {"": {}, "edge": {"p_min": 3, "p_max": 13, "budget": 1e-5}}
 
 
 def _read(path):
@@ -42,11 +47,14 @@ def _same(column, got, want, ref):
                         abs_tol=_abs_tol(column, ref))
 
 
-@pytest.mark.parametrize("experiment", EXPERIMENT_NAMES)
-def test_output_matches_golden(experiment, tmp_path):
-    run_experiment(ExperimentConfig(experiment=experiment, seed=1, out=str(tmp_path)))
+@pytest.mark.parametrize("window, experiment", [
+    pytest.param(window, name, id="-".join(filter(None, (window, name))))
+    for window in WINDOWS for name in EXPERIMENT_NAMES])
+def test_output_matches_golden(window, experiment, tmp_path):
+    run_experiment(ExperimentConfig(experiment=experiment, seed=1, out=str(tmp_path),
+                                    **WINDOWS[window]))
     got = _read(tmp_path / f"{experiment}.csv")
-    want = _read(os.path.join(GOLDEN, f"{experiment}.csv"))
+    want = _read(os.path.join(GOLDEN, window, f"{experiment}.csv"))
     header = want[0]
     assert got[0] == header
     assert len(got) == len(want)

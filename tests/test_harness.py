@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from matpowlab.errors import ConfigError
+from matpowlab.errors import ConfigError, InvariantViolated
 from matpowlab.ffield import make_field
 from matpowlab.harness import (
     EXPERIMENT_NAMES,
@@ -19,7 +19,7 @@ from matpowlab.harness import (
 )
 from matpowlab.harness.cli import main
 from matpowlab.harness.config import ExperimentConfig, build_config, load_config, parse_pairs
-from matpowlab.harness import runner
+from matpowlab.harness import experiments, runner
 from matpowlab.harness.runner import CSV_COLUMNS, record_to_csv
 from matpowlab.matgrp import char_poly_factor, sl2_companion
 
@@ -336,6 +336,25 @@ def test_every_experiment_runs_at_p3_and_skipped_rows_name_their_cause():
                 assert rec.bound_value > 0
             else:
                 assert (rec.quantity, rec.bound_name, rec.bound_value) in causes
+
+
+@pytest.mark.parametrize("experiment, kernel", [("energy", "count_Q"),
+                                                ("sums", "matrix_exp_sums")])
+def test_a_failed_invariant_raises_and_writes_no_skipped_row(experiment, kernel, tmp_path,
+                                                             monkeypatch):
+    # the skip guard catches a cap hit and the preconditions a call site names,
+    # never a failed invariant: that must stop the run, not become a skipped row
+    def broken(*args, **kwargs):
+        raise InvariantViolated("forged")
+
+    monkeypatch.setattr(experiments, kernel, broken)
+    cfg = _cfg(experiment=experiment, p_min=7, p_max=7, out=tmp_path)
+    (desc,) = build_instances(cfg)
+    with pytest.raises(InvariantViolated):
+        compute_instance(cfg, desc)
+    with pytest.raises(InvariantViolated):
+        run_experiment(cfg)
+    assert not os.listdir(tmp_path)
 
 
 def test_curves_past_the_old_grid_cap_are_computed():

@@ -52,3 +52,47 @@ def test_unused_imports_are_found():
                          ids=lambda path: str(path.relative_to(path.parents[1])))
 def test_no_module_imports_a_name_it_never_uses(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def _module_private_names(tree):
+    """Single-underscore names a module binds at top level: defs, classes, assignments."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names[leaf.id] = node.lineno
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def _names_read(tree):
+    """Every name a module loads, reads as an attribute or imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_unread_private_names_are_found():
+    tree = ast.parse("_used = 1\n_dead = 2\ndef _helper(): return _used\n__all__ = []\n")
+    private = _module_private_names(tree)
+    assert sorted(set(private) - _names_read(tree)) == ["_dead", "_helper"]
+
+
+def test_every_private_module_name_is_read_in_src():
+    trees = {path: ast.parse(path.read_text()) for path in _MODULES}
+    read = set().union(*map(_names_read, trees.values()))
+    dead = [(str(path.relative_to(path.parents[1])), line, name)
+            for path, tree in trees.items()
+            for name, line in _module_private_names(tree).items() if name not in read]
+    assert dead == []
