@@ -20,13 +20,15 @@ from .errors import (
     InvariantViolated,
     NonRealObservable,
     SingularLowerLeft,
+    UndecidedVerdict,
+    over_budget,
 )
 from .ffield import _is_prime, make_field
 from .matgrp import MatEntity, is_diagonalizable, matrix_order
 
-# Largest N whose eigenbasis() is computed: it charges one dense N x N
-# Hermitian eigh plus the block Schurs, and reports N**3 as the estimated work
-# of a skip.  512 is a budget choice, not a limit of the method.
+# Compared, once scaled by the budget (errors.over_budget), with the N of an
+# eigenbasis(): one dense N x N Hermitian eigh plus the block Schurs, and N**3
+# is the estimated work of a skip.  512 is a budget choice, not a method limit.
 EIGEN_DIM_CAP = 512
 # Eigenvalues of U closer than CLUSTER_TOL share one eigenspace.
 CLUSTER_TOL = 1e-8
@@ -36,8 +38,8 @@ _BLOCK_GAP = 1e-3
 # Largest entry of U Z - Z Lambda and of a block's Z* Z - I that eigenbasis() accepts.
 _EIGEN_TOL = 1e-9
 # Phase-grid resolution for the numerical radius (even, so that the phases
-# theta and theta + pi pair up); the grid under-reads the radius by at most a
-# factor cos(pi / PHASE_GRID), about 1e-5 relative.
+# theta and theta + pi pair up); a grid maximum g brackets the radius in
+# [g, g / cos(pi / PHASE_GRID)], about 1e-5 relative wide.
 PHASE_GRID = 720
 _PHASES = np.exp(1j * (np.arange(PHASE_GRID) * (2 * np.pi / PHASE_GRID)))
 
@@ -198,7 +200,7 @@ def egorov_defect(U: np.ndarray, A: CatMatrix, a: tuple) -> float:
     return float(np.linalg.norm(lhs - phase * rhs))
 
 
-def eigenbasis(U: np.ndarray, max_dim: int = EIGEN_DIM_CAP) -> list:
+def eigenbasis(U: np.ndarray, budget: float = 1.0) -> list:
     """Eigenvalue clusters with bases orthonormal under the mean-weighted product.
 
     For a unitary U the Hermitian part H = (U + U*) / 2 commutes with U and
@@ -214,11 +216,8 @@ def eigenbasis(U: np.ndarray, max_dim: int = EIGEN_DIM_CAP) -> list:
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError(f"eigenbasis needs a square matrix, got shape {U.shape}")
     N = len(U)
-    if N > max_dim:
-        raise BudgetExceeded(
-            f"dense eigen-decomposition capped at {max_dim}, got {N}",
-            estimated_work=N**3,
-        )
+    if err := over_budget("eigenbasis dimension", N, EIGEN_DIM_CAP, budget, work=N**3):
+        raise err
     cosines, herm_vecs = eigh((U + U.conj().T) / 2)
     images = U @ herm_vecs
     blocks = np.split(np.arange(N), np.flatnonzero(np.diff(cosines) > _BLOCK_GAP) + 1)
@@ -258,7 +257,7 @@ def eigenbasis(U: np.ndarray, max_dim: int = EIGEN_DIM_CAP) -> list:
     return spaces
 
 
-def _compressions(U: np.ndarray, op: np.ndarray, max_dim: int) -> list:
+def _compressions(U: np.ndarray, op: np.ndarray, budget: float) -> list:
     """Z_k* op Z_k / N for each eigenspace basis Z_k of the N x N propagator U, in
     eigenbasis order.
 
@@ -266,14 +265,14 @@ def _compressions(U: np.ndarray, op: np.ndarray, max_dim: int) -> list:
     diagonal blocks of a single product Z* op Z / N.
     """
     N = len(U)
-    spaces = eigenbasis(U, max_dim=max_dim)
+    spaces = eigenbasis(U, budget)
     stacked = np.concatenate([basis for _, basis in spaces], axis=1)
     full = stacked.conj().T @ op @ stacked / N
     ends = np.cumsum([space.dim for space in spaces])
     return [full[end - space.dim:end, end - space.dim:end] for space, end in zip(spaces, ends)]
 
 
-def delta_Nf(U: np.ndarray, f: Observable, max_dim: int = EIGEN_DIM_CAP) -> float:
+def delta_Nf(U: np.ndarray, f: Observable, budget: float = 1.0) -> float:
     """Largest deviation of an eigenfunction average from the torus average, over
     the eigenfunctions of the N x N propagator U (see cat_unitary)."""
     if not f.real:
@@ -283,7 +282,7 @@ def delta_Nf(U: np.ndarray, f: Observable, max_dim: int = EIGEN_DIM_CAP) -> floa
         {a: c for a, c in f.fourier.items() if a != (0, 0)}, real=True
     )
     return max(float(np.max(np.abs(np.linalg.eigvalsh((comp + comp.conj().T) / 2))))
-               for comp in _compressions(U, quantize(len(U), centered), max_dim))
+               for comp in _compressions(U, quantize(len(U), centered), budget))
 
 
 def _numerical_radius(comp: np.ndarray) -> float:
@@ -308,22 +307,24 @@ def _numerical_radius(comp: np.ndarray) -> float:
     return max(0.0, float(top.max()))
 
 
-def _element_sup(U: np.ndarray, a: tuple, max_dim: int) -> float:
+def _element_sup(U: np.ndarray, a: tuple, budget: float) -> float:
     """Largest numerical radius of T(a) compressed to an eigenspace of the propagator U."""
     return max(_numerical_radius(comp)
-               for comp in _compressions(U, translation_op(len(U), a), max_dim))
+               for comp in _compressions(U, translation_op(len(U), a), budget))
 
 
-def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: int = EIGEN_DIM_CAP,
-                         max_tau: dict | None = None) -> list:
+def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple,
+                         budget: float = 1.0) -> list:
     """Check the eigenfunction matrix-element power against the orbit-count ceiling, per nu.
 
-    Returns one entry per exponent of nus, in order: a MatrixElementReport (a
-    power above the ceiling has passed=False and is not raised), or the
+    Returns one entry per exponent of nus, in order: a MatrixElementReport,
+    passed iff the radius bracket [g, g / cos(pi / PHASE_GRID)] lies within the
+    ceiling and failed (not raised) iff g^(2 nu) lies above it; an
+    UndecidedVerdict when the bracket straddles the ceiling; or the
     BudgetExceeded that skipped the exponent.  Each exponent's orbit count
-    (count_Q, capped at max_tau[nu]) runs before the eigenbasis is touched;
-    the propagator, its eigenbasis (capped at max_dim) and the sup radius do
-    not depend on nu, so each is computed at most once.
+    (count_Q, whose tau cap budget scales) runs before the eigenbasis is
+    touched; the propagator, its eigenbasis (EIGEN_DIM_CAP, scaled by the same
+    budget) and the sup radius do not depend on nu, so each runs at most once.
     """
     if not all(nu in (2, 3) for nu in nus):
         raise ValueError(f"every nu must be 2 or 3, got {nus}")
@@ -336,18 +337,17 @@ def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: in
     if not is_diagonalizable(reduced):
         raise DegenerateParameters("reduction mod p must be diagonalizable")
     tau = matrix_order(reduced)
-    caps = max_tau or {}
     sup_abs = None  # the sup radius, or the BudgetExceeded of a capped eigenbasis
     reports = []
     for nu in nus:
         try:
-            orbit_count = count_Q(reduced, nu, caps.get(nu)).value
+            orbit_count = count_Q(reduced, nu, budget).value
         except BudgetExceeded as err:
             reports.append(err)
             continue
         if sup_abs is None:
             try:
-                sup_abs = _element_sup(cat_unitary(p, A), (a1, a2), max_dim)
+                sup_abs = _element_sup(cat_unitary(p, A), (a1, a2), budget)
             except BudgetExceeded as err:
                 sup_abs = err
         if isinstance(sup_abs, BudgetExceeded):
@@ -355,6 +355,10 @@ def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: in
             continue
         bound = p * orbit_count / tau ** (2 * nu)
         sup_power = sup_abs ** (2 * nu)
+        if sup_power <= bound < (sup_abs / np.cos(np.pi / PHASE_GRID)) ** (2 * nu):
+            reports.append(UndecidedVerdict(
+                f"nu = {nu}: the radius bracket straddles the ceiling {bound}"))
+            continue
         reports.append(MatrixElementReport(
             p=p,
             nu=nu,
@@ -365,6 +369,6 @@ def matrix_element_check(A: CatMatrix, p: int, a: tuple, nus: tuple, max_dim: in
             sup_power=sup_power,
             bound=bound,
             ratio=sup_power / bound if bound else float("inf"),
-            passed=sup_power <= bound * (1 + 1e-6),
+            passed=sup_power <= bound,
         ))
     return reports

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import sequence_energy, vector_orbit
-from .errors import BudgetExceeded, InvariantViolated, MixedContext
+from .errors import BudgetExceeded, InvariantViolated, MixedContext, over_budget
 from .ffield import (
     FFElem,
     FieldCtx,
@@ -55,6 +55,7 @@ from .matgrp import (
     residue_map,
 )
 
+# Each cap is scaled by its kernel's budget (errors.over_budget).
 # Charges a walk sum its length tau: tau residue rows walked, mapped to
 # arguments and binned.  A stack of matrix walks runs in blocks of at most
 # _WALK_BLOCK_ROWS rows (a longer walk alone), so the cap bounds the work and
@@ -132,11 +133,12 @@ def _walk_blocks(walks):
         yield block
 
 
-def matrix_exp_sums(entries, max_tau: int = SUM_TAU_CAP) -> list:
+def matrix_exp_sums(entries, budget: float = 1.0) -> list:
     """Sum psi(a A^x b), x = 1..tau, for each (a_vec, b_vec, A) of one field and one n.
 
     Returns one entry per triple, in order: its SumResult, or the
-    BudgetExceeded that skipped it (a period above max_tau).  The residue
+    BudgetExceeded that skipped it (a period above SUM_TAU_CAP scaled by
+    budget).  The residue
     orbits of the b's are walked as stacks, sorted by period and cut into
     row-bounded blocks; each walk keeps its own histogram checks and its
     own p-term dot, so a sum is bit for bit the one its triple gives alone.
@@ -157,10 +159,8 @@ def matrix_exp_sums(entries, max_tau: int = SUM_TAU_CAP) -> list:
     walks = []
     for k, (_, _, A) in enumerate(entries):
         tau = matrix_order(A)
-        if tau > max_tau:
-            results[k] = BudgetExceeded(f"period {tau} exceeds the cap {max_tau}",
-                                        estimated_work=tau)
-        else:
+        results[k] = over_budget("period", tau, SUM_TAU_CAP, budget)
+        if results[k] is None:
             walks.append((tau, k))
     lefts = _forms(ctx, [x for a_vec, _, _ in entries for x in a_vec.entries])
     lefts = lefts.reshape(len(entries), n * d)
@@ -177,10 +177,10 @@ def matrix_exp_sums(entries, max_tau: int = SUM_TAU_CAP) -> list:
 
 
 def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
-                   max_tau: int = SUM_TAU_CAP) -> SumResult:
+                   budget: float = 1.0) -> SumResult:
     """Sum psi(a A^x b) for x = 1..tau: the one-entry call of matrix_exp_sums,
     raising the BudgetExceeded that would skip the entry."""
-    (result,) = matrix_exp_sums([(a_vec, b_vec, A)], max_tau)
+    (result,) = matrix_exp_sums([(a_vec, b_vec, A)], budget)
     if isinstance(result, BudgetExceeded):
         raise result
     return result
@@ -201,19 +201,18 @@ def subgroup_entry(family: str, G: SubgroupSpec) -> tuple[MatEntity, VecEntity]:
 
 
 def kloosterman_subgroup(G: SubgroupSpec, a: FFElem, b: FFElem,
-                         max_order: int = SUM_TAU_CAP) -> SumResult:
+                         budget: float = 1.0) -> SumResult:
     """Sum psi(a u + b / u) over the subgroup: the matrix sum of (a, b) on
     subgroup_entry("kloosterman", G)."""
     A, ones = subgroup_entry("kloosterman", G)
-    return matrix_exp_sum(VecEntity([a, b], "row"), ones, A, max_order)
+    return matrix_exp_sum(VecEntity([a, b], "row"), ones, A, budget)
 
 
-def gauss_subgroup(G: SubgroupSpec, a: FFElem,
-                   max_order: int = SUM_TAU_CAP) -> SumResult:
+def gauss_subgroup(G: SubgroupSpec, a: FFElem, budget: float = 1.0) -> SumResult:
     """Sum psi(a u) over the subgroup: the matrix sum of (a) on
     subgroup_entry("gauss", G)."""
     A, ones = subgroup_entry("gauss", G)
-    return matrix_exp_sum(VecEntity([a], "row"), ones, A, max_order)
+    return matrix_exp_sum(VecEntity([a], "row"), ones, A, budget)
 
 
 @dataclass(frozen=True)
@@ -227,8 +226,7 @@ class MomentResult:
     parameters: dict
 
 
-def sum_moment(family: str, G: SubgroupSpec, m: int,
-               max_work: int = MOMENT_WORK_CAP) -> MomentResult:
+def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> MomentResult:
     """Moment sum of |walk sum|^m over every coefficient in the field.
 
     Kloosterman moments range over all q^2 pairs (a, b), Gauss moments over
@@ -250,9 +248,8 @@ def sum_moment(family: str, G: SubgroupSpec, m: int,
     q = ctx.q
     tau = G.order
     work = q ** A.n * tau
-    if work > max_work:
-        raise BudgetExceeded(f"moment work {work} exceeds the cap {max_work}",
-                             estimated_work=work)
+    if err := over_budget("moment work", work, MOMENT_WORK_CAP, budget):
+        raise err
 
     p, d = ctx.p, ctx.degree
     cosets = (q - 1) // tau

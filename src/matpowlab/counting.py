@@ -31,26 +31,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DegenerateParameters,
     InvariantViolated,
     MixedContext,
     ZeroLambda,
     ZeroXi1,
+    over_budget,
 )
 from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, residue_orbit,
                      residue_product)
 from .matgrp import (MatEntity, VecEntity, char_poly_factor, check_vector_orbit,
                      frobenius_orders, is_diagonalizable, matrix_order, residue_map)
 
-# Compared with the period tau, per nu: a nu-fold count folds the tau orbit
-# rows nu times, and a skip reports tau^nu as its work.
+# Each cap, scaled by its kernel's budget (errors.over_budget), is compared with:
+# the period tau, per nu: a nu-fold count folds the tau orbit rows nu times,
+# and a skip reports tau^nu as its work.
 DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
-# Compared with the lcm period tau of the product equation: tau rows scanned.
+# the lcm period tau of the product equation: tau rows scanned.
 PRODUCT_EQ_CAP = 10 ** 5
-# Compared with tau^k, the k-fold sums an orbit sum distribution folds.
+# tau^k, the k-fold sums an orbit sum distribution folds.
 DISTRIBUTION_WORK_CAP = 10 ** 8
-# Compared with q^n, the cells of the boolean sumset histogram.
+# q^n, the cells of the boolean sumset histogram.
 COVER_SPACE_CAP = 10 ** 7
 DENSE_CAP = 1 << 21  # cells of the tiled copy a dense fold shifts (16 MB of int64)
 
@@ -277,21 +278,13 @@ def vector_orbit(v: VecEntity, A: MatEntity, tau: int | None = None):
     return residue_orbit(residue_map(A, v.orientation), v.residues(), tau, A.ctx.p)
 
 
-def _check_tau_budget(tau: int, nu: int, max_tau: int | None):
-    cap = DEFAULT_TAU_CAP[nu] if max_tau is None else max_tau
-    if tau > cap:
-        raise BudgetExceeded(
-            f"tau = {tau} exceeds the nu = {nu} cap {cap}",
-            estimated_work=tau ** nu,
-        )
-
-
-def count_Q(A: MatEntity, nu: int, max_tau: int | None = None) -> CountResult:
+def count_Q(A: MatEntity, nu: int, budget: float = 1.0) -> CountResult:
     """Exact count of 2 nu - term power-sum solutions, by orbit convolution."""
     if nu not in (1, 2, 3):
         raise ValueError(f"nu must be 1, 2, or 3, got {nu}")
     tau = matrix_order(A)
-    _check_tau_budget(tau, nu, max_tau)
+    if err := over_budget("tau", tau, DEFAULT_TAU_CAP[nu], budget, work=tau ** nu):
+        raise err
     value, kernel = _energy(power_orbit(A, tau), A.ctx.p, nu)
     return CountResult(
         value,
@@ -300,7 +293,7 @@ def count_Q(A: MatEntity, nu: int, max_tau: int | None = None) -> CountResult:
     )
 
 
-def count_Q_eigen(A: MatEntity, nu: int, max_tau: int | None = None) -> CountResult:
+def count_Q_eigen(A: MatEntity, nu: int, budget: float = 1.0) -> CountResult:
     """Same count as count_Q through the eigenvalue system of a diagonalizable A."""
     if nu not in (1, 2, 3):
         raise ValueError(f"nu must be 1, 2, or 3, got {nu}")
@@ -308,7 +301,8 @@ def count_Q_eigen(A: MatEntity, nu: int, max_tau: int | None = None) -> CountRes
     if data.eigenvalues is None or not is_diagonalizable(A):
         raise DegenerateParameters("eigenvalue reduction needs a diagonalizable matrix")
     tau = matrix_order(A)
-    _check_tau_budget(tau, nu, max_tau)
+    if err := over_budget("tau", tau, DEFAULT_TAU_CAP[nu], budget, work=tau ** nu):
+        raise err
     p = A.ctx.p
     rows = np.hstack([residue_orbit(mul_matrix(lam), lam.ctx.one.residues(), tau, p)
                       for lam in data.eigenvalues])
@@ -320,7 +314,7 @@ def count_Q_eigen(A: MatEntity, nu: int, max_tau: int | None = None) -> CountRes
     )
 
 
-def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> CountResult:
+def count_JK(v: VecEntity, A: MatEntity, k: int, budget: float = 1.0) -> CountResult:
     """Vector-orbit analogue of count_Q over the sequence v A^x (or A^x v).
 
     Repeats in the orbit are kept with multiplicity, so the count matches the
@@ -331,7 +325,8 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
     check_vector_orbit(v, A)
     tau = matrix_order(A)
-    _check_tau_budget(tau, k, max_tau)
+    if err := over_budget("tau", tau, DEFAULT_TAU_CAP[k], budget, work=tau ** k):
+        raise err
     value, kernel = _energy(vector_orbit(v, A, tau), A.ctx.p, k)
     return CountResult(
         value,
@@ -351,7 +346,7 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, max_tau: int | None = None) -> 
 # ---- product equation --------------------------------------------------------------
 
 
-def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int = PRODUCT_EQ_CAP) -> CountResult:
+def count_product_eq(xi0: FFElem, xis, lambdas, budget: float = 1.0) -> CountResult:
     """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0.
 
     tau is the lcm of the base orders, one mult_order per Frobenius orbit
@@ -375,8 +370,8 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int = PRODUCT_EQ_CAP) -
             raise ZeroLambda("bases must be nonzero")
     orders = frobenius_orders(lambdas)
     tau = math.lcm(*orders)
-    if tau > max_tau:
-        raise BudgetExceeded(f"lcm period {tau} exceeds {max_tau}", estimated_work=tau)
+    if err := over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget):
+        raise err
     p = ctx.p
     prod = np.array(ctx.one.residues(), dtype=np.int64)
     for xi, lam in zip(xis, lambdas):
@@ -394,21 +389,21 @@ def count_product_eq(xi0: FFElem, xis, lambdas, max_tau: int = PRODUCT_EQ_CAP) -
 
 
 def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
-                           max_work: int = DISTRIBUTION_WORK_CAP) -> SumDistribution:
+                           budget: float = 1.0) -> SumDistribution:
     """Full multiset of k-fold sums of the vector orbit: distinct rows and int64 counts."""
     if k < 1:
         raise ValueError("arity must be positive")
     check_vector_orbit(a, A)
     tau = matrix_order(A)
-    if tau ** k > max_work:
-        raise BudgetExceeded(f"tau^k = {tau ** k} exceeds {max_work}", estimated_work=tau ** k)
+    if err := over_budget("tau^k", tau ** k, DISTRIBUTION_WORK_CAP, budget):
+        raise err
     orbit = vector_orbit(a, A, tau)
     rows, counts = _folded_distribution(orbit, A.ctx.p, k)
     return SumDistribution(k, rows, counts, tau ** k)
 
 
 def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
-                 max_space: int = COVER_SPACE_CAP) -> CoverResult:
+                 budget: float = 1.0) -> CoverResult:
     """Smallest k <= k_max with S_k = F_q^n for S_1 = orbit, S_{k+1} = S_k + S_1.
 
     Stops early when the sumset stagnates: S_{k+1} = S_k forces S_{k+m} = S_k
@@ -420,8 +415,8 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
     p = A.ctx.p
     d = A.n * A.ctx.degree
     space = p ** d
-    if space > max_space:
-        raise BudgetExceeded(f"q^n = {space} exceeds {max_space}", estimated_work=space)
+    if err := over_budget("q^n", space, COVER_SPACE_CAP, budget):
+        raise err
     shifts, _ = _distinct_rows(vector_orbit(a, A, matrix_order(A)), p)
     ones = np.ones(shifts.shape[0], dtype=np.bool_)
     current = np.zeros((p,) * d, dtype=np.bool_)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import CountResult
-from .errors import BudgetExceeded, DegenerateParameters, MixedContext
+from .errors import DegenerateParameters, MixedContext, over_budget
 from .ffield import (
     FFElem,
     FieldCtx,
@@ -33,7 +33,7 @@ from .ffield import (
     subgroup_walk,
 )
 
-CURVE_WORK_CAP = 10 ** 8  # (m + 1)^2 image-grid evaluations
+CURVE_WORK_CAP = 10 ** 8  # (m + 1)^2 image-grid evaluations, scaled by the budget
 _GRID_BLOCK = 10 ** 6  # grid cells per vectorized row block
 
 
@@ -75,7 +75,7 @@ def curve_eval(spec: CurveSpec, x: FFElem, y: FFElem) -> FFElem:
     return (head + spec.a) * (head + spec.b * prod) - prod
 
 
-def count_points(spec: CurveSpec, max_work: int = CURVE_WORK_CAP) -> CountResult:
+def count_points(spec: CurveSpec, budget: float = 1.0) -> CountResult:
     """Exact affine point count by a fibre-weighted grid over the power-map image.
 
     F depends on (x, y) only through (X, Y) = (x^s, y^s).  With g = gcd(s, q - 1),
@@ -87,10 +87,8 @@ def count_points(spec: CurveSpec, max_work: int = CURVE_WORK_CAP) -> CountResult
     p, q = ctx.p, ctx.q
     g = math.gcd(spec.s, q - 1)
     m = (q - 1) // g
-    work = (m + 1) ** 2
-    if work > max_work:
-        raise BudgetExceeded(f"grid work {work} exceeds the cap {max_work}",
-                             estimated_work=work)
+    if err := over_budget("grid work", (m + 1) ** 2, CURVE_WORK_CAP, budget):
+        raise err
     image = np.vstack([ctx.zero.residues(), subgroup_walk(subgroup_of_order(ctx, m))])
     fibres = np.full(m + 1, g, dtype=np.int64)
     fibres[0] = 1

@@ -45,6 +45,18 @@ class BudgetExceeded(MatpowError):
         self.estimated_work = estimated_work
 
 
+def over_budget(what: str, measure: int, cap: int, budget: float = 1.0,
+                work: int | None = None) -> BudgetExceeded | None:
+    """The BudgetExceeded of a job whose measure passes its cap scaled by
+    budget, max(1, int(cap * budget)), with work (default: the measure) as
+    its estimated work; None when the job may run."""
+    limit = max(1, int(cap * budget))
+    if measure <= limit:
+        return None
+    return BudgetExceeded(f"{what} = {measure} exceeds the cap {limit}",
+                          estimated_work=measure if work is None else work)
+
+
 class ZeroXi1(MatpowError):
     """The first product-equation coefficient must be nonzero."""
 
@@ -79,3 +91,7 @@ class ConfigError(MatpowError):
 
 class InvariantViolated(MatpowError):
     """An internal result failed a cheap consistency check."""
+
+
+class UndecidedVerdict(MatpowError):
+    """A certified bracket straddles the bound, so neither pass nor fail holds."""

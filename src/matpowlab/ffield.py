@@ -20,12 +20,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     CompositeModulus,
     DegenerateParameters,
     MixedContext,
     WrongDegree,
     ZeroElement,
+    over_budget,
 )
 
 # Compared with p when a field is built: it keeps the trial-division prime
@@ -81,8 +81,8 @@ class FieldCtx:
     def __init__(self, p: int, degree: int = 1):
         if degree not in (1, 2):
             raise WrongDegree(f"degree must be 1 or 2, got {degree}")
-        if p > _MAX_P:
-            raise BudgetExceeded(f"p = {p} exceeds the desk-scale cap {_MAX_P}", estimated_work=p)
+        if err := over_budget("p", p, _MAX_P):
+            raise err
         if p == 2 or not _is_prime(p):
             raise CompositeModulus(f"modulus {p} is not an odd prime")
         self.p = p

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..errors import ConfigError
@@ -47,14 +46,6 @@ def main(argv=None) -> int:
         overrides["workers"] = args.workers
     if args.seed is not None:
         overrides["seed"] = args.seed
-    env_budget = os.environ.get("MATPOW_BUDGET")
-    if env_budget:
-        try:
-            overrides["budget"] = float(env_budget)
-        except ValueError:
-            print(f"matpow-lab: MATPOW_BUDGET must be a number, got "
-                  f"{env_budget!r}", file=sys.stderr)
-            return 2
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as err:

@@ -8,7 +8,6 @@ from functools import cache, partial
 import numpy as np
 
 from ..catmap import (
-    EIGEN_DIM_CAP,
     CatMatrix,
     Observable,
     cat_unitary,
@@ -17,8 +16,6 @@ from ..catmap import (
     matrix_element_check,
 )
 from ..charsums import (
-    MOMENT_WORK_CAP,
-    SUM_TAU_CAP,
     analyze_instances,
     evaluate_bounds,
     explicit_status,
@@ -31,17 +28,12 @@ from ..charsums import (
     weil_explicit_bound,
 )
 from ..counting import (
-    COVER_SPACE_CAP,
-    DEFAULT_TAU_CAP,
-    DISTRIBUTION_WORK_CAP,
-    PRODUCT_EQ_CAP,
     count_Q,
     count_product_eq,
     orbit_sum_distribution,
     sumset_cover,
 )
 from ..curves import (
-    CURVE_WORK_CAP,
     CurveSpec,
     count_points,
     extension_regime_bound,
@@ -53,6 +45,7 @@ from ..errors import (
     DegenerateParameters,
     DependentVectors,
     SingularLowerLeft,
+    UndecidedVerdict,
 )
 from ..ffield import (
     SubgroupSpec,
@@ -127,8 +120,8 @@ def _checked(cfg, ctxinfo, quantity, value, bound_name, bound_value):
 def _guarded(cfg, ctxinfo, quantity, kernel, rows, skips=()):
     """rows(result) for the result of kernel(), or the one skipped row that
     names the error skipping it: budget with the estimated work of a
-    BudgetExceeded that kernel() raises or returns, the class name of a
-    precondition error in skips that it raises."""
+    BudgetExceeded that kernel() raises or returns, the class name of an
+    error in skips that it raises or returns."""
     try:
         result = kernel()
     except (BudgetExceeded, *skips) as err:
@@ -156,10 +149,6 @@ def _divisors(n):
 
 def _tau_selected(cfg, tau):
     return cfg.tau_min <= tau and (cfg.tau_max is None or tau <= cfg.tau_max)
-
-
-def _scaled(cap, budget):
-    return max(1, int(cap * budget))
 
 
 def build_instances(cfg: ExperimentConfig):
@@ -206,7 +195,7 @@ def _energy_rows(cfg, desc):
             bounds.append(("irred-energy", t * tau**2.5))
         rows += _guarded(
             cfg, info, "energy2",
-            lambda: count_Q(A, 2, max_tau=_scaled(DEFAULT_TAU_CAP[2], cfg.budget)).value,
+            lambda: count_Q(A, 2, cfg.budget).value,
             lambda count: [_checked(cfg, info, "energy2", count, "three-tau-squared",
                                     3.0 * tau * tau)]
             + [_row(cfg, info, "energy2", count, *bound) for bound in bounds])
@@ -223,7 +212,7 @@ def _q3_rows(cfg, desc):
             bound = ("nonsplit-six", tau ** (19 / 5) + tau**5 / p)
         rows += _guarded(
             cfg, info, "orbit-count-6term",
-            lambda: count_Q(A, 3, max_tau=_scaled(DEFAULT_TAU_CAP[3], cfg.budget)).value,
+            lambda: count_Q(A, 3, cfg.budget).value,
             lambda count: [_row(cfg, info, "orbit-count-6term", count, *bound)])
     return rows
 
@@ -248,7 +237,7 @@ def _sums_rows(cfg, desc):
             right = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "column")
             labels.append((info, f"matrix-sum-{j}"))
             entries.append((left, right, A))
-    results = matrix_exp_sums(entries, max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
+    results = matrix_exp_sums(entries, cfg.budget)
     computed = [entry for entry, result in zip(entries, results)
                 if not isinstance(result, BudgetExceeded)]
     hypotheses = iter(analyze_instances(computed))
@@ -270,7 +259,7 @@ def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound)
     bound."""
     A, ones = subgroup_entry(family, group)
     results = matrix_exp_sums([(VecEntity(c, "row"), ones, A) for c in coefficients],
-                              max_tau=_scaled(SUM_TAU_CAP, cfg.budget))
+                              cfg.budget)
     bounds = [("trivial", float(group.order), True)] + bounds
     moment = f"moment{cfg.moment}"
     if cfg.moment != 6:
@@ -286,8 +275,7 @@ def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound)
         if j == 0:
             rows += _guarded(
                 cfg, info, moment,
-                lambda: sum_moment(family, group, cfg.moment,
-                                   max_work=_scaled(MOMENT_WORK_CAP, cfg.budget)).value,
+                lambda: sum_moment(family, group, cfg.moment, cfg.budget).value,
                 lambda value: [_row(cfg, info, moment, value, *moment_bound)])
     return rows
 
@@ -317,8 +305,7 @@ def _gauss_rows(cfg, desc):
         # The sum over every invertible element is exactly minus one.
         return _guarded(
             cfg, info, "gauss-full-deviation",
-            lambda: gauss_subgroup(group, ctx.one,
-                                   max_order=_scaled(SUM_TAU_CAP, cfg.budget)).value,
+            lambda: gauss_subgroup(group, ctx.one, cfg.budget).value,
             lambda value: [_checked(cfg, info, "gauss-full-deviation", value + 1,
                                     "tolerance", 1e-9)])
     if not _tau_selected(cfg, m):
@@ -343,8 +330,7 @@ def _curve_pair(stream, ctx):
 def _point_count(cfg, ctx, s, stream):
     """Points of the degree-s curve whose (a, b) is drawn from stream."""
     a, b = _curve_pair(stream, ctx)
-    return count_points(CurveSpec(ctx, s, a, b),
-                        max_work=_scaled(CURVE_WORK_CAP, cfg.budget)).value
+    return count_points(CurveSpec(ctx, s, a, b), cfg.budget).value
 
 
 def _curves_rows(cfg, desc):
@@ -383,12 +369,11 @@ def _orbit_rows(cfg, desc):
     for u, A, data, tau, info in _companions(cfg, p):
         rows += _guarded(
             cfg, info, "distinct-sums-2",
-            lambda: orbit_sum_distribution(
-                start, A, 2, max_work=_scaled(DISTRIBUTION_WORK_CAP, cfg.budget)),
+            lambda: orbit_sum_distribution(start, A, 2, cfg.budget),
             lambda dist: [_row(cfg, info, "distinct-sums-2", len(dist.rows))])
         rows += _guarded(
             cfg, info, "cover-arity",
-            lambda: sumset_cover(start, A, 4, max_space=_scaled(COVER_SPACE_CAP, cfg.budget)),
+            lambda: sumset_cover(start, A, 4, cfg.budget),
             lambda cover: [_row(cfg, info, "cover-arity", cover.covered_at or 0)])
         ectx = data.eigen_ctx
         stream = _stream(cfg, p, u)
@@ -397,8 +382,7 @@ def _orbit_rows(cfg, desc):
         xi2 = ectx.from_index(stream.below(ectx.q))
         rows += _guarded(
             cfg, info, "product-eq-count",
-            lambda: count_product_eq(xi0, (xi1, xi2), data.eigenvalues,
-                                     max_tau=_scaled(PRODUCT_EQ_CAP, cfg.budget)),
+            lambda: count_product_eq(xi0, (xi1, xi2), data.eigenvalues, cfg.budget),
             lambda product: [_row(cfg, info, "product-eq-count", product.value,
                                   "product-decay", tau / product.parameters["L"]**0.5)])
     return rows
@@ -419,8 +403,7 @@ def _catmap_rows(cfg, desc):
                                  "tolerance", 1e-8))
         return rows + _guarded(
             cfg, info, "delta",
-            lambda: delta_Nf(propagator, Observable(_CAT_MODES),
-                             max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget)),
+            lambda: delta_Nf(propagator, Observable(_CAT_MODES), cfg.budget),
             lambda defect: [_row(cfg, info, "delta", defect, "ergodic-trend",
                                  N ** (-1 / 60))])
 
@@ -434,10 +417,7 @@ def _lemma81_rows(cfg, desc):
     info = _ctxinfo(p, p, n=2, trace=cat.trace)
     # one check for every exponent; cache keeps no error, so a precondition
     # error (raised before any work) is raised again and skips each exponent
-    check = cache(partial(
-        matrix_element_check, cat, p, (1, 0), cfg.nu,
-        max_dim=_scaled(EIGEN_DIM_CAP, cfg.budget),
-        max_tau={nu: _scaled(DEFAULT_TAU_CAP[nu], cfg.budget) for nu in cfg.nu}))
+    check = cache(partial(matrix_element_check, cat, p, (1, 0), cfg.nu, cfg.budget))
     rows = []
     for k, nu in enumerate(cfg.nu):
         quantity = f"element-power-{nu}"
@@ -447,7 +427,7 @@ def _lemma81_rows(cfg, desc):
                                  quantity, report.sup_power, "count-ceiling", report.bound,
                                  "pass" if report.passed else "fail")],
             skips=(DependentVectors, DegenerateParameters, SingularLowerLeft,
-                   CompositeModulus))
+                   CompositeModulus, UndecidedVerdict))
     return rows
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BudgetExceeded,
     DegenerateParameters,
     InvariantViolated,
     MixedContext,
@@ -30,6 +29,7 @@ from .errors import (
     WrongDegree,
     ZeroElement,
     ZeroVector,
+    over_budget,
 )
 from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix, mult_order,
                      residue_orbit, residue_inverse, residue_product, sqrt, trace_norm)
@@ -304,11 +304,8 @@ def _cubic_factor(coeffs, ctx) -> CharPolyData:
     on the residue rows of the field's elements (index order, blocks of
     _ROOT_SCAN_BLOCK), and each is peeled off with its multiplicity by
     synthetic division; one root leaves a monic quadratic cofactor."""
-    if ctx.q > _ROOT_SCAN_CAP:
-        raise BudgetExceeded(
-            f"cubic root scan over q = {ctx.q} exceeds {_ROOT_SCAN_CAP}",
-            estimated_work=ctx.q,
-        )
+    if err := over_budget("cubic root scan q", ctx.q, _ROOT_SCAN_CAP):
+        raise err
     p = ctx.p
     residues = np.array([c.residues() for c in coeffs], dtype=np.int64)
     roots = []

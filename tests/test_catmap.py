@@ -30,6 +30,7 @@ from matpowlab.errors import (
     InvariantViolated,
     NonRealObservable,
     SingularLowerLeft,
+    UndecidedVerdict,
 )
 from oracles import grid_numerical_radius, per_cluster_compressions, schur_eigenbasis
 
@@ -323,11 +324,11 @@ def test_compressions_match_per_cluster_oracle():
         spaces = eigenbasis(U)
         shift = translation_op(n, (1, 0))
         want = per_cluster_compressions(spaces, shift)
-        got = _compressions(U, shift, EIGEN_DIM_CAP)
+        got = _compressions(U, shift, 1.0)
         assert [c.shape for c in got] == [c.shape for c in want]
         assert max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)) <= 1e-12
         want_sup = max(_numerical_radius(c) for c in want)
-        assert abs(_element_sup(U, (1, 0), EIGEN_DIM_CAP) - want_sup) <= 1e-12 * want_sup
+        assert abs(_element_sup(U, (1, 0), 1.0) - want_sup) <= 1e-12 * want_sup
         want_delta = max(float(np.max(np.abs(np.linalg.eigvalsh((c + c.conj().T) / 2))))
                          for c in per_cluster_compressions(spaces, quantize(n, f)))
         assert abs(delta_Nf(U, f) - want_delta) <= 1e-12 * want_delta
@@ -365,7 +366,7 @@ def test_matrix_element_check_shares_one_eigenbasis(monkeypatch):
     calls = []
     real = catmap.eigenbasis
     monkeypatch.setattr(catmap, "eigenbasis",
-                        lambda U, max_dim: calls.append(len(U)) or real(U, max_dim))
+                        lambda U, budget: calls.append(len(U)) or real(U, budget))
     rep2, rep3 = matrix_element_check(HYPERBOLIC, 13, (1, 0), (2, 3))
     assert calls == [13]
     assert (rep2.nu, rep3.nu) == (2, 3) and rep2.sup_abs == rep3.sup_abs
@@ -373,11 +374,16 @@ def test_matrix_element_check_shares_one_eigenbasis(monkeypatch):
     assert alone == rep3
     # tau = 12 at p = 13: the nu = 3 orbit count is capped before the eigenbasis runs.
     calls.clear()
-    capped, kept = matrix_element_check(HYPERBOLIC, 13, (1, 0), (3, 2), max_tau={3: 11})
+    # budget 0.0275 scales the nu = 3 cap 400 to 11, the nu = 2 cap to 82 and
+    # EIGEN_DIM_CAP to 14.
+    capped, kept = matrix_element_check(HYPERBOLIC, 13, (1, 0), (3, 2), budget=0.0275)
     assert isinstance(capped, BudgetExceeded) and capped.estimated_work == 12**3
     assert kept == rep2 and calls == [13]
-    # A max_dim cap skips every exponent with the N^3 estimate.
-    skipped = matrix_element_check(HYPERBOLIC, 13, (1, 0), (2, 3), max_dim=12)
+    # A dimension cap skips every exponent with the N^3 estimate.  One budget
+    # scales every cap, and a budget of 12/512 would cap nu = 3 (tau = 12 > 9)
+    # first, so the dimension cap itself is lowered.
+    monkeypatch.setattr(catmap, "EIGEN_DIM_CAP", 12)
+    skipped = matrix_element_check(HYPERBOLIC, 13, (1, 0), (2, 3))
     assert [err.estimated_work for err in skipped] == [13**3, 13**3]
 
 
@@ -389,6 +395,30 @@ def test_matrix_element_inequality_reports():
     (rep3,) = matrix_element_check(HYPERBOLIC, 13, (1, 0), (3,))
     assert rep3.passed and rep3.tau == 12
     assert rep3.nu == 3 and rep3.p == 13
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_matrix_element_verdict_follows_the_radius_bracket(monkeypatch, nu):
+    # A grid maximum g brackets the radius in [g, g / cos(pi / PHASE_GRID)]: the
+    # verdict passes when the whole bracket lies within the ceiling, fails when g
+    # lies above it, and is undecided when the bracket straddles it.
+    (real,) = matrix_element_check(HYPERBOLIC, 13, (1, 0), (nu,))
+    root = real.bound ** (1 / (2 * nu))
+    grids = {"pass": root * np.cos(np.pi / PHASE_GRID) * (1 - 1e-9),
+             "undecided": root * (1 - 1e-7),
+             "fail": root * (1 + 1e-7)}  # within the former 1e-6 slack
+    verdicts = {}
+    for name, g in grids.items():
+        monkeypatch.setattr(catmap, "_element_sup", lambda U, a, budget, g=g: g)
+        (verdicts[name],) = matrix_element_check(HYPERBOLIC, 13, (1, 0), (nu,))
+    assert isinstance(verdicts["undecided"], UndecidedVerdict)
+    for name in ("pass", "fail"):
+        report = verdicts[name]
+        assert report.passed == (name == "pass")
+        assert (report.bound, report.sup_abs) == (real.bound, grids[name])
+        assert report.sup_power == grids[name] ** (2 * nu)
+        assert report.ratio == report.sup_power / report.bound
+    assert verdicts["fail"].sup_power > real.bound
 
 
 def test_matrix_element_rejects_dependent_pairs():

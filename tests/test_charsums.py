@@ -181,7 +181,7 @@ def test_matrix_sum_budget_and_validation():
     ctx = make_field(13)
     A1 = MatEntity([[ctx.elem(2)]])  # order of 2 mod 13 is 12
     with pytest.raises(BudgetExceeded) as err:
-        matrix_exp_sum(_row(ctx, 1), _col(ctx, 1), A1, max_tau=5)
+        matrix_exp_sum(_row(ctx, 1), _col(ctx, 1), A1, budget=5e-6)  # limit 5
     assert err.value.estimated_work == 12
     A = sl2_companion(ctx, 1)
     with pytest.raises(ValueError):
@@ -214,11 +214,11 @@ def _random_stack(ctx, n, count, rng):
     return out
 
 
-def _one_by_one(entries, max_tau=SUM_TAU_CAP):
+def _one_by_one(entries, budget=1.0):
     out = []
     for a, b, A in entries:
         try:
-            out.append(matrix_exp_sum(a, b, A, max_tau=max_tau))
+            out.append(matrix_exp_sum(a, b, A, budget=budget))
         except BudgetExceeded as err:
             out.append(err)
     return out
@@ -244,8 +244,9 @@ def test_stacked_sums_return_a_skip_in_place():
     taus = [matrix_order(A) for _, _, A in entries]
     cap = sorted(taus)[len(taus) // 2]
     assert min(taus) <= cap < max(taus)
-    got = matrix_exp_sums(entries, max_tau=cap)
-    for result, tau, want in zip(got, taus, _one_by_one(entries, max_tau=cap)):
+    budget = (cap + 0.5) / SUM_TAU_CAP  # limit int(cap + 0.5) = cap
+    got = matrix_exp_sums(entries, budget=budget)
+    for result, tau, want in zip(got, taus, _one_by_one(entries, budget=budget)):
         if tau > cap:
             assert isinstance(result, BudgetExceeded) and result.estimated_work == tau
             assert isinstance(want, BudgetExceeded)
@@ -409,12 +410,12 @@ def test_subgroup_sums_keep_their_checks():
     ctx, other = make_field(13), make_field(7)
     G = subgroup_of_order(ctx, 12)
     with pytest.raises(BudgetExceeded) as err:
-        kloosterman_subgroup(G, ctx.one, ctx.one, max_order=11)
+        kloosterman_subgroup(G, ctx.one, ctx.one, budget=1.1e-5)  # limit 11
     assert err.value.estimated_work == 12
     with pytest.raises(BudgetExceeded) as err:
-        gauss_subgroup(G, ctx.one, max_order=11)
+        gauss_subgroup(G, ctx.one, budget=1.1e-5)
     assert err.value.estimated_work == 12
-    assert kloosterman_subgroup(G, ctx.one, ctx.one, max_order=12).length == 12
+    assert kloosterman_subgroup(G, ctx.one, ctx.one, budget=1.2e-5).length == 12
     with pytest.raises(MixedContext):
         kloosterman_subgroup(G, other.one, other.one)
     with pytest.raises(MixedContext):
@@ -433,7 +434,7 @@ def test_moment_is_q_power_times_orbit_count(family, p):
         G = subgroup_of_order(ctx, order)
         A, ones = subgroup_entry(family, G)
         for nu in (2, 3):
-            count = count_JK(ones, A, nu, max_tau=order).value
+            count = count_JK(ones, A, nu, budget=order).value  # every tau cap >= order
             moment = sum_moment(family, G, 2 * nu)
             assert moment.exact == ctx.q ** A.n * count
             assert abs(moment.value - moment.exact) <= 1e-9 * moment.exact
@@ -557,7 +558,7 @@ def test_moment_budget_and_validation():
     ctx = make_field(13)
     G = subgroup_of_order(ctx, 6)
     with pytest.raises(BudgetExceeded) as err:
-        sum_moment("kloosterman", G, 2, max_work=10)
+        sum_moment("kloosterman", G, 2, budget=1e-8)  # limit 10
     assert err.value.estimated_work == 13 * 13 * 6
     with pytest.raises(ValueError):
         sum_moment("legendre", G, 2)

@@ -287,7 +287,7 @@ def test_budget_guard():
     ctx = make_field(13)
     A = sl2_companion(ctx, 1)
     with pytest.raises(BudgetExceeded) as exc:
-        count_Q(A, 2, max_tau=3)
+        count_Q(A, 2, budget=1e-3)  # limit 3
     assert exc.value.estimated_work is not None
 
 
@@ -546,7 +546,7 @@ def test_product_eq_rejects_bad_inputs():
     with pytest.raises(DegenerateParameters):
         count_product_eq(ctx.zero, [one], [two])
     with pytest.raises(BudgetExceeded):
-        count_product_eq(one, [one], [ctx.elem(3)], max_tau=2)  # ord(3) = 6 mod 7
+        count_product_eq(one, [one], [ctx.elem(3)], budget=2e-5)  # limit 2 < ord(3) = 6 mod 7
 
 
 def test_orbit_sum_distribution_totals_and_invariance():
@@ -588,7 +588,7 @@ def test_orbit_sum_distribution_budget():
     ctx = make_field(13)
     A = sl2_companion(ctx, 1)
     with pytest.raises(BudgetExceeded):
-        orbit_sum_distribution(VecEntity([ctx.one, ctx.one], "row"), A, 3, max_work=10)
+        orbit_sum_distribution(VecEntity([ctx.one, ctx.one], "row"), A, 3, budget=1e-7)
 
 
 def test_sumset_cover_line_orbit_never_covers():
@@ -641,7 +641,7 @@ def test_sumset_cover_budget():
     ctx = make_field(101)
     A = sl2_companion(ctx, 1)
     with pytest.raises(BudgetExceeded):
-        sumset_cover(VecEntity([ctx.one, ctx.one], "row"), A, 3, max_space=100)
+        sumset_cover(VecEntity([ctx.one, ctx.one], "row"), A, 3, budget=1e-5)
 
 
 def test_sequence_energy_scalar():

@@ -116,14 +116,14 @@ def test_count_budget():
     assert err.value.estimated_work == 10007 ** 2
     # the work is (m + 1)^2 over the image {0} + subgroup of order m = (q - 1) / gcd(s, q - 1)
     with pytest.raises(BudgetExceeded) as err:
-        count_points(_valid_spec(make_field(13), 2, 1, 2), max_work=48)
+        count_points(_valid_spec(make_field(13), 2, 1, 2), budget=4.85e-7)  # limit 48
     assert err.value.estimated_work == (12 // 2 + 1) ** 2
     # an extension row past p^4 = 10^8 cells: the image has p + 2 points
     ext = make_field(101, 2)
     big = count_points(CurveSpec(ext, 100, ext.omega(), ext.omega() + ext.one))
     assert big.value >= 1  # the origin lies on every curve
-    # an explicit override lifts the cap
-    small = count_points(_valid_spec(make_field(5), 1, 1, 2), max_work=25)
+    # a budget whose limit is the work, 25, runs
+    small = count_points(_valid_spec(make_field(5), 1, 1, 2), budget=2.5e-7)
     assert small.value >= 0
 
 

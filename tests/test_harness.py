@@ -7,6 +7,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from matpowlab import catmap
 from matpowlab.errors import ConfigError, InvariantViolated
 from matpowlab.ffield import make_field
 from matpowlab.harness import (
@@ -382,13 +383,15 @@ def test_lemma81_instance_is_one_modulus(tmp_path):
     assert build_instances(cfg) == [(p,) for p in (5, 7, 11, 13, 17, 19, 23)]
     full = _all_rows(build_config({"experiment": "lemma81", "p_min": "11", "p_max": "11"}))
     assert [rec.quantity for rec in full] == ["element-power-2", "element-power-3"]
-    # tau = 10 at p = 11; budget 0.024 scales the nu caps to 72 and 9 and max_dim to 12.
+    # tau = 10 at p = 11; budget 0.024 scales the nu caps to 72 and 9 and the
+    # dimension cap to 12.
     mixed = _all_rows(build_config({"experiment": "lemma81", "p_min": "11",
                                     "p_max": "11", "budget": "0.024"}))
     assert mixed[0] == full[0]
     assert mixed[1].quantity == "element-power-3" and mixed[1].status == "skipped"
     assert mixed[1].bound_value == 10**3
-    # tau = 5 at p = 19; budget 0.02 leaves both nu caps above 5 and max_dim at 10.
+    # tau = 5 at p = 19; budget 0.02 leaves both nu caps above 5 and the dimension
+    # cap at 10.
     capped = _all_rows(build_config({"experiment": "lemma81", "p_min": "19",
                                      "p_max": "19", "budget": "0.02", "nu": "3,2"}))
     assert [rec.quantity for rec in capped] == ["element-power-3", "element-power-2"]
@@ -403,6 +406,17 @@ def test_lemma81_instance_is_one_modulus(tmp_path):
             outputs.append(fh.read())
     assert outputs[0] == outputs[1]
     assert b"skipped" in outputs[0] and b"pass" in outputs[0]
+
+
+def test_an_undecided_lemma81_verdict_is_a_named_skip(monkeypatch):
+    cfg = build_config({"experiment": "lemma81", "p_min": "13", "p_max": "13", "nu": "3"})
+    (full,) = _all_rows(cfg)
+    # a grid radius just below the ceiling whose bracket reaches above it
+    monkeypatch.setattr(catmap, "_element_sup",
+                        lambda U, a, budget: full.bound_value ** (1 / 6) * (1 - 1e-7))
+    (row,) = _all_rows(cfg)
+    assert (row.status, row.bound_name, row.tau) == ("skipped", "UndecidedVerdict", None)
+    assert (row.quantity, row.p) == (full.quantity, full.p)
 
 
 @pytest.mark.parametrize("experiment", ["energy", "q3", "orbit", "curves", "sums"])
@@ -629,17 +643,3 @@ def test_cli_full_run_and_overrides(tmp_path):
                  "--workers", "2", "--seed", "5"]) == 0
     assert os.path.exists(os.path.join(out, "gauss.csv"))
     assert os.path.exists(os.path.join(out, "gauss.summary.json"))
-
-
-def test_cli_env_budget(tmp_path, monkeypatch):
-    path = tmp_path / "run.cfg"
-    path.write_text("experiment = q3\np_min = 13\np_max = 13\n")
-    out = str(tmp_path / "env-out")
-    monkeypatch.setenv("MATPOW_BUDGET", "0.01")
-    assert main(["q3", "--config", str(path), "--out", out]) == 0
-    with open(os.path.join(out, "q3.csv")) as fh:
-        assert "skipped" in fh.read()
-    monkeypatch.setenv("MATPOW_BUDGET", "not-a-number")
-    assert main(["q3", "--config", str(path), "--out", out]) == 2
-    monkeypatch.setenv("MATPOW_BUDGET", "nan")
-    assert main(["q3", "--config", str(path), "--out", out]) == 2

@@ -1,6 +1,8 @@
-"""Package hygiene: every export resolves and no module keeps a dead import."""
+"""Package hygiene: every export resolves, no module keeps a dead import, and
+every cap is scaled inside its kernel by one budget argument."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,55 @@ def test_every_private_module_name_is_read_in_src():
             for path, tree in trees.items()
             for name, line in _module_private_names(tree).items() if name not in read]
     assert dead == []
+
+
+_CAP_KEYWORDS = {"max_tau", "max_work", "max_space", "max_order", "max_dim"}
+
+
+def test_every_capped_export_takes_a_budget_of_one_by_default():
+    defaults = {}
+    for name in matpowlab.__all__:
+        obj = getattr(matpowlab, name)
+        if inspect.isfunction(obj) and "budget" in inspect.signature(obj).parameters:
+            defaults[name] = inspect.signature(obj).parameters["budget"].default
+    assert set(defaults) == {
+        "count_Q", "count_JK", "count_Q_eigen", "count_product_eq", "orbit_sum_distribution",
+        "sumset_cover", "matrix_exp_sums", "matrix_exp_sum", "kloosterman_subgroup",
+        "gauss_subgroup", "sum_moment", "count_points", "eigenbasis", "delta_Nf",
+        "matrix_element_check"}
+    assert set(defaults.values()) == {1.0}
+
+
+def test_no_function_in_src_takes_a_cap_keyword():
+    found = []
+    for path in _MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                found += [(path.name, node.lineno, arg.arg) for arg in args
+                          if arg.arg in _CAP_KEYWORDS]
+    assert found == []
+
+
+def _cap_imports(tree):
+    return sorted(alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names if alias.name.endswith("_CAP"))
+
+
+def test_cap_imports_are_found():
+    tree = ast.parse("from .x import A_CAP, f\nfrom y import B_CAP\n")
+    assert _cap_imports(tree) == ["A_CAP", "B_CAP"]
+
+
+def test_the_harness_imports_no_cap():
+    # each kernel scales its own cap by the budget the harness passes it
+    path = Path(matpowlab.harness.__file__).parent / "experiments.py"
+    assert _cap_imports(ast.parse(path.read_text())) == []
+
+
+def test_every_budget_skip_is_built_by_the_one_helper():
+    builders = [path.name for path in _MODULES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "BudgetExceeded"]
+    assert builders == ["errors.py"]
