@@ -24,7 +24,6 @@ from .charsums import (
 from .counting import (
     count_JK,
     count_Q,
-    count_Q_eigen,
     count_product_eq,
     orbit_sum_distribution,
     sequence_energy,
@@ -58,7 +57,6 @@ from .matgrp import (
     MatEntity,
     VecEntity,
     char_poly_factor,
-    companion_realization,
     det_order,
     is_diagonalizable,
     matrix_order,
@@ -71,8 +69,8 @@ __all__ = [
     "CatMatrix", "CurveSpec", "EXPERIMENT_NAMES", "ExperimentConfig", "FFElem",
     "FieldCtx", "MatEntity", "Observable", "SubgroupSpec", "VecEntity",
     "analyze_instance", "analyze_instances", "build_instances", "cat_unitary",
-    "char_poly_factor", "companion_realization", "compute_instance", "count_JK",
-    "count_Q", "count_Q_eigen", "count_points", "count_product_eq",
+    "char_poly_factor", "compute_instance", "count_JK",
+    "count_Q", "count_points", "count_product_eq",
     "cubic_factor_exclusion", "delta_Nf", "det_order", "egorov_defect",
     "eigenbasis", "evaluate_bounds", "extension_regime_bound", "gauss_subgroup",
     "high_degree_bound", "is_diagonalizable", "kloosterman_subgroup",

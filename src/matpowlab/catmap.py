@@ -71,10 +71,6 @@ class Observable:
         """Zero-mode coefficient, which is the average over the torus."""
         return self.fourier.get((0, 0), 0j)
 
-    def mode_mass(self) -> float:
-        """Total absolute mass of the nonzero modes."""
-        return float(sum(abs(c) for a, c in self.fourier.items() if a != (0, 0)))
-
     def __repr__(self) -> str:
         return f"Observable(modes={len(self.fourier)}, real={self.real})"
 

@@ -5,18 +5,21 @@ over one full period of an invertible matrix A (the twist psi(alpha z) is the
 sum of alpha a), and every sum is one: over a cyclic subgroup G = <g>, a
 Kloosterman sum (a u + b / u) is the sum of a = (a, b) with A = diag(g, 1/g)
 and b = (1, 1), and a Gauss sum (a u) that of a = (a) with A = [[g]] and
-b = (1) (subgroup_entry); their moments walk the same orbit of b.  Every sum
-walks a residue orbit (ffield.residue_orbit), maps it to trace arguments
-Tr z mod p through the integer trace form, and counts the arguments in an
-exact integer histogram; float rounding is confined to one p-term dot
-product of that histogram with the roots of unity.  Matrix sums run as
-stacks (matrix_exp_sums): the walks of many (a, b, A) triples are one
-batched residue_orbit per row-bounded block, and their histograms one
-shared bincount, while each sum keeps its own checks and its own dot, so
-matrix_exp_sum is the stack of one.  The hypothesis flags of a stack are
+b = (1) (subgroup_entry); their moments walk the same orbit of b.  Every
+single sum walks a residue orbit (ffield.residue_orbit), maps it to trace
+arguments Tr z mod p through the integer trace form, and counts the
+arguments in an exact integer histogram; its float rounding is confined to
+one p-term dot product of that histogram with the roots of unity.  Matrix
+sums run as stacks (matrix_exp_sums): the walks of many (a, b, A) triples
+are one batched residue_orbit per row-bounded block, and their histograms
+one shared bincount, while each sum keeps its own checks and its own dot,
+so matrix_exp_sum is the stack of one.  The hypothesis flags of a stack are
 likewise one stacked Krylov check (analyze_instances).  Moments over every
-coefficient walk one representative per G-orbit of coefficients, weighted
-by the orbit size, since a sum is constant on each orbit.
+coefficient (sum_moment) take one representative per G-orbit of
+coefficients, weighted by the orbit size, since a sum is constant on each
+orbit.  They look every term up in the table of roots of unity and sum by a
+matmul, so they round per term; the closed-form second moment and the exact
+energy of the orbit (counting.sequence_energy) check them.
 evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
 whose hypotheses the instance satisfies (the Hypotheses of
 analyze_instance); only inequalities with an explicit constant are marked
@@ -238,8 +241,11 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
     second moment must equal its closed form (q |G| for Gauss, q^2 |G| for
     Kloosterman), and even orders 2 nu = 2, 4 and 6 also carry the exact
     integer value q^n E_nu, with E_nu the nu-fold additive energy of the walk
-    of (A, b) = subgroup_entry(family, G) (count_JK(b, A, nu)); a float value
-    more than 1e-9 relative away from either raises InvariantViolated.
+    of (A, b) = subgroup_entry(family, G) (sequence_energy of that orbit); a
+    float value more than 1e-9 relative away from either raises
+    InvariantViolated.  The sums are not walk histograms: each term is a
+    lookup in the table of roots of unity and each sum one entry of a matmul,
+    so the value rounds per term, and those two checks guard it.
     """
     if m < 1:
         raise ValueError("moment order must be positive")

@@ -40,8 +40,8 @@ from .errors import (
 )
 from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, residue_orbit,
                      residue_product)
-from .matgrp import (MatEntity, VecEntity, char_poly_factor, check_vector_orbit,
-                     frobenius_orders, is_diagonalizable, matrix_order, residue_map)
+from .matgrp import (MatEntity, VecEntity, check_vector_orbit, frobenius_orders, matrix_order,
+                     residue_map)
 
 # Each cap, scaled by its kernel's budget (errors.over_budget), is compared with:
 # the period tau, per nu: a nu-fold count folds the tau orbit rows nu times,
@@ -289,27 +289,6 @@ def count_Q(A: MatEntity, nu: int, budget: float = 1.0) -> CountResult:
     return CountResult(
         value,
         "convolution",
-        {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n, **kernel},
-    )
-
-
-def count_Q_eigen(A: MatEntity, nu: int, budget: float = 1.0) -> CountResult:
-    """Same count as count_Q through the eigenvalue system of a diagonalizable A."""
-    if nu not in (1, 2, 3):
-        raise ValueError(f"nu must be 1, 2, or 3, got {nu}")
-    data = char_poly_factor(A)
-    if data.eigenvalues is None or not is_diagonalizable(A):
-        raise DegenerateParameters("eigenvalue reduction needs a diagonalizable matrix")
-    tau = matrix_order(A)
-    if err := over_budget("tau", tau, DEFAULT_TAU_CAP[nu], budget, work=tau ** nu):
-        raise err
-    p = A.ctx.p
-    rows = np.hstack([residue_orbit(mul_matrix(lam), lam.ctx.one.residues(), tau, p)
-                      for lam in data.eigenvalues])
-    value, kernel = _energy(rows, p, nu)
-    return CountResult(
-        value,
-        "eigenvalue-reduction",
         {"nu": nu, "tau": tau, "p": A.ctx.p, "degree": A.ctx.degree, "n": A.n, **kernel},
     )
 

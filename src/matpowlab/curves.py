@@ -1,4 +1,4 @@
-"""Bivariate power-sum curves: evaluation, exact point counts, factor exclusion.
+"""Bivariate power-sum curves: exact point counts, count bounds, factor exclusion.
 
 The working polynomial is
 
@@ -62,17 +62,6 @@ class CurveSpec:
     def __repr__(self):
         return (f"CurveSpec(p={self.ctx.p}, degree_ext={self.ctx.degree}, "
                 f"s={self.s}, a={self.a!r}, b={self.b!r})")
-
-
-def curve_eval(spec: CurveSpec, x: FFElem, y: FFElem) -> FFElem:
-    """Exact evaluation of the curve polynomial at one point."""
-    if x.ctx != spec.ctx or y.ctx != spec.ctx:
-        raise MixedContext("point does not live in the curve's field")
-    xs = x ** spec.s
-    ys = y ** spec.s
-    prod = xs * ys
-    head = xs + ys
-    return (head + spec.a) * (head + spec.b * prod) - prod
 
 
 def count_points(spec: CurveSpec, budget: float = 1.0) -> CountResult:

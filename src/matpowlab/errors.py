@@ -33,10 +33,6 @@ class ZeroVector(MatpowError):
     """A nonzero vector was required."""
 
 
-class NormNotOne(MatpowError):
-    """Element is not on the norm-one subgroup."""
-
-
 class BudgetExceeded(MatpowError):
     """Requested computation exceeds the configured work cap."""
 

@@ -6,11 +6,12 @@ quadratic non-residue mod p, so the Frobenius map x -> x^p is conjugation
 slice of the same formulas (r = 0), so arithmetic needs no degree test, and
 array code sees both fields only through mul_matrix and trace_form, the 2 x 2
 integer matrices of multiplication and of the trace pairing sliced to degree.
-Eight places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
+Six places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
 factorization), FieldCtx.elem (it guards c1 = 0), FFElem.__pow__ (builtin
 three-argument pow serves the many F_p powers), FFElem.__repr__ (output text),
-and the input checks of omega, lift, trace_norm and norm_subgroup. The one
-additive character is psi(z) = e_p(Tr z) (char_eval); any other is psi(alpha z).
+and the input checks of omega and lift. The one additive character is
+psi(z) = e_p(Tr z), the roots_of_unity() table indexed at Tr z (trace_form
+gives it on residue arrays); any other is psi(alpha z).
 """
 
 from __future__ import annotations
@@ -133,9 +134,6 @@ class FieldCtx:
         for w in range(self.q):
             yield FFElem(self, w % self.p, w // self.p)
 
-    def element_index(self, x: FFElem) -> int:
-        return x.c0 + self.p * x.c1
-
     def from_index(self, w: int) -> FFElem:
         """The element of index w mod q."""
         w %= self.q
@@ -146,10 +144,6 @@ class FieldCtx:
         if self._root_table is None:
             self._root_table = np.exp(2j * np.pi * np.arange(self.p) / self.p)
         return self._root_table
-
-    def base_field(self) -> FieldCtx:
-        """The degree-1 context over the same p."""
-        return make_field(self.p, 1)
 
     def ext_field(self) -> FieldCtx:
         """The degree-2 context over the same p."""
@@ -297,15 +291,6 @@ class FFElem:
         return (self.c0, self.c1)[:self.ctx.degree]
 
 
-def trace_norm(x: FFElem) -> tuple[FFElem, FFElem]:
-    """Frobenius trace x + x^p and norm x * x^p of a degree-2 element, in F_p."""
-    ctx = x.ctx
-    if ctx.degree != 2:
-        raise WrongDegree("trace_norm needs a quadratic-extension element")
-    base = ctx.base_field()
-    return base.elem(2 * x.c0), base.elem(x.c0 * x.c0 - ctx.r * x.c1 * x.c1)
-
-
 def mult_order(x: FFElem) -> int:
     """Multiplicative order of x, via the factored group order (integer-pair powers)."""
     if not x:
@@ -349,21 +334,6 @@ class SubgroupSpec:
 
     def __repr__(self):
         return f"SubgroupSpec(order={self.order}, gen={self.generator!r})"
-
-    def elements(self):
-        """Yield g, g^2, ..., g^order (= 1), in power order."""
-        x = self.generator
-        for _ in range(self.order):
-            yield x
-            x = x * self.generator
-
-
-def norm_subgroup(ctx: FieldCtx) -> SubgroupSpec:
-    """The norm-one subgroup of F_{p^2}: generated by g^(p-1), order p + 1."""
-    if ctx.degree != 2:
-        raise WrongDegree("the norm-one subgroup lives in a quadratic extension")
-    g = primitive_root(ctx)
-    return SubgroupSpec(g ** (ctx.p - 1), ctx.p + 1)
 
 
 def subgroup_of_order(ctx: FieldCtx, m: int) -> SubgroupSpec:
@@ -468,11 +438,6 @@ def _decode_keys(keys: np.ndarray, p: int, d: int) -> np.ndarray:
         rows[:, j] = rem % p
         rem //= p
     return rows
-
-
-def char_eval(z: FFElem) -> complex:
-    """The additive character e_p(Tr z), Tr(c0 + c1 w) = degree * c0."""
-    return complex(z.ctx.roots_of_unity()[z.ctx.degree * z.c0 % z.ctx.p])
 
 
 def is_square(x: FFElem) -> bool:

@@ -20,13 +20,15 @@ CSV_COLUMNS = (
 # the CSV column order; read once, as fields() on every row raised a grid
 # run's peak RSS by ~0.4 MB
 _RECORD_FIELDS = tuple(field.name for field in fields(InstanceRecord))
+# the config keys that shape the rows, recorded in the summary; out and
+# workers change no row, and leaving workers out keeps the bytes worker-independent
+_SUMMARY_KEYS = tuple(field.name for field in fields(ExperimentConfig)
+                      if field.name not in ("out", "workers"))
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -76,10 +78,7 @@ def _summarize(cfg: ExperimentConfig, rows: list[InstanceRecord]) -> dict:
         bounds[name] = slot
     exit_status = 1 if statuses.get("fail") else 0
     return {
-        "experiment": cfg.experiment,
-        "p_min": cfg.p_min,
-        "p_max": cfg.p_max,
-        "seed": cfg.seed,
+        **{key: getattr(cfg, key) for key in _SUMMARY_KEYS},
         "rows": len(rows),
         "statuses": statuses,
         "bounds": bounds,

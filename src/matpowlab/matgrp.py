@@ -23,16 +23,13 @@ from .errors import (
     DegenerateParameters,
     InvariantViolated,
     MixedContext,
-    NormNotOne,
     OrderCapExceeded,
     UnsupportedDimension,
-    WrongDegree,
-    ZeroElement,
     ZeroVector,
     over_budget,
 )
 from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix, mult_order,
-                     residue_orbit, residue_inverse, residue_product, sqrt, trace_norm)
+                     residue_orbit, residue_inverse, residue_product, sqrt)
 
 # Compared with the step count of matrix_order's iteration B -> B M (n >= 4, or
 # eigenvalues beyond F_{p^2}): one residue matmul per step.
@@ -411,12 +408,6 @@ def det_order(A: MatEntity) -> int:
     return mult_order(d)
 
 
-def independence_check(v: VecEntity, A: MatEntity) -> bool:
-    """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n,
-    i.e. the Krylov matrix with these n vectors as rows has nonzero determinant."""
-    return bool(independence_checks([(v, A)])[0])
-
-
 def residue_dets(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Residues (N, degree) of the determinants of a stack (N, n, n, degree) of
     matrices over ctx with reduced entries, by Gaussian elimination on the
@@ -449,7 +440,9 @@ def residue_dets(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
 
 def independence_checks(pairs) -> np.ndarray:
-    """independence_check of every (v, A) pair, for pairs over one field with one n.
+    """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n,
+    i.e. the Krylov matrix with these n vectors as rows has nonzero
+    determinant, for every (v, A) pair over one field with one n.
 
     The Krylov rows of all pairs are one stack of residue_orbit walks, and
     their determinants one stacked residue_dets.
@@ -469,31 +462,6 @@ def independence_checks(pairs) -> np.ndarray:
     orbit = residue_orbit(maps, starts, n - 1, ctx.p)
     krylov = np.concatenate((starts[:, None, :], orbit), axis=1)
     return residue_dets(krylov.reshape(len(pairs), n, n, ctx.degree), ctx).any(axis=1)
-
-
-def companion_realization(lam: FFElem, a: FFElem):
-    """Rewrite x -> Tr(a lam^x) as a_vec A^x b_vec with A the trace companion in SL2.
-
-    lam must lie on the norm-one subgroup of F_{p^2}; the returned data live
-    over F_p.
-    """
-    ctx = lam.ctx
-    if ctx.degree != 2:
-        raise WrongDegree("companion realization needs a quadratic-extension element")
-    if not a:
-        raise ZeroElement("coefficient a must be nonzero")
-    if a.ctx != ctx:
-        raise MixedContext("a and lam must share a field")
-    u, nrm = trace_norm(lam)
-    if nrm != nrm.ctx.one:
-        raise NormNotOne(f"norm of {lam!r} is {nrm!r}, need 1")
-    base = ctx.base_field()
-    A = sl2_companion(base, u.c0)
-    tr_a, _ = trace_norm(a)
-    tr_alam, _ = trace_norm(a * lam)
-    a_vec = VecEntity([tr_a, tr_alam], "row")
-    b_vec = VecEntity([base.one, base.zero], "column")
-    return a_vec, b_vec, A
 
 
 def sl2_companion(ctx: FieldCtx, u: int) -> MatEntity:

@@ -2,7 +2,10 @@
 
 Everything here enumerates literally (tuples, repeated multiplication,
 per-point evaluation) and avoids the production code paths on purpose.
-Keep these dumb; speed comes from the small parameters only.
+Keep these dumb; speed comes from the small parameters only. The second
+routes at the end (the eigenvalue reduction, the companion realization)
+are built on the public kernels instead: each reaches a known value by a
+different identity, so agreement checks the identity and the kernel.
 """
 
 from __future__ import annotations
@@ -12,6 +15,11 @@ import itertools
 import math
 
 import numpy as np
+
+from matpowlab.counting import sequence_energy
+from matpowlab.ffield import make_field
+from matpowlab.matgrp import (VecEntity, char_poly_factor, is_diagonalizable, matrix_order,
+                              sl2_companion)
 
 
 # ---- vectors and matrices as tuples (rows) of FFElem --------------------------------
@@ -314,8 +322,8 @@ def naive_extension_independent(v, A):
 def naive_subgroup_sum(G, coeff, alpha):
     """Sum over u in G of e_p(Tr(alpha coeff(u))), term by term in FFElem arithmetic."""
     return naive_char_sum([
-        cmath.exp(2j * math.pi * naive_field_trace(alpha * coeff(u)) / G.ctx.p)
-        for u in G.elements()])
+        cmath.exp(2j * math.pi * naive_field_trace(alpha * coeff(G.generator ** k)) / G.ctx.p)
+        for k in range(1, G.order + 1)])
 
 
 def naive_moment(family, G, m, alpha):
@@ -344,6 +352,12 @@ def naive_point_count(ctx, s, a, b):
             if not f:
                 count += 1
     return count
+
+
+def curve_eval(spec, x, y):
+    """The curve polynomial (x^s + y^s + a)(x^s + y^s + b x^s y^s) - x^s y^s at one point."""
+    xs, ys = x ** spec.s, y ** spec.s
+    return (xs + ys + spec.a) * (xs + ys + spec.b * xs * ys) - xs * ys
 
 
 def naive_product_eq_count(xi0, xis, lambdas, tau):
@@ -413,3 +427,40 @@ def grid_numerical_radius(comp, grid):
     spin = np.exp(1j * (np.arange(grid) * (2 * np.pi / grid)))[:, None, None]
     herm = (spin * comp + np.conj(spin) * comp.conj().T) / 2
     return max(0.0, float(np.linalg.eigvalsh(herm)[:, -1].max()))
+
+
+# ---- second routes on the public kernels --------------------------------------------
+
+
+def trace_norm(x):
+    """Frobenius trace 2 c0 and norm c0^2 - r c1^2 of a degree-2 element, in F_p."""
+    base = make_field(x.ctx.p)
+    return base.elem(2 * x.c0), base.elem(x.c0 * x.c0 - x.ctx.r * x.c1 * x.c1)
+
+
+def count_Q_eigen(A, nu):
+    """count_Q(A, nu).value through the eigenvalues of a diagonalizable A.
+
+    A^x = P diag(lam_i^x) P^-1 with one P for every x, so sums of powers
+    agree exactly when the sums of the eigenvalue rows (lam_1^x, ..., lam_n^x)
+    do, and the count is the energy of those rows.
+    """
+    lams = char_poly_factor(A).eigenvalues
+    if lams is None or not is_diagonalizable(A):
+        raise ValueError("the eigenvalue reduction needs a diagonalizable matrix")
+    rows = [[c for lam in lams for c in (lam ** x).residues()]
+            for x in range(1, matrix_order(A) + 1)]
+    return sequence_energy(rows, A.ctx.p, nu)
+
+
+def companion_realization(lam, a):
+    """(a_vec, b_vec, A) over F_p with a_vec A^x b_vec = Tr(a lam^x), for lam of norm one.
+
+    A = [[0, -1], [1, Tr lam]] is the trace companion in SL2: t_x = Tr(a lam^x)
+    obeys t_(x+1) = Tr(lam) t_x - t_(x-1) once lam^p = 1 / lam, and a_vec
+    holds (t_0, t_1).
+    """
+    base = make_field(lam.ctx.p)
+    a_vec = VecEntity([trace_norm(a)[0], trace_norm(a * lam)[0]], "row")
+    b_vec = VecEntity([base.one, base.zero], "column")
+    return a_vec, b_vec, sl2_companion(base, trace_norm(lam)[0].c0)

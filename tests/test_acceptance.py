@@ -21,21 +21,20 @@ from matpowlab.ffield import (
     _is_prime,
     make_field,
     mult_order,
-    norm_subgroup,
     primitive_root,
     subgroup_of_order,
-    trace_norm,
 )
 from matpowlab.harness import run_experiment
 from matpowlab.harness.config import build_config
 from matpowlab.matgrp import (
     MatEntity,
     VecEntity,
-    independence_check,
+    independence_checks,
     matrix_order,
     sl2_companion,
 )
-from oracles import mat_mul, naive_count_Q, naive_count_Q_fast, naive_subgroup_sum
+from oracles import (companion_realization, mat_mul, naive_count_Q, naive_count_Q_fast,
+                     naive_subgroup_sum)
 
 CAT = CatMatrix(2, 1, 3, 2)
 EIGENMODES = Observable({(1, 0): 0.5, (-1, 0): 0.5})
@@ -122,7 +121,7 @@ def test_criterion_03_holder_chain():
                        ctx.elem(int(rng.integers(0, p)))), "column")
         if not a or not b:
             continue
-        if not (independence_check(a, A) and independence_check(b, A)):
+        if not independence_checks([(a, A), (b, A)]).all():
             continue
         tau = matrix_order(A)
         observed = abs(matrix_exp_sum(a, b, A).value)
@@ -201,17 +200,13 @@ def test_criterion_06_reduction_identities():
     worst_gauss = 0.0
     for _ in range(100):
         p = int(rng.choice(primes))
-        ctx = make_field(p)
         ext = make_field(p, 2)
-        gamma = norm_subgroup(ext).generator
+        gamma = subgroup_of_order(ext, p + 1).generator  # of the norm-one group
         lam = gamma ** int(rng.integers(1, p + 1))
         if lam == ext.one or lam == -ext.one:
             lam = gamma
         a = ext.from_index(int(rng.integers(1, p * p)))
-        u = trace_norm(lam)[0]
-        A = sl2_companion(ctx, u.c0)
-        left = VecEntity((trace_norm(a)[0], trace_norm(a * lam)[0]), "row")
-        right = VecEntity((ctx.one, ctx.zero), "column")
+        left, right, A = companion_realization(lam, a)
         direct = gauss_subgroup(SubgroupSpec(lam, mult_order(lam)), a).value
         reduced = matrix_exp_sum(left, right, A).value
         worst_gauss = max(worst_gauss, abs(direct - reduced))

@@ -33,20 +33,18 @@ from matpowlab.counting import count_JK, vector_orbit
 from matpowlab.errors import BudgetExceeded, InvariantViolated, MixedContext
 from matpowlab.ffield import (
     SubgroupSpec,
-    char_eval,
     make_field,
-    norm_subgroup,
     primitive_root,
     subgroup_of_order,
 )
 from matpowlab.matgrp import (
     MatEntity,
     VecEntity,
-    companion_realization,
     matrix_order,
     sl2_companion,
 )
-from oracles import (dot, mat_mul, naive_char_sum, naive_extension_independent, naive_moment,
+from oracles import (companion_realization, dot, mat_mul, naive_char_sum,
+                     naive_extension_independent, naive_field_trace, naive_moment,
                      naive_subgroup_sum, vec_mat)
 
 _SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
@@ -72,7 +70,8 @@ def _oracle_matrix_sum(a_vec, b_vec, A, alpha=1):
     terms = []
     M = A.rows
     for _ in range(tau):
-        terms.append(char_eval(alpha * dot(vec_mat(a_vec.entries, M), b_vec.entries)))
+        z = alpha * dot(vec_mat(a_vec.entries, M), b_vec.entries)
+        terms.append(cmath.exp(2j * math.pi * naive_field_trace(z) / z.ctx.p))
         M = mat_mul(M, A.rows)
     return naive_char_sum(terms)
 
@@ -394,7 +393,7 @@ def test_subgroup_entry_walks_the_subgroup():
     for p, degree, order in ((13, 1, 6), (5, 2, 8)):
         ctx = make_field(p, degree)
         G = subgroup_of_order(ctx, order)
-        us = list(G.elements())
+        us = [G.generator ** k for k in range(1, order + 1)]
         A, ones = subgroup_entry("kloosterman", G)
         assert matrix_order(A) == order and ones.orientation == "column"
         assert vector_orbit(ones, A).tolist() == [
@@ -445,7 +444,7 @@ def test_gauss_matches_companion_matrix_sum():
     # sequence generated by the companion matrix over the base field
     for p in (7, 11):
         ext = make_field(p, 2)
-        N = norm_subgroup(ext)
+        N = subgroup_of_order(ext, p + 1)
         lam = N.generator
         for k in (1, 2, 5):
             a = primitive_root(ext) ** k
@@ -456,7 +455,7 @@ def test_gauss_matches_companion_matrix_sum():
             assert abs(lhs.value - rhs.value) < 1e-9
     # a proper subgroup of the norm-one group reduces the same way
     ext = make_field(11, 2)
-    N = norm_subgroup(ext)
+    N = subgroup_of_order(ext, 12)
     lam = N.generator ** 3
     G = SubgroupSpec(lam, 4)
     a = ext.omega() + ext.one
@@ -538,7 +537,7 @@ def test_moment_sixth_dual_path_kloosterman():
 
 def test_moment_sixth_dual_path_gauss_extension():
     ext = make_field(11, 2)
-    N = norm_subgroup(ext)
+    N = subgroup_of_order(ext, 12)
     G = SubgroupSpec(N.generator ** 2, 6)
     res = sum_moment("gauss", G, 6)
     assert res.exact is not None

@@ -8,13 +8,12 @@ from matpowlab.curves import (
     CurveSpec,
     count_points,
     cubic_factor_exclusion,
-    curve_eval,
     extension_regime_bound,
     high_degree_bound,
 )
 from matpowlab.errors import BudgetExceeded, DegenerateParameters, MixedContext
 from matpowlab.ffield import make_field
-from oracles import naive_point_count
+from oracles import curve_eval, naive_point_count
 
 _PRIMES_TO_199 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59,
                   61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113,

@@ -3,6 +3,7 @@ import pytest
 
 from matpowlab import ffield
 from matpowlab.errors import (
+    BudgetExceeded,
     CompositeModulus,
     DegenerateParameters,
     MixedContext,
@@ -10,13 +11,12 @@ from matpowlab.errors import (
     ZeroElement,
 )
 from matpowlab.ffield import (
+    FieldCtx,
     SubgroupSpec,
-    char_eval,
     is_square,
     make_field,
     mul_matrix,
     mult_order,
-    norm_subgroup,
     primitive_root,
     residue_inverse,
     residue_product,
@@ -24,7 +24,6 @@ from matpowlab.ffield import (
     subgroup_of_order,
     subgroup_walk,
     trace_form,
-    trace_norm,
 )
 from matpowlab.matgrp import MatEntity, residue_map
 
@@ -34,9 +33,17 @@ from oracles import (
     naive_mult_order,
     naive_nonresidue,
     naive_primitive_root,
+    trace_norm,
 )
 
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+def _psi(z):
+    """e_p(Tr z) as the sums take it: the roots_of_unity() table at the trace form's Tr z."""
+    ctx = z.ctx
+    trace = np.array(ctx.one.residues()) @ trace_form(ctx) @ np.array(z.residues()) % ctx.p
+    return ctx.roots_of_unity()[trace]
 
 
 def test_make_field_rejects_bad_moduli():
@@ -45,6 +52,8 @@ def test_make_field_rejects_bad_moduli():
             make_field(bad)
     with pytest.raises(WrongDegree):
         make_field(7, 3)
+    with pytest.raises(BudgetExceeded):
+        FieldCtx(ffield._MAX_P + 2)
 
 
 def test_quadratic_extension_uses_least_nonresidue():
@@ -77,6 +86,10 @@ def test_field_arithmetic_small():
     assert a ** 6 == ctx.one
     assert a + 4 == ctx.zero
     assert 2 * a == ctx.elem(6)
+    assert 3 / b == ctx.elem(3) * b.inverse()
+    assert a == 3 and a != 4
+    with pytest.raises(TypeError):
+        _ = a + "a"
 
 
 def test_extension_arithmetic_against_polynomial_model():
@@ -160,19 +173,17 @@ def test_frobenius_is_p_power():
 
 
 def test_trace_norm_values():
+    # the oracle's closed forms against Frobenius and lift, exhaustively
     ctx = make_field(7, 2)
     w = ctx.omega()
     tr, nm = trace_norm(w)
     assert tr == make_field(7).zero
     assert nm == make_field(7).elem(-3)  # -r mod 7 = 4
-    # trace and norm against their definitions, exhaustively
     for x in ctx.iter_elements():
         tr, nm = trace_norm(x)
         lift = ctx.lift
         assert lift(tr) == x + x.frobenius()
         assert lift(nm) == x * x.frobenius()
-    with pytest.raises(WrongDegree):
-        trace_norm(make_field(7).elem(1))
 
 
 def test_mult_order_matches_naive_oracle():
@@ -211,11 +222,12 @@ def test_primitive_root_has_full_order():
 
 
 def test_norm_subgroup_members():
+    # the order-(p + 1) subgroup of F_{p^2}* is generated by g^(p - 1) and is the norm-one group
     for p in ODD_PRIMES_TO_31:
         ctx = make_field(p, 2)
-        sub = norm_subgroup(ctx)
-        assert sub.order == p + 1
-        members = list(sub.elements())
+        sub = subgroup_of_order(ctx, p + 1)
+        assert sub.generator == primitive_root(ctx) ** (p - 1)
+        members = [sub.generator ** k for k in range(1, p + 2)]
         assert len(set(members)) == p + 1
         for z in members:
             assert z * z.frobenius() == ctx.one
@@ -223,8 +235,6 @@ def test_norm_subgroup_members():
         norm_one = [x for x in ctx.iter_elements() if x and x * x.frobenius() == ctx.one]
         assert set(norm_one) == set(members)
         assert subgroup_walk(sub).tolist() == [list(z.residues()) for z in members]
-    with pytest.raises(WrongDegree):
-        norm_subgroup(make_field(7))
 
 
 def test_subgroup_spec_validates_order():
@@ -236,6 +246,8 @@ def test_subgroup_spec_validates_order():
         SubgroupSpec(g ** 2, 12)  # g^2 has order 6: declared order is not exact
     with pytest.raises(DegenerateParameters):
         SubgroupSpec(g ** 2, 3)  # (g^2)^3 != 1
+    with pytest.raises(ZeroElement):
+        SubgroupSpec(ctx.zero, 1)
     sub = subgroup_of_order(ctx, 4)
     assert sub.order == 4
     assert mult_order(sub.generator) == 4
@@ -252,8 +264,8 @@ def test_character_homomorphism_random_pairs():
         for _ in range(1000):
             x = ctx.elem(int(rng.integers(0, p)), int(rng.integers(0, p)) if degree == 2 else 0)
             y = ctx.elem(int(rng.integers(0, p)), int(rng.integers(0, p)) if degree == 2 else 0)
-            lhs = char_eval(alpha * (x + y))
-            rhs = char_eval(alpha * x) * char_eval(alpha * y)
+            lhs = _psi(alpha * (x + y))
+            rhs = _psi(alpha * x) * _psi(alpha * y)
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -261,7 +273,7 @@ def test_character_full_sum_vanishes():
     # sum over the whole additive group is zero for a nontrivial character
     for p, degree in ((11, 1), (5, 2)):
         ctx = make_field(p, degree)
-        total = sum(char_eval(x) for x in ctx.iter_elements())
+        total = sum(_psi(x) for x in ctx.iter_elements())
         assert abs(total) < 1e-9
 
 
@@ -270,25 +282,26 @@ def test_character_trace_argument():
     ctx = make_field(7, 2)
     for z in ctx.iter_elements():
         tr, _ = trace_norm(z)
+        assert tr.c0 == naive_field_trace(z)
         expect = np.exp(2j * np.pi * tr.c0 / 7)
-        assert abs(char_eval(z) - expect) < 1e-12
+        assert abs(_psi(z) - expect) < 1e-12
 
 
 @pytest.mark.parametrize("p,degree", [(5, 1), (7, 1), (5, 2), (7, 2)])
 def test_residue_matrices_match_field_arithmetic(p, degree):
-    # every a, z: res(a) T res(z) = Tr(a z), char_eval(z) = e_p(Tr z) and
-    # mul_matrix(a) res(z) = residue_product(res(a), res(z)) = res(a z)
+    # every a, z: res(a) T res(z) = Tr(a z), the roots table at Tr z is e_p(Tr z)
+    # and mul_matrix(a) res(z) = residue_product(res(a), res(z)) = res(a z)
     ctx = make_field(p, degree)
     elems = list(ctx.iter_elements())
     res = np.array([x.residues() for x in elems])
-    prod = np.array([[ctx.element_index(a * z) for z in elems] for a in elems])
+    prod = np.array([[(a * z).c0 + p * (a * z).c1 for z in elems] for a in elems])
     for a, row in zip(elems, prod):
         assert np.array_equal(mul_matrix(a) @ res.T % p, res[row].T)
     assert np.array_equal(residue_product(res[:, None], res[None, :], ctx), res[prod])
     traces = np.array([naive_field_trace(y) for y in elems])
     assert np.array_equal(res @ trace_form(ctx) @ res.T % p, traces[prod])
     psi = np.exp(2j * np.pi * traces / p)
-    assert max(abs(char_eval(y) - want) for y, want in zip(elems, psi)) < 1e-12
+    assert max(abs(_psi(y) - want) for y, want in zip(elems, psi)) < 1e-12
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -352,7 +365,7 @@ def test_element_index_roundtrip():
         ctx = make_field(5, degree)
         for w in range(ctx.q):
             x = ctx.from_index(w)
-            assert ctx.element_index(x) == w
+            assert x.c0 + ctx.p * x.c1 == w
             for k in (-2, 1, 3):
                 y = ctx.from_index(w + k * ctx.q)
                 assert y == x and hash(y) == hash(x)

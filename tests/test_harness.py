@@ -137,6 +137,24 @@ def test_build_config_rejects_a_non_finite_budget(budget):
         build_config({"experiment": "energy", "budget": budget})
 
 
+@pytest.mark.parametrize("key, text, message", [
+    ("class_filter", "some", "class_filter must be one of"),
+    ("tau_min", "0", "tau_min must be positive"),
+    ("tau_max", "0", "tau_max must not undercut tau_min"),
+    ("nu", "2,4", "nu entries must be in 1..3"),
+    ("nu", "2,x", "nu must be comma-separated integers"),
+    ("samples", "0", "samples must be positive"),
+    ("s_min", "0", "need 1 <= s_min <= s_max"),
+    ("s_max", "0", "need 1 <= s_min <= s_max"),
+    ("seed", "-1", "seed must be nonnegative"),
+    ("workers", "0", "workers must be positive"),
+    ("budget", "lots", "budget must be a number"),
+])
+def test_build_config_names_each_rejected_value(key, text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        build_config({"experiment": "energy", key: text})
+
+
 def test_overrides_supply_experiment():
     cfg = build_config({"p_max": "7"}, {"experiment": "orbit", "workers": 2})
     assert cfg.experiment == "orbit" and cfg.workers == 2 and cfg.p_max == 7
@@ -579,6 +597,43 @@ def test_summary_shape(tmp_path):
     diag = summary["bounds"]["diag-energy"]
     assert diag["rows"] > 0
     assert 0 < diag["ratio_min"] <= diag["ratio_mean"] <= diag["ratio_max"]
+
+
+def test_summary_records_the_config_that_shapes_its_rows(tmp_path):
+    summaries = {}
+    for budget in ("1", "1e-5"):
+        out = str(tmp_path / budget)
+        run_experiment(build_config({"experiment": "energy", "p_min": "5", "p_max": "13",
+                                     "budget": budget, "out": out}))
+        with open(os.path.join(out, "energy.summary.json")) as fh:
+            summaries[budget] = json.load(fh)
+    keys = {field.name for field in fields(ExperimentConfig)} - {"out", "workers"}
+    for budget, summary in summaries.items():
+        assert keys <= set(summary) and not {"out", "workers"} & set(summary)
+        assert summary["budget"] == float(budget) and summary["nu"] == [2, 3]
+    assert summaries["1"]["statuses"] != summaries["1e-5"]["statuses"]
+
+
+@pytest.mark.parametrize("experiment", ["kloosterman", "gauss"])
+def test_subgroups_outside_the_tau_window_give_no_rows(experiment):
+    # a moment other than the sixth has no bound: its row is a report
+    cfg = build_config({"experiment": experiment, "p_min": "5", "p_max": "13",
+                        "tau_min": "3", "tau_max": "6", "moment": "4"})
+    kept, dropped = set(), set()
+    for p, m in build_instances(cfg):
+        rows = compute_instance(cfg, (p, m))
+        if m == 0:  # gauss's full group row stands outside the window
+            assert [rec.quantity for rec in rows] == ["gauss-full-deviation"]
+        elif not 3 <= m <= 6:
+            assert rows == []
+            dropped.add(m)
+        else:
+            kept.add(m)
+            moments = [rec for rec in rows if rec.quantity == "moment4"]
+            assert [(rec.bound_name, rec.status) for rec in moments] == [("", "report")]
+    # the orders m > 1 dividing p - 1 (kloosterman) or p + 1 (gauss), p = 5, 7, 11, 13
+    assert kept == ({3, 4, 5, 6} if experiment == "kloosterman" else {3, 4, 6})
+    assert dropped == ({2, 10, 12} if experiment == "kloosterman" else {2, 7, 8, 12, 14})
 
 
 def test_fail_rows_set_exit_one(tmp_path, monkeypatch):

@@ -8,28 +8,26 @@ from matpowlab.errors import (
     DegenerateParameters,
     InvariantViolated,
     MixedContext,
-    NormNotOne,
     OrderCapExceeded,
     UnsupportedDimension,
-    ZeroElement,
     ZeroVector,
 )
-from matpowlab.ffield import (make_field, mult_order, norm_subgroup, primitive_root,
-                              residue_product, trace_norm)
+from matpowlab.ffield import make_field, mult_order, residue_product, subgroup_of_order
 from matpowlab.matgrp import (
     MatEntity,
     VecEntity,
     char_poly_factor,
-    companion_realization,
     det_order,
-    independence_check,
+    independence_checks,
     is_diagonalizable,
     matrix_order,
     sl2_companion,
 )
-from matpowlab.counting import count_Q, count_Q_eigen
+from matpowlab.counting import count_Q
 
 from oracles import (
+    companion_realization,
+    count_Q_eigen,
     diagonal,
     dot,
     mat_add,
@@ -43,6 +41,7 @@ from oracles import (
     poly_eval_matrix,
     rank,
     scalar,
+    trace_norm,
     vec_mat,
 )
 
@@ -522,7 +521,7 @@ def test_count_Q_eigen_on_a_scalar_matrix_in_characteristic_three():
     # 2 I_3 over F_3 has order 2: the pair sums I, 0, 0, 2I give 1 + 4 + 1
     ctx = make_field(3)
     A = MatEntity(scalar(ctx.elem(2), 3))
-    assert count_Q_eigen(A, 2).value == count_Q(A, 2).value == 6
+    assert count_Q_eigen(A, 2) == count_Q(A, 2).value == 6
 
 
 def test_singular_matrix_rejected():
@@ -571,15 +570,13 @@ def test_independence_check():
     ctx = make_field(7)
     A = sl2_companion(ctx, 3)
     e1 = VecEntity([ctx.one, ctx.zero], "row")
-    assert independence_check(e1, A)
     col = VecEntity([ctx.one, ctx.zero], "column")
-    assert independence_check(col, A)
     # an eigenvector of a split matrix stays on its line
     D = MatEntity(diagonal([ctx.elem(2), ctx.elem(4)]))
     ev = VecEntity([ctx.one, ctx.zero], "row")
-    assert not independence_check(ev, D)
+    assert independence_checks([(e1, A), (col, A), (ev, D)]).tolist() == [True, True, False]
     with pytest.raises(ZeroVector):
-        independence_check(VecEntity([ctx.zero, ctx.zero], "row"), A)
+        independence_checks([(VecEntity([ctx.zero, ctx.zero], "row"), A)])
 
 
 def _krylov_rank(v, rows, side):
@@ -618,7 +615,7 @@ def test_independence_check_matches_the_krylov_rank_oracle(p, degree):
             A = MatEntity(rows)
             for side, v in (("row", v_row), ("column", v_col)):
                 if any(v):
-                    got = independence_check(VecEntity(v, side), A)
+                    got = bool(independence_checks([(VecEntity(v, side), A)])[0])
                     assert got == (_krylov_rank(v, rows, side) == n), (rows, v, side)
                     verdicts.add(got)
     assert verdicts == {True, False}
@@ -641,15 +638,15 @@ def test_stacked_independence_checks_match_the_krylov_rank_oracle(p, degree, n):
             v = scalar(ctx.one, n)[k % n]
         if any(v):
             pairs.append((VecEntity(v, "row" if k % 2 else "column"), A))
-    got = matgrp.independence_checks(pairs)
+    got = independence_checks(pairs)
     want = [_krylov_rank(v.entries, A.rows, v.orientation) == n for v, A in pairs]
     assert got.tolist() == want
-    assert got.tolist() == [independence_check(v, A) for v, A in pairs]
+    assert got.tolist() == [independence_checks([pair])[0] for pair in pairs]
     assert True in want and (False in want or n == 1)
-    assert matgrp.independence_checks([]).shape == (0,)
+    assert independence_checks([]).shape == (0,)
     other = make_field(7)
     with pytest.raises(MixedContext):
-        matgrp.independence_checks(
+        independence_checks(
             pairs[:1] + [(VecEntity([other.one] * n), MatEntity.identity(other, n))])
 
 
@@ -668,8 +665,8 @@ def test_companion_realization_identity():
     rng = np.random.default_rng(29)
     for p in (7, 11):
         ctx = make_field(p, 2)
-        sub = norm_subgroup(ctx)
-        members = list(sub.elements())
+        sub = subgroup_of_order(ctx, p + 1)  # the norm-one group
+        members = [sub.generator ** k for k in range(1, p + 2)]
         base = make_field(p)
         for _ in range(10):
             lam = members[int(rng.integers(0, len(members)))]
@@ -683,16 +680,6 @@ def test_companion_realization_identity():
                 lhs, _ = trace_norm(a * lam ** x)
                 rhs = dot(vec_mat(a_vec.entries, mat_pow(A.rows, x)), b_vec.entries)
                 assert lhs == rhs
-
-
-def test_companion_realization_rejects_bad_inputs():
-    ctx = make_field(7, 2)
-    g = primitive_root(ctx)
-    with pytest.raises(NormNotOne):
-        companion_realization(g, ctx.one)  # g has norm != 1
-    sub = norm_subgroup(ctx)
-    with pytest.raises(ZeroElement):
-        companion_realization(sub.generator, ctx.zero)
 
 
 def test_sl2_companion_shape():

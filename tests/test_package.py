@@ -1,8 +1,10 @@
-"""Package hygiene: every export resolves, no module keeps a dead import, and
-every cap is scaled inside its kernel by one budget argument."""
+"""Package hygiene: every export resolves, no module keeps a dead import, every
+public name has a user outside its definition, and every cap is scaled inside
+its kernel by one budget argument."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import matpowlab
 import matpowlab.harness
 
 _MODULES = sorted(Path(matpowlab.__file__).parent.rglob("*.py"))
+_REPO = Path(matpowlab.__file__).parents[2]
 
 
 @pytest.mark.parametrize("package", [matpowlab, matpowlab.harness],
@@ -72,17 +75,17 @@ def _module_private_names(tree):
             if name.startswith("_") and not name.startswith("__")}
 
 
+def _names_loaded(tree):
+    """Names a module loads or reads as an attribute; a re-export import is no load."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
 def _names_read(tree):
     """Every name a module loads, reads as an attribute or imports."""
-    read = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names)
-    return read
+    return _names_loaded(tree) | {alias.name for node in ast.walk(tree)
+                                  if isinstance(node, ast.ImportFrom) for alias in node.names}
 
 
 def test_unread_private_names_are_found():
@@ -100,6 +103,35 @@ def test_every_private_module_name_is_read_in_src():
     assert dead == []
 
 
+def _public_definitions(tree):
+    """Public functions and classes a module defines at top level, by name."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def test_names_loaded_skip_definitions_and_imports():
+    tree = ast.parse("from .m import kept, gone\ndef f(): return kept(m.attr)\nclass C: pass\n")
+    assert sorted(_public_definitions(tree)) == ["C", "f"]
+    assert _names_loaded(tree) == {"kept", "m", "attr"}
+
+
+def test_every_public_src_name_has_a_user():
+    # a public function or class is called from src, or used by the bench, the
+    # README or the acceptance criteria; a second path that only tests call
+    # belongs in tests/oracles.py
+    trees = {path: ast.parse(path.read_text()) for path in _MODULES}
+    loaded = set().union(*map(_names_loaded, trees.values()))
+    docs = [_REPO / "README.md", _REPO / "tests" / "test_acceptance.py",
+            *sorted((_REPO / "bench").glob("*.py"))]
+    named = set(re.findall(r"\w+", "\n".join(path.read_text() for path in docs)))
+    unused = [(str(path.relative_to(path.parents[1])), line, name)
+              for path, tree in trees.items()
+              for name, line in _public_definitions(tree).items()
+              if name not in loaded and name not in named]
+    assert unused == []
+
+
 _CAP_KEYWORDS = {"max_tau", "max_work", "max_space", "max_order", "max_dim"}
 
 
@@ -110,7 +142,7 @@ def test_every_capped_export_takes_a_budget_of_one_by_default():
         if inspect.isfunction(obj) and "budget" in inspect.signature(obj).parameters:
             defaults[name] = inspect.signature(obj).parameters["budget"].default
     assert set(defaults) == {
-        "count_Q", "count_JK", "count_Q_eigen", "count_product_eq", "orbit_sum_distribution",
+        "count_Q", "count_JK", "count_product_eq", "orbit_sum_distribution",
         "sumset_cover", "matrix_exp_sums", "matrix_exp_sum", "kloosterman_subgroup",
         "gauss_subgroup", "sum_moment", "count_points", "eigenbasis", "delta_Nf",
         "matrix_element_check"}
