@@ -11,15 +11,15 @@ arguments Tr z mod p through the integer trace form, and counts the
 arguments in an exact integer histogram; its float rounding is confined to
 one p-term dot product of that histogram with the roots of unity.  Matrix
 sums run as stacks (matrix_exp_sums): the walks of many (a, b, A) triples
-are one batched residue_orbit per row-bounded block, and their histograms
-one shared bincount, while each sum keeps its own checks and its own dot,
-so matrix_exp_sum is the stack of one.  The hypothesis flags of a stack are
-likewise one stacked Krylov check (analyze_instances).  Moments over every
-coefficient (sum_moment) take one representative per G-orbit of
-coefficients, weighted by the orbit size, since a sum is constant on each
-orbit.  They look every term up in the table of roots of unity and sum by a
-matmul, so they round per term; the closed-form second moment and the exact
-energy of the orbit (counting.sequence_energy) check them.
+of one period are one batched residue_orbit over exactly that period, and
+their histograms one shared bincount, while each sum keeps its own checks
+and its own dot, so matrix_exp_sum is the stack of one.  The hypothesis
+flags of a stack are likewise one stacked Krylov check (analyze_instances).
+Moments over every coefficient (sum_moment) take one representative per
+G-orbit of coefficients, weighted by the orbit size, since a sum is constant
+on each orbit.  They look every term up in the table of roots of unity and
+sum by a matmul, so they round per term; the closed-form second moment and
+the exact energy of the orbit (counting.sequence_energy) check them.
 evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
 whose hypotheses the instance satisfies (the Hypotheses of
 analyze_instance); only inequalities with an explicit constant are marked
@@ -60,7 +60,7 @@ from .matgrp import (
 
 # Each cap is scaled by its kernel's budget (errors.over_budget).
 # Charges a walk sum its length tau: tau residue rows walked, mapped to
-# arguments and binned.  A stack of matrix walks runs in blocks of at most
+# arguments and binned.  Matrix walks run one period per stack, of at most
 # _WALK_BLOCK_ROWS rows (a longer walk alone), so the cap bounds the work and
 # memory of each walk, not of the stack.  The Kloosterman and Gauss walks
 # over a subgroup are matrix walks too, charged their order through
@@ -71,8 +71,10 @@ SUM_TAU_CAP = 10 ** 6
 MOMENT_WORK_CAP = 10 ** 9
 
 _MOMENT_BLOCK = 1 << 22  # complex entries materialized per moment block
-# Residue rows per block of stacked matrix walks; blocks of 2^12 to 2^18 rows
-# ran the sums grid at p 241-257 equally fast, and larger ones hold more memory.
+# Residue rows per stack of matrix walks of one period tau: a stack holds at
+# most _WALK_BLOCK_ROWS // tau walks, or one longer walk.  Stacks of 2^12 to
+# 2^18 rows ran the sums grid at p 241-257 equally fast, and larger ones hold
+# more memory.
 _WALK_BLOCK_ROWS = 1 << 14
 
 
@@ -86,24 +88,22 @@ class SumResult:
     parameters: dict
 
 
-def _walk_sums(args: np.ndarray, lengths, ctx: FieldCtx,
-               parameters) -> list[SumResult]:
-    """Sum of e_p over the first lengths[k] entries of each row k of args.
+def _walk_sums(args: np.ndarray, ctx: FieldCtx, parameters) -> list[SumResult]:
+    """Sum of e_p over each row of args, one walk of one period per row.
 
     The rows share one bincount, row k offset by k p, which gives each an
     exact histogram; float rounding is confined to one p-term dot per row.
     """
     p = ctx.p
-    lengths = np.asarray(lengths, dtype=np.int64)
-    walked = args[np.arange(args.shape[1]) < lengths[:, None]]
+    rows, length = args.shape
     # once offset, an argument outside [0, p) would land in another row's bins
-    if walked.size and (walked.min() < 0 or walked.max() >= p):
+    if args.size and (args.min() < 0 or args.max() >= p):
         raise InvariantViolated(f"a walk argument lies outside [0, {p})")
-    offsets = np.repeat(np.arange(len(lengths), dtype=np.int64) * p, lengths)
-    hists = np.bincount(walked + offsets, minlength=len(lengths) * p).reshape(-1, p)
+    offsets = np.arange(rows, dtype=np.int64)[:, None] * p
+    hists = np.bincount((args + offsets).ravel(), minlength=rows * p).reshape(-1, p)
     roots = ctx.roots_of_unity()
     out = []
-    for hist, length, params in zip(hists, lengths.tolist(), parameters):
+    for hist, params in zip(hists, parameters):
         mass = int(hist.sum())
         if mass != length:
             raise InvariantViolated(f"histogram mass {mass} != walk length {length}")
@@ -122,29 +122,17 @@ def _forms(ctx: FieldCtx, elems) -> np.ndarray:
     return res @ trace_form(ctx) % ctx.p
 
 
-def _walk_blocks(walks):
-    """Cut (tau, index) pairs, sorted by tau, into blocks of at most
-    _WALK_BLOCK_ROWS rows (block size times its longest tau); a longer walk
-    is a block of its own."""
-    block = []
-    for walk in walks:
-        if block and (len(block) + 1) * walk[0] > _WALK_BLOCK_ROWS:
-            yield block
-            block = []
-        block.append(walk)
-    if block:
-        yield block
-
-
 def matrix_exp_sums(entries, budget: float = 1.0) -> list:
     """Sum psi(a A^x b), x = 1..tau, for each (a_vec, b_vec, A) of one field and one n.
 
     Returns one entry per triple, in order: its SumResult, or the
     BudgetExceeded that skipped it (a period above SUM_TAU_CAP scaled by
     budget).  The residue
-    orbits of the b's are walked as stacks, sorted by period and cut into
-    row-bounded blocks; each walk keeps its own histogram checks and its
-    own p-term dot, so a sum is bit for bit the one its triple gives alone.
+    orbits of the b's are walked one period per stack: the walks of each
+    period tau are cut into stacks of at most _WALK_BLOCK_ROWS // tau walks
+    (a longer walk alone), each a rectangle of exactly tau rows per walk.
+    Each walk keeps its own histogram checks and its own p-term dot, so a
+    sum is bit for bit the one its triple gives alone.
     """
     entries = list(entries)
     if not entries:
@@ -159,23 +147,24 @@ def matrix_exp_sums(entries, budget: float = 1.0) -> list:
             raise ValueError("dimension mismatch")
     p, d = ctx.p, ctx.degree
     results = [None] * len(entries)
-    walks = []
+    periods = {}
     for k, (_, _, A) in enumerate(entries):
         tau = matrix_order(A)
         results[k] = over_budget("period", tau, SUM_TAU_CAP, budget)
         if results[k] is None:
-            walks.append((tau, k))
+            periods.setdefault(tau, []).append(k)
     lefts = _forms(ctx, [x for a_vec, _, _ in entries for x in a_vec.entries])
     lefts = lefts.reshape(len(entries), n * d)
     starts = np.array([b.residues() for _, b, _ in entries], dtype=np.int64)
-    for block in _walk_blocks(sorted(walks)):
-        taus, ks = zip(*block)
-        maps = np.stack([residue_map(entries[k][2], "column") for k in ks])
-        orbit = residue_orbit(maps, starts[list(ks)], taus[-1], p)
-        args = np.einsum("klm,km->kl", orbit, lefts[list(ks)]) % p
-        params = [{"p": p, "degree": d, "n": n, "tau": tau} for tau in taus]
-        for k, result in zip(ks, _walk_sums(args, taus, ctx, params)):
-            results[k] = result
+    maps = np.stack([residue_map(A, "column") for _, _, A in entries])
+    for tau, ks in sorted(periods.items()):
+        size = max(1, _WALK_BLOCK_ROWS // tau)
+        for stack in (ks[i:i + size] for i in range(0, len(ks), size)):
+            orbit = residue_orbit(maps[stack], starts[stack], tau, p)
+            args = np.einsum("klm,km->kl", orbit, lefts[stack]) % p
+            params = [{"p": p, "degree": d, "n": n, "tau": tau} for _ in stack]
+            for k, result in zip(stack, _walk_sums(args, ctx, params)):
+                results[k] = result
     return results
 
 

@@ -51,7 +51,10 @@ DEFAULT_TAU_CAP = {1: 10 ** 6, 2: 3000, 3: 400}
 PRODUCT_EQ_CAP = 10 ** 5
 # tau^k, the k-fold sums an orbit sum distribution folds.
 DISTRIBUTION_WORK_CAP = 10 ** 8
-# q^n, the cells of the boolean sumset histogram.
+# q^n, the cells of the boolean sumset histogram.  sumset_cover folds it
+# densely at every size (it never consults _kernel), and each fold allocates
+# the 2^d-fold tiled boolean copy of _dense_fold: 2^d q^n bytes, 40 MB at
+# d = 2 and the cap.
 COVER_SPACE_CAP = 10 ** 7
 DENSE_CAP = 1 << 21  # cells of the tiled copy a dense fold shifts (16 MB of int64)
 

@@ -34,18 +34,6 @@ from .errors import (
 _MAX_P = 10 ** 6
 
 
-def _is_prime(n: int) -> bool:
-    """Trial-division primality test; fine at desk scale."""
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1 if d == 2 else 2
-    return True
-
-
 def _factorize(n: int) -> list[tuple[int, int]]:
     """Factor n >= 1 by trial division into (prime, exponent) pairs."""
     out = []
@@ -61,6 +49,11 @@ def _factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime: n >= 2 and its one prime factor, to the first power."""
+    return n >= 2 and _factorize(n) == [(n, 1)]
 
 
 def _merge_factors(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, fields
 
 from ..errors import ConfigError
+from ..ffield import _MAX_P
 
 EXPERIMENT_NAMES = (
     "energy",
@@ -105,6 +106,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"class_filter must be one of {CLASS_FILTERS}")
     if cfg.p_min < 3 or cfg.p_max < cfg.p_min:
         raise ConfigError(f"need 3 <= p_min <= p_max, got [{cfg.p_min}, {cfg.p_max}]")
+    if cfg.p_max > _MAX_P:
+        raise ConfigError(f"p_max must not exceed the field limit {_MAX_P}, got {cfg.p_max}")
     if cfg.tau_min < 1:
         raise ConfigError("tau_min must be positive")
     if cfg.tau_max is not None and cfg.tau_max < cfg.tau_min:

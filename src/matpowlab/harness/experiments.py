@@ -238,16 +238,13 @@ def _sums_rows(cfg, desc):
             labels.append((info, f"matrix-sum-{j}"))
             entries.append((left, right, A))
     results = matrix_exp_sums(entries, cfg.budget)
-    computed = [entry for entry, result in zip(entries, results)
-                if not isinstance(result, BudgetExceeded)]
-    hypotheses = iter(analyze_instances(computed))
     rows = []
-    for (info, quantity), outcome in zip(labels, results):
+    for (info, quantity), outcome, h in zip(labels, results, analyze_instances(entries)):
         rows += _guarded(
             cfg, info, quantity, lambda: outcome,
             lambda result: [_row(cfg, info, quantity, result.value, entry.name, entry.value,
                                  entry.status)
-                            for entry in evaluate_bounds(result, next(hypotheses))])
+                            for entry in evaluate_bounds(result, h)])
     return rows
 
 

@@ -253,10 +253,11 @@ def test_stacked_sums_return_a_skip_in_place():
             assert result == want
 
 
-def test_stacked_sums_walk_row_bounded_blocks(monkeypatch):
-    # periods 3, 6, 8, 12, 12, 14, 28, 28, 42, 56, 168, 168: a 16-row target puts
-    # 3 and 6 in one block and walks the rest alone; at 10 rows every walk is
-    # alone, eight of them longer than the target
+def test_stacked_sums_walk_one_period_per_stack(monkeypatch):
+    # periods 3, 6, 8, 12, 12, 14, 28, 28, 42, 56, 168, 168: each stack walks
+    # exactly its one period, so no step is padding.  A 24-row target stacks
+    # the two 12s and walks each longer period alone, the two 28s apart; at
+    # 336 rows the 28s and the 168s share a stack too
     import matpowlab.charsums as charsums_mod
 
     ctx = make_field(13)
@@ -271,12 +272,16 @@ def test_stacked_sums_walk_row_bounded_blocks(monkeypatch):
         return real(M, start, length, p)
 
     monkeypatch.setattr(charsums_mod, "residue_orbit", spy)
-    for target, blocks in ((16, [(2, 6)] + [(1, t) for t in taus[2:]]),
-                           (10, [(1, t) for t in taus])):
+    for target, stacks in (
+            (24, [(1, 3), (1, 6), (1, 8), (2, 12), (1, 14), (1, 28), (1, 28),
+                  (1, 42), (1, 56), (1, 168), (1, 168)]),
+            (336, [(1, 3), (1, 6), (1, 8), (2, 12), (1, 14), (2, 28), (1, 42),
+                   (1, 56), (2, 168)])):
         monkeypatch.setattr(charsums_mod, "_WALK_BLOCK_ROWS", target)
         walks.clear()
         assert matrix_exp_sums(entries) == want
-        assert walks == blocks
+        assert walks == stacks
+        assert sum(size * length for size, length in walks) == sum(taus)
 
 
 def test_stacked_sums_edge_inputs():
@@ -782,7 +787,7 @@ def test_histogram_sum_matches_fsum():
     rng = np.random.default_rng(7)
     table = np.exp(2j * np.pi * np.arange(23) / 23)
     args = rng.integers(0, 23, size=5000)
-    (got,) = _walk_sums(args[None], [len(args)], make_field(23), [{}])
+    (got,) = _walk_sums(args[None], make_field(23), [{}])
     want = naive_char_sum([complex(table[k]) for k in args])
     assert got.length == 5000
     assert abs(got.value - want) < 1e-12
@@ -796,17 +801,8 @@ def test_histogram_sum_rejects_out_of_range_arguments():
         [[0, 1], [-1, 3]],   # below the row's first bin
         [[1, 2], [3, 23]],   # the last row again, behind a valid one
     ):
-        lengths = [len(row) for row in args]
         with pytest.raises(InvariantViolated):
-            _walk_sums(np.array(args), lengths, ctx, [{}] * len(args))
-
-
-def test_histogram_sums_read_only_each_rows_walked_prefix():
-    # entries past a row's length are padding, whatever their values
-    ctx = make_field(23)
-    got = _walk_sums(np.array([[0, 5, 99], [7, -4, 23]]), [2, 1], ctx, [{}, {}])
-    want = [_walk_sums(np.array([row]), [len(row)], ctx, [{}])[0] for row in ([0, 5], [7])]
-    assert got == want
+            _walk_sums(np.array(args), ctx, [{}] * len(args))
 
 
 def test_invariant_checks_survive_optimized_python():
@@ -818,7 +814,7 @@ def test_invariant_checks_survive_optimized_python():
         "from matpowlab.ffield import make_field",
         "print(sys.flags.optimize)",
         "try:",
-        "    _walk_sums(np.array([[0, 5, 23]]), [3], make_field(23), [{}])",
+        "    _walk_sums(np.array([[0, 5, 23]]), make_field(23), [{}])",
         "except InvariantViolated:",
         "    print('raised')",
         "import matpowlab.charsums as charsums",

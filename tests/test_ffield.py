@@ -65,6 +65,11 @@ def test_quadratic_extension_uses_least_nonresidue():
         assert make_field(p, 2).r == naive_least_nonresidue(p)
 
 
+def test_is_prime_matches_naive_division():
+    for n in range(-2, 2001):
+        assert ffield._is_prime(n) == (n >= 2 and all(n % d for d in range(2, n))), n
+
+
 def test_group_order_factorization_multiplies_back():
     for p, degree in ((7, 1), (7, 2), (101, 2), (13, 1)):
         ctx = make_field(p, degree)

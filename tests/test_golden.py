@@ -2,13 +2,15 @@
 
 The files in tests/golden/ hold the default config; those in
 tests/golden/edge/ hold p 3-13 at budget 1e-5, where caps, the p = 3
-preconditions and computed rows meet, so skipped rows are pinned too.
-Both pin the behaviour contract that every refactor keeps: row order,
-`status` and the integer columns byte-identical, float columns within 1e-9
-relative. As in the benchmark gate, the two parts of a complex value are
-compared relative to its magnitude (the imaginary part of a real sum is
-round-off), and rows measured against a `tolerance` bound hold round-off
-residuals near 1e-15, compared within 1e-9 absolute.
+preconditions and computed rows meet, so skipped rows are pinned too, and
+those in tests/golden/capped/ hold p 5-61 at budget 1e-5, where caps hit
+partway through each grid (one prime's sums rows mix skipped and computed
+periods).  All three pin the behaviour contract that every refactor keeps:
+row order, `status` and the integer columns byte-identical, float columns
+within 1e-9 relative. As in the benchmark gate, the two parts of a complex
+value are compared relative to its magnitude (the imaginary part of a real
+sum is round-off), and rows measured against a `tolerance` bound hold
+round-off residuals near 1e-15, compared within 1e-9 absolute.
 """
 
 import csv
@@ -24,7 +26,8 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 FLOAT_COLUMNS = frozenset(("value_re", "value_im", "abs", "bound_value", "ratio"))
 REL_TOL = 1e-9
 # golden subdirectory -> config overrides
-WINDOWS = {"": {}, "edge": {"p_min": 3, "p_max": 13, "budget": 1e-5}}
+WINDOWS = {"": {}, "edge": {"p_min": 3, "p_max": 13, "budget": 1e-5},
+           "capped": {"p_min": 5, "p_max": 61, "budget": 1e-5}}
 
 
 def _read(path):

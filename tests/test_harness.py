@@ -149,6 +149,7 @@ def test_build_config_rejects_a_non_finite_budget(budget):
     ("seed", "-1", "seed must be nonnegative"),
     ("workers", "0", "workers must be positive"),
     ("budget", "lots", "budget must be a number"),
+    ("p_max", "1000003", "p_max must not exceed the field limit 1000000"),
 ])
 def test_build_config_names_each_rejected_value(key, text, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -688,6 +689,15 @@ def test_cli_config_error_is_exit_two(tmp_path, capsys):
     assert main(["energy", "--config", str(path)]) == 2
     assert "bogus" in capsys.readouterr().err
     assert main(["energy", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+def test_cli_p_window_above_the_field_limit_is_exit_two(tmp_path, capsys):
+    # a prime past the field limit is refused before any field is built
+    path = tmp_path / "wide.cfg"
+    path.write_text("p_min = 1000003\np_max = 1000003\n")
+    assert main(["sums", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "p_max must not exceed the field limit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_full_run_and_overrides(tmp_path):
