@@ -185,8 +185,26 @@ def _companions(cfg, p):
                                             tau=tau, t=1)
 
 
+def _per_class(count):
+    """count(A) once per (class, tau) key of one prime's trace grid.  The powers
+    of A_u lie in F_p[A_u], which is F_p x F_p (split) or F_{p^2}
+    (irreducible), so its orbit is the order-tau subgroup of that torus up to
+    an F_p-linear bijection, and an additive count of it is the same for every
+    trace of one key.  Only the number is kept: an error that count raises
+    is not, so a capped key raises (and skips) again on each trace."""
+    kept = {}
+
+    def counted(key, A):
+        if key not in kept:
+            kept[key] = count(A)
+        return kept[key]
+
+    return counted
+
+
 def _energy_rows(cfg, desc):
     (p,) = desc
+    energy2 = _per_class(lambda A: count_Q(A, 2, cfg.budget).value)
     rows = []
     for u, A, data, tau, info in _companions(cfg, p):
         t = info["t"]
@@ -195,7 +213,7 @@ def _energy_rows(cfg, desc):
             bounds.append(("irred-energy", t * tau**2.5))
         rows += _guarded(
             cfg, info, "energy2",
-            lambda: count_Q(A, 2, cfg.budget).value,
+            lambda: energy2((data.tag, tau), A),
             lambda count: [_checked(cfg, info, "energy2", count, "three-tau-squared",
                                     3.0 * tau * tau)]
             + [_row(cfg, info, "energy2", count, *bound) for bound in bounds])
@@ -204,6 +222,7 @@ def _energy_rows(cfg, desc):
 
 def _q3_rows(cfg, desc):
     (p,) = desc
+    count6 = _per_class(lambda A: count_Q(A, 3, cfg.budget).value)
     rows = []
     for u, A, data, tau, info in _companions(cfg, p):
         if data.tag == "split":
@@ -212,7 +231,7 @@ def _q3_rows(cfg, desc):
             bound = ("nonsplit-six", tau ** (19 / 5) + tau**5 / p)
         rows += _guarded(
             cfg, info, "orbit-count-6term",
-            lambda: count_Q(A, 3, cfg.budget).value,
+            lambda: count6((data.tag, tau), A),
             lambda count: [_row(cfg, info, "orbit-count-6term", count, *bound)])
     return rows
 
@@ -238,13 +257,17 @@ def _sums_rows(cfg, desc):
             labels.append((info, f"matrix-sum-{j}"))
             entries.append((left, right, A))
     results = matrix_exp_sums(entries, cfg.budget)
+    # only a computed sum is set against its bounds, so only it is analysed
+    computed = [i for i, outcome in enumerate(results)
+                if not isinstance(outcome, BudgetExceeded)]
+    hypotheses = dict(zip(computed, analyze_instances([entries[i] for i in computed])))
     rows = []
-    for (info, quantity), outcome, h in zip(labels, results, analyze_instances(entries)):
+    for i, ((info, quantity), outcome) in enumerate(zip(labels, results)):
         rows += _guarded(
             cfg, info, quantity, lambda: outcome,
             lambda result: [_row(cfg, info, quantity, result.value, entry.name, entry.value,
                                  entry.status)
-                            for entry in evaluate_bounds(result, h)])
+                            for entry in evaluate_bounds(result, hypotheses[i])])
     return rows
 
 
@@ -362,16 +385,19 @@ def _orbit_rows(cfg, desc):
     (p,) = desc
     ctx = make_field(p)
     start = VecEntity((ctx.one, ctx.zero), "row")
+    # The start row (1, 0) maps a I + b A_u to (a, -b), so the row orbit is
+    # the matrix orbit under an F_p-linear bijection as well.
+    distinct = _per_class(lambda A: len(orbit_sum_distribution(start, A, 2, cfg.budget).rows))
+    covered = _per_class(lambda A: sumset_cover(start, A, 4, cfg.budget).covered_at or 0)
     rows = []
     for u, A, data, tau, info in _companions(cfg, p):
+        key = (data.tag, tau)
         rows += _guarded(
-            cfg, info, "distinct-sums-2",
-            lambda: orbit_sum_distribution(start, A, 2, cfg.budget),
-            lambda dist: [_row(cfg, info, "distinct-sums-2", len(dist.rows))])
+            cfg, info, "distinct-sums-2", lambda: distinct(key, A),
+            lambda count: [_row(cfg, info, "distinct-sums-2", count)])
         rows += _guarded(
-            cfg, info, "cover-arity",
-            lambda: sumset_cover(start, A, 4, cfg.budget),
-            lambda cover: [_row(cfg, info, "cover-arity", cover.covered_at or 0)])
+            cfg, info, "cover-arity", lambda: covered(key, A),
+            lambda arity: [_row(cfg, info, "cover-arity", arity)])
         ectx = data.eigen_ctx
         stream = _stream(cfg, p, u)
         xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))

@@ -8,7 +8,8 @@ from dataclasses import fields, replace
 import pytest
 
 from matpowlab import catmap
-from matpowlab.errors import ConfigError, InvariantViolated
+from matpowlab.counting import count_Q, orbit_sum_distribution, sumset_cover
+from matpowlab.errors import BudgetExceeded, ConfigError, InvariantViolated
 from matpowlab.ffield import make_field
 from matpowlab.harness import (
     EXPERIMENT_NAMES,
@@ -22,7 +23,13 @@ from matpowlab.harness.cli import main
 from matpowlab.harness.config import ExperimentConfig, build_config, load_config, parse_pairs
 from matpowlab.harness import experiments, runner
 from matpowlab.harness.runner import CSV_COLUMNS, record_to_csv
-from matpowlab.matgrp import char_poly_factor, sl2_companion
+from matpowlab.matgrp import (
+    MatEntity,
+    VecEntity,
+    char_poly_factor,
+    matrix_order,
+    sl2_companion,
+)
 
 
 def _cfg(**kw):
@@ -218,16 +225,93 @@ def _computed_values(experiment, quantities):
 def test_trace_grid_counts_depend_only_on_class_and_order():
     # The powers of A_u lie in F_p[A_u], which is F_p x F_p (split) or F_{p^2}
     # (irreducible); the orbit is the order-tau subgroup of that torus up to an
-    # F_p-linear bijection, and additive counts are invariant under one.
-    shared = 0
-    for experiment, quantities in (("energy", ("energy2",)), ("q3", ("orbit-count-6term",)),
-                                   ("orbit", ("distinct-sums-2", "cover-arity"))):
-        groups = _computed_values(experiment, quantities)
-        assert {key[0] for key in groups} == set(quantities)
-        for key, rows in groups.items():
-            assert len({value for _, value in rows}) == 1, (key, rows)
-        shared += sum(len(rows) > 1 for rows in groups.values())
-    assert shared > 100  # many (p, class, tau) groups hold several traces
+    # F_p-linear bijection, and additive counts are invariant under one.  Each
+    # trace's counts come straight from the kernels, not from harness rows.
+    counts = {
+        "energy2": lambda start, A: count_Q(A, 2).value,
+        "orbit-count-6term": lambda start, A: count_Q(A, 3).value,
+        "distinct-sums-2": lambda start, A: len(orbit_sum_distribution(start, A, 2).rows),
+        "cover-arity": lambda start, A: sumset_cover(start, A, 4).covered_at or 0,
+    }
+    groups = {}
+    for (p,) in build_instances(_cfg(p_max=61)):
+        ctx = make_field(p)
+        start = VecEntity((ctx.one, ctx.zero), "row")
+        for u in range(p):
+            A = sl2_companion(ctx, u)
+            tag = char_poly_factor(A).tag
+            if tag == "repeated":
+                continue
+            for quantity, count in counts.items():
+                groups.setdefault((quantity, p, tag, matrix_order(A)), []).append(
+                    count(start, A))
+    for key, values in groups.items():
+        assert len(set(values)) == 1, (key, values)
+    assert sum(len(values) > 1 for values in groups.values()) > 100
+
+
+# the counting kernel behind each quantity of the trace grids
+_KERNELS = {"energy2": "count_Q", "orbit-count-6term": "count_Q",
+            "distinct-sums-2": "orbit_sum_distribution", "cover-arity": "sumset_cover",
+            "product-eq-count": "count_product_eq"}
+
+
+def _spy_kernels(monkeypatch):
+    """Wrap the trace grids' counting kernels; each call appends the (p, class,
+    tau) of its matrix (None for count_product_eq) and the estimated work of
+    the cap it raised (None if it ran) to calls[kernel]."""
+    calls = {name: [] for name in _KERNELS.values()}
+
+    def spy(name):
+        kernel = getattr(experiments, name)
+
+        def counted(*args, **kwargs):
+            A = next((arg for arg in args if isinstance(arg, MatEntity)), None)
+            key = None if A is None else (A.ctx.p, char_poly_factor(A).tag, matrix_order(A))
+            try:
+                result = kernel(*args, **kwargs)
+            except BudgetExceeded as err:
+                calls[name].append((key, err.estimated_work))
+                raise
+            calls[name].append((key, None))
+            return result
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(experiments, name, spy(name))
+    return calls
+
+
+@pytest.mark.parametrize("experiment", ["energy", "q3", "orbit"])
+def test_trace_grid_counts_once_per_class_and_order(experiment, monkeypatch):
+    calls = _spy_kernels(monkeypatch)
+    rows = _all_rows(_cfg(experiment=experiment, p_max=61))
+    traces = {(rec.p, rec.trace) for rec in rows}
+    classes = {(rec.p, rec.class_tag, rec.tau) for rec in rows}
+    assert len(classes) < len(traces)
+    for quantity in {rec.quantity for rec in rows}:
+        keys = [key for key, _ in calls[_KERNELS[quantity]]]
+        if quantity == "product-eq-count":
+            assert len(keys) == len(traces)  # its xi's are drawn per trace
+        else:
+            assert sorted(keys) == sorted(classes), quantity
+
+
+@pytest.mark.parametrize("experiment", ["energy", "q3", "orbit"])
+def test_a_capped_class_skips_again_on_each_trace(experiment, monkeypatch):
+    # no error is kept: each trace calls its kernel, which raises its cap before
+    # any work, and writes its own skipped row with that call's estimated work
+    calls = _spy_kernels(monkeypatch)
+    rows = _all_rows(_cfg(experiment=experiment, p_max=61, budget=1e-9))
+    traces = [(rec.p, rec.trace) for rec in rows if rec.quantity == rows[0].quantity]
+    assert len(traces) > 100
+    for quantity in {rec.quantity for rec in rows}:
+        recs = [rec for rec in rows if rec.quantity == quantity]
+        assert [(rec.p, rec.trace) for rec in recs] == traces
+        assert all(rec.status == "skipped" and rec.bound_name == "budget" for rec in recs)
+        assert [rec.bound_value for rec in recs] == [
+            float(work) for _, work in calls[_KERNELS[quantity]]], quantity
 
 
 def test_subgroup_sixth_moments_are_p_squared_times_the_q3_count():
@@ -476,6 +560,25 @@ def test_sums_instance_is_one_prime():
     full = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13"}))
     computed = [rec for rec in full if rec.tau <= 10]
     assert computed and [rec for rec in rows if rec.status != "skipped"] == computed
+
+
+def test_sums_analyse_only_the_computed_entries(monkeypatch):
+    # evaluate_bounds reads the hypothesis flags of a computed sum only; at
+    # p = 13 and budget 1e-5 the periods 12 and 14 are skipped
+    analysed = []
+    analyze = experiments.analyze_instances
+
+    def spy(entries):
+        entries = list(entries)
+        analysed.extend(A for _, _, A in entries)
+        return analyze(entries)
+
+    monkeypatch.setattr(experiments, "analyze_instances", spy)
+    rows = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13",
+                                   "budget": "1e-5"}))
+    computed = {(rec.trace, rec.quantity) for rec in rows if rec.status != "skipped"}
+    assert len(analysed) == len(computed) < len({(rec.trace, rec.quantity) for rec in rows})
+    assert all(matrix_order(A) <= 10 for A in analysed)
 
 
 @pytest.mark.parametrize("experiment, orders, long_order", [
