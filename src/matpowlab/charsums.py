@@ -19,7 +19,7 @@ Moments over every coefficient (sum_moment) take one representative per
 G-orbit of coefficients, weighted by the orbit size, since a sum is constant
 on each orbit.  They look every term up in the table of roots of unity and
 sum by a matmul, so they round per term; the closed-form second moment and
-the exact energy of the orbit (counting.sequence_energy) check them.
+the exact energy at those representatives (counting.orbit_energy) check them.
 evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
 whose hypotheses the instance satisfies (the Hypotheses of
 analyze_instance); only inequalities with an explicit constant are marked
@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .counting import sequence_energy, vector_orbit
+from .counting import orbit_energy, vector_orbit
 from .errors import BudgetExceeded, InvariantViolated, MixedContext, over_budget
 from .ffield import (
     FFElem,
@@ -230,11 +230,11 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
     second moment must equal its closed form (q |G| for Gauss, q^2 |G| for
     Kloosterman), and even orders 2 nu = 2, 4 and 6 also carry the exact
     integer value q^n E_nu, with E_nu the nu-fold additive energy of the walk
-    of (A, b) = subgroup_entry(family, G) (sequence_energy of that orbit); a
-    float value more than 1e-9 relative away from either raises
-    InvariantViolated.  The sums are not walk histograms: each term is a
-    lookup in the table of roots of unity and each sum one entry of a matmul,
-    so the value rounds per term, and those two checks guard it.
+    of (A, b) = subgroup_entry(family, G), summed as |orbit| c_nu^2 on the
+    same orbits since G permutes the walk (counting.orbit_energy).  A float
+    value more than 1e-9 relative away from either raises InvariantViolated:
+    each term is a lookup in the table of roots of unity and each sum one
+    entry of a matmul, so the value rounds per term, and these checks guard it.
     """
     if m < 1:
         raise ValueError("moment order must be positive")
@@ -251,10 +251,10 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
     # g^1..g^L represent the cosets of G; Kloosterman walks on to g^(q-1) for every b
     length = q - 1 if family == "kloosterman" else cosets
     walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), length, p)
-    forms = np.vstack((np.zeros((1, d), dtype=np.int64), walk)) @ trace_form(ctx) % p
+    points = np.vstack((np.zeros((1, d), dtype=np.int64), walk))
+    forms = points @ trace_form(ctx) % p
     reps = forms[:cosets + 1]
-    weights = np.full(cosets + 1, float(tau))
-    weights[0] = 1.0
+    sizes = np.r_[1, np.full(cosets, tau)]
     table = ctx.roots_of_unity()
     # the columns of the walk are u, then 1 / u for Kloosterman
     orbit = vector_orbit(ones, A, tau)
@@ -271,7 +271,7 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
     for start in range(0, cosets + 1, block):
         terms = table[reps[start:start + block] @ us.T % p]
         mags = np.abs(terms @ right)
-        w = weights[start:start + block]
+        w = sizes[start:start + block]
         total += float(w @ np.sum(mags ** m, axis=1))
         second += float(w @ np.sum(mags * mags, axis=1))
 
@@ -281,7 +281,7 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
         raise InvariantViolated(f"second moment {second} is not its closed form {work}")
     exact = None
     if m in (2, 4, 6):
-        exact = q ** A.n * sequence_energy(orbit, p, m // 2)
+        exact = q ** A.n * orbit_energy(orbit, points[:cosets + 1], sizes, p, m // 2)
         # the float moment counts the same solutions; its round-off is ~1e-15 relative
         if abs(total - exact) > 1e-9 * exact:
             raise InvariantViolated(f"moment {total} is not the exact count {exact}")

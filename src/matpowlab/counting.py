@@ -20,7 +20,8 @@ the support of c_k and the distinct rows, as base-p integer keys (residue
 rows once p^d passes 2^63), and merge them by sorting. Either way the counts
 are exact integers, their total is checked against rows^nu, and nothing
 depends on chunking or worker layout. `orbit_sum_distribution` returns the
-distinct sums and their multiplicities as arrays.
+distinct sums and their counts. `orbit_energy` sums |orbit| c_nu^2 over the
+orbits of a group permuting the walk, off a tiling in DENSE_CAP's 16 MB.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DegenerateParameters,
@@ -259,6 +261,44 @@ def sequence_energy(residue_rows, p: int, nu: int) -> int:
     """
     rows = np.array(residue_rows, dtype=np.int64) % p
     return _energy(rows, p, nu)[0] if len(rows) else 0
+
+
+def orbit_energy(walk: np.ndarray, heads: np.ndarray, sizes: np.ndarray, p: int, nu: int) -> int:
+    """sequence_energy(walk, p, nu), as sum |orbit| c_nu^2 over orbits of a group permuting it.
+
+    Each point (h, y), h a row of heads and y any residue row on the other coordinates,
+    stands for sizes[h] points: they must cover Z_p^D and weight c_nu to rows^nu, or
+    InvariantViolated.  c_nu(x) sums c_(nu-1)(x - u) over the walk, off the 2^D-fold
+    tiling of the dense c_(nu-1); past nu = 3 or DENSE_CAP int64 bytes, sequence_energy.
+    """
+    size, dims = walk.shape
+    head, tail = heads.shape[1], dims - heads.shape[1]
+    cell = np.dtype(np.int32 if size ** (nu - 1) < 2 ** 31 else np.int64)  # c_(nu-1) bound
+    if nu > 3 or not size or (2 * p) ** dims * cell.itemsize > 8 * DENSE_CAP:
+        return sequence_energy(walk, p, nu)
+    rows = np.roll(walk % p, tail, axis=1)  # the y coordinates least significant
+    if nu == 3:
+        cells = _pair_histogram(rows, np.ones(size, dtype=cell), p)
+    else:  # c_1 is the walk's histogram, c_0 the point 0
+        cells = np.bincount(rows @ _key_weights(p, dims) if nu == 2 else [0],
+                            minlength=p ** dims).astype(cell)
+    # a row of the tiling per head coordinate h + p - u, a window per y - u
+    table = np.tile(cells.reshape((p,) * dims), (2,) * dims).reshape((-1,) + (2 * p,) * tail)
+    windows = sliding_window_view(table, (p,) * tail, axis=tuple(range(1, tail + 1)))
+    weights = (2 * p) ** np.arange(head)
+    shifts = (p - rows[:, tail:]) @ weights
+    starts = tuple(p - rows[:, k] for k in reversed(range(tail)))
+    exact = object if size ** (2 * nu) >= 2 ** 63 else np.int64
+    energy = total = 0
+    block = max(1, _CHUNK_TARGET // (size * p ** tail))
+    for lo in range(0, len(heads), block):
+        keys = np.add.outer(heads[lo:lo + block] % p @ weights, shifts)
+        counts = windows[(keys,) + starts].reshape(len(keys), size, -1).sum(axis=1, dtype=exact)
+        energy += int(np.dot(np.sum(counts * counts, axis=1), sizes[lo:lo + block]))
+        total += int(np.dot(np.sum(counts, axis=1), sizes[lo:lo + block]))
+    if int(np.sum(sizes)) * p ** tail != p ** dims or total != size ** nu:
+        raise InvariantViolated(f"orbits miss Z_{p}^{dims} or weight c_{nu} to {total}")
+    return energy
 
 
 # ---- matrix power orbits ----------------------------------------------------------

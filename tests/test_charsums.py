@@ -428,20 +428,48 @@ def test_subgroup_sums_keep_their_checks():
         gauss_subgroup(G, other.one)
 
 
+def _bridge_moments(family, ctx):
+    """(G, nu, sum_moment of order 2 nu, q^n count_JK of its subgroup entry) for
+    every subgroup G of F_q* and nu = 1, 2, 3."""
+    for order in (m for m in range(1, ctx.q) if (ctx.q - 1) % m == 0):
+        G = subgroup_of_order(ctx, order)
+        A, ones = subgroup_entry(family, G)
+        for nu in (1, 2, 3):
+            count = count_JK(ones, A, nu, budget=order).value  # every tau cap >= order
+            yield G, nu, sum_moment(family, G, 2 * nu), ctx.q ** A.n * count
+
+
 @pytest.mark.parametrize("family", ["kloosterman", "gauss"])
-@pytest.mark.parametrize("p", [7, 13, 31, 61])
+@pytest.mark.parametrize("p", [p for p in _SMALL_PRIMES if 5 <= p <= 61])
 def test_moment_is_q_power_times_orbit_count(family, p):
     # the paper's bridge: sum over coefficients of |S|^(2 nu) = q^n J_nu(b, A),
     # with (A, b) the subgroup entry and J_nu its nu-fold orbit energy
     ctx = make_field(p, 1 if family == "kloosterman" else 2)
-    for order in (m for m in range(1, ctx.q) if (ctx.q - 1) % m == 0):
-        G = subgroup_of_order(ctx, order)
-        A, ones = subgroup_entry(family, G)
-        for nu in (2, 3):
-            count = count_JK(ones, A, nu, budget=order).value  # every tau cap >= order
-            moment = sum_moment(family, G, 2 * nu)
-            assert moment.exact == ctx.q ** A.n * count
-            assert abs(moment.value - moment.exact) <= 1e-9 * moment.exact
+    for G, nu, moment, want in _bridge_moments(family, ctx):
+        assert moment.exact == want, (G.order, nu)
+        assert abs(moment.value - moment.exact) <= 1e-9 * moment.exact
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_kloosterman_moment_over_an_extension_is_q_squared_times_orbit_count(p):
+    # over F_9 and F_25 the moment's points are q x (L + 1) rows of degree-2 residues
+    for G, nu, moment, want in _bridge_moments("kloosterman", make_field(p, 2)):
+        assert moment.exact == want, (G.order, nu)
+        assert abs(moment.value - moment.exact) <= 1e-9 * moment.exact
+
+
+@pytest.mark.parametrize("family,p,degree", [("kloosterman", 13, 1), ("kloosterman", 5, 2),
+                                             ("gauss", 7, 2)])
+def test_moment_exact_side_past_the_table_bound_sorts(family, p, degree, monkeypatch):
+    # with no room for the dense table the exact side is sequence_energy's sorted fold
+    import matpowlab.counting as counting_mod
+
+    ctx = make_field(p, degree)
+    want = [(moment.exact, count) for _, _, moment, count in _bridge_moments(family, ctx)]
+    monkeypatch.setattr(counting_mod, "DENSE_CAP", 0)
+    got = [(moment.exact, count) for _, _, moment, count in _bridge_moments(family, ctx)]
+    assert got == want
+    assert all(exact == count for exact, count in got)
 
 
 def test_gauss_matches_companion_matrix_sum():
@@ -573,8 +601,8 @@ def test_moment_budget_and_validation():
 def test_moment_off_its_exact_count_raises(monkeypatch):
     import matpowlab.charsums as charsums_mod
 
-    real = charsums_mod.sequence_energy
-    monkeypatch.setattr(charsums_mod, "sequence_energy",
+    real = charsums_mod.orbit_energy
+    monkeypatch.setattr(charsums_mod, "orbit_energy",
                         lambda *args: real(*args) + 1)
     G = subgroup_of_order(make_field(13), 6)
     for family in ("gauss", "kloosterman"):

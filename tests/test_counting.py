@@ -9,6 +9,7 @@ from matpowlab.counting import (
     count_JK,
     count_product_eq,
     count_Q,
+    orbit_energy,
     orbit_sum_distribution,
     power_orbit,
     sequence_energy,
@@ -24,7 +25,9 @@ from matpowlab.errors import (
     ZeroVector,
     ZeroXi1,
 )
-from matpowlab.ffield import make_field, mul_matrix, mult_order, primitive_root, subgroup_of_order
+from matpowlab.charsums import subgroup_entry
+from matpowlab.ffield import (make_field, mul_matrix, mult_order, primitive_root, residue_orbit,
+                              subgroup_of_order)
 from matpowlab.matgrp import (MatEntity, VecEntity, independence_checks, matrix_order,
                               sl2_companion)
 
@@ -664,3 +667,41 @@ def test_energy_past_int64_is_exact():
     # and the sum of their squares (~1.7e28) is far past int64
     rows = np.arange(70000)[:, None] % 7
     assert sequence_energy(rows, 7, 3) == 7 * (70000 ** 3 // 7) ** 2
+
+
+def _moment_decomposition(family, p, degree, order):
+    """The walk of subgroup_entry(family, G) for the order-`order` subgroup G of F_q*,
+    with a = 0 and one a per coset of G as heads, of orbit sizes 1 and |G|."""
+    ctx = make_field(p, degree)
+    A, ones = subgroup_entry(family, subgroup_of_order(ctx, order))
+    cosets = (ctx.q - 1) // order
+    walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), cosets, p)
+    heads = np.vstack((np.zeros((1, degree), dtype=np.int64), walk))
+    sizes = np.full(cosets + 1, order)
+    sizes[0] = 1
+    return vector_orbit(ones, A, order), heads, sizes
+
+
+@pytest.mark.parametrize("family,p,degree,order", [("kloosterman", 13, 1, 4),
+                                                   ("kloosterman", 5, 2, 8),
+                                                   ("gauss", 7, 2, 16)])
+def test_orbit_energy_checks_its_decomposition(family, p, degree, order):
+    walk, heads, sizes = _moment_decomposition(family, p, degree, order)
+    for nu in (1, 2, 3):
+        assert orbit_energy(walk, heads, sizes, p, nu) == sequence_energy(walk, p, nu)
+    wrong = sizes.copy()
+    wrong[1] -= 1
+    # a representative dropped, and a wrong orbit size
+    for forged_heads, forged_sizes in ((heads[:-1], sizes[:-1]), (heads, wrong)):
+        for nu in (1, 2, 3):
+            with pytest.raises(InvariantViolated):
+                orbit_energy(walk, forged_heads, forged_sizes, p, nu)
+
+
+def test_orbit_energy_past_int64_is_exact():
+    # 210 000 rows evenly on Z_7, each point its own orbit: every 2-fold sum class
+    # has 210 000^2 / 7 members, and the sum of their squares (~2.8e20) passes int64
+    rows = np.arange(210000)[:, None] % 7
+    points = np.arange(7)[:, None]
+    assert (orbit_energy(rows, points, np.ones(7, dtype=np.int64), 7, 2)
+            == sequence_energy(rows, 7, 2) == 7 * (210000 ** 2 // 7) ** 2)
