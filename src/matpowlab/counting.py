@@ -22,6 +22,9 @@ are exact integers, their total is checked against rows^nu, and nothing
 depends on chunking or worker layout. `orbit_sum_distribution` returns the
 distinct sums and their counts. `orbit_energy` sums |orbit| c_nu^2 over the
 orbits of a group permuting the walk, off a tiling in DENSE_CAP's 16 MB.
+`count_product_eqs` scans a whole stack of product equations, one stacked
+power walk per field, period and number of bases, and returns each skip in
+place; `count_product_eq` is its one-entry call.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    BudgetExceeded,
     DegenerateParameters,
     InvariantViolated,
     MixedContext,
@@ -368,43 +372,67 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, budget: float = 1.0) -> CountRe
 # ---- product equation --------------------------------------------------------------
 
 
-def count_product_eq(xi0: FFElem, xis, lambdas, budget: float = 1.0) -> CountResult:
-    """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0.
+def count_product_eqs(entries, budget: float = 1.0) -> list:
+    """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0, for each
+    (xi_0, xis, lambdas) entry.
 
-    tau is the lcm of the base orders, one mult_order per Frobenius orbit
-    of bases. Each base is walked as a residue orbit, and the factors are
+    Returns one entry per input, in order: its CountResult, or the
+    BudgetExceeded that skipped it (an lcm period above PRODUCT_EQ_CAP scaled
+    by budget).  tau is the lcm of an entry's base orders, one mult_order per
+    Frobenius orbit of bases over all entries.  The entries of one field,
+    tau and number of bases walk their bases as stacked residue_orbit calls
+    of at most _CHUNK_TARGET residue cells each, and their factors are
     multiplied as arrays of residue rows.
     """
-    xis = list(xis)
-    lambdas = list(lambdas)
-    if not xis or len(xis) != len(lambdas):
-        raise ValueError("need matching nonempty coefficient and base lists")
-    ctx = xi0.ctx
-    for x in xis + lambdas:
-        if x.ctx != ctx:
-            raise MixedContext("product equation pieces from different fields")
-    if not xis[0]:
-        raise ZeroXi1("leading coefficient xi_1 must be nonzero")
-    if not xi0:
-        raise DegenerateParameters("target xi_0 must be nonzero")
-    for lam in lambdas:
-        if not lam:
-            raise ZeroLambda("bases must be nonzero")
-    orders = frobenius_orders(lambdas)
-    tau = math.lcm(*orders)
-    if err := over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget):
-        raise err
-    p = ctx.p
-    prod = np.array(ctx.one.residues(), dtype=np.int64)
-    for xi, lam in zip(xis, lambdas):
-        powers = residue_orbit(mul_matrix(lam), ctx.one.residues(), tau, p)
-        prod = residue_product(prod, (np.array(xi.residues()) - powers) % p, ctx)
-    hits = int(np.count_nonzero(np.all(prod == xi0.residues(), axis=1)))
-    return CountResult(
-        hits,
-        "direct-scan",
-        {"tau": tau, "L": max(orders), "n": len(lambdas), "p": ctx.p, "degree": ctx.degree},
-    )
+    entries = [(xi0, list(xis), list(lambdas)) for xi0, xis, lambdas in entries]
+    for xi0, xis, lambdas in entries:
+        if not xis or len(xis) != len(lambdas):
+            raise ValueError("need matching nonempty coefficient and base lists")
+        for x in xis + lambdas:
+            if x.ctx != xi0.ctx:
+                raise MixedContext("product equation pieces from different fields")
+        if not xis[0]:
+            raise ZeroXi1("leading coefficient xi_1 must be nonzero")
+        if not xi0:
+            raise DegenerateParameters("target xi_0 must be nonzero")
+        for lam in lambdas:
+            if not lam:
+                raise ZeroLambda("bases must be nonzero")
+    orders = iter(frobenius_orders([lam for _, _, lambdas in entries for lam in lambdas]))
+    results, groups = [None] * len(entries), {}
+    for k, (xi0, _, lambdas) in enumerate(entries):
+        own = [next(orders) for _ in lambdas]
+        tau = math.lcm(*own)
+        results[k] = over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget)
+        if results[k] is None:
+            groups.setdefault((xi0.ctx, tau, len(lambdas)), []).append((k, max(own)))
+    for (ctx, tau, n), members in groups.items():
+        p, d = ctx.p, ctx.degree
+        size = max(1, _CHUNK_TARGET // (tau * n * d))
+        for block in (members[i:i + size] for i in range(0, len(members), size)):
+            picked = [entries[k] for k, _ in block]
+            bases = np.array([[mul_matrix(lam) for lam in lambdas] for _, _, lambdas in picked])
+            powers = residue_orbit(bases, ctx.one.residues(), tau, p)
+            xis = np.array([[xi.residues() for xi in xis] for _, xis, _ in picked])
+            factors = (xis[:, :, None, :] - powers) % p
+            prod = factors[:, 0]
+            for j in range(1, n):
+                prod = residue_product(prod, factors[:, j], ctx)
+            targets = np.array([xi0.residues() for xi0, _, _ in picked])
+            hits = np.count_nonzero(np.all(prod == targets[:, None, :], axis=2), axis=1)
+            for (k, L), value in zip(block, hits.tolist()):
+                results[k] = CountResult(value, "direct-scan",
+                                         {"tau": tau, "L": L, "n": n, "p": p, "degree": d})
+    return results
+
+
+def count_product_eq(xi0: FFElem, xis, lambdas, budget: float = 1.0) -> CountResult:
+    """The one-entry call of count_product_eqs, raising the BudgetExceeded
+    that would skip the entry."""
+    (result,) = count_product_eqs([(xi0, xis, lambdas)], budget)
+    if isinstance(result, BudgetExceeded):
+        raise result
+    return result
 
 
 # ---- orbit sum distribution and sumset coverage ------------------------------------

@@ -4,8 +4,11 @@ Elements are pairs c0 + c1 w of F_p[w] / (w^2 - r). F_{p^2} takes r the least
 quadratic non-residue mod p, so the Frobenius map x -> x^p is conjugation
 (c0, c1) -> (c0, -c1) and trace / norm have closed forms. F_p is the c1 = 0
 slice of the same formulas (r = 0), so arithmetic needs no degree test, and
-array code sees both fields only through mul_matrix and trace_form, the 2 x 2
-integer matrices of multiplication and of the trace pairing sliced to degree.
+array code sees both fields only through mul_matrix, trace_form and
+residue_product, the 2 x 2 closed forms of multiplication, of the trace
+pairing and of the product of residue rows, sliced to degree. Powers, inverses
+and square roots of residue arrays build on residue_product; Tonelli-Shanks
+runs only there (residue_sqrt), and sqrt is its one-row call.
 Six places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
 factorization), FieldCtx.elem (it guards c1 = 0), FFElem.__pow__ (builtin
 three-argument pow serves the many F_p powers), FFElem.__repr__ (output text),
@@ -386,36 +389,88 @@ def subgroup_walk(G: SubgroupSpec) -> np.ndarray:
 def residue_product(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Residue rows of the products x y, for arrays of residue rows that broadcast.
 
-    res(x y) = sum_i x_i res(e_i y) over the residue basis e_i (1, and w in
-    degree 2); entries of x and y must be reduced mod p, so that no
-    intermediate exceeds d p^2.
+    res(x y) = x_0 res(y) + x_1 res(w y) with res(w y) = (r y_1, y_0), sliced
+    to degree: in F_p (r = 0, x_1 read as x_0) the second term vanishes.
+    Entries of x and y must be reduced mod p, so that no intermediate
+    exceeds 2 p^2.
     """
     p = ctx.p
-    out = 0
-    for i in range(ctx.degree):
-        basis = mul_matrix(ctx.from_index(p ** i))
-        out = out + x[..., i, None] * (y @ basis.T % p)
-    return out % p
+    w_y = y[..., ::-1] * np.array((ctx.r, 1)[:ctx.degree]) % p
+    return (x[..., :1] * y + x[..., -1:] * w_y) % p
+
+
+def residue_power(x: np.ndarray, e: int, ctx: FieldCtx) -> np.ndarray:
+    """Residue rows of x^e (e >= 0) for an array of reduced residue rows, by one
+    square-and-multiply over the whole array (0^0 = 1)."""
+    out = np.zeros_like(x)
+    out[..., 0] = 1
+    while e:
+        if e & 1:
+            out = residue_product(out, x, ctx)
+        e >>= 1
+        if e:
+            x = residue_product(x, x, ctx)
+    return out
 
 
 def residue_inverse(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     """Residue rows of the inverses of an array of reduced residue rows, 0 for 0.
 
     As FFElem.inverse: the conjugate over the norm, the norm N in F_p inverted
-    as N^(p-2) mod p by one square-and-multiply over the whole array.
+    as N^(p-2) mod p by one residue_power over the whole array.
     """
     p = ctx.p
     conj = x.copy()
     conj[..., 1:] = -conj[..., 1:] % p
-    base = residue_product(x, conj, ctx)[..., :1]
-    nrm_inv = np.ones_like(base)
-    e = p - 2
-    while e:
-        if e & 1:
-            nrm_inv = nrm_inv * base % p
-        e >>= 1
-        base = base * base % p
-    return conj * nrm_inv % p
+    nrm = residue_product(x, conj, ctx)[..., :1]
+    return conj * residue_power(nrm, p - 2, make_field(p)) % p
+
+
+def _is_one(x: np.ndarray) -> np.ndarray:
+    """Which residue rows are the element 1."""
+    return (x[..., 0] == 1) & ~x[..., 1:].any(axis=-1)
+
+
+def residue_sqrt(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Residue rows of square roots of an array of reduced residue rows, by
+    Tonelli-Shanks run on every row at once; DegenerateParameters if one is
+    no square.
+
+    Each row takes the steps of the scalar algorithm (its own m, c, u and
+    root; a finished row keeps them), so its root does not depend on the
+    other rows, and sqrt is the one-row call. A non-square shows as a u
+    that needs m squarings to reach 1.
+    """
+    t, s = ctx.group_order, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    c = np.broadcast_to(np.array((_nonresidue_elem(ctx) ** t).residues()), x.shape)
+    y = residue_power(x, (t - 1) // 2, ctx)
+    root = residue_product(y, x, ctx)  # x^((t + 1) / 2)
+    u = residue_product(y, root, ctx)  # x^t
+    m = np.full(x.shape[:-1], s)
+    pending = x.any(axis=-1) & ~_is_one(u)
+    while pending.any():
+        # i: the squarings that take u to 1; b = c^(2^(m - i - 1))
+        i, v, unfinished = np.zeros_like(m), u, pending
+        while unfinished.any():
+            v = residue_product(v, v, ctx)
+            i += unfinished
+            unfinished = unfinished & ~_is_one(v)
+        steps = np.where(pending, m - i - 1, 0)
+        if steps.min() < 0:
+            raise DegenerateParameters("an element is not a square")
+        b = c
+        for k in range(int(steps.max())):
+            b = np.where((k < steps)[..., None], residue_product(b, b, ctx), b)
+        keep = ~pending[..., None]
+        m = np.where(pending, i, m)
+        c = np.where(keep, c, residue_product(b, b, ctx))
+        u = np.where(keep, u, residue_product(u, c, ctx))
+        root = np.where(keep, root, residue_product(root, b, ctx))
+        pending = pending & ~_is_one(u)
+    return root
 
 
 def _key_weights(p: int, d: int) -> np.ndarray:
@@ -454,30 +509,7 @@ def _scan(ctx: FieldCtx):
 
 
 def sqrt(x: FFElem) -> FFElem:
-    """A square root by Tonelli-Shanks; DegenerateParameters if x is no square."""
-    ctx = x.ctx
-    if not x:
-        return ctx.zero
-    if not is_square(x):
-        raise DegenerateParameters(f"{x!r} is not a square")
-    t = ctx.group_order
-    s = 0
-    while t % 2 == 0:
-        t //= 2
-        s += 1
-    c = _nonresidue_elem(ctx) ** t
-    u = x ** t
-    root = x ** ((t + 1) // 2)
-    m = s
-    one = ctx.one
-    while u != one:
-        i, v = 0, u
-        while v != one:
-            v = v * v
-            i += 1
-        b = c ** (2 ** (m - i - 1))
-        m = i
-        c = b * b
-        u = u * c
-        root = root * b
-    return root
+    """A square root by Tonelli-Shanks, the one-row call of residue_sqrt;
+    DegenerateParameters if x is no square."""
+    (root,) = residue_sqrt(np.array([x.residues()], dtype=np.int64), x.ctx).tolist()
+    return x.ctx.elem(*root)

@@ -29,7 +29,7 @@ from ..charsums import (
 )
 from ..counting import (
     count_Q,
-    count_product_eq,
+    count_product_eqs,
     orbit_sum_distribution,
     sumset_cover,
 )
@@ -54,7 +54,7 @@ from ..ffield import (
     primitive_root,
     subgroup_of_order,
 )
-from ..matgrp import VecEntity, char_poly_factor, matrix_order, sl2_companion
+from ..matgrp import VecEntity, char_poly_factor, matrix_order, sl2_companions
 from .config import EXPERIMENT_NAMES, ExperimentConfig
 from .prng import derive_stream
 
@@ -172,10 +172,10 @@ def _companions(cfg, p):
     """Each SL_2 companion A_u = [[0, -1], [1, u]] of p, in u order, whose class
     passes the filter and whose order lies in the tau window, as (u, A_u, its
     char_poly_factor data, tau, row context).  The traces u = +-2, whose
-    eigenvalue repeats, belong to no class.  det A_u = 1, so t = 1."""
-    ctx = make_field(p)
-    for u in range(p):
-        A = sl2_companion(ctx, u)
+    eigenvalue repeats, belong to no class.  det A_u = 1, so t = 1.  The
+    companions come from the prime's trace table (sl2_companions), so their
+    eigen data and orders are read, not computed per trace."""
+    for u, A in enumerate(sl2_companions(make_field(p))):
         data = char_poly_factor(A)
         if data.tag == "repeated" or cfg.class_filter not in ("all", data.tag):
             continue
@@ -389,25 +389,29 @@ def _orbit_rows(cfg, desc):
     # the matrix orbit under an F_p-linear bijection as well.
     distinct = _per_class(lambda A: len(orbit_sum_distribution(start, A, 2, cfg.budget).rows))
     covered = _per_class(lambda A: sumset_cover(start, A, 4, cfg.budget).covered_at or 0)
-    rows = []
+    # every trace draws its own xi's; the product equations of the prime are one stack
+    traces, equations = [], []
     for u, A, data, tau, info in _companions(cfg, p):
-        key = (data.tag, tau)
+        ectx = data.eigen_ctx
+        stream = _stream(cfg, p, u)
+        xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
+        xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
+        xi2 = ectx.from_index(stream.below(ectx.q))
+        traces.append((A, data.tag, tau, info))
+        equations.append((xi0, (xi1, xi2), data.eigenvalues))
+    rows = []
+    for (A, tag, tau, info), product in zip(traces, count_product_eqs(equations, cfg.budget)):
+        key = (tag, tau)
         rows += _guarded(
             cfg, info, "distinct-sums-2", lambda: distinct(key, A),
             lambda count: [_row(cfg, info, "distinct-sums-2", count)])
         rows += _guarded(
             cfg, info, "cover-arity", lambda: covered(key, A),
             lambda arity: [_row(cfg, info, "cover-arity", arity)])
-        ectx = data.eigen_ctx
-        stream = _stream(cfg, p, u)
-        xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
-        xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
-        xi2 = ectx.from_index(stream.below(ectx.q))
         rows += _guarded(
-            cfg, info, "product-eq-count",
-            lambda: count_product_eq(xi0, (xi1, xi2), data.eigenvalues, cfg.budget),
-            lambda product: [_row(cfg, info, "product-eq-count", product.value,
-                                  "product-decay", tau / product.parameters["L"]**0.5)])
+            cfg, info, "product-eq-count", lambda: product,
+            lambda result: [_row(cfg, info, "product-eq-count", result.value,
+                                 "product-decay", tau / result.parameters["L"]**0.5)])
     return rows
 
 

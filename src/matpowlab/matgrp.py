@@ -9,7 +9,10 @@ cubic on the residue rows of every field element (residue_product), each root
 then peeled off by synthetic division; eigenvalues land in the quadratic
 extension when needed. Diagonalizability and orders are read off those
 eigenvalues; only n >= 4 or eigenvalues beyond the quadratic extension fall
-back to capped power iteration.
+back to capped power iteration. The SL_2 companions of a prime come as one
+trace table (sl2_companions): their classes, eigenvalues and orders from one
+array pass over all traces, cached on each matrix, so no per-trace analysis
+runs.
 """
 
 from __future__ import annotations
@@ -25,11 +28,13 @@ from .errors import (
     MixedContext,
     OrderCapExceeded,
     UnsupportedDimension,
+    WrongDegree,
     ZeroVector,
     over_budget,
 )
-from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix, mult_order,
-                     residue_orbit, residue_inverse, residue_product, sqrt)
+from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix,
+                     mult_order, primitive_root, residue_inverse, residue_orbit, residue_power,
+                     residue_product, residue_sqrt, sqrt)
 
 # Compared with the step count of matrix_order's iteration B -> B M (n >= 4, or
 # eigenvalues beyond F_{p^2}): one residue matmul per step.
@@ -472,3 +477,50 @@ def sl2_companion(ctx: FieldCtx, u: int) -> MatEntity:
             [ctx.one, ctx.elem(u)],
         ]
     )
+
+
+def sl2_companions(ctx: FieldCtx):
+    """Every sl2_companion(ctx, u) over F_p, u = 0, ..., p - 1 in order, with
+    its char_poly_factor data, det and matrix_order already cached, from one
+    array pass over the traces.
+
+    X^2 - u X + 1 has discriminant D = u^2 - 4: an Euler test on D gives the
+    tag (0 repeated, a square split, else irreducible), and one residue_sqrt
+    the s = sqrt(D), or sqrt(D / r) w in F_{p^2}, whose roots (u +- s) / 2
+    are the ones _quadratic_roots takes. The order of a split A_u is that of
+    g^k (g primitive, g^k + g^-k = u), (p - 1) / gcd(k, p - 1); of an
+    irreducible one that of w^k (w = h^(p - 1), h primitive in F_{p^2},
+    Tr w^k = u), (p + 1) / gcd(k, p + 1): one residue_orbit walk of each
+    torus. At u = +-2 the eigenvalue +-1 repeats and A_u is no scalar, so its
+    order is p ord(+-1).
+    """
+    if ctx.degree != 1:
+        raise WrongDegree("the trace table is built over a prime field")
+    p, ext = ctx.p, ctx.ext_field()
+    u = np.arange(p)
+    disc = (u * u - 4) % p
+    euler = residue_power(disc[:, None], (p - 1) // 2, ctx)[:, 0]
+    radicand = np.where(euler == 1, disc, disc * pow(ext.r, p - 2, p) % p)
+    half = (p + 1) // 2
+    half_u = (u * half % p).tolist()
+    half_s = (residue_sqrt(radicand[:, None], ctx)[:, 0] * half % p).tolist()
+    tau = np.empty(p, dtype=np.int64)
+    for field, generator, size in ((ctx, primitive_root(ctx), p - 1),
+                                   (ext, primitive_root(ext) ** (p - 1), p + 1)):
+        walk = residue_orbit(mul_matrix(generator), field.one.residues(), size, p)
+        trace = (walk + residue_inverse(walk, field))[:, 0] % p
+        tau[trace] = size // np.gcd(np.arange(1, size + 1), size)
+    tau[euler == 0] *= p
+    one = ctx.one
+    for k, (square, order) in enumerate(zip(euler.tolist(), tau.tolist())):
+        A = sl2_companion(ctx, k)
+        c0, c1 = half_u[k], half_s[k]
+        if square == 1:
+            tag, roots, ectx = "split", (ctx.elem(c0 + c1), ctx.elem(c0 - c1)), ctx
+        elif square:
+            tag, roots, ectx = "irreducible", (ext.elem(c0, c1), ext.elem(c0, -c1)), ext
+        else:
+            tag, roots, ectx = "repeated", (ctx.elem(c0),) * 2, ctx
+        A._charpoly = CharPolyData((one, ctx.elem(-k), one), tag, roots, ectx)
+        A._det, A._order = one, order
+        yield A

@@ -154,6 +154,35 @@ def naive_nonresidue(ctx):
     return next(x for x in ctx.iter_elements() if x not in squares)
 
 
+def naive_sqrt(x, z=None):
+    """A square root by scalar Tonelli-Shanks on FFElem, z the field's first
+    non-square (naive_nonresidue unless given); None if x is no square."""
+    ctx = x.ctx
+    if not x:
+        return ctx.zero
+    if x ** (ctx.group_order // 2) != ctx.one:
+        return None
+    t, s = ctx.group_order, 0
+    while t % 2 == 0:
+        t //= 2
+        s += 1
+    c = (naive_nonresidue(ctx) if z is None else z) ** t
+    u = x ** t
+    root = x ** ((t + 1) // 2)
+    m = s
+    while u != ctx.one:
+        i, v = 0, u
+        while v != ctx.one:
+            v = v * v
+            i += 1
+        b = c ** (2 ** (m - i - 1))
+        m = i
+        c = b * b
+        u = u * c
+        root = root * b
+    return root
+
+
 def naive_matrix_order(rows_mod_p, p):
     """Order of an integer matrix mod p by repeated multiplication."""
     n = len(rows_mod_p)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from matpowlab.counting import (
     CountResult,
     count_JK,
     count_product_eq,
+    count_product_eqs,
     count_Q,
     orbit_energy,
     orbit_sum_distribution,
@@ -28,8 +30,8 @@ from matpowlab.errors import (
 from matpowlab.charsums import subgroup_entry
 from matpowlab.ffield import (make_field, mul_matrix, mult_order, primitive_root, residue_orbit,
                               subgroup_of_order)
-from matpowlab.matgrp import (MatEntity, VecEntity, independence_checks, matrix_order,
-                              sl2_companion)
+from matpowlab.matgrp import (MatEntity, VecEntity, char_poly_factor, independence_checks,
+                              matrix_order, sl2_companion)
 
 from oracles import (
     add,
@@ -535,6 +537,38 @@ def test_product_eq_computes_one_order_per_conjugate_pair(monkeypatch):
     assert res.parameters["tau"] == res.parameters["L"] == 16
     assert res.value == naive_product_eq_count(ctx.elem(2, 5), xis,
                                                [lam, lam.frobenius()], 16)
+
+
+def test_stacked_product_eqs_match_the_naive_count():
+    # split (F_13) and irreducible (F_169) eigenvalue pairs of SL_2 companions,
+    # a one-base entry, and a capped entry in the middle that comes back in place
+    p = 13
+    ext = make_field(p, 2)
+    rng = np.random.default_rng(11)
+    entries = []
+    for u in (3, 4, 5, 0, 1, 6, 4):
+        lambdas = char_poly_factor(sl2_companion(make_field(p), u)).eigenvalues
+        ctx = lambdas[0].ctx
+        xis = (ctx.from_index(1 + int(rng.integers(ctx.q - 1))),
+               ctx.from_index(int(rng.integers(ctx.q))))
+        entries.append((ctx.from_index(1 + int(rng.integers(ctx.q - 1))), xis, lambdas))
+    g = primitive_root(ext)
+    entries.insert(3, (ext.one, (ext.one,), (g,)))  # order 168 > the limit 100
+    entries.append((ext.elem(2), (ext.elem(1, 1),), (g ** 12,)))
+    results = count_product_eqs(entries, budget=1e-3)
+    assert isinstance(results[3], BudgetExceeded) and results[3].estimated_work == 168
+    assert {ctx.degree for xi0, _, _ in entries for ctx in [xi0.ctx]} == {1, 2}
+    for k, (xi0, xis, lambdas) in enumerate(entries):
+        if k == 3:
+            continue
+        result = results[k]
+        tau = math.lcm(*(mult_order(lam) for lam in lambdas))
+        assert result.parameters == {"tau": tau, "L": max(map(mult_order, lambdas)),
+                                     "n": len(lambdas), "p": p, "degree": xi0.ctx.degree}
+        assert result.value == naive_product_eq_count(xi0, xis, lambdas, tau), k
+        assert result == count_product_eq(xi0, xis, lambdas, budget=1e-3)
+    assert sum(result.value for k, result in enumerate(results) if k != 3) > 0
+    assert count_product_eqs([]) == []
 
 
 def test_product_eq_rejects_bad_inputs():

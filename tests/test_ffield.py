@@ -19,7 +19,9 @@ from matpowlab.ffield import (
     mult_order,
     primitive_root,
     residue_inverse,
+    residue_power,
     residue_product,
+    residue_sqrt,
     sqrt,
     subgroup_of_order,
     subgroup_walk,
@@ -33,6 +35,7 @@ from oracles import (
     naive_mult_order,
     naive_nonresidue,
     naive_primitive_root,
+    naive_sqrt,
     trace_norm,
 )
 
@@ -362,6 +365,36 @@ def test_sqrt_roundtrip():
                 with pytest.raises(DegenerateParameters):
                     sqrt(x)
         assert n_squares == (ctx.q - 1) // 2 + 1
+
+
+@pytest.mark.parametrize("p, degree", [(p, 1) for p in range(3, 200) if ffield._is_prime(p)]
+                         + [(p, 2) for p in range(3, 30) if ffield._is_prime(p)])
+def test_sqrt_takes_the_scalar_tonelli_shanks_root(p, degree):
+    # every square of F_q, as one stack and one row at a time, gets the root
+    # of the scalar algorithm
+    ctx = make_field(p, degree)
+    z = naive_nonresidue(ctx)
+    squares = sorted({x * x for x in ctx.iter_elements()}, key=lambda x: (x.c1, x.c0))
+    roots = residue_sqrt(np.array([x.residues() for x in squares], dtype=np.int64), ctx)
+    for x, root in zip(squares, roots.tolist()):
+        want = naive_sqrt(x, z)
+        assert tuple(root) == want.residues()
+        assert sqrt(x) == want and type(sqrt(x).c0) is int
+    # one non-square in a stack of squares raises for the stack
+    rows = np.array([x.residues() for x in squares[:3] + [z]], dtype=np.int64)
+    with pytest.raises(DegenerateParameters):
+        residue_sqrt(rows, ctx)
+
+
+@pytest.mark.parametrize("p, degree", [(13, 1), (5, 2)])
+def test_residue_power_matches_element_powers(p, degree):
+    ctx = make_field(p, degree)
+    elems = list(ctx.iter_elements())
+    rows = np.array([x.residues() for x in elems], dtype=np.int64)
+    for e in (0, 1, 2, 7, ctx.group_order, 3 * ctx.q + 1):
+        got = residue_power(rows, e, ctx)
+        assert [tuple(r) for r in got.tolist()] == [(x ** e).residues() if x or e
+                                                   else ctx.one.residues() for x in elems]
 
 
 def test_element_index_roundtrip():

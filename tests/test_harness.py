@@ -253,13 +253,14 @@ def test_trace_grid_counts_depend_only_on_class_and_order():
 # the counting kernel behind each quantity of the trace grids
 _KERNELS = {"energy2": "count_Q", "orbit-count-6term": "count_Q",
             "distinct-sums-2": "orbit_sum_distribution", "cover-arity": "sumset_cover",
-            "product-eq-count": "count_product_eq"}
+            "product-eq-count": "count_product_eqs"}
 
 
 def _spy_kernels(monkeypatch):
-    """Wrap the trace grids' counting kernels; each call appends the (p, class,
-    tau) of its matrix (None for count_product_eq) and the estimated work of
-    the cap it raised (None if it ran) to calls[kernel]."""
+    """Wrap the trace grids' counting kernels; each count appends the (p, class,
+    tau) of its matrix (None for the stacked count_product_eqs, once per
+    returned entry) and the estimated work of the cap that skipped it (None
+    if it ran) to calls[kernel]."""
     calls = {name: [] for name in _KERNELS.values()}
 
     def spy(name):
@@ -273,7 +274,12 @@ def _spy_kernels(monkeypatch):
             except BudgetExceeded as err:
                 calls[name].append((key, err.estimated_work))
                 raise
-            calls[name].append((key, None))
+            if name == "count_product_eqs":
+                calls[name] += [(None, outcome.estimated_work
+                                 if isinstance(outcome, BudgetExceeded) else None)
+                                for outcome in result]
+            else:
+                calls[name].append((key, None))
             return result
 
         return counted

@@ -10,9 +10,10 @@ from matpowlab.errors import (
     MixedContext,
     OrderCapExceeded,
     UnsupportedDimension,
+    WrongDegree,
     ZeroVector,
 )
-from matpowlab.ffield import make_field, mult_order, residue_product, subgroup_of_order
+from matpowlab.ffield import _is_prime, make_field, mult_order, residue_product, subgroup_of_order
 from matpowlab.matgrp import (
     MatEntity,
     VecEntity,
@@ -22,6 +23,7 @@ from matpowlab.matgrp import (
     is_diagonalizable,
     matrix_order,
     sl2_companion,
+    sl2_companions,
 )
 from matpowlab.counting import count_Q
 
@@ -703,3 +705,26 @@ def test_matrix_order_norm_one_eigenvalue_route():
                 assert (p + 1) % tau == 0
             elif data.tag == "split":
                 assert (p - 1) % tau == 0
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 401) if _is_prime(p)] + [1009, 1013])
+def test_trace_table_equals_the_per_trace_analysis(p):
+    ctx = make_field(p)
+    table = list(sl2_companions(ctx))
+    assert len(table) == p
+    for u, A in enumerate(table):
+        fresh = sl2_companion(ctx, u)
+        assert A == fresh
+        data, want = char_poly_factor(A), char_poly_factor(fresh)
+        assert (data.tag, data.eigenvalues, data.eigen_ctx) == (
+            want.tag, want.eigenvalues, want.eigen_ctx), u
+        assert data.coeffs == want.coeffs
+        assert matrix_order(A) == matrix_order(fresh) and type(matrix_order(A)) is int
+        assert A.det() == ctx.one
+        assert all(type(c) is int for lam in data.eigenvalues for c in (lam.c0, lam.c1))
+        assert (data.tag == "repeated") == (u in (2, p - 2))
+
+
+def test_trace_table_is_built_over_a_prime_field():
+    with pytest.raises(WrongDegree):
+        next(sl2_companions(make_field(7, 2)))
