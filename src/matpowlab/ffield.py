@@ -8,7 +8,7 @@ array code sees both fields only through mul_matrix, trace_form and
 residue_product, the 2 x 2 closed forms of multiplication, of the trace
 pairing and of the product of residue rows, sliced to degree. Powers, inverses
 and square roots of residue arrays build on residue_product; Tonelli-Shanks
-runs only there (residue_sqrt), and sqrt is its one-row call.
+runs only there (residue_sqrt), on whole arrays of residue rows.
 Six places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
 factorization), FieldCtx.elem (it guards c1 = 0), FFElem.__pow__ (builtin
 three-argument pow serves the many F_p powers), FFElem.__repr__ (output text),
@@ -438,8 +438,7 @@ def residue_sqrt(x: np.ndarray, ctx: FieldCtx) -> np.ndarray:
 
     Each row takes the steps of the scalar algorithm (its own m, c, u and
     root; a finished row keeps them), so its root does not depend on the
-    other rows, and sqrt is the one-row call. A non-square shows as a u
-    that needs m squarings to reach 1.
+    other rows. A non-square shows as a u that needs m squarings to reach 1.
     """
     t, s = ctx.group_order, 0
     while t % 2 == 0:
@@ -506,10 +505,3 @@ def _scan(ctx: FieldCtx):
     """Elements in index order from w = q // p: no element of F_p generates
     F_{p^2}* or is a non-square in it, and in F_p the scan starts at 1, which is neither."""
     return map(ctx.from_index, range(ctx.q // ctx.p, ctx.q))
-
-
-def sqrt(x: FFElem) -> FFElem:
-    """A square root by Tonelli-Shanks, the one-row call of residue_sqrt;
-    DegenerateParameters if x is no square."""
-    (root,) = residue_sqrt(np.array([x.residues()], dtype=np.int64), x.ctx).tolist()
-    return x.ctx.elem(*root)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ CAT_A11, CAT_A12, CAT_A21, CAT_A22 = 2, 1, 3, 2
 _CAT_MODES = {(1, 0): 0.5, (-1, 0): 0.5}
 
 
-@dataclass(frozen=True)
-class InstanceRecord:
+class InstanceRecord(NamedTuple):
     """One CSV row: an observed quantity against at most one bound."""
 
     experiment: str

@@ -6,9 +6,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
 
-from .config import ExperimentConfig
+from .config import _KEY_TYPES, ExperimentConfig
 from .experiments import InstanceRecord, build_instances, compute_instance
 
 CSV_COLUMNS = (
@@ -17,13 +16,9 @@ CSV_COLUMNS = (
     "status", "seconds",
 )
 
-# the CSV column order; read once, as fields() on every row raised a grid
-# run's peak RSS by ~0.4 MB
-_RECORD_FIELDS = tuple(field.name for field in fields(InstanceRecord))
 # the config keys that shape the rows, recorded in the summary; out and
 # workers change no row, and leaving workers out keeps the bytes worker-independent
-_SUMMARY_KEYS = tuple(field.name for field in fields(ExperimentConfig)
-                      if field.name not in ("out", "workers"))
+_SUMMARY_KEYS = tuple(key for key in _KEY_TYPES if key not in ("out", "workers"))
 
 
 def _fmt(value) -> str:
@@ -37,7 +32,7 @@ def _fmt(value) -> str:
 
 
 def record_to_csv(rec: InstanceRecord) -> str:
-    return ",".join(_fmt(getattr(rec, name)) for name in _RECORD_FIELDS)
+    return ",".join(map(_fmt, rec))
 
 
 def _compute_task(args):
@@ -47,7 +42,7 @@ def _compute_task(args):
     start = time.perf_counter()
     rows = compute_instance(cfg, desc)
     elapsed = time.perf_counter() - start
-    return [replace(r, seconds=elapsed) for r in rows]
+    return [r._replace(seconds=elapsed) for r in rows]
 
 
 def _summarize(cfg: ExperimentConfig, rows: list[InstanceRecord]) -> dict:

@@ -3,16 +3,19 @@
 MatEntity and VecEntity are values; computation runs on their flat residues
 (residue_map), and Krylov independence is a determinant of residue rows by
 elimination, checked for a whole stack of (v, A) pairs at once. Characteristic
-polynomials use per-dimension closed forms (n <= 3). Roots are located by
-discriminant analysis (n = 2), or for n = 3 by one Horner evaluation of the
-cubic on the residue rows of every field element (residue_product), each root
-then peeled off by synthetic division; eigenvalues land in the quadratic
-extension when needed. Diagonalizability and orders are read off those
-eigenvalues; only n >= 4 or eigenvalues beyond the quadratic extension fall
-back to capped power iteration. The SL_2 companions of a prime come as one
-trace table (sl2_companions): their classes, eigenvalues and orders from one
-array pass over all traces, cached on each matrix, so no per-trace analysis
-runs.
+polynomials use per-dimension closed forms (n <= 3). Every monic quadratic has
+its roots from one array root finder over residue rows (_quadratic_roots: an
+Euler test and one residue_sqrt on the discriminants), called with one row by
+char_poly_factor (n = 2, and the quadratic cofactor of an n = 3 cubic) and
+with all p traces by the SL_2 trace table. For n = 3 the base roots come from
+one Horner evaluation of the cubic on the residue rows of every field element
+(residue_product), each root then peeled off by synthetic division;
+eigenvalues land in the quadratic extension when needed. Diagonalizability
+and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
+the quadratic extension fall back to capped power iteration. The SL_2
+companions of a prime come as one trace table (sl2_companions): their
+classes, eigenvalues and orders from one array pass over all traces, cached
+on each matrix, so no per-trace analysis runs.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from .errors import (
     ZeroVector,
     over_budget,
 )
-from .ffield import (FFElem, FieldCtx, _decode_keys, is_square, mul_matrix,
-                     mult_order, primitive_root, residue_inverse, residue_orbit, residue_power,
-                     residue_product, residue_sqrt, sqrt)
+from .ffield import (FFElem, FieldCtx, _decode_keys, mul_matrix, mult_order, primitive_root,
+                     residue_inverse, residue_orbit, residue_power, residue_product,
+                     residue_sqrt)
 
 # Compared with the step count of matrix_order's iteration B -> B M (n >= 4, or
 # eigenvalues beyond F_{p^2}): one residue matmul per step.
@@ -233,24 +236,39 @@ class CharPolyData:
     eigen_ctx: FieldCtx | None
 
 
-def _quadratic_roots(c0, c1, ctx):
-    """Roots of X^2 + c1 X + c0 over ctx, or its quadratic extension, or None."""
-    inv2 = ctx.elem(2).inverse()
-    disc = c1 * c1 - ctx.elem(4) * c0
-    if not disc:
-        lam = -c1 * inv2
-        return (lam, lam), ctx, True
-    if is_square(disc):
-        s = sqrt(disc)
-        return ((-c1 + s) * inv2, (-c1 - s) * inv2), ctx, False
-    if ctx.degree == 2:
-        return None, None, False  # roots would need a quartic extension
-    ext = ctx.ext_field()
-    # disc = r * w^2 with w = sqrt(disc / r) in F_p, so sqrt(disc) = w * omega
-    w = sqrt(ctx.elem(disc.c0 * pow(ext.r, ctx.p - 2, ctx.p)))
-    s = ext.elem(0, w.c0)
-    c1e, inv2e = ext.lift(c1), ext.lift(inv2)
-    return ((-c1e + s) * inv2e, (-c1e - s) * inv2e), ext, False
+def _quadratic_roots(low: np.ndarray, ctx: FieldCtx) -> list:
+    """(tag, roots, eigen_ctx) of each monic X^2 + c1 X + c0 over ctx, for a
+    stack (N, 2, degree) of the residue rows (c0, c1), from one array pass.
+
+    An Euler test on D = c1^2 - 4 c0 gives the tag (0 repeated, a square
+    split, else irreducible), and one residue_sqrt the s = sqrt(D), or over
+    F_p the s = sqrt(D / r) w in F_{p^2} (D / r is then a square of F_p);
+    the roots are (-c1 + s) / 2, then (-c1 - s) / 2. Over F_{p^2} a
+    non-square D leaves roots and eigen_ctx None: they would need a quartic
+    extension.
+    """
+    p, ext = ctx.p, ctx.ext_field()
+    c0, c1 = low[:, 0], low[:, 1]
+    disc = (residue_product(c1, c1, ctx) - 4 * c0) % p
+    euler = residue_power(disc, ctx.group_order // 2, ctx)[:, :1]
+    # a non-square D of F_p is r (D / r); over F_{p^2} its roots are not taken
+    scale = pow(ext.r, p - 2, p) if ctx.degree == 1 else 0
+    radicand = np.where(euler == p - 1, disc * scale % p, disc)
+    half = (p + 1) // 2
+    center = -c1 * half % p
+    offset = residue_sqrt(radicand, ctx) * half % p
+    out = []
+    for square, plus, minus, m, s in zip(euler[:, 0].tolist(), ((center + offset) % p).tolist(),
+                                         ((center - offset) % p).tolist(),
+                                         center[:, 0].tolist(), offset[:, 0].tolist()):
+        if square in (0, 1):
+            tag = "split" if square else "repeated"
+            out.append((tag, (ctx.elem(*plus), ctx.elem(*minus)), ctx))
+        elif ctx.degree == 1:
+            out.append(("irreducible", (ext.elem(m, s), ext.elem(m, -s)), ext))
+        else:
+            out.append(("irreducible", None, None))
+    return out
 
 
 def char_poly_factor(A: MatEntity) -> CharPolyData:
@@ -265,14 +283,9 @@ def char_poly_factor(A: MatEntity) -> CharPolyData:
         lam = A.rows[0][0]
         data = CharPolyData((-lam, one), "split", (lam,), ctx)
     elif n == 2:
-        tr, det = A.trace(), A.det()
-        coeffs = (det, -tr, one)
-        roots, ectx, rep = _quadratic_roots(det, -tr, ctx)
-        if roots is None:
-            data = CharPolyData(coeffs, "irreducible", None, None)
-        else:
-            tag = "repeated" if rep else ("split" if ectx == ctx else "irreducible")
-            data = CharPolyData(coeffs, tag, roots, ectx)
+        coeffs = (A.det(), -A.trace(), one)
+        low = np.array([[c.residues() for c in coeffs[:2]]], dtype=np.int64)
+        data = CharPolyData(coeffs, *_quadratic_roots(low, ctx)[0])
     else:
         tr = A.trace()
         m2 = _principal_minor_sum(A)
@@ -338,7 +351,8 @@ def _cubic_factor(coeffs, ctx) -> CharPolyData:
         return CharPolyData(tuple(coeffs), "irreducible", None, None)
     # one base root and a monic quadratic cofactor rem (k == 2 is impossible over
     # a field); the scan found no root of rem in F_q, so its discriminant is nonzero
-    qroots, ectx, _ = _quadratic_roots(rem[0], rem[1], ctx)
+    low = np.array([[c.residues() for c in rem[:2]]], dtype=np.int64)
+    _, qroots, ectx = _quadratic_roots(low, ctx)[0]
     if qroots is None:
         return CharPolyData(tuple(coeffs), "mixed", None, None)
     lifted = tuple([ectx.lift(with_mult[0])] + list(qroots))
@@ -484,43 +498,30 @@ def sl2_companions(ctx: FieldCtx):
     its char_poly_factor data, det and matrix_order already cached, from one
     array pass over the traces.
 
-    X^2 - u X + 1 has discriminant D = u^2 - 4: an Euler test on D gives the
-    tag (0 repeated, a square split, else irreducible), and one residue_sqrt
-    the s = sqrt(D), or sqrt(D / r) w in F_{p^2}, whose roots (u +- s) / 2
-    are the ones _quadratic_roots takes. The order of a split A_u is that of
-    g^k (g primitive, g^k + g^-k = u), (p - 1) / gcd(k, p - 1); of an
-    irreducible one that of w^k (w = h^(p - 1), h primitive in F_{p^2},
-    Tr w^k = u), (p + 1) / gcd(k, p + 1): one residue_orbit walk of each
-    torus. At u = +-2 the eigenvalue +-1 repeats and A_u is no scalar, so its
-    order is p ord(+-1).
+    The classes and eigenvalues of X^2 - u X + 1 are one _quadratic_roots
+    call over all p traces, the one char_poly_factor makes for a single
+    matrix. The order of a split A_u is that of g^k (g primitive,
+    g^k + g^-k = u), (p - 1) / gcd(k, p - 1); of an irreducible one that of
+    w^k (w = h^(p - 1), h primitive in F_{p^2}, Tr w^k = u),
+    (p + 1) / gcd(k, p + 1): one residue_orbit walk of each torus. At
+    u = +-2 the eigenvalue +-1 repeats and A_u is no scalar, so its order
+    is p ord(+-1).
     """
     if ctx.degree != 1:
         raise WrongDegree("the trace table is built over a prime field")
     p, ext = ctx.p, ctx.ext_field()
     u = np.arange(p)
-    disc = (u * u - 4) % p
-    euler = residue_power(disc[:, None], (p - 1) // 2, ctx)[:, 0]
-    radicand = np.where(euler == 1, disc, disc * pow(ext.r, p - 2, p) % p)
-    half = (p + 1) // 2
-    half_u = (u * half % p).tolist()
-    half_s = (residue_sqrt(radicand[:, None], ctx)[:, 0] * half % p).tolist()
+    low = np.stack((np.ones(p, dtype=np.int64), -u % p), axis=1)[:, :, None]
     tau = np.empty(p, dtype=np.int64)
     for field, generator, size in ((ctx, primitive_root(ctx), p - 1),
                                    (ext, primitive_root(ext) ** (p - 1), p + 1)):
         walk = residue_orbit(mul_matrix(generator), field.one.residues(), size, p)
         trace = (walk + residue_inverse(walk, field))[:, 0] % p
         tau[trace] = size // np.gcd(np.arange(1, size + 1), size)
-    tau[euler == 0] *= p
+    tau[[2, p - 2]] *= p
     one = ctx.one
-    for k, (square, order) in enumerate(zip(euler.tolist(), tau.tolist())):
+    for k, (analysis, order) in enumerate(zip(_quadratic_roots(low, ctx), tau.tolist())):
         A = sl2_companion(ctx, k)
-        c0, c1 = half_u[k], half_s[k]
-        if square == 1:
-            tag, roots, ectx = "split", (ctx.elem(c0 + c1), ctx.elem(c0 - c1)), ctx
-        elif square:
-            tag, roots, ectx = "irreducible", (ext.elem(c0, c1), ext.elem(c0, -c1)), ext
-        else:
-            tag, roots, ectx = "repeated", (ctx.elem(c0),) * 2, ctx
-        A._charpoly = CharPolyData((one, ctx.elem(-k), one), tag, roots, ectx)
+        A._charpoly = CharPolyData((one, ctx.elem(-k), one), *analysis)
         A._det, A._order = one, order
         yield A

@@ -11,6 +11,7 @@ different identity, so agreement checks the identity and the kernel.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 
@@ -148,8 +149,9 @@ def naive_primitive_root(ctx):
     return next(x for x in ctx.iter_elements() if x and naive_mult_order(x) == ctx.group_order)
 
 
+@functools.cache
 def naive_nonresidue(ctx):
-    """First element in index order outside the full set of squares."""
+    """First element in index order outside the full set of squares (cached per field)."""
     squares = {x * x for x in ctx.iter_elements()}
     return next(x for x in ctx.iter_elements() if x not in squares)
 
@@ -181,6 +183,29 @@ def naive_sqrt(x, z=None):
         u = u * c
         root = root * b
     return root
+
+
+def naive_quadratic_roots(c0, c1):
+    """(tag, roots, eigen_ctx) of X^2 + c1 X + c0 by the scalar quadratic formula.
+
+    The roots are (-c1 + s) / 2, then (-c1 - s) / 2, with s = naive_sqrt(D)
+    for a square D = c1^2 - 4 c0 (tag repeated when D = 0, else split). Over
+    F_p a non-square D is r (D / r), r the least non-residue, and
+    s = naive_sqrt(D / r) w lives in F_{p^2} (w^2 = r); over F_{p^2} the
+    roots and their field are None.
+    """
+    ctx = c0.ctx
+    inv2 = ctx.elem(2).inverse()
+    disc = c1 * c1 - 4 * c0
+    s = naive_sqrt(disc)
+    if s is not None:
+        return ("split" if disc else "repeated"), ((-c1 + s) * inv2, (-c1 - s) * inv2), ctx
+    if ctx.degree == 2:
+        return "irreducible", None, None
+    ext = ctx.ext_field()
+    s = ext.elem(0, naive_sqrt(disc / naive_least_nonresidue(ctx.p)).c0)
+    c1e, inv2e = ext.lift(c1), ext.lift(inv2)
+    return "irreducible", ((-c1e + s) * inv2e, (-c1e - s) * inv2e), ext
 
 
 def naive_matrix_order(rows_mod_p, p):

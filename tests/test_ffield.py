@@ -22,7 +22,6 @@ from matpowlab.ffield import (
     residue_power,
     residue_product,
     residue_sqrt,
-    sqrt,
     subgroup_of_order,
     subgroup_walk,
     trace_form,
@@ -353,17 +352,20 @@ def test_residue_inverse_matches_the_element_inverse(p, degree):
 
 
 def test_sqrt_roundtrip():
+    # each element as a one-row residue_sqrt call: a square gets a root, a
+    # non-square raises
     for p, degree in ((13, 1), (17, 1), (7, 2)):
         ctx = make_field(p, degree)
         n_squares = 0
         for x in ctx.iter_elements():
+            row = np.array([x.residues()], dtype=np.int64)
             if is_square(x):
                 n_squares += 1
-                root = sqrt(x)
+                root = ctx.elem(*residue_sqrt(row, ctx)[0].tolist())
                 assert root * root == x
             else:
                 with pytest.raises(DegenerateParameters):
-                    sqrt(x)
+                    residue_sqrt(row, ctx)
         assert n_squares == (ctx.q - 1) // 2 + 1
 
 
@@ -379,7 +381,8 @@ def test_sqrt_takes_the_scalar_tonelli_shanks_root(p, degree):
     for x, root in zip(squares, roots.tolist()):
         want = naive_sqrt(x, z)
         assert tuple(root) == want.residues()
-        assert sqrt(x) == want and type(sqrt(x).c0) is int
+        (alone,) = residue_sqrt(np.array([x.residues()], dtype=np.int64), ctx).tolist()
+        assert tuple(alone) == want.residues()
     # one non-square in a stack of squares raises for the stack
     rows = np.array([x.residues() for x in squares[:3] + [z]], dtype=np.int64)
     with pytest.raises(DegenerateParameters):

@@ -40,6 +40,7 @@ from oracles import (
     naive_is_semisimple,
     naive_matrix_order,
     naive_matrix_order_obj,
+    naive_quadratic_roots,
     poly_eval_matrix,
     rank,
     scalar,
@@ -49,8 +50,10 @@ from oracles import (
 
 
 def _random_matrix(ctx, n, rng):
+    """A seeded random invertible n x n matrix with entries anywhere in ctx."""
     while True:
-        A = MatEntity.from_ints(ctx, [[int(rng.integers(0, ctx.p)) for _ in range(n)] for _ in range(n)])
+        A = MatEntity([[ctx.from_index(int(rng.integers(ctx.q))) for _ in range(n)]
+                       for _ in range(n)])
         if A.det():
             return A
 
@@ -145,15 +148,27 @@ def test_char_poly_agrees_with_det_of_shift():
 
 
 def test_eigenvalues_satisfy_char_poly():
+    # over F_p and F_{p^2}: a 2 x 2 matrix takes the scalar quadratic formula's
+    # tag, roots in order and root field, and over F_{p^2} it has no
+    # eigenvalues exactly when it is irreducible there
     rng = np.random.default_rng(13)
-    for p in (5, 7, 11):
-        ctx = make_field(p)
+    for p, degree in ((5, 1), (7, 1), (11, 1), (5, 2), (7, 2)):
+        ctx = make_field(p, degree)
         for n in (2, 3):
+            tags = set()
             for _ in range(25):
                 A = _random_matrix(ctx, n, rng)
                 data = char_poly_factor(A)
+                tags.add(data.tag)
+                if n == 2:
+                    r = A.rows
+                    want = naive_quadratic_roots(naive_det(r), -(r[0][0] + r[1][1]))
+                    assert (data.tag, data.eigenvalues, data.eigen_ctx) == want
+                    assert (data.eigenvalues is None) == (degree == 2
+                                                          and data.tag == "irreducible")
                 if data.eigenvalues is None:
                     continue
+                assert all(type(c) is int for lam in data.eigenvalues for c in (lam.c0, lam.c1))
                 ectx = data.eigen_ctx
                 assert len(data.eigenvalues) == n
                 for lam in data.eigenvalues:
@@ -169,6 +184,8 @@ def test_eigenvalues_satisfy_char_poly():
                     prod = prod * lam
                 assert s == ectx.lift(A.trace())
                 assert prod == ectx.lift(A.det())
+            if n == 2:
+                assert {"split", "irreducible"} <= tags
 
 
 def test_cayley_hamilton():
@@ -709,19 +726,23 @@ def test_matrix_order_norm_one_eigenvalue_route():
 
 @pytest.mark.parametrize("p", [p for p in range(3, 401) if _is_prime(p)] + [1009, 1013])
 def test_trace_table_equals_the_per_trace_analysis(p):
+    # the table and a one-row char_poly_factor of a fresh companion both take
+    # the scalar quadratic formula's tag, roots in order and root field
     ctx = make_field(p)
     table = list(sl2_companions(ctx))
     assert len(table) == p
     for u, A in enumerate(table):
         fresh = sl2_companion(ctx, u)
         assert A == fresh
-        data, want = char_poly_factor(A), char_poly_factor(fresh)
-        assert (data.tag, data.eigenvalues, data.eigen_ctx) == (
-            want.tag, want.eigenvalues, want.eigen_ctx), u
-        assert data.coeffs == want.coeffs
+        data, single = char_poly_factor(A), char_poly_factor(fresh)
+        want = naive_quadratic_roots(ctx.one, ctx.elem(-u))
+        assert (data.tag, data.eigenvalues, data.eigen_ctx) == want, u
+        assert (single.tag, single.eigenvalues, single.eigen_ctx) == want, u
+        assert data.coeffs == single.coeffs == (ctx.one, ctx.elem(-u), ctx.one)
         assert matrix_order(A) == matrix_order(fresh) and type(matrix_order(A)) is int
         assert A.det() == ctx.one
-        assert all(type(c) is int for lam in data.eigenvalues for c in (lam.c0, lam.c1))
+        assert all(type(c) is int for d in (data, single)
+                   for lam in d.eigenvalues for c in (lam.c0, lam.c1))
         assert (data.tag == "repeated") == (u in (2, p - 2))
 
 
