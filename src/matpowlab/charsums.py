@@ -10,11 +10,15 @@ single sum walks a residue orbit (ffield.residue_orbit), maps it to trace
 arguments Tr z mod p through the integer trace form, and counts the
 arguments in an exact integer histogram; its float rounding is confined to
 one p-term dot product of that histogram with the roots of unity.  Matrix
-sums run as stacks (matrix_exp_sums): the walks of many (a, b, A) triples
-of one period are one batched residue_orbit over exactly that period, and
-their histograms one shared bincount, while each sum keeps its own checks
-and its own dot, so matrix_exp_sum is the stack of one.  The hypothesis
-flags of a stack are likewise one stacked Krylov check (analyze_instances).
+sums run as stacks on residue arrays (walk_sums): the walks of many
+(a, b, A) of one period are one batched residue_orbit over exactly that
+period, and their histograms one shared bincount, while each sum keeps its
+own checks and its own dot.  matrix_exp_sums checks a stack of entity
+triples and hands their residues to walk_sums, and matrix_exp_sum is the
+stack of one; the sums grid calls walk_sums on its residue arrays directly,
+so entities stay at the public API.  The hypothesis flags of a stack are
+likewise one stacked Krylov check (analyze_instances, on
+matgrp.krylov_independent).
 Moments over every coefficient (sum_moment) take one representative per
 G-orbit of coefficients, weighted by the orbit size, since a sum is constant
 on each orbit.  They look every term up in the table of roots of unity and
@@ -22,7 +26,8 @@ sum by a matmul, so they round per term; the closed-form second moment and
 the exact energy at those representatives (counting.orbit_energy) check them.
 evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
 whose hypotheses the instance satisfies (the Hypotheses of
-analyze_instance); only inequalities with an explicit constant are marked
+analyze_instance): it applies bound_menu(hypotheses), which depends on the
+flags alone, to |S|.  Only inequalities with an explicit constant are marked
 pass or fail (explicit_status), saving estimates with unspecified constants
 come back as ratio reports.
 """
@@ -33,6 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,8 +109,7 @@ def _walk_sums(args: np.ndarray, ctx: FieldCtx, parameters) -> list[SumResult]:
     hists = np.bincount((args + offsets).ravel(), minlength=rows * p).reshape(-1, p)
     roots = ctx.roots_of_unity()
     out = []
-    for hist, params in zip(hists, parameters):
-        mass = int(hist.sum())
+    for hist, mass, params in zip(hists, hists.sum(axis=1).tolist(), parameters):
         if mass != length:
             raise InvariantViolated(f"histogram mass {mass} != walk length {length}")
         value = complex(hist @ roots)
@@ -116,10 +121,44 @@ def _walk_sums(args: np.ndarray, ctx: FieldCtx, parameters) -> list[SumResult]:
     return out
 
 
-def _forms(ctx: FieldCtx, elems) -> np.ndarray:
-    """One row res(x) T per element x, so Tr(x z) = row . res(z) (mod p)."""
-    res = np.array([x.residues() for x in elems], dtype=np.int64)
-    return res @ trace_form(ctx) % ctx.p
+def walk_sums(lefts: np.ndarray, rights: np.ndarray, maps: np.ndarray, periods,
+              ctx: FieldCtx, budget: float = 1.0) -> list:
+    """Sum psi(a A^x b), x = 1..tau, for each entry k given on residue arrays:
+    lefts[k] the flat residues (n degree) of a, rights[k] those of b,
+    maps[k] the column residue map of A (residue_map(A, "column")) and
+    periods[k] the order tau of A, all over ctx.
+
+    Returns one entry per row, in order: its SumResult, or the
+    BudgetExceeded that skipped it (a period above SUM_TAU_CAP scaled by
+    budget).  The walks of each period tau are cut into stacks of at most
+    _WALK_BLOCK_ROWS // tau walks (a longer walk alone), each a rectangle of
+    exactly tau rows per walk, and every step of a walk is mapped to its
+    trace argument Tr(a z) through the trace form.  Each walk keeps its own
+    histogram checks and its own p-term dot, so a sum is bit for bit the one
+    its row gives alone.
+    """
+    p, d = ctx.p, ctx.degree
+    rows, width = lefts.shape
+    n = width // d
+    # row k of forms dotted with res(z) is Tr(a z), summed over a's n entries
+    forms = (lefts.reshape(rows, n, d) @ trace_form(ctx) % p).reshape(rows, width)
+    results = [None] * rows
+    by_period = {}
+    for k, tau in enumerate(np.asarray(periods).tolist()):
+        by_period.setdefault(tau, []).append(k)
+    for tau, ks in sorted(by_period.items()):
+        if skip := over_budget("period", tau, SUM_TAU_CAP, budget):
+            for k in ks:
+                results[k] = skip
+            continue
+        size = max(1, _WALK_BLOCK_ROWS // tau)
+        params = {"p": p, "degree": d, "n": n, "tau": tau}
+        for stack in (ks[i:i + size] for i in range(0, len(ks), size)):
+            orbit = residue_orbit(maps[stack], rights[stack], tau, p)
+            args = np.einsum("klm,km->kl", orbit, forms[stack]) % p
+            for k, result in zip(stack, _walk_sums(args, ctx, [dict(params) for _ in stack])):
+                results[k] = result
+    return results
 
 
 def matrix_exp_sums(entries, budget: float = 1.0) -> list:
@@ -127,12 +166,8 @@ def matrix_exp_sums(entries, budget: float = 1.0) -> list:
 
     Returns one entry per triple, in order: its SumResult, or the
     BudgetExceeded that skipped it (a period above SUM_TAU_CAP scaled by
-    budget).  The residue
-    orbits of the b's are walked one period per stack: the walks of each
-    period tau are cut into stacks of at most _WALK_BLOCK_ROWS // tau walks
-    (a longer walk alone), each a rectangle of exactly tau rows per walk.
-    Each walk keeps its own histogram checks and its own p-term dot, so a
-    sum is bit for bit the one its triple gives alone.
+    budget).  The triples are checked, then walked by walk_sums on their
+    residues, column maps and matrix orders.
     """
     entries = list(entries)
     if not entries:
@@ -145,27 +180,11 @@ def matrix_exp_sums(entries, budget: float = 1.0) -> list:
             raise ValueError("need a row vector on the left and a column vector on the right")
         if A.n != n or a_vec.n != n or b_vec.n != n:
             raise ValueError("dimension mismatch")
-    p, d = ctx.p, ctx.degree
-    results = [None] * len(entries)
-    periods = {}
-    for k, (_, _, A) in enumerate(entries):
-        tau = matrix_order(A)
-        results[k] = over_budget("period", tau, SUM_TAU_CAP, budget)
-        if results[k] is None:
-            periods.setdefault(tau, []).append(k)
-    lefts = _forms(ctx, [x for a_vec, _, _ in entries for x in a_vec.entries])
-    lefts = lefts.reshape(len(entries), n * d)
-    starts = np.array([b.residues() for _, b, _ in entries], dtype=np.int64)
+    lefts = np.array([a.residues() for a, _, _ in entries], dtype=np.int64)
+    rights = np.array([b.residues() for _, b, _ in entries], dtype=np.int64)
     maps = np.stack([residue_map(A, "column") for _, _, A in entries])
-    for tau, ks in sorted(periods.items()):
-        size = max(1, _WALK_BLOCK_ROWS // tau)
-        for stack in (ks[i:i + size] for i in range(0, len(ks), size)):
-            orbit = residue_orbit(maps[stack], starts[stack], tau, p)
-            args = np.einsum("klm,km->kl", orbit, lefts[stack]) % p
-            params = [{"p": p, "degree": d, "n": n, "tau": tau} for _ in stack]
-            for k, result in zip(stack, _walk_sums(args, ctx, params)):
-                results[k] = result
-    return results
+    return walk_sums(lefts, rights, maps, [matrix_order(A) for _, _, A in entries],
+                     ctx, budget)
 
 
 def matrix_exp_sum(a_vec: VecEntity, b_vec: VecEntity, A: MatEntity,
@@ -367,15 +386,6 @@ def explicit_status(observed: float, bound: float) -> str:
     return "pass" if observed <= bound + 1e-9 else "fail"
 
 
-def _explicit_entry(name, formula, value, observed) -> BoundEntry:
-    return BoundEntry(name, formula, float(value), explicit_status(observed, value),
-                      observed / value)
-
-
-def _report_entry(name, formula, value, observed) -> BoundEntry:
-    return BoundEntry(name, formula, float(value), "report", observed / value)
-
-
 def split_pair_bound(tau: int, p: int) -> float:
     """min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))."""
     return min(tau ** (23 / 36) * p ** (1 / 6), tau ** (20 / 27) * p ** (1 / 9))
@@ -395,17 +405,30 @@ def weil_explicit_bound(p: int) -> float:
     return 2.0 * math.sqrt(p)
 
 
-def evaluate_bounds(result: SumResult, hypotheses: Hypotheses) -> tuple[BoundEntry, ...]:
-    """One entry per estimate whose hypotheses hold, comparing result.abs with it."""
-    h, observed = hypotheses, result.abs
+class Bound(NamedTuple):
+    """One estimate of a bound menu: its value for one set of hypotheses, and
+    whether it is an explicit inequality (decided pass or fail) or a report."""
+
+    name: str
+    formula: str
+    value: float
+    explicit: bool
+
+    def status(self, observed: float) -> str:
+        """explicit_status of observed against an explicit bound, else "report"."""
+        return explicit_status(observed, self.value) if self.explicit else "report"
+
+
+def bound_menu(h: Hypotheses) -> tuple[Bound, ...]:
+    """Every estimate whose hypotheses h satisfies, with its value.  The menu
+    depends on the flags alone, so one serves every sum that shares them."""
     q = h.p ** h.degree
-    entries = [_explicit_entry("trivial", "tau", float(h.tau), observed)]
+    menu = [Bound("trivial", "tau", float(h.tau), True)]
     both_independent = h.left_independent and h.right_independent
     if both_independent:
         # distinct orbit points make the first/first moment counts collapse to tau,
         # which turns the Hoelder chain into an explicit constant-1 inequality
-        entries.append(_explicit_entry("square-root", "q^(n/2)",
-                                       float(q) ** (h.n / 2), observed))
+        menu.append(Bound("square-root", "q^(n/2)", float(q) ** (h.n / 2), True))
     long_period = h.tau * h.tau > q ** h.n  # tau > q^(n/2), decided on integers
     if h.diagonalizable and both_independent:
         kf = float(kappa_n(h.n))
@@ -415,7 +438,7 @@ def evaluate_bounds(result: SumResult, hypotheses: Hypotheses) -> tuple[BoundEnt
         else:
             value = h.t ** 0.25 * h.tau ** (0.75 - kf) * float(q) ** (h.n / 8)
             formula = "t^(1/4) tau^(3/4-kappa) q^(n/8)"
-        entries.append(_report_entry("power-saving", formula, value, observed))
+        menu.append(Bound("power-saving", formula, float(value), False))
     if h.class_tag == "irreducible" and h.vectors_nonzero:
         save = 1 / (4 * h.n)
         if long_period:
@@ -424,17 +447,22 @@ def evaluate_bounds(result: SumResult, hypotheses: Hypotheses) -> tuple[BoundEnt
         else:
             value = h.t ** 0.25 * h.tau ** (0.75 - save) * float(q) ** (h.n / 8)
             formula = "t^(1/4) tau^(3/4-1/(4n)) q^(n/8)"
-        entries.append(_report_entry("irreducible-saving", formula, value, observed))
+        menu.append(Bound("irreducible-saving", formula, float(value), False))
     if h.n == 2 and h.degree == 1 and h.t == 1:
         eigen_in_base = h.class_tag in ("split", "repeated")
         if eigen_in_base and h.diagonalizable and both_independent:
-            entries.append(_report_entry(
-                "split-pair",
-                "min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))",
-                split_pair_bound(h.tau, h.p), observed))
+            menu.append(Bound("split-pair", "min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))",
+                              split_pair_bound(h.tau, h.p), False))
         if h.class_tag == "irreducible" and both_independent:
-            entries.append(_report_entry(
+            menu.append(Bound(
                 "nonsplit-pair",
                 "min(tau^(1/2) p^(1/4), tau^(13/20) p^(1/6), tau^(34/45) p^(1/9))",
-                nonsplit_pair_bound(h.tau, h.p), observed))
-    return tuple(entries)
+                nonsplit_pair_bound(h.tau, h.p), False))
+    return tuple(menu)
+
+
+def evaluate_bounds(result: SumResult, hypotheses: Hypotheses) -> tuple[BoundEntry, ...]:
+    """One entry per estimate of bound_menu(hypotheses), comparing result.abs with it."""
+    observed = result.abs
+    return tuple(BoundEntry(b.name, b.formula, b.value, b.status(observed), observed / b.value)
+                 for b in bound_menu(hypotheses))

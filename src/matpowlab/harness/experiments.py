@@ -16,8 +16,8 @@ from ..catmap import (
     matrix_element_check,
 )
 from ..charsums import (
-    analyze_instances,
-    evaluate_bounds,
+    Hypotheses,
+    bound_menu,
     explicit_status,
     gauss_subgroup,
     matrix_exp_sums,
@@ -25,6 +25,7 @@ from ..charsums import (
     split_pair_bound,
     subgroup_entry,
     sum_moment,
+    walk_sums,
     weil_explicit_bound,
 )
 from ..counting import (
@@ -54,7 +55,8 @@ from ..ffield import (
     primitive_root,
     subgroup_of_order,
 )
-from ..matgrp import VecEntity, char_poly_factor, matrix_order, sl2_companions
+from ..matgrp import (VecEntity, char_poly_factor, is_diagonalizable, krylov_independent,
+                      matrix_order, sl2_companion_maps, sl2_companions)
 from .config import EXPERIMENT_NAMES, ExperimentConfig
 from .prng import derive_stream
 
@@ -109,6 +111,10 @@ def _row(cfg, ctxinfo, quantity, value, bound_name="", bound_value=None,
         status=status,
         **ctxinfo,
     )
+
+
+# the first field _bound_rows fills per bound; the fields before it are per sum
+_BOUND_FIELD = InstanceRecord._fields.index("bound_name")
 
 
 def _checked(cfg, ctxinfo, quantity, value, bound_name, bound_value):
@@ -242,31 +248,61 @@ def _nonzero_pair(stream, p):
             return pair
 
 
+def _bound_rows(cfg, info, quantity, result, menu):
+    """One row per bound of menu for a computed sum, its value and |S| read once."""
+    observed = result.abs
+    head = _row(cfg, info, quantity, result.value)[:_BOUND_FIELD]
+    return [InstanceRecord._make(head + (bound.name, bound.value, observed / bound.value,
+                                         bound.status(observed), 0.0))
+            for bound in menu]
+
+
 def _sums_rows(cfg, desc):
-    """Every sampled sum of one prime: one stacked walk and one stacked
-    analysis, rows in (trace, sample) order."""
+    """Every sampled sum of one prime, rows in (trace, sample) order, on
+    residue arrays: the samples' (a, b) are one (N, 4) array, walked by one
+    walk_sums call on the trace table's maps and orders.  The computed sums
+    get one krylov_independent call, a on the row maps and b on the column
+    maps.  Their other hypotheses are fixed per trace and read from the
+    trace table (tau, the class, t = 1, A_u diagonalizable), so each trace
+    builds one bound menu per pair of Krylov verdicts."""
     (p,) = desc
     ctx = make_field(p)
-    labels, entries = [], []
+    traces, draws = [], []
     for u, A, data, tau, info in _companions(cfg, p):
+        traces.append((A, info))
         for j in range(cfg.samples):
             stream = _stream(cfg, p, u, j)
-            left = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "row")
-            right = VecEntity([ctx.elem(x) for x in _nonzero_pair(stream, p)], "column")
-            labels.append((info, f"matrix-sum-{j}"))
-            entries.append((left, right, A))
-    results = matrix_exp_sums(entries, cfg.budget)
+            draws.append(_nonzero_pair(stream, p) + _nonzero_pair(stream, p))
+    draws = np.array(draws, dtype=np.int64).reshape(-1, 4)
+    owner = np.repeat(np.arange(len(traces)), cfg.samples)
+    us = [info["trace"] for _, info in traces]
+    columns = sl2_companion_maps(ctx, us, "column")[owner]
+    periods = np.repeat([info["tau"] for _, info in traces], cfg.samples)
+    results = walk_sums(draws[:, :2], draws[:, 2:], columns, periods, ctx, cfg.budget)
     # only a computed sum is set against its bounds, so only it is analysed
     computed = [i for i, outcome in enumerate(results)
                 if not isinstance(outcome, BudgetExceeded)]
-    hypotheses = dict(zip(computed, analyze_instances([entries[i] for i in computed])))
+    verdicts = krylov_independent(
+        np.concatenate((draws[computed, :2], draws[computed, 2:])),
+        np.concatenate((sl2_companion_maps(ctx, us, "row")[owner[computed]],
+                        columns[computed])), ctx).reshape(2, -1)
+    flags = dict(zip(computed, zip(*verdicts.tolist())))
+
+    @cache
+    def menu(trace, left, right):
+        A, info = traces[trace]
+        return bound_menu(Hypotheses(
+            n=2, p=p, degree=1, tau=info["tau"], t=info["t"], class_tag=info["class_tag"],
+            diagonalizable=is_diagonalizable(A), left_independent=left,
+            right_independent=right, vectors_nonzero=True))
+
     rows = []
-    for i, ((info, quantity), outcome) in enumerate(zip(labels, results)):
-        rows += _guarded(
-            cfg, info, quantity, lambda: outcome,
-            lambda result: [_row(cfg, info, quantity, result.value, entry.name, entry.value,
-                                 entry.status)
-                            for entry in evaluate_bounds(result, hypotheses[i])])
+    for i, (trace, outcome) in enumerate(zip(owner.tolist(), results)):
+        info = traces[trace][1]
+        quantity = f"matrix-sum-{i % cfg.samples}"
+        rows += _guarded(cfg, info, quantity, lambda: outcome,
+                         lambda result: _bound_rows(cfg, info, quantity, result,
+                                                    menu(trace, *flags[i])))
     return rows
 
 

@@ -31,8 +31,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# _fmt of each cell type a record holds, looked up by exact type; any other
+# type (numpy scalars, bool) goes through _fmt itself
+_CELL_FORMATS = {type(None): _fmt, int: str, float: "{:.12g}".format, str: str}
+
+
 def record_to_csv(rec: InstanceRecord) -> str:
-    return ",".join(map(_fmt, rec))
+    return ",".join([_CELL_FORMATS.get(type(value), _fmt)(value) for value in rec])
 
 
 def _compute_task(args):

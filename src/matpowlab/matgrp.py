@@ -2,7 +2,8 @@
 
 MatEntity and VecEntity are values; computation runs on their flat residues
 (residue_map), and Krylov independence is a determinant of residue rows by
-elimination, checked for a whole stack of (v, A) pairs at once. Characteristic
+elimination, checked for a whole stack of residue starts and maps at once
+(krylov_independent; independence_checks on (v, A) pairs). Characteristic
 polynomials use per-dimension closed forms (n <= 3). Every monic quadratic has
 its roots from one array root finder over residue rows (_quadratic_roots: an
 Euler test and one residue_sqrt on the discriminants), called with one row by
@@ -15,7 +16,8 @@ and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
 the quadratic extension fall back to capped power iteration. The SL_2
 companions of a prime come as one trace table (sl2_companions): their
 classes, eigenvalues and orders from one array pass over all traces, cached
-on each matrix, so no per-trace analysis runs.
+on each matrix, so no per-trace analysis runs; sl2_companion_maps gives
+their residue maps as one array.
 """
 
 from __future__ import annotations
@@ -458,13 +460,25 @@ def residue_dets(mats: np.ndarray, ctx: FieldCtx) -> np.ndarray:
     return det
 
 
-def independence_checks(pairs) -> np.ndarray:
-    """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n,
-    i.e. the Krylov matrix with these n vectors as rows has nonzero
-    determinant, for every (v, A) pair over one field with one n.
+def krylov_independent(starts: np.ndarray, maps: np.ndarray, ctx: FieldCtx) -> np.ndarray:
+    """Whether s, M s, ..., M^(n-1) s span F_q^n, for each residue row s of
+    starts (N, n degree) and its residue map M of maps (N, n degree, n degree)
+    over ctx: the Krylov matrix with these n vectors as rows has nonzero
+    determinant.  A zero start is never independent.
 
-    The Krylov rows of all pairs are one stack of residue_orbit walks, and
-    their determinants one stacked residue_dets.
+    The Krylov rows are one stack of residue_orbit walks, and their
+    determinants one stacked residue_dets.
+    """
+    n = starts.shape[1] // ctx.degree
+    orbit = residue_orbit(maps, starts, n - 1, ctx.p)
+    krylov = np.concatenate((starts[:, None, :], orbit), axis=1)
+    return residue_dets(krylov.reshape(len(starts), n, n, ctx.degree), ctx).any(axis=1)
+
+
+def independence_checks(pairs) -> np.ndarray:
+    """Whether v, vA, ..., vA^(n-1) (rows) or v, Av, ... (columns) span F_q^n
+    for every (v, A) pair over one field with one n: krylov_independent on
+    the residues of each v and the residue_map of A on v's side.
     """
     pairs = list(pairs)
     if not pairs:
@@ -478,9 +492,7 @@ def independence_checks(pairs) -> np.ndarray:
             raise ValueError("pairs of different dimensions")
     starts = np.array([v.residues() for v, _ in pairs], dtype=np.int64)
     maps = np.stack([residue_map(A, v.orientation) for v, A in pairs])
-    orbit = residue_orbit(maps, starts, n - 1, ctx.p)
-    krylov = np.concatenate((starts[:, None, :], orbit), axis=1)
-    return residue_dets(krylov.reshape(len(pairs), n, n, ctx.degree), ctx).any(axis=1)
+    return krylov_independent(starts, maps, ctx)
 
 
 def sl2_companion(ctx: FieldCtx, u: int) -> MatEntity:
@@ -491,6 +503,21 @@ def sl2_companion(ctx: FieldCtx, u: int) -> MatEntity:
             [ctx.one, ctx.elem(u)],
         ]
     )
+
+
+def sl2_companion_maps(ctx: FieldCtx, traces, side: str) -> np.ndarray:
+    """residue_map(sl2_companion(ctx, u), side) for each u of traces, as one
+    (T, 2, 2) array over F_p: A_u = [[0, -1], [1, u]] itself on the column
+    side, its transpose on the row side."""
+    if ctx.degree != 1:
+        raise WrongDegree("the trace table is built over a prime field")
+    if side not in ("row", "column"):
+        raise ValueError(f"bad side {side!r}")
+    maps = np.zeros((len(traces), 2, 2), dtype=np.int64)
+    maps[:, 0, 1] = ctx.p - 1
+    maps[:, 1, 0] = 1
+    maps[:, 1, 1] = np.asarray(traces, dtype=np.int64) % ctx.p
+    return maps if side == "column" else maps.transpose(0, 2, 1)
 
 
 def sl2_companions(ctx: FieldCtx):

@@ -17,8 +17,11 @@ import math
 
 import numpy as np
 
+from matpowlab.charsums import analyze_instance, evaluate_bounds, matrix_exp_sum
 from matpowlab.counting import sequence_energy
+from matpowlab.errors import BudgetExceeded
 from matpowlab.ffield import make_field
+from matpowlab.harness import EXPERIMENT_NAMES, derive_stream
 from matpowlab.matgrp import (VecEntity, char_poly_factor, is_diagonalizable, matrix_order,
                               sl2_companion)
 
@@ -518,3 +521,45 @@ def companion_realization(lam, a):
     a_vec = VecEntity([trace_norm(a)[0], trace_norm(a * lam)[0]], "row")
     b_vec = VecEntity([base.one, base.zero], "column")
     return a_vec, b_vec, sl2_companion(base, trace_norm(lam)[0].c0)
+
+
+def per_sample_sums_rows(cfg, p):
+    """The sums rows of prime p as tuples in InstanceRecord field order, one
+    sample at a time on the entity API: matrix_exp_sum, analyze_instance and
+    evaluate_bounds of each drawn (a, b) on each companion A_u whose class
+    passes the filter (u = +-2 repeat, and belong to none) and whose order
+    lies in the tau window; a skipped sum is one row naming its budget."""
+    ctx = make_field(p)
+    tag = EXPERIMENT_NAMES.index("sums")
+
+    def nonzero_pair(stream):
+        while True:
+            pair = (stream.below(p), stream.below(p))
+            if pair != (0, 0):
+                return [ctx.elem(x) for x in pair]
+
+    rows = []
+    for u in range(p):
+        A = sl2_companion(ctx, u)
+        klass, tau = char_poly_factor(A).tag, matrix_order(A)
+        if klass == "repeated" or cfg.class_filter not in ("all", klass):
+            continue
+        if tau < cfg.tau_min or (cfg.tau_max is not None and tau > cfg.tau_max):
+            continue
+        head = ("sums", p, p, 2, u, klass, tau, 1)
+        for j in range(cfg.samples):
+            stream = derive_stream(cfg.seed, tag, p, u, j)
+            a = VecEntity(nonzero_pair(stream), "row")
+            b = VecEntity(nonzero_pair(stream), "column")
+            quantity = f"matrix-sum-{j}"
+            try:
+                result = matrix_exp_sum(a, b, A, cfg.budget)
+            except BudgetExceeded as err:
+                rows.append(head + (quantity, None, None, None, "budget",
+                                    float(err.estimated_work), None, "skipped", 0.0))
+                continue
+            value = complex(result.value)
+            for entry in evaluate_bounds(result, analyze_instance(a, b, A)):
+                rows.append(head + (quantity, value.real, value.imag, abs(value), entry.name,
+                                    entry.value, entry.ratio, entry.status, 0.0))
+    return rows

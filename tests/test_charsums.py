@@ -27,6 +27,7 @@ from matpowlab.charsums import (
     split_pair_bound,
     subgroup_entry,
     sum_moment,
+    walk_sums,
     weil_explicit_bound,
 )
 from matpowlab.counting import count_JK, vector_orbit
@@ -287,6 +288,8 @@ def test_stacked_sums_walk_one_period_per_stack(monkeypatch):
 def test_stacked_sums_edge_inputs():
     assert matrix_exp_sums([]) == []
     ctx, other = make_field(13), make_field(7)
+    empty = np.zeros((0, 2), dtype=np.int64)
+    assert walk_sums(empty, empty, np.zeros((0, 2, 2), dtype=np.int64), [], ctx) == []
     A = sl2_companion(ctx, 1)
     B = sl2_companion(other, 1)
     with pytest.raises(MixedContext):

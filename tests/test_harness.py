@@ -5,6 +5,7 @@ import os
 import re
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from matpowlab import catmap
@@ -30,6 +31,7 @@ from matpowlab.matgrp import (
     matrix_order,
     sl2_companion,
 )
+from oracles import per_sample_sums_rows
 
 
 def _cfg(**kw):
@@ -449,7 +451,7 @@ def test_every_experiment_runs_at_p3_and_skipped_rows_name_their_cause():
 
 
 @pytest.mark.parametrize("experiment, kernel", [("energy", "count_Q"),
-                                                ("sums", "matrix_exp_sums")])
+                                                ("sums", "walk_sums")])
 def test_a_failed_invariant_raises_and_writes_no_skipped_row(experiment, kernel, tmp_path,
                                                              monkeypatch):
     # the skip guard catches a cap hit and the preconditions a call site names,
@@ -569,22 +571,52 @@ def test_sums_instance_is_one_prime():
 
 
 def test_sums_analyse_only_the_computed_entries(monkeypatch):
-    # evaluate_bounds reads the hypothesis flags of a computed sum only; at
-    # p = 13 and budget 1e-5 the periods 12 and 14 are skipped
-    analysed = []
-    analyze = experiments.analyze_instances
+    # only a computed sum is set against its bounds, so only its a and b get a
+    # Krylov check and only its trace a bound menu; at p = 13 and budget 1e-5
+    # the periods 12 and 14 are skipped
+    analysed, menus = [], []
+    krylov, menu = experiments.krylov_independent, experiments.bound_menu
 
-    def spy(entries):
-        entries = list(entries)
-        analysed.extend(A for _, _, A in entries)
-        return analyze(entries)
+    def krylov_spy(starts, maps, ctx):
+        analysed.extend(int(u) for u in maps[:, 1, 1])
+        return krylov(starts, maps, ctx)
 
-    monkeypatch.setattr(experiments, "analyze_instances", spy)
+    def menu_spy(h):
+        menus.append(h.tau)
+        return menu(h)
+
+    monkeypatch.setattr(experiments, "krylov_independent", krylov_spy)
+    monkeypatch.setattr(experiments, "bound_menu", menu_spy)
     rows = _all_rows(build_config({"experiment": "sums", "p_min": "13", "p_max": "13",
                                    "budget": "1e-5"}))
     computed = {(rec.trace, rec.quantity) for rec in rows if rec.status != "skipped"}
-    assert len(analysed) == len(computed) < len({(rec.trace, rec.quantity) for rec in rows})
-    assert all(matrix_order(A) <= 10 for A in analysed)
+    assert len(analysed) == 2 * len(computed) < 2 * len({(rec.trace, rec.quantity)
+                                                         for rec in rows})
+    ctx = make_field(13)
+    # the row and column maps of A_u both carry u at [1, 1]
+    assert sorted(analysed) == sorted(2 * [trace for trace, _ in computed])
+    assert all(matrix_order(sl2_companion(ctx, u)) <= 10 for u in analysed)
+    assert menus and all(tau <= 10 for tau in menus)
+
+
+@pytest.mark.parametrize("pairs", [
+    {"p_min": "5", "p_max": "61", "budget": budget, "seed": seed}
+    for budget in ("1", "1e-5") for seed in ("1", "2")] + [
+    {"p_min": "3", "p_max": "13", "budget": "1e-9"},
+    {"p_min": "5", "p_max": "37", "class_filter": "split"},
+    {"p_min": "5", "p_max": "37", "class_filter": "irreducible"},
+    {"p_min": "5", "p_max": "61", "tau_min": "6", "tau_max": "20"},
+    # no trace of p 5-11 has an order of 13 or more: those primes write no row
+    {"p_min": "5", "p_max": "13", "tau_min": "13"},
+], ids=lambda pairs: "-".join(f"{key}={value}" for key, value in pairs.items()))
+def test_sums_rows_equal_the_per_sample_oracle(pairs):
+    # the sums grid on residue arrays writes the rows that one matrix_exp_sum,
+    # analyze_instance and evaluate_bounds per sample write, value for value
+    cfg = build_config({"experiment": "sums", **pairs})
+    got = [tuple(rec) for rec in _all_rows(cfg)]
+    want = [row for (p,) in build_instances(cfg) for row in per_sample_sums_rows(cfg, p)]
+    assert got == want
+    assert {row[-2] for row in got} >= ({"skipped"} if cfg.budget < 1 else {"pass", "report"})
 
 
 @pytest.mark.parametrize("experiment, orders, long_order", [
@@ -654,6 +686,17 @@ def test_csv_formatting():
         {"experiment": "q3", "p_min": "13", "p_max": "13", "budget": "0.01"}))
         if r.status == "skipped"]
     assert "" in record_to_csv(skipped[0]).split(",")
+    # each cell type formats as _fmt formats it: exact types take a fast path,
+    # numpy scalars fall back to _fmt
+    cells = [(None, ""), (7, "7"), (np.int64(7), "7"), (0.1, "0.1"),
+             (np.float64(0.1), "0.1"), (0.0, "0"), (-0.0, "-0"), (float("inf"), "inf"),
+             (1 / 3, "0.333333333333")]
+    for value, text in cells:
+        assert runner._fmt(value) == text
+        rec = rows[0]._replace(value_re=value, bound_value=value, status=value)
+        line = record_to_csv(rec).split(",")
+        assert line == [runner._fmt(cell) for cell in rec]
+        assert line[9] == line[13] == line[15] == text
 
 
 # ---- runner determinism -------------------------------------------------------------

@@ -22,7 +22,9 @@ from matpowlab.matgrp import (
     independence_checks,
     is_diagonalizable,
     matrix_order,
+    residue_map,
     sl2_companion,
+    sl2_companion_maps,
     sl2_companions,
 )
 from matpowlab.counting import count_Q
@@ -749,3 +751,17 @@ def test_trace_table_equals_the_per_trace_analysis(p):
 def test_trace_table_is_built_over_a_prime_field():
     with pytest.raises(WrongDegree):
         next(sl2_companions(make_field(7, 2)))
+    with pytest.raises(WrongDegree):
+        sl2_companion_maps(make_field(7, 2), [1], "column")
+
+
+@pytest.mark.parametrize("p", [3, 7, 13])
+def test_companion_maps_are_the_residue_maps_of_the_table(p):
+    ctx = make_field(p)
+    traces = [u for u in range(p) for _ in range(2)][::-1]
+    for side in ("row", "column"):
+        want = np.stack([residue_map(sl2_companion(ctx, u), side) for u in traces])
+        got = sl2_companion_maps(ctx, traces, side)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        sl2_companion_maps(ctx, traces, "diagonal")
