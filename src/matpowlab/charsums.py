@@ -28,7 +28,7 @@ evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
 whose hypotheses the instance satisfies (the Hypotheses of
 analyze_instance): it applies bound_menu(hypotheses), which depends on the
 flags alone, to |S|.  Only inequalities with an explicit constant are marked
-pass or fail (explicit_status), saving estimates with unspecified constants
+pass or fail (Bound.status), saving estimates with unspecified constants
 come back as ratio reports.
 """
 
@@ -381,11 +381,6 @@ class BoundEntry:
     ratio: float
 
 
-def explicit_status(observed: float, bound: float) -> str:
-    """The verdict of an explicit bound on |S|: pass iff |S| <= bound + 1e-9."""
-    return "pass" if observed <= bound + 1e-9 else "fail"
-
-
 def split_pair_bound(tau: int, p: int) -> float:
     """min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))."""
     return min(tau ** (23 / 36) * p ** (1 / 6), tau ** (20 / 27) * p ** (1 / 9))
@@ -415,8 +410,22 @@ class Bound(NamedTuple):
     explicit: bool
 
     def status(self, observed: float) -> str:
-        """explicit_status of observed against an explicit bound, else "report"."""
-        return explicit_status(observed, self.value) if self.explicit else "report"
+        """The verdict on |S| = observed: for an explicit bound pass iff
+        |S| <= value + 1e-9, else fail; a report otherwise."""
+        if not self.explicit:
+            return "report"
+        return "pass" if observed <= self.value + 1e-9 else "fail"
+
+
+def pair_bound(class_tag: str, tau: int, p: int) -> Bound:
+    """The report bound on a sum of period tau over F_p (n = 2, t = 1):
+    split-pair when the eigenvalues lie in F_p, else nonsplit-pair."""
+    if class_tag == "irreducible":
+        return Bound("nonsplit-pair",
+                     "min(tau^(1/2) p^(1/4), tau^(13/20) p^(1/6), tau^(34/45) p^(1/9))",
+                     nonsplit_pair_bound(tau, p), False)
+    return Bound("split-pair", "min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))",
+                 split_pair_bound(tau, p), False)
 
 
 def bound_menu(h: Hypotheses) -> tuple[Bound, ...]:
@@ -448,16 +457,10 @@ def bound_menu(h: Hypotheses) -> tuple[Bound, ...]:
             value = h.t ** 0.25 * h.tau ** (0.75 - save) * float(q) ** (h.n / 8)
             formula = "t^(1/4) tau^(3/4-1/(4n)) q^(n/8)"
         menu.append(Bound("irreducible-saving", formula, float(value), False))
-    if h.n == 2 and h.degree == 1 and h.t == 1:
-        eigen_in_base = h.class_tag in ("split", "repeated")
-        if eigen_in_base and h.diagonalizable and both_independent:
-            menu.append(Bound("split-pair", "min(tau^(23/36) p^(1/6), tau^(20/27) p^(1/9))",
-                              split_pair_bound(h.tau, h.p), False))
-        if h.class_tag == "irreducible" and both_independent:
-            menu.append(Bound(
-                "nonsplit-pair",
-                "min(tau^(1/2) p^(1/4), tau^(13/20) p^(1/6), tau^(34/45) p^(1/9))",
-                nonsplit_pair_bound(h.tau, h.p), False))
+    # irreducible eigenvalues are distinct; a pair in F_p needs A semisimple
+    if (h.n == 2 and h.degree == 1 and h.t == 1 and both_independent
+            and (h.class_tag == "irreducible" or h.diagonalizable)):
+        menu.append(pair_bound(h.class_tag, h.tau, h.p))
     return tuple(menu)
 
 

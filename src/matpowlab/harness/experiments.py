@@ -16,13 +16,12 @@ from ..catmap import (
     matrix_element_check,
 )
 from ..charsums import (
+    Bound,
     Hypotheses,
     bound_menu,
-    explicit_status,
     gauss_subgroup,
     matrix_exp_sums,
-    nonsplit_pair_bound,
-    split_pair_bound,
+    pair_bound,
     subgroup_entry,
     sum_moment,
     walk_sums,
@@ -55,8 +54,7 @@ from ..ffield import (
     primitive_root,
     subgroup_of_order,
 )
-from ..matgrp import (VecEntity, char_poly_factor, is_diagonalizable, krylov_independent,
-                      matrix_order, sl2_companion_maps, sl2_companions)
+from ..matgrp import VecEntity, krylov_independent, matrix_order, sl2_table
 from .config import EXPERIMENT_NAMES, ExperimentConfig
 from .prng import derive_stream
 
@@ -174,34 +172,37 @@ def _stream(cfg, *tags):
 
 
 def _companions(cfg, p):
-    """Each SL_2 companion A_u = [[0, -1], [1, u]] of p, in u order, whose class
-    passes the filter and whose order lies in the tau window, as (u, A_u, its
-    char_poly_factor data, tau, row context).  The traces u = +-2, whose
-    eigenvalue repeats, belong to no class.  det A_u = 1, so t = 1.  The
-    companions come from the prime's trace table (sl2_companions), so their
-    eigen data and orders are read, not computed per trace."""
-    for u, A in enumerate(sl2_companions(make_field(p))):
-        data = char_poly_factor(A)
-        if data.tag == "repeated" or cfg.class_filter not in ("all", data.tag):
-            continue
-        tau = matrix_order(A)
-        if _tau_selected(cfg, tau):
-            yield u, A, data, tau, _ctxinfo(p, p, n=2, trace=u, class_tag=data.tag,
-                                            tau=tau, t=1)
+    """The trace table of p (sl2_table) and each trace u of the SL_2 companion
+    A_u = [[0, -1], [1, u]], in u order, whose class passes the filter and
+    whose order lies in the tau window, as (u, class, tau, row context).
+    The traces u = +-2, whose eigenvalue repeats, belong to no class.
+    det A_u = 1, so t = 1.  Classes and orders are read from the table's
+    columns; no matrix is built."""
+    table = sl2_table(make_field(p))
+    selected = []
+    for u, ((tag, _, _), tau) in enumerate(zip(table.roots, table.tau)):
+        if tag != "repeated" and cfg.class_filter in ("all", tag) and _tau_selected(cfg, tau):
+            selected.append((u, tag, tau, _ctxinfo(p, p, n=2, trace=u, class_tag=tag,
+                                                   tau=tau, t=1)))
+    return table, selected
 
 
-def _per_class(count):
-    """count(A) once per (class, tau) key of one prime's trace grid.  The powers
-    of A_u lie in F_p[A_u], which is F_p x F_p (split) or F_{p^2}
-    (irreducible), so its orbit is the order-tau subgroup of that torus up to
-    an F_p-linear bijection, and an additive count of it is the same for every
-    trace of one key.  Only the number is kept: an error that count raises
-    is not, so a capped key raises (and skips) again on each trace."""
-    kept = {}
+def _per_class(table, count):
+    """count(A) once per (class, tau) key of one prime's trace table, A the
+    companion of the first trace of the key (table.companion, built once per
+    key).  The powers of A_u lie in F_p[A_u], which is F_p x F_p (split) or
+    F_{p^2} (irreducible), so its orbit is the order-tau subgroup of that
+    torus up to an F_p-linear bijection, and an additive count of it is the
+    same for every trace of one key.  Only the number is kept: an error that
+    count raises is not, so a capped key raises (and skips) again on each
+    trace."""
+    entities, kept = {}, {}
 
-    def counted(key, A):
+    def counted(key, u):
         if key not in kept:
-            kept[key] = count(A)
+            if key not in entities:
+                entities[key] = table.companion(u)
+            kept[key] = count(entities[key])
         return kept[key]
 
     return counted
@@ -209,16 +210,17 @@ def _per_class(count):
 
 def _energy_rows(cfg, desc):
     (p,) = desc
-    energy2 = _per_class(lambda A: count_Q(A, 2, cfg.budget).value)
+    table, traces = _companions(cfg, p)
+    energy2 = _per_class(table, lambda A: count_Q(A, 2, cfg.budget).value)
     rows = []
-    for u, A, data, tau, info in _companions(cfg, p):
+    for u, tag, tau, info in traces:
         t = info["t"]
         bounds = [("diag-energy", tau**3 * min(t * tau**-0.25, t * t * tau**-0.5))]
-        if data.tag == "irreducible":
+        if tag == "irreducible":
             bounds.append(("irred-energy", t * tau**2.5))
         rows += _guarded(
             cfg, info, "energy2",
-            lambda: energy2((data.tag, tau), A),
+            lambda: energy2((tag, tau), u),
             lambda count: [_checked(cfg, info, "energy2", count, "three-tau-squared",
                                     3.0 * tau * tau)]
             + [_row(cfg, info, "energy2", count, *bound) for bound in bounds])
@@ -227,16 +229,17 @@ def _energy_rows(cfg, desc):
 
 def _q3_rows(cfg, desc):
     (p,) = desc
-    count6 = _per_class(lambda A: count_Q(A, 3, cfg.budget).value)
+    table, traces = _companions(cfg, p)
+    count6 = _per_class(table, lambda A: count_Q(A, 3, cfg.budget).value)
     rows = []
-    for u, A, data, tau, info in _companions(cfg, p):
-        if data.tag == "split":
+    for u, tag, tau, info in traces:
+        if tag == "split":
             bound = ("split-six", tau ** (11 / 3))
         else:
             bound = ("nonsplit-six", tau ** (19 / 5) + tau**5 / p)
         rows += _guarded(
             cfg, info, "orbit-count-6term",
-            lambda: count6((data.tag, tau), A),
+            lambda: count6((tag, tau), u),
             lambda count: [_row(cfg, info, "orbit-count-6term", count, *bound)])
     return rows
 
@@ -260,73 +263,67 @@ def _bound_rows(cfg, info, quantity, result, menu):
 def _sums_rows(cfg, desc):
     """Every sampled sum of one prime, rows in (trace, sample) order, on
     residue arrays: the samples' (a, b) are one (N, 4) array, walked by one
-    walk_sums call on the trace table's maps and orders.  The computed sums
-    get one krylov_independent call, a on the row maps and b on the column
-    maps.  Their other hypotheses are fixed per trace and read from the
-    trace table (tau, the class, t = 1, A_u diagonalizable), so each trace
-    builds one bound menu per pair of Krylov verdicts."""
+    walk_sums call on the trace table's column maps and orders.  The computed
+    sums get one krylov_independent call, a on the row maps (the transposes)
+    and b on the column maps.  Their other hypotheses are fixed per trace and
+    read from the trace table (tau, the class, t = 1), so each (class, tau)
+    builds one bound menu per pair of Krylov verdicts; no matrix is built."""
     (p,) = desc
-    ctx = make_field(p)
-    traces, draws = [], []
-    for u, A, data, tau, info in _companions(cfg, p):
-        traces.append((A, info))
+    table, traces = _companions(cfg, p)
+    us, draws = [], []
+    for u, *_ in traces:
         for j in range(cfg.samples):
             stream = _stream(cfg, p, u, j)
+            us.append(u)
             draws.append(_nonzero_pair(stream, p) + _nonzero_pair(stream, p))
     draws = np.array(draws, dtype=np.int64).reshape(-1, 4)
-    owner = np.repeat(np.arange(len(traces)), cfg.samples)
-    us = [info["trace"] for _, info in traces]
-    columns = sl2_companion_maps(ctx, us, "column")[owner]
-    periods = np.repeat([info["tau"] for _, info in traces], cfg.samples)
-    results = walk_sums(draws[:, :2], draws[:, 2:], columns, periods, ctx, cfg.budget)
+    columns = table.maps[us]
+    results = walk_sums(draws[:, :2], draws[:, 2:], columns, [table.tau[u] for u in us],
+                        table.ctx, cfg.budget)
     # only a computed sum is set against its bounds, so only it is analysed
     computed = [i for i, outcome in enumerate(results)
                 if not isinstance(outcome, BudgetExceeded)]
     verdicts = krylov_independent(
         np.concatenate((draws[computed, :2], draws[computed, 2:])),
-        np.concatenate((sl2_companion_maps(ctx, us, "row")[owner[computed]],
-                        columns[computed])), ctx).reshape(2, -1)
+        np.concatenate((columns[computed].transpose(0, 2, 1), columns[computed])),
+        table.ctx).reshape(2, -1)
     flags = dict(zip(computed, zip(*verdicts.tolist())))
 
     @cache
-    def menu(trace, left, right):
-        A, info = traces[trace]
+    def menu(tag, tau, left, right):
+        # every trace _companions keeps has u^2 != 4, so the eigenvalues of
+        # A_u are distinct and A_u is diagonalizable
         return bound_menu(Hypotheses(
-            n=2, p=p, degree=1, tau=info["tau"], t=info["t"], class_tag=info["class_tag"],
-            diagonalizable=is_diagonalizable(A), left_independent=left,
-            right_independent=right, vectors_nonzero=True))
+            n=2, p=p, degree=1, tau=tau, t=1, class_tag=tag, diagonalizable=True,
+            left_independent=left, right_independent=right, vectors_nonzero=True))
 
     rows = []
-    for i, (trace, outcome) in enumerate(zip(owner.tolist(), results)):
-        info = traces[trace][1]
+    for i, outcome in enumerate(results):
+        _, tag, tau, info = traces[i // cfg.samples]
         quantity = f"matrix-sum-{i % cfg.samples}"
         rows += _guarded(cfg, info, quantity, lambda: outcome,
                          lambda result: _bound_rows(cfg, info, quantity, result,
-                                                    menu(trace, *flags[i])))
+                                                    menu(tag, tau, *flags[i])))
     return rows
 
 
 def _subgroup_rows(cfg, info, family, group, coefficients, bounds, moment_bound):
     """The sampled sums of one subgroup as one matrix_exp_sums stack over its
-    subgroup_entry, each against the trivial bound and the (name, value,
-    checked) bounds, a checked one decided as on sums rows (explicit_status);
-    the moment row follows the j = 0 rows, and only the sixth moment has a
-    bound."""
+    subgroup_entry, each against the trivial bound and the Bound tuple
+    bounds, as sums rows are (_bound_rows); the moment row follows the
+    j = 0 rows, and only the sixth moment has a bound."""
     A, ones = subgroup_entry(family, group)
     results = matrix_exp_sums([(VecEntity(c, "row"), ones, A) for c in coefficients],
                               cfg.budget)
-    bounds = [("trivial", float(group.order), True)] + bounds
+    menu = (Bound("trivial", "tau", float(group.order), True),) + bounds
     moment = f"moment{cfg.moment}"
     if cfg.moment != 6:
         moment_bound = ()
     rows = []
     for j, outcome in enumerate(results):
         quantity = f"{family}-{j}"
-        rows += _guarded(
-            cfg, info, quantity, lambda: outcome,
-            lambda result: [_row(cfg, info, quantity, result.value, name, bound,
-                                 explicit_status(result.abs, bound) if checked else "report")
-                            for name, bound, checked in bounds])
+        rows += _guarded(cfg, info, quantity, lambda: outcome,
+                         lambda result: _bound_rows(cfg, info, quantity, result, menu))
         if j == 0:
             rows += _guarded(
                 cfg, info, moment,
@@ -342,9 +339,9 @@ def _kloosterman_rows(cfg, desc):
     ctx = make_field(p)
     streams = [_stream(cfg, p, m, j) for j in range(cfg.samples)]
     coefficients = [[ctx.elem(s.unit_nonzero(p)) for _ in range(2)] for s in streams]
-    bounds = [("split-pair", split_pair_bound(m, p), False)]
+    bounds = (pair_bound("split", m, p),)
     if m == p - 1:
-        bounds.append(("weil", weil_explicit_bound(p), True))
+        bounds += (Bound("weil", "2 sqrt(p)", weil_explicit_bound(p), True),)
     return _subgroup_rows(cfg, _ctxinfo(p, p, n=1, tau=m), "kloosterman",
                           subgroup_of_order(ctx, m), coefficients, bounds,
                           ("sixth-moment-split", p * p * m ** (11 / 3)))
@@ -367,9 +364,8 @@ def _gauss_rows(cfg, desc):
         return []
     coefficients = [[ctx.from_index(1 + _stream(cfg, p, m, j).below(q - 1))]
                     for j in range(cfg.samples)]
-    return _subgroup_rows(cfg, _ctxinfo(p, q, n=1, tau=m), "gauss",
-                          subgroup_of_order(ctx, m), coefficients,
-                          [("nonsplit-pair", nonsplit_pair_bound(m, p), False)],
+    return _subgroup_rows(cfg, _ctxinfo(p, q, n=1, tau=m), "gauss", subgroup_of_order(ctx, m),
+                          coefficients, (pair_bound("irreducible", m, p),),
                           ("sixth-moment-nonsplit", q * (m ** (19 / 5) + m**5 / p)))
 
 
@@ -418,30 +414,30 @@ def _curves_rows(cfg, desc):
 
 def _orbit_rows(cfg, desc):
     (p,) = desc
-    ctx = make_field(p)
-    start = VecEntity((ctx.one, ctx.zero), "row")
+    table, traces = _companions(cfg, p)
     # The start row (1, 0) maps a I + b A_u to (a, -b), so the row orbit is
     # the matrix orbit under an F_p-linear bijection as well.
-    distinct = _per_class(lambda A: len(orbit_sum_distribution(start, A, 2, cfg.budget).rows))
-    covered = _per_class(lambda A: sumset_cover(start, A, 4, cfg.budget).covered_at or 0)
+    start = VecEntity((table.ctx.one, table.ctx.zero), "row")
+    distinct = _per_class(
+        table, lambda A: len(orbit_sum_distribution(start, A, 2, cfg.budget).rows))
+    covered = _per_class(table, lambda A: sumset_cover(start, A, 4, cfg.budget).covered_at or 0)
     # every trace draws its own xi's; the product equations of the prime are one stack
-    traces, equations = [], []
-    for u, A, data, tau, info in _companions(cfg, p):
-        ectx = data.eigen_ctx
+    equations = []
+    for u, *_ in traces:
+        _, eigenvalues, ectx = table.roots[u]
         stream = _stream(cfg, p, u)
         xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
         xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
         xi2 = ectx.from_index(stream.below(ectx.q))
-        traces.append((A, data.tag, tau, info))
-        equations.append((xi0, (xi1, xi2), data.eigenvalues))
+        equations.append((xi0, (xi1, xi2), eigenvalues))
     rows = []
-    for (A, tag, tau, info), product in zip(traces, count_product_eqs(equations, cfg.budget)):
+    for (u, tag, tau, info), product in zip(traces, count_product_eqs(equations, cfg.budget)):
         key = (tag, tau)
         rows += _guarded(
-            cfg, info, "distinct-sums-2", lambda: distinct(key, A),
+            cfg, info, "distinct-sums-2", lambda: distinct(key, u),
             lambda count: [_row(cfg, info, "distinct-sums-2", count)])
         rows += _guarded(
-            cfg, info, "cover-arity", lambda: covered(key, A),
+            cfg, info, "cover-arity", lambda: covered(key, u),
             lambda arity: [_row(cfg, info, "cover-arity", arity)])
         rows += _guarded(
             cfg, info, "product-eq-count", lambda: product,

@@ -14,16 +14,17 @@ one Horner evaluation of the cubic on the residue rows of every field element
 eigenvalues land in the quadratic extension when needed. Diagonalizability
 and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
 the quadratic extension fall back to capped power iteration. The SL_2
-companions of a prime come as one trace table (sl2_companions): their
-classes, eigenvalues and orders from one array pass over all traces, cached
-on each matrix, so no per-trace analysis runs; sl2_companion_maps gives
-their residue maps as one array.
+companions of a prime come as one array trace table (sl2_table): their
+classes, eigenvalues, orders and residue maps from one pass over all traces,
+with no matrix per trace; its companion(u) builds the one MatEntity that a
+kernel taking A_u needs, its order read from the table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -497,33 +498,33 @@ def independence_checks(pairs) -> np.ndarray:
 
 def sl2_companion(ctx: FieldCtx, u: int) -> MatEntity:
     """The determinant-one companion matrix [[0, -1], [1, u]] with trace u."""
-    return MatEntity(
-        [
-            [ctx.zero, -ctx.one],
-            [ctx.one, ctx.elem(u)],
-        ]
-    )
+    return MatEntity.from_ints(ctx, [[0, -1], [1, u]])
 
 
-def sl2_companion_maps(ctx: FieldCtx, traces, side: str) -> np.ndarray:
-    """residue_map(sl2_companion(ctx, u), side) for each u of traces, as one
-    (T, 2, 2) array over F_p: A_u = [[0, -1], [1, u]] itself on the column
-    side, its transpose on the row side."""
-    if ctx.degree != 1:
-        raise WrongDegree("the trace table is built over a prime field")
-    if side not in ("row", "column"):
-        raise ValueError(f"bad side {side!r}")
-    maps = np.zeros((len(traces), 2, 2), dtype=np.int64)
-    maps[:, 0, 1] = ctx.p - 1
-    maps[:, 1, 0] = 1
-    maps[:, 1, 1] = np.asarray(traces, dtype=np.int64) % ctx.p
-    return maps if side == "column" else maps.transpose(0, 2, 1)
+class SL2Table(NamedTuple):
+    """The SL_2 trace table of a prime (sl2_table), indexed by the trace u.
+
+    roots: the _quadratic_roots row (tag, eigenvalues, eigen_ctx) of
+    X^2 - u X + 1; tau: the order of A_u, an int; maps: the (p, 2, 2) column
+    residue maps A_u over F_p (the row maps are their transposes).
+    """
+
+    ctx: FieldCtx
+    roots: list
+    tau: list
+    maps: np.ndarray
+
+    def companion(self, u: int) -> MatEntity:
+        """sl2_companion(ctx, u), its matrix_order read from the table."""
+        A = sl2_companion(self.ctx, u)
+        A._order = self.tau[u]
+        return A
 
 
-def sl2_companions(ctx: FieldCtx):
-    """Every sl2_companion(ctx, u) over F_p, u = 0, ..., p - 1 in order, with
-    its char_poly_factor data, det and matrix_order already cached, from one
-    array pass over the traces.
+def sl2_table(ctx: FieldCtx) -> SL2Table:
+    """The classes, eigenvalues, orders and residue maps of every
+    sl2_companion(ctx, u) over F_p, u = 0, ..., p - 1, from one array pass
+    over the traces: no matrix is built.
 
     The classes and eigenvalues of X^2 - u X + 1 are one _quadratic_roots
     call over all p traces, the one char_poly_factor makes for a single
@@ -546,9 +547,6 @@ def sl2_companions(ctx: FieldCtx):
         trace = (walk + residue_inverse(walk, field))[:, 0] % p
         tau[trace] = size // np.gcd(np.arange(1, size + 1), size)
     tau[[2, p - 2]] *= p
-    one = ctx.one
-    for k, (analysis, order) in enumerate(zip(_quadratic_roots(low, ctx), tau.tolist())):
-        A = sl2_companion(ctx, k)
-        A._charpoly = CharPolyData((one, ctx.elem(-k), one), *analysis)
-        A._det, A._order = one, order
-        yield A
+    maps = np.zeros((p, 2, 2), dtype=np.int64)
+    maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1] = p - 1, 1, u
+    return SL2Table(ctx, _quadratic_roots(low, ctx), tau.tolist(), maps)

@@ -3,12 +3,13 @@
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from matpowlab import catmap
+from matpowlab import catmap, matgrp
 from matpowlab.counting import count_Q, orbit_sum_distribution, sumset_cover
 from matpowlab.errors import BudgetExceeded, ConfigError, InvariantViolated
 from matpowlab.ffield import make_field
@@ -306,6 +307,35 @@ def test_trace_grid_counts_once_per_class_and_order(experiment, monkeypatch):
             assert sorted(keys) == sorted(classes), quantity
 
 
+@pytest.mark.parametrize("budget", [1, 1e-9])
+@pytest.mark.parametrize("experiment, kernels", [("energy", 1), ("q3", 1), ("orbit", 2),
+                                                 ("sums", 0)])
+def test_trace_experiments_build_one_companion_per_class_and_order(experiment, kernels,
+                                                                   budget, monkeypatch):
+    # the trace table holds arrays, not matrices: each per-class kernel builds
+    # at most one companion per (p, class, tau) key, even when the key is
+    # capped and counted again on each trace, and sums builds none
+    built = []
+    real = matgrp.sl2_companion
+
+    def spy(ctx, u):
+        built.append((ctx.p, u))
+        return real(ctx, u)
+
+    monkeypatch.setattr(matgrp, "sl2_companion", spy)
+    rows = _all_rows(_cfg(experiment=experiment, p_max=61, budget=budget))
+    keys = Counter()
+    for p, u in built:
+        A = real(make_field(p), u)
+        keys[p, char_poly_factor(A).tag, matrix_order(A)] += 1
+    classes = {(rec.p, rec.class_tag, rec.tau) for rec in rows}
+    assert len(classes) > 100
+    if kernels:
+        assert set(keys) == classes and max(keys.values()) <= kernels
+    else:
+        assert not built
+
+
 @pytest.mark.parametrize("experiment", ["energy", "q3", "orbit"])
 def test_a_capped_class_skips_again_on_each_trace(experiment, monkeypatch):
     # no error is kept: each trace calls its kernel, which raises its cap before
@@ -451,7 +481,10 @@ def test_every_experiment_runs_at_p3_and_skipped_rows_name_their_cause():
 
 
 @pytest.mark.parametrize("experiment, kernel", [("energy", "count_Q"),
-                                                ("sums", "walk_sums")])
+                                                ("q3", "count_Q"),
+                                                ("orbit", "orbit_sum_distribution"),
+                                                ("sums", "walk_sums"),
+                                                ("kloosterman", "matrix_exp_sums")])
 def test_a_failed_invariant_raises_and_writes_no_skipped_row(experiment, kernel, tmp_path,
                                                              monkeypatch):
     # the skip guard catches a cap hit and the preconditions a call site names,
@@ -461,7 +494,7 @@ def test_a_failed_invariant_raises_and_writes_no_skipped_row(experiment, kernel,
 
     monkeypatch.setattr(experiments, kernel, broken)
     cfg = _cfg(experiment=experiment, p_min=7, p_max=7, out=tmp_path)
-    (desc,) = build_instances(cfg)
+    desc = build_instances(cfg)[0]
     with pytest.raises(InvariantViolated):
         compute_instance(cfg, desc)
     with pytest.raises(InvariantViolated):

@@ -24,8 +24,7 @@ from matpowlab.matgrp import (
     matrix_order,
     residue_map,
     sl2_companion,
-    sl2_companion_maps,
-    sl2_companions,
+    sl2_table,
 )
 from matpowlab.counting import count_Q
 
@@ -729,39 +728,41 @@ def test_matrix_order_norm_one_eigenvalue_route():
 @pytest.mark.parametrize("p", [p for p in range(3, 401) if _is_prime(p)] + [1009, 1013])
 def test_trace_table_equals_the_per_trace_analysis(p):
     # the table and a one-row char_poly_factor of a fresh companion both take
-    # the scalar quadratic formula's tag, roots in order and root field
+    # the scalar quadratic formula's tag, roots in order and root field; the
+    # table's orders, maps and companions are those of the fresh companion
     ctx = make_field(p)
-    table = list(sl2_companions(ctx))
-    assert len(table) == p
-    for u, A in enumerate(table):
+    table = sl2_table(ctx)
+    assert table.ctx is ctx and len(table.roots) == len(table.tau) == p
+    assert table.maps.dtype == np.int64 and table.maps.shape == (p, 2, 2)
+    for u, (row, tau) in enumerate(zip(table.roots, table.tau)):
         fresh = sl2_companion(ctx, u)
-        assert A == fresh
-        data, single = char_poly_factor(A), char_poly_factor(fresh)
+        single = char_poly_factor(fresh)
         want = naive_quadratic_roots(ctx.one, ctx.elem(-u))
-        assert (data.tag, data.eigenvalues, data.eigen_ctx) == want, u
+        assert row == want, u
         assert (single.tag, single.eigenvalues, single.eigen_ctx) == want, u
-        assert data.coeffs == single.coeffs == (ctx.one, ctx.elem(-u), ctx.one)
-        assert matrix_order(A) == matrix_order(fresh) and type(matrix_order(A)) is int
-        assert A.det() == ctx.one
-        assert all(type(c) is int for d in (data, single)
-                   for lam in d.eigenvalues for c in (lam.c0, lam.c1))
-        assert (data.tag == "repeated") == (u in (2, p - 2))
+        assert single.coeffs == (ctx.one, ctx.elem(-u), ctx.one)
+        assert tau == matrix_order(fresh) and type(tau) is int
+        A = table.companion(u)
+        assert A == fresh and A.det() == ctx.one
+        assert A._order == tau  # carried from the table, not computed
+        assert np.array_equal(table.maps[u], residue_map(fresh, "column"))
+        assert np.array_equal(table.maps[u].T, residue_map(fresh, "row"))
+        assert all(type(c) is int for roots in (row[1], single.eigenvalues)
+                   for lam in roots for c in (lam.c0, lam.c1))
+        assert (row[0] == "repeated") == (u in (2, p - 2))
 
 
 def test_trace_table_is_built_over_a_prime_field():
     with pytest.raises(WrongDegree):
-        next(sl2_companions(make_field(7, 2)))
-    with pytest.raises(WrongDegree):
-        sl2_companion_maps(make_field(7, 2), [1], "column")
+        sl2_table(make_field(7, 2))
 
 
 @pytest.mark.parametrize("p", [3, 7, 13])
 def test_companion_maps_are_the_residue_maps_of_the_table(p):
+    # a trace list with repeats, out of order, gathers the maps as sums does
     ctx = make_field(p)
     traces = [u for u in range(p) for _ in range(2)][::-1]
-    for side in ("row", "column"):
+    maps = sl2_table(ctx).maps[traces]
+    for side, got in (("column", maps), ("row", maps.transpose(0, 2, 1))):
         want = np.stack([residue_map(sl2_companion(ctx, u), side) for u in traces])
-        got = sl2_companion_maps(ctx, traces, side)
         assert got.dtype == np.int64 and np.array_equal(got, want)
-    with pytest.raises(ValueError):
-        sl2_companion_maps(ctx, traces, "diagonal")
