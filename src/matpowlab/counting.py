@@ -19,12 +19,18 @@ would pass DENSE_CAP cells does each fold instead take the same pair sums of
 the support of c_k and the distinct rows, as base-p integer keys (residue
 rows once p^d passes 2^63), and merge them by sorting. Either way the counts
 are exact integers, their total is checked against rows^nu, and nothing
-depends on chunking or worker layout. `orbit_sum_distribution` returns the
-distinct sums and their counts. `orbit_energy` sums |orbit| c_nu^2 over the
-orbits of a group permuting the walk, off a tiling in DENSE_CAP's 16 MB.
-`count_product_eqs` scans a whole stack of product equations, one stacked
-power walk per field, period and number of bases, and returns each skip in
-place; `count_product_eq` is its one-entry call.
+depends on chunking or worker layout. `residue_sum_distribution` returns the
+distinct sums and their counts of any residue-row sequence, and
+`residue_sumset_cover` its sumset cover; `orbit_sum_distribution` and
+`sumset_cover` are the same on the vector orbit of an entity pair.
+`orbit_energy` sums |orbit| c_nu^2 over the orbits of a group permuting the
+walk, off a tiling in DENSE_CAP's 16 MB. `torus_energy` counts a (class, tau)
+key of the SL_2 trace table on its tau torus rows, the power orbit of each
+companion of the key up to an F_p-linear bijection, with no matrix: by
+sequence_energy, or at nu = 3 by orbit_energy over the cosets of the key's
+subgroup. `count_product_eqs` scans a whole stack of product equations, one
+stacked power walk per field, period and number of bases, and returns each
+skip in place; `count_product_eq` is its one-entry call.
 """
 
 from __future__ import annotations
@@ -44,10 +50,10 @@ from .errors import (
     ZeroXi1,
     over_budget,
 )
-from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, residue_orbit,
-                     residue_product)
-from .matgrp import (MatEntity, VecEntity, check_vector_orbit, frobenius_orders, matrix_order,
-                     residue_map)
+from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, primitive_root,
+                     residue_orbit, residue_product)
+from .matgrp import (MatEntity, SL2Table, VecEntity, check_vector_orbit, frobenius_orders,
+                     matrix_order, residue_map)
 
 # Each cap, scaled by its kernel's budget (errors.over_budget), is compared with:
 # the period tau, per nu: a nu-fold count folds the tau orbit rows nu times,
@@ -267,6 +273,16 @@ def sequence_energy(residue_rows, p: int, nu: int) -> int:
     return _energy(rows, p, nu)[0] if len(rows) else 0
 
 
+def _gather_cells(size: int, dims: int, p: int, nu: int):
+    """The dtype of the dense c_(nu-1) that orbit_energy gathers from for a walk of size
+    rows in Z_p^dims (int32 while size^(nu-1) fits), or None where it takes sequence_energy:
+    past nu = 3, on an empty walk, or past DENSE_CAP int64 bytes of tiling."""
+    cell = np.dtype(np.int32 if size ** (nu - 1) < 2 ** 31 else np.int64)
+    if nu > 3 or not size or (2 * p) ** dims * cell.itemsize > 8 * DENSE_CAP:
+        return None
+    return cell
+
+
 def orbit_energy(walk: np.ndarray, heads: np.ndarray, sizes: np.ndarray, p: int, nu: int) -> int:
     """sequence_energy(walk, p, nu), as sum |orbit| c_nu^2 over orbits of a group permuting it.
 
@@ -277,8 +293,8 @@ def orbit_energy(walk: np.ndarray, heads: np.ndarray, sizes: np.ndarray, p: int,
     """
     size, dims = walk.shape
     head, tail = heads.shape[1], dims - heads.shape[1]
-    cell = np.dtype(np.int32 if size ** (nu - 1) < 2 ** 31 else np.int64)  # c_(nu-1) bound
-    if nu > 3 or not size or (2 * p) ** dims * cell.itemsize > 8 * DENSE_CAP:
+    cell = _gather_cells(size, dims, p, nu)
+    if cell is None:
         return sequence_energy(walk, p, nu)
     rows = np.roll(walk % p, tail, axis=1)  # the y coordinates least significant
     if nu == 3:
@@ -303,6 +319,37 @@ def orbit_energy(walk: np.ndarray, heads: np.ndarray, sizes: np.ndarray, p: int,
     if int(np.sum(sizes)) * p ** tail != p ** dims or total != size ** nu:
         raise InvariantViolated(f"orbits miss Z_{p}^{dims} or weight c_{nu} to {total}")
     return energy
+
+
+def torus_energy(table: SL2Table, tag: str, tau: int, nu: int, budget: float = 1.0) -> int:
+    """count_Q(A_u, nu).value of every companion A_u of a (class, tau) key of an SL_2
+    trace table, counted with no matrix on the key's tau torus rows (SL2Table.torus):
+    the power orbit of A_u up to an F_p-linear bijection.
+
+    The cap is count_Q's: tau against DEFAULT_TAU_CAP[nu], with work tau^nu.  Up to
+    nu = 2 the rows go to sequence_energy.  At nu = 3, where orbit_energy's dense table
+    fits, the order-tau subgroup H permutes the rows, and the plane falls into H-orbits
+    headed by 0 (size 1) and the L = (q - 1) / tau coset representatives z, ..., z^L of
+    H (size tau), z primitive in F_q: on the first coordinate x of the split torus
+    (q = p, (x, y) -> (x h, y / h), every y free) or on the whole of F_{p^2}
+    (irreducible).  Past that table, sequence_energy, so no head is walked there.
+    """
+    if nu not in (1, 2, 3):
+        raise ValueError(f"nu must be 1, 2, or 3, got {nu}")
+    if err := over_budget("tau", tau, DEFAULT_TAU_CAP[nu], budget, work=tau ** nu):
+        raise err
+    walk, p = table.torus(tag, tau), table.ctx.p
+    if nu < 3 or _gather_cells(tau, walk.shape[1], p, nu) is None:
+        return sequence_energy(walk, p, nu)
+    if tag == "split":
+        cosets = (p - 1) // tau
+        heads = table.tori["split"][:cosets, :1]
+    else:
+        ext = table.ctx.ext_field()
+        cosets = (ext.q - 1) // tau
+        heads = residue_orbit(mul_matrix(primitive_root(ext)), ext.one.residues(), cosets, p)
+    heads = np.vstack((np.zeros((1, heads.shape[1]), dtype=np.int64), heads))
+    return orbit_energy(walk, heads, np.r_[1, np.full(cosets, tau)], p, nu)
 
 
 # ---- matrix power orbits ----------------------------------------------------------
@@ -372,14 +419,16 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, budget: float = 1.0) -> CountRe
 # ---- product equation --------------------------------------------------------------
 
 
-def count_product_eqs(entries, budget: float = 1.0) -> list:
+def count_product_eqs(entries, budget: float = 1.0, orders=None) -> list:
     """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0, for each
     (xi_0, xis, lambdas) entry.
 
     Returns one entry per input, in order: its CountResult, or the
     BudgetExceeded that skipped it (an lcm period above PRODUCT_EQ_CAP scaled
-    by budget).  tau is the lcm of an entry's base orders, one mult_order per
-    Frobenius orbit of bases over all entries.  The entries of one field,
+    by budget).  tau is the lcm of an entry's base orders: orders gives them,
+    one sequence per entry in the order of its lambdas, as the exact
+    multiplicative orders a caller already knows; without it they take one
+    mult_order per Frobenius orbit of bases over all entries.  The entries of one field,
     tau and number of bases walk their bases as stacked residue_orbit calls
     of at most _CHUNK_TARGET residue cells each, and their factors are
     multiplied as arrays of residue rows.
@@ -398,10 +447,14 @@ def count_product_eqs(entries, budget: float = 1.0) -> list:
         for lam in lambdas:
             if not lam:
                 raise ZeroLambda("bases must be nonzero")
-    orders = iter(frobenius_orders([lam for _, _, lambdas in entries for lam in lambdas]))
+    if orders is None:
+        found = iter(frobenius_orders([lam for _, _, lambdas in entries for lam in lambdas]))
+        orders = [[next(found) for _ in lambdas] for _, _, lambdas in entries]
+    orders = [list(own) for own in orders]
+    if [len(own) for own in orders] != [len(lambdas) for _, _, lambdas in entries]:
+        raise ValueError("need one order per base of each entry")
     results, groups = [None] * len(entries), {}
-    for k, (xi0, _, lambdas) in enumerate(entries):
-        own = [next(orders) for _ in lambdas]
+    for k, ((xi0, _, lambdas), own) in enumerate(zip(entries, orders)):
         tau = math.lcm(*own)
         results[k] = over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget)
         if results[k] is None:
@@ -438,36 +491,49 @@ def count_product_eq(xi0: FFElem, xis, lambdas, budget: float = 1.0) -> CountRes
 # ---- orbit sum distribution and sumset coverage ------------------------------------
 
 
+def residue_sum_distribution(rows: np.ndarray, p: int, k: int,
+                             budget: float = 1.0) -> SumDistribution:
+    """Full multiset of k-fold sums of a sequence of residue rows over F_p: distinct
+    rows and int64 counts.  Its cap is tau^k, tau the number of rows, against
+    DISTRIBUTION_WORK_CAP."""
+    if k < 1:
+        raise ValueError("arity must be positive")
+    tau = len(rows)
+    if err := over_budget("tau^k", tau ** k, DISTRIBUTION_WORK_CAP, budget):
+        raise err
+    sums, counts = _folded_distribution(np.asarray(rows, dtype=np.int64) % p, p, k)
+    return SumDistribution(k, sums, counts, tau ** k)
+
+
 def orbit_sum_distribution(a: VecEntity, A: MatEntity, k: int,
                            budget: float = 1.0) -> SumDistribution:
-    """Full multiset of k-fold sums of the vector orbit: distinct rows and int64 counts."""
+    """residue_sum_distribution of the vector orbit of (a, A), its cap checked before
+    the orbit is walked."""
     if k < 1:
         raise ValueError("arity must be positive")
     check_vector_orbit(a, A)
     tau = matrix_order(A)
     if err := over_budget("tau^k", tau ** k, DISTRIBUTION_WORK_CAP, budget):
         raise err
-    orbit = vector_orbit(a, A, tau)
-    rows, counts = _folded_distribution(orbit, A.ctx.p, k)
-    return SumDistribution(k, rows, counts, tau ** k)
+    return residue_sum_distribution(vector_orbit(a, A, tau), A.ctx.p, k, budget)
 
 
-def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
-                 budget: float = 1.0) -> CoverResult:
-    """Smallest k <= k_max with S_k = F_q^n for S_1 = orbit, S_{k+1} = S_k + S_1.
+def residue_sumset_cover(rows: np.ndarray, p: int, k_max: int,
+                         budget: float = 1.0) -> CoverResult:
+    """Smallest k <= k_max with S_k = F_p^d for S_1 the set of the residue rows
+    (N, d), S_{k+1} = S_k + S_1.  Its cap is the p^d cells of the boolean
+    sumset histogram against COVER_SPACE_CAP.
 
     Stops early when the sumset stagnates: S_{k+1} = S_k forces S_{k+m} = S_k
     for all m, so no later k can cover.
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    check_vector_orbit(a, A)
-    p = A.ctx.p
-    d = A.n * A.ctx.degree
+    d = rows.shape[1]
     space = p ** d
     if err := over_budget("q^n", space, COVER_SPACE_CAP, budget):
         raise err
-    shifts, _ = _distinct_rows(vector_orbit(a, A, matrix_order(A)), p)
+    shifts, _ = _distinct_rows(np.asarray(rows, dtype=np.int64) % p, p)
     ones = np.ones(shifts.shape[0], dtype=np.bool_)
     current = np.zeros((p,) * d, dtype=np.bool_)
     current.flat[shifts @ _key_weights(p, d)] = True
@@ -491,3 +557,15 @@ def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
             break
         current = nxt
     return CoverResult(covered_at, tuple(missing), space)
+
+
+def sumset_cover(a: VecEntity, A: MatEntity, k_max: int,
+                 budget: float = 1.0) -> CoverResult:
+    """residue_sumset_cover of the vector orbit of (a, A) in F_q^n, its cap
+    checked before the orbit is walked."""
+    if k_max < 1:
+        raise ValueError("k_max must be positive")
+    check_vector_orbit(a, A)
+    if err := over_budget("q^n", A.ctx.p ** (A.n * A.ctx.degree), COVER_SPACE_CAP, budget):
+        raise err
+    return residue_sumset_cover(vector_orbit(a, A, matrix_order(A)), A.ctx.p, k_max, budget)

@@ -28,10 +28,10 @@ from ..charsums import (
     weil_explicit_bound,
 )
 from ..counting import (
-    count_Q,
     count_product_eqs,
-    orbit_sum_distribution,
-    sumset_cover,
+    residue_sum_distribution,
+    residue_sumset_cover,
+    torus_energy,
 )
 from ..curves import (
     CurveSpec,
@@ -177,7 +177,13 @@ def _companions(cfg, p):
     whose order lies in the tau window, as (u, class, tau, row context).
     The traces u = +-2, whose eigenvalue repeats, belong to no class.
     det A_u = 1, so t = 1.  Classes and orders are read from the table's
-    columns; no matrix is built."""
+    columns; no matrix is built.
+
+    The counts of energy, q3 and orbit are additive counts of the power
+    orbit of A_u, which is the key's torus rows (SL2Table.torus) up to an
+    F_p-linear bijection, so each is made once per (class, tau) key of the
+    prime, through functools.cache on the key.  cache keeps no error, so a
+    capped key raises (and skips) again on each trace."""
     table = sl2_table(make_field(p))
     selected = []
     for u, ((tag, _, _), tau) in enumerate(zip(table.roots, table.tau)):
@@ -187,31 +193,10 @@ def _companions(cfg, p):
     return table, selected
 
 
-def _per_class(table, count):
-    """count(A) once per (class, tau) key of one prime's trace table, A the
-    companion of the first trace of the key (table.companion, built once per
-    key).  The powers of A_u lie in F_p[A_u], which is F_p x F_p (split) or
-    F_{p^2} (irreducible), so its orbit is the order-tau subgroup of that
-    torus up to an F_p-linear bijection, and an additive count of it is the
-    same for every trace of one key.  Only the number is kept: an error that
-    count raises is not, so a capped key raises (and skips) again on each
-    trace."""
-    entities, kept = {}, {}
-
-    def counted(key, u):
-        if key not in kept:
-            if key not in entities:
-                entities[key] = table.companion(u)
-            kept[key] = count(entities[key])
-        return kept[key]
-
-    return counted
-
-
 def _energy_rows(cfg, desc):
     (p,) = desc
     table, traces = _companions(cfg, p)
-    energy2 = _per_class(table, lambda A: count_Q(A, 2, cfg.budget).value)
+    energy2 = cache(lambda tag, tau: torus_energy(table, tag, tau, 2, cfg.budget))
     rows = []
     for u, tag, tau, info in traces:
         t = info["t"]
@@ -220,7 +205,7 @@ def _energy_rows(cfg, desc):
             bounds.append(("irred-energy", t * tau**2.5))
         rows += _guarded(
             cfg, info, "energy2",
-            lambda: energy2((tag, tau), u),
+            lambda: energy2(tag, tau),
             lambda count: [_checked(cfg, info, "energy2", count, "three-tau-squared",
                                     3.0 * tau * tau)]
             + [_row(cfg, info, "energy2", count, *bound) for bound in bounds])
@@ -230,7 +215,7 @@ def _energy_rows(cfg, desc):
 def _q3_rows(cfg, desc):
     (p,) = desc
     table, traces = _companions(cfg, p)
-    count6 = _per_class(table, lambda A: count_Q(A, 3, cfg.budget).value)
+    count6 = cache(lambda tag, tau: torus_energy(table, tag, tau, 3, cfg.budget))
     rows = []
     for u, tag, tau, info in traces:
         if tag == "split":
@@ -239,7 +224,7 @@ def _q3_rows(cfg, desc):
             bound = ("nonsplit-six", tau ** (19 / 5) + tau**5 / p)
         rows += _guarded(
             cfg, info, "orbit-count-6term",
-            lambda: count6((tag, tau), u),
+            lambda: count6(tag, tau),
             lambda count: [_row(cfg, info, "orbit-count-6term", count, *bound)])
     return rows
 
@@ -415,12 +400,13 @@ def _curves_rows(cfg, desc):
 def _orbit_rows(cfg, desc):
     (p,) = desc
     table, traces = _companions(cfg, p)
-    # The start row (1, 0) maps a I + b A_u to (a, -b), so the row orbit is
-    # the matrix orbit under an F_p-linear bijection as well.
-    start = VecEntity((table.ctx.one, table.ctx.zero), "row")
-    distinct = _per_class(
-        table, lambda A: len(orbit_sum_distribution(start, A, 2, cfg.budget).rows))
-    covered = _per_class(table, lambda A: sumset_cover(start, A, 4, cfg.budget).covered_at or 0)
+    # The start row (1, 0) maps a I + b A_u to (a, -b), so the row orbit of
+    # each trace is its matrix orbit, and so the key's torus rows, under an
+    # F_p-linear bijection; each row keeps its own cap
+    distinct = cache(lambda tag, tau: len(
+        residue_sum_distribution(table.torus(tag, tau), p, 2, cfg.budget).rows))
+    covered = cache(lambda tag, tau: residue_sumset_cover(
+        table.torus(tag, tau), p, 4, cfg.budget).covered_at or 0)
     # every trace draws its own xi's; the product equations of the prime are one stack
     equations = []
     for u, *_ in traces:
@@ -430,14 +416,16 @@ def _orbit_rows(cfg, desc):
         xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
         xi2 = ectx.from_index(stream.below(ectx.q))
         equations.append((xi0, (xi1, xi2), eigenvalues))
+    # both eigenvalues of A_u have its order tau
+    products = count_product_eqs(equations, cfg.budget,
+                                 orders=[(tau, tau) for _, _, tau, _ in traces])
     rows = []
-    for (u, tag, tau, info), product in zip(traces, count_product_eqs(equations, cfg.budget)):
-        key = (tag, tau)
+    for (u, tag, tau, info), product in zip(traces, products):
         rows += _guarded(
-            cfg, info, "distinct-sums-2", lambda: distinct(key, u),
+            cfg, info, "distinct-sums-2", lambda: distinct(tag, tau),
             lambda count: [_row(cfg, info, "distinct-sums-2", count)])
         rows += _guarded(
-            cfg, info, "cover-arity", lambda: covered(key, u),
+            cfg, info, "cover-arity", lambda: covered(tag, tau),
             lambda arity: [_row(cfg, info, "cover-arity", arity)])
         rows += _guarded(
             cfg, info, "product-eq-count", lambda: product,

@@ -16,8 +16,9 @@ and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
 the quadratic extension fall back to capped power iteration. The SL_2
 companions of a prime come as one array trace table (sl2_table): their
 classes, eigenvalues, orders and residue maps from one pass over all traces,
-with no matrix per trace; its companion(u) builds the one MatEntity that a
-kernel taking A_u needs, its order read from the table.
+with no matrix per trace. It keeps the walk of each centralizer torus, and
+torus(class, tau) reads from it by stride the tau rows that stand for the
+power orbit of every A_u of that key.
 """
 
 from __future__ import annotations
@@ -506,23 +507,32 @@ class SL2Table(NamedTuple):
 
     roots: the _quadratic_roots row (tag, eigenvalues, eigen_ctx) of
     X^2 - u X + 1; tau: the order of A_u, an int; maps: the (p, 2, 2) column
-    residue maps A_u over F_p (the row maps are their transposes).
+    residue maps A_u over F_p (the row maps are their transposes); tori: for
+    each class its torus walk, one residue row per power z^k, k = 1..size,
+    of its generator: (g^k, g^-k) over F_p x F_p (split, size p - 1, g
+    primitive in F_p) and w^k over F_{p^2} (irreducible, size p + 1, w of
+    norm one).
     """
 
     ctx: FieldCtx
     roots: list
     tau: list
     maps: np.ndarray
+    tori: dict
 
-    def companion(self, u: int) -> MatEntity:
-        """sl2_companion(ctx, u), its matrix_order read from the table."""
-        A = sl2_companion(self.ctx, u)
-        A._order = self.tau[u]
-        return A
+    def torus(self, tag: str, tau: int) -> np.ndarray:
+        """The tau rows z^s, z^2s, ..., z^(tau s) = 1 (s = size / tau) of the
+        order-tau subgroup of the class's torus, read from its walk by stride.
+        The powers of A_u lie in F_p[A_u], which is F_p x F_p (split) or
+        F_{p^2} (irreducible), so for every A_u of the (class, tau) key these
+        rows are its power orbit up to an F_p-linear bijection."""
+        walk = self.tori[tag]
+        step = len(walk) // tau
+        return walk[step - 1::step]
 
 
 def sl2_table(ctx: FieldCtx) -> SL2Table:
-    """The classes, eigenvalues, orders and residue maps of every
+    """The classes, eigenvalues, orders, residue maps and torus walks of every
     sl2_companion(ctx, u) over F_p, u = 0, ..., p - 1, from one array pass
     over the traces: no matrix is built.
 
@@ -531,9 +541,9 @@ def sl2_table(ctx: FieldCtx) -> SL2Table:
     matrix. The order of a split A_u is that of g^k (g primitive,
     g^k + g^-k = u), (p - 1) / gcd(k, p - 1); of an irreducible one that of
     w^k (w = h^(p - 1), h primitive in F_{p^2}, Tr w^k = u),
-    (p + 1) / gcd(k, p + 1): one residue_orbit walk of each torus. At
-    u = +-2 the eigenvalue +-1 repeats and A_u is no scalar, so its order
-    is p ord(+-1).
+    (p + 1) / gcd(k, p + 1): one residue_orbit walk of each torus, kept as
+    the table's tori. At u = +-2 the eigenvalue +-1 repeats and A_u is no
+    scalar, so its order is p ord(+-1).
     """
     if ctx.degree != 1:
         raise WrongDegree("the trace table is built over a prime field")
@@ -541,12 +551,16 @@ def sl2_table(ctx: FieldCtx) -> SL2Table:
     u = np.arange(p)
     low = np.stack((np.ones(p, dtype=np.int64), -u % p), axis=1)[:, :, None]
     tau = np.empty(p, dtype=np.int64)
-    for field, generator, size in ((ctx, primitive_root(ctx), p - 1),
-                                   (ext, primitive_root(ext) ** (p - 1), p + 1)):
+    tori = {}
+    for tag, field, generator, size in (
+            ("split", ctx, primitive_root(ctx), p - 1),
+            ("irreducible", ext, primitive_root(ext) ** (p - 1), p + 1)):
         walk = residue_orbit(mul_matrix(generator), field.one.residues(), size, p)
-        trace = (walk + residue_inverse(walk, field))[:, 0] % p
+        inverse = residue_inverse(walk, field)
+        trace = (walk + inverse)[:, 0] % p
         tau[trace] = size // np.gcd(np.arange(1, size + 1), size)
+        tori[tag] = np.hstack((walk, inverse)) if tag == "split" else walk
     tau[[2, p - 2]] *= p
     maps = np.zeros((p, 2, 2), dtype=np.int64)
     maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1] = p - 1, 1, u
-    return SL2Table(ctx, _quadratic_roots(low, ctx), tau.tolist(), maps)
+    return SL2Table(ctx, _quadratic_roots(low, ctx), tau.tolist(), maps, tori)

@@ -7,11 +7,12 @@ from matpowlab import catmap, charsums, counting, curves
 from matpowlab.catmap import CatMatrix, cat_unitary, eigenbasis, matrix_element_check
 from matpowlab.charsums import matrix_exp_sums, sum_moment
 from matpowlab.counting import (count_product_eq, count_Q, orbit_sum_distribution,
-                                sumset_cover)
+                                residue_sum_distribution, residue_sumset_cover, sumset_cover,
+                                torus_energy)
 from matpowlab.curves import CurveSpec, count_points
 from matpowlab.errors import BudgetExceeded, over_budget
 from matpowlab.ffield import make_field, subgroup_of_order
-from matpowlab.matgrp import VecEntity, matrix_order, sl2_companion
+from matpowlab.matgrp import VecEntity, matrix_order, sl2_companion, sl2_table
 
 
 def test_a_measure_at_the_limit_runs_and_one_above_skips():
@@ -46,6 +47,8 @@ F7, F13 = make_field(7), make_field(13)
 A13 = sl2_companion(F13, 1)
 TAU13 = matrix_order(A13)
 START = VecEntity([F13.one, F13.one], "row")
+TABLE13 = sl2_table(F13)
+KEY13 = (TABLE13.roots[1][0], TABLE13.tau[1])  # the (class, tau) of A13
 G6 = subgroup_of_order(F13, 6)
 HYPERBOLIC = CatMatrix(2, 1, 3, 2)
 
@@ -60,6 +63,15 @@ def _entry_sum(budget):
 CASES = {
     "count_Q": (lambda b: count_Q(A13, 2, b), counting.DEFAULT_TAU_CAP[2],
                 TAU13, TAU13 ** 2),
+    "torus_energy-2": (lambda b: torus_energy(TABLE13, *KEY13, 2, b),
+                       counting.DEFAULT_TAU_CAP[2], TAU13, TAU13 ** 2),
+    "torus_energy-3": (lambda b: torus_energy(TABLE13, *KEY13, 3, b),
+                       counting.DEFAULT_TAU_CAP[3], TAU13, TAU13 ** 3),
+    "residue_sum_distribution": (
+        lambda b: residue_sum_distribution(TABLE13.torus(*KEY13), 13, 2, b),
+        counting.DISTRIBUTION_WORK_CAP, TAU13 ** 2, TAU13 ** 2),
+    "residue_sumset_cover": (lambda b: residue_sumset_cover(TABLE13.torus(*KEY13), 13, 3, b),
+                             counting.COVER_SPACE_CAP, 13 ** 2, 13 ** 2),
     "count_product_eq": (lambda b: count_product_eq(F7.one, [F7.one], [F7.elem(3)], b),
                          counting.PRODUCT_EQ_CAP, 6, 6),
     "orbit_sum_distribution": (lambda b: orbit_sum_distribution(START, A13, 2, b),

@@ -14,8 +14,11 @@ from matpowlab.counting import (
     orbit_energy,
     orbit_sum_distribution,
     power_orbit,
+    residue_sum_distribution,
+    residue_sumset_cover,
     sequence_energy,
     sumset_cover,
+    torus_energy,
     vector_orbit,
 )
 from matpowlab.errors import (
@@ -31,7 +34,7 @@ from matpowlab.charsums import subgroup_entry
 from matpowlab.ffield import (make_field, mul_matrix, mult_order, primitive_root, residue_orbit,
                               subgroup_of_order)
 from matpowlab.matgrp import (MatEntity, VecEntity, char_poly_factor, independence_checks,
-                              matrix_order, sl2_companion)
+                              matrix_order, sl2_companion, sl2_table)
 
 from oracles import (
     add,
@@ -569,6 +572,12 @@ def test_stacked_product_eqs_match_the_naive_count():
         assert result == count_product_eq(xi0, xis, lambdas, budget=1e-3)
     assert sum(result.value for k, result in enumerate(results) if k != 3) > 0
     assert count_product_eqs([]) == []
+    # the orders a caller hands in give the same results, and must be one per base
+    orders = [[mult_order(lam) for lam in lambdas] for _, _, lambdas in entries]
+    given = count_product_eqs(entries, budget=1e-3, orders=orders)
+    assert given[3].estimated_work == 168 and given[:3] + given[4:] == results[:3] + results[4:]
+    with pytest.raises(ValueError):
+        count_product_eqs(entries, orders=orders[1:])
 
 
 def test_product_eq_rejects_bad_inputs():
@@ -739,3 +748,101 @@ def test_orbit_energy_past_int64_is_exact():
     points = np.arange(7)[:, None]
     assert (orbit_energy(rows, points, np.ones(7, dtype=np.int64), 7, 2)
             == sequence_energy(rows, 7, 2) == 7 * (210000 ** 2 // 7) ** 2)
+
+
+# ---- the torus kernels of the SL_2 trace table ---------------------------------------
+
+
+_SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+
+
+def _keys(table):
+    """Each (class, tau) key of a trace table with the first trace u of the key."""
+    keys = {}
+    for u, ((tag, _, _), tau) in enumerate(zip(table.roots, table.tau)):
+        if tag != "repeated":
+            keys.setdefault((tag, tau), u)
+    return keys
+
+
+@pytest.mark.parametrize("p", _SMALL_PRIMES)
+def test_torus_energy_is_the_companion_count(p):
+    # the key's torus rows are the power orbit of A_u up to an F_p-linear
+    # bijection; at nu = 3 and p <= 61 every key takes orbit_energy's gather
+    table = sl2_table(make_field(p))
+    for (tag, tau), u in _keys(table).items():
+        A = sl2_companion(table.ctx, u)
+        for nu in (1, 2, 3):
+            assert torus_energy(table, tag, tau, nu) == count_Q(A, nu).value, (tag, tau, nu)
+
+
+def test_torus_energy_is_the_sorted_companion_count_at_p_1009():
+    # past p = 724 count_Q folds by sorting; the torus count is sequence_energy
+    # on the tau rows at nu = 2
+    table = sl2_table(make_field(1009))
+    for (tag, tau), u in _keys(table).items():
+        A = sl2_companion(table.ctx, u)
+        result = count_Q(A, 2)
+        assert result.parameters["kernel"] == "sorted"
+        assert torus_energy(table, tag, tau, 2) == result.value, (tag, tau)
+
+
+@pytest.mark.parametrize("p", _SMALL_PRIMES)
+def test_torus_sums_and_cover_are_the_companion_row_orbits(p):
+    # the start row (1, 0) maps a I + b A_u to (a, -b): the row orbit of A_u is
+    # its torus rows up to an F_p-linear bijection of F_p^2
+    table = sl2_table(make_field(p))
+    start = VecEntity((table.ctx.one, table.ctx.zero), "row")
+    for (tag, tau), u in _keys(table).items():
+        A = sl2_companion(table.ctx, u)
+        rows = table.torus(tag, tau)
+        for k in (1, 2):
+            dist = residue_sum_distribution(rows, p, k)
+            want = orbit_sum_distribution(start, A, k)
+            assert len(dist.rows) == len(want.rows) and dist.total == want.total == tau ** k
+            assert sorted(dist.counts.tolist()) == sorted(want.counts.tolist())
+        assert residue_sumset_cover(rows, p, 4) == sumset_cover(start, A, 4), (tag, tau)
+
+
+def test_torus_energy_walks_no_more_than_tau_rows_past_the_gather(monkeypatch):
+    # past p = 1024 orbit_energy's dense table passes its bytes, so no coset
+    # head is walked: every kernel reads its tau rows from the table's walks
+    p = 1031
+    table = sl2_table(make_field(p))
+    walked = []
+    real = residue_orbit
+
+    def spy(M, start, length, q):
+        walked.append(length)
+        return real(M, start, length, q)
+
+    monkeypatch.setattr(counting, "residue_orbit", spy)
+    monkeypatch.setattr(matgrp, "residue_orbit", spy)
+    for (tag, tau), u in _keys(table).items():
+        for nu in (2, 3) if tau <= 50 else (2,):
+            walked.clear()
+            value = torus_energy(table, tag, tau, nu)
+            assert all(length <= tau for length in walked), (tag, tau, nu, walked)
+            if tau <= 12:
+                assert value == count_Q(sl2_companion(table.ctx, u), nu).value
+    # below it the spy sees the irreducible heads: one walk of (p^2 - 1) / tau
+    table = sl2_table(make_field(1019))
+    walked.clear()
+    torus_energy(table, "irreducible", 5, 3)
+    assert walked == [(1019 ** 2 - 1) // 5]
+
+
+def test_torus_energy_skips_as_count_Q_does():
+    # the same cap, DEFAULT_TAU_CAP[nu] on tau, with estimated work tau^nu
+    table = sl2_table(make_field(61))
+    for (tag, tau), u in _keys(table).items():
+        A = sl2_companion(table.ctx, u)
+        for nu in (1, 2, 3):
+            budget = (tau - 0.5) / counting.DEFAULT_TAU_CAP[nu]
+            with pytest.raises(BudgetExceeded) as torus:
+                torus_energy(table, tag, tau, nu, budget)
+            with pytest.raises(BudgetExceeded) as companion:
+                count_Q(A, nu, budget)
+            assert torus.value.estimated_work == companion.value.estimated_work == tau ** nu
+            budget = (tau + 0.5) / counting.DEFAULT_TAU_CAP[nu]
+            assert torus_energy(table, tag, tau, nu, budget) == count_Q(A, nu).value

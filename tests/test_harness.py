@@ -3,8 +3,8 @@
 import json
 import os
 import re
-from collections import Counter
 from dataclasses import fields, replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -26,7 +26,6 @@ from matpowlab.harness.config import ExperimentConfig, build_config, load_config
 from matpowlab.harness import experiments, runner
 from matpowlab.harness.runner import CSV_COLUMNS, record_to_csv
 from matpowlab.matgrp import (
-    MatEntity,
     VecEntity,
     char_poly_factor,
     matrix_order,
@@ -254,14 +253,32 @@ def test_trace_grid_counts_depend_only_on_class_and_order():
 
 
 # the counting kernel behind each quantity of the trace grids
-_KERNELS = {"energy2": "count_Q", "orbit-count-6term": "count_Q",
-            "distinct-sums-2": "orbit_sum_distribution", "cover-arity": "sumset_cover",
-            "product-eq-count": "count_product_eqs"}
+_KERNELS = {"energy2": "torus_energy", "orbit-count-6term": "torus_energy",
+            "distinct-sums-2": "residue_sum_distribution",
+            "cover-arity": "residue_sumset_cover", "product-eq-count": "count_product_eqs"}
+
+
+@cache
+def _table(p):
+    return matgrp.sl2_table(make_field(p))
+
+
+def _torus_key(args):
+    """The (p, class, tau) of a per-class kernel call: torus_energy names its key;
+    the rows of a residue_* core must be exactly the table torus of one key."""
+    if isinstance(args[0], matgrp.SL2Table):
+        table, tag, tau = args[:3]
+        return table.ctx.p, tag, tau
+    rows, p = args[:2]
+    tori = _table(p).tori
+    [tag] = [tag for tag in tori if len(tori[tag]) % len(rows) == 0
+             and np.array_equal(_table(p).torus(tag, len(rows)), rows)]
+    return p, tag, len(rows)
 
 
 def _spy_kernels(monkeypatch):
     """Wrap the trace grids' counting kernels; each count appends the (p, class,
-    tau) of its matrix (None for the stacked count_product_eqs, once per
+    tau) of its torus rows (None for the stacked count_product_eqs, once per
     returned entry) and the estimated work of the cap that skipped it (None
     if it ran) to calls[kernel]."""
     calls = {name: [] for name in _KERNELS.values()}
@@ -270,8 +287,7 @@ def _spy_kernels(monkeypatch):
         kernel = getattr(experiments, name)
 
         def counted(*args, **kwargs):
-            A = next((arg for arg in args if isinstance(arg, MatEntity)), None)
-            key = None if A is None else (A.ctx.p, char_poly_factor(A).tag, matrix_order(A))
+            key = None if name == "count_product_eqs" else _torus_key(args)
             try:
                 result = kernel(*args, **kwargs)
             except BudgetExceeded as err:
@@ -308,32 +324,39 @@ def test_trace_grid_counts_once_per_class_and_order(experiment, monkeypatch):
 
 
 @pytest.mark.parametrize("budget", [1, 1e-9])
-@pytest.mark.parametrize("experiment, kernels", [("energy", 1), ("q3", 1), ("orbit", 2),
-                                                 ("sums", 0)])
-def test_trace_experiments_build_one_companion_per_class_and_order(experiment, kernels,
-                                                                   budget, monkeypatch):
-    # the trace table holds arrays, not matrices: each per-class kernel builds
-    # at most one companion per (p, class, tau) key, even when the key is
-    # capped and counted again on each trace, and sums builds none
+@pytest.mark.parametrize("experiment", ["energy", "q3", "orbit", "sums"])
+def test_trace_experiments_build_no_matrix(experiment, budget, monkeypatch):
+    # the trace table holds arrays, and the per-class kernels count on its
+    # torus rows: no experiment on the trace grid builds a companion or any
+    # other matrix, even when a key is capped and counted again on each trace
     built = []
-    real = matgrp.sl2_companion
+    real = matgrp.MatEntity.__init__
 
-    def spy(ctx, u):
-        built.append((ctx.p, u))
-        return real(ctx, u)
+    def spy(self, rows):
+        built.append(rows)
+        real(self, rows)
 
-    monkeypatch.setattr(matgrp, "sl2_companion", spy)
+    monkeypatch.setattr(matgrp.MatEntity, "__init__", spy)
     rows = _all_rows(_cfg(experiment=experiment, p_max=61, budget=budget))
-    keys = Counter()
-    for p, u in built:
-        A = real(make_field(p), u)
-        keys[p, char_poly_factor(A).tag, matrix_order(A)] += 1
-    classes = {(rec.p, rec.class_tag, rec.tau) for rec in rows}
-    assert len(classes) > 100
-    if kernels:
-        assert set(keys) == classes and max(keys.values()) <= kernels
-    else:
-        assert not built
+    assert len({(rec.p, rec.class_tag, rec.tau) for rec in rows}) > 100
+    assert not built
+
+
+def test_orbit_product_equations_take_their_orders_from_the_table(monkeypatch):
+    # both eigenvalues of A_u have the order tau that the trace table holds, so
+    # an orbit instance finds no order by mult_order, and its rows equal those
+    # of the same equations with orders that count_product_eqs finds itself
+    found = []
+    real = matgrp.mult_order
+    monkeypatch.setattr(matgrp, "mult_order", lambda x: found.append(x) or real(x))
+    cfg = _cfg(experiment="orbit", p_max=61)
+    rows = _all_rows(cfg)
+    assert not found and any(rec.quantity == "product-eq-count" for rec in rows)
+    stacked = experiments.count_product_eqs
+    monkeypatch.setattr(experiments, "count_product_eqs",
+                        lambda entries, budget, orders: stacked(entries, budget))
+    assert _all_rows(cfg) == rows
+    assert found
 
 
 @pytest.mark.parametrize("experiment", ["energy", "q3", "orbit"])
@@ -480,9 +503,10 @@ def test_every_experiment_runs_at_p3_and_skipped_rows_name_their_cause():
                 assert (rec.quantity, rec.bound_name, rec.bound_value) in causes
 
 
-@pytest.mark.parametrize("experiment, kernel", [("energy", "count_Q"),
-                                                ("q3", "count_Q"),
-                                                ("orbit", "orbit_sum_distribution"),
+@pytest.mark.parametrize("experiment, kernel", [("energy", "torus_energy"),
+                                                ("q3", "torus_energy"),
+                                                ("orbit", "residue_sum_distribution"),
+                                                ("orbit", "residue_sumset_cover"),
                                                 ("sums", "walk_sums"),
                                                 ("kloosterman", "matrix_exp_sums")])
 def test_a_failed_invariant_raises_and_writes_no_skipped_row(experiment, kernel, tmp_path,

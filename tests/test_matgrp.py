@@ -729,11 +729,14 @@ def test_matrix_order_norm_one_eigenvalue_route():
 def test_trace_table_equals_the_per_trace_analysis(p):
     # the table and a one-row char_poly_factor of a fresh companion both take
     # the scalar quadratic formula's tag, roots in order and root field; the
-    # table's orders, maps and companions are those of the fresh companion
+    # table's orders and maps are those of the fresh companion, and its torus
+    # rows of each (class, tau) are the subgroup of the key's eigenvalues
     ctx = make_field(p)
     table = sl2_table(ctx)
     assert table.ctx is ctx and len(table.roots) == len(table.tau) == p
     assert table.maps.dtype == np.int64 and table.maps.shape == (p, 2, 2)
+    assert table.tori["split"].shape == (p - 1, 2) and table.tori["irreducible"].shape == (p + 1, 2)
+    keys = set()
     for u, (row, tau) in enumerate(zip(table.roots, table.tau)):
         fresh = sl2_companion(ctx, u)
         single = char_poly_factor(fresh)
@@ -742,9 +745,16 @@ def test_trace_table_equals_the_per_trace_analysis(p):
         assert (single.tag, single.eigenvalues, single.eigen_ctx) == want, u
         assert single.coeffs == (ctx.one, ctx.elem(-u), ctx.one)
         assert tau == matrix_order(fresh) and type(tau) is int
-        A = table.companion(u)
-        assert A == fresh and A.det() == ctx.one
-        assert A._order == tau  # carried from the table, not computed
+        if row[0] != "repeated" and (row[0], tau) not in keys:
+            keys.add((row[0], tau))
+            lam = row[1][0]
+            powers = [lam ** k for k in range(1, tau + 1)]
+            if row[0] == "split":
+                want_rows = [(x.c0, (1 / x).c0) for x in powers]
+            else:
+                want_rows = [(x.c0, x.c1) for x in powers]
+            got = sorted(map(tuple, table.torus(row[0], tau).tolist()))
+            assert got == sorted(want_rows), u
         assert np.array_equal(table.maps[u], residue_map(fresh, "column"))
         assert np.array_equal(table.maps[u].T, residue_map(fresh, "row"))
         assert all(type(c) is int for roots in (row[1], single.eigenvalues)
