@@ -529,11 +529,12 @@ def residue_sumset_cover(rows: np.ndarray, p: int, k_max: int,
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
+    rows = np.asarray(rows, dtype=np.int64) % p
     d = rows.shape[1]
     space = p ** d
     if err := over_budget("q^n", space, COVER_SPACE_CAP, budget):
         raise err
-    shifts, _ = _distinct_rows(np.asarray(rows, dtype=np.int64) % p, p)
+    shifts, _ = _distinct_rows(rows, p)
     ones = np.ones(shifts.shape[0], dtype=np.bool_)
     current = np.zeros((p,) * d, dtype=np.bool_)
     current.flat[shifts @ _key_weights(p, d)] = True
