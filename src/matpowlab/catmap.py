@@ -169,7 +169,10 @@ def _require_odd_prime(N: int) -> None:
 
 
 def cat_unitary(N: int, A: CatMatrix) -> np.ndarray:
-    """Quadratic-kernel propagator implementing the automorphism on wavefunctions."""
+    """Quadratic-kernel propagator implementing the automorphism on wavefunctions.
+
+    Its entry U_00 = e_N(0) / sqrt(N) is real and positive, which fixes the
+    global phase."""
     _require_odd_prime(N)
     if gcd(A.a21, N) != 1:
         raise SingularLowerLeft(f"lower-left entry {A.a21} shares a factor with {N}")
@@ -179,11 +182,7 @@ def cat_unitary(N: int, A: CatMatrix) -> np.ndarray:
     row = q[:, None]
     expo = (c * ((A.a11 % N) * col * col - 2 * col * row + (A.a22 % N) * row * row)) % N
     table = np.exp(2j * np.pi * np.arange(N) / N)
-    mat = table[expo] / np.sqrt(N)
-    # Global phase: rotate so the first nonzero entry of column zero is real positive.
-    first = mat[:, 0]
-    k = int(np.argmax(np.abs(first) > 1e-12))
-    return mat * (abs(first[k]) / first[k])
+    return table[expo] / np.sqrt(N)
 
 
 def egorov_defect(U: np.ndarray, A: CatMatrix, a: tuple) -> float:

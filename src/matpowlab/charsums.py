@@ -5,7 +5,8 @@ over one full period of an invertible matrix A (the twist psi(alpha z) is the
 sum of alpha a), and every sum is one: over a cyclic subgroup G = <g>, a
 Kloosterman sum (a u + b / u) is the sum of a = (a, b) with A = diag(g, 1/g)
 and b = (1, 1), and a Gauss sum (a u) that of a = (a) with A = [[g]] and
-b = (1) (subgroup_entry); their moments walk the same orbit of b.  Every
+b = (1) (subgroup_entry); their moments walk the same rows, u or (u, 1 / u)
+over G, from ffield.subgroup_walk with no entity.  Every
 single sum walks a residue orbit (ffield.residue_orbit), maps it to trace
 arguments Tr z mod p through the integer trace form, and counts the
 arguments in an exact integer histogram; its float rounding is confined to
@@ -21,9 +22,10 @@ likewise one stacked Krylov check (analyze_instances, on
 matgrp.krylov_independent).
 Moments over every coefficient (sum_moment) take one representative per
 G-orbit of coefficients, weighted by the orbit size, since a sum is constant
-on each orbit.  They look every term up in the table of roots of unity and
-sum by a matmul, so they round per term; the closed-form second moment and
-the exact energy at those representatives (counting.orbit_energy) check them.
+on each orbit; the representatives come in row blocks from ffield.coset_walk.
+They look every term up in the table of roots of unity and sum by a matmul,
+so they round per term; the closed-form second moment and the exact energy
+on the same orbits (counting.orbit_energy) check them.
 evaluate_bounds(result, hypotheses) returns one BoundEntry per estimate
 whose hypotheses the instance satisfies (the Hypotheses of
 analyze_instance): it applies bound_menu(hypotheses), which depends on the
@@ -42,15 +44,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .counting import orbit_energy, vector_orbit
+from .counting import orbit_energy
 from .errors import BudgetExceeded, InvariantViolated, MixedContext, over_budget
 from .ffield import (
     FFElem,
     FieldCtx,
     SubgroupSpec,
-    mul_matrix,
-    primitive_root,
+    coset_walk,
+    residue_inverse,
     residue_orbit,
+    subgroup_walk,
     trace_form,
 )
 from .matgrp import (
@@ -243,54 +246,47 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
     Kloosterman moments range over all q^2 pairs (a, b), Gauss moments over
     all q values of a.  Both sums are constant on G-orbits of coefficients
     (a -> a h, b -> b / h for h in G permutes the walk), so only a = 0 and
-    one representative g^c (c = 1..L, L = (q - 1) / |G|) of each coset of G
-    are walked, weighted by the orbit sizes 1 and |G|;
-    parameters["representatives"] records those L + 1 rows.  The weighted
-    second moment must equal its closed form (q |G| for Gauss, q^2 |G| for
-    Kloosterman), and even orders 2 nu = 2, 4 and 6 also carry the exact
-    integer value q^n E_nu, with E_nu the nu-fold additive energy of the walk
-    of (A, b) = subgroup_entry(family, G), summed as |orbit| c_nu^2 on the
-    same orbits since G permutes the walk (counting.orbit_energy).  A float
-    value more than 1e-9 relative away from either raises InvariantViolated:
-    each term is a lookup in the table of roots of unity and each sum one
-    entry of a matmul, so the value rounds per term, and these checks guard it.
+    one representative z^c (c = 1..L, L = (q - 1) / |G|) of each coset of G
+    are walked, in the row blocks of ffield.coset_walk, weighted by the orbit
+    sizes 1 and |G|; parameters["representatives"] records those L + 1 rows.
+    The weighted second moment must equal its closed form (q |G| for Gauss,
+    q^2 |G| for Kloosterman), and even orders 2 nu = 2, 4 and 6 also carry
+    the exact integer value q^n E_nu, with E_nu the nu-fold additive energy
+    of the walk u (Gauss) or (u, 1 / u) (Kloosterman), u = g^x over G
+    (subgroup_walk), counted by counting.orbit_energy on the same orbits.  A
+    float value more than 1e-9 relative away from either raises
+    InvariantViolated: each term is a lookup in the table of roots of unity
+    and each sum one entry of a matmul, so the value rounds per term, and
+    these checks guard it.
     """
     if m < 1:
         raise ValueError("moment order must be positive")
-    A, ones = subgroup_entry(family, G)
-    ctx = G.ctx
-    q = ctx.q
-    tau = G.order
-    work = q ** A.n * tau
+    if family not in ("kloosterman", "gauss"):
+        raise ValueError(f"unknown family {family!r}")
+    ctx, tau = G.ctx, G.order
+    p, q = ctx.p, ctx.q
+    n = 2 if family == "kloosterman" else 1
+    work = q ** n * tau
     if err := over_budget("moment work", work, MOMENT_WORK_CAP, budget):
         raise err
 
-    p, d = ctx.p, ctx.degree
-    cosets = (q - 1) // tau
-    # g^1..g^L represent the cosets of G; Kloosterman walks on to g^(q-1) for every b
-    length = q - 1 if family == "kloosterman" else cosets
-    walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), length, p)
-    points = np.vstack((np.zeros((1, d), dtype=np.int64), walk))
-    forms = points @ trace_form(ctx) % p
-    reps = forms[:cosets + 1]
-    sizes = np.r_[1, np.full(cosets, tau)]
-    table = ctx.roots_of_unity()
-    # the columns of the walk are u, then 1 / u for Kloosterman
-    orbit = vector_orbit(ones, A, tau)
-    us = orbit[:, :d]
-
+    form, table = trace_form(ctx), ctx.roots_of_unity()
+    us = subgroup_walk(G)
     if family == "kloosterman":
-        # one column per b in {0} and the walk: e_p(Tr(b / u)) down the u
-        right = table[forms @ orbit[:, d:].T % p].T
+        # the walk's columns are u, then 1 / u; one column of right per b in
+        # {0, z, ..., z^(q-1)}, every b: e_p(Tr(b / u)) down the u
+        inverse = residue_inverse(us, ctx)
+        orbit = np.hstack((us, inverse))
+        bs, _ = next(coset_walk(ctx, 1, q))
+        right = table[bs @ form % p @ inverse.T % p].T
     else:
-        right = np.ones((tau, 1))
+        orbit, right = us, np.ones((tau, 1))
     # the widest per-row array is the terms (tau) or the sums (right's columns)
     block = max(1, _MOMENT_BLOCK // max(tau, right.shape[1]))
     total = second = 0.0
-    for start in range(0, cosets + 1, block):
-        terms = table[reps[start:start + block] @ us.T % p]
+    for heads, w in coset_walk(ctx, tau, block):
+        terms = table[heads @ form % p @ us.T % p]
         mags = np.abs(terms @ right)
-        w = sizes[start:start + block]
         total += float(w @ np.sum(mags ** m, axis=1))
         second += float(w @ np.sum(mags * mags, axis=1))
 
@@ -300,12 +296,12 @@ def sum_moment(family: str, G: SubgroupSpec, m: int, budget: float = 1.0) -> Mom
         raise InvariantViolated(f"second moment {second} is not its closed form {work}")
     exact = None
     if m in (2, 4, 6):
-        exact = q ** A.n * orbit_energy(orbit, points[:cosets + 1], sizes, p, m // 2)
+        exact = q ** n * orbit_energy(orbit, ctx, m // 2)
         # the float moment counts the same solutions; its round-off is ~1e-15 relative
         if abs(total - exact) > 1e-9 * exact:
             raise InvariantViolated(f"moment {total} is not the exact count {exact}")
-    params = {"p": p, "degree": d, "q": q, "order": tau,
-              "representatives": cosets + 1}
+    params = {"p": p, "degree": ctx.degree, "q": q, "order": tau,
+              "representatives": (q - 1) // tau + 1}
     return MomentResult(family, m, total, exact, params)
 
 

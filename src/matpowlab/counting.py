@@ -23,14 +23,16 @@ depends on chunking or worker layout. `residue_sum_distribution` returns the
 distinct sums and their counts of any residue-row sequence, and
 `residue_sumset_cover` its sumset cover; `orbit_sum_distribution` and
 `sumset_cover` are the same on the vector orbit of an entity pair.
-`orbit_energy` sums |orbit| c_nu^2 over the orbits of a group permuting the
-walk, off a tiling in DENSE_CAP's 16 MB. `torus_energy` counts a (class, tau)
-key of the SL_2 trace table on its tau torus rows, the power orbit of each
-companion of the key up to an F_p-linear bijection, with no matrix: by
-sequence_energy, or at nu = 3 by orbit_energy over the cosets of the key's
-subgroup. `count_product_eqs` scans a whole stack of product equations, one
-stacked power walk per field, period and number of bases, and returns each
-skip in place; `count_product_eq` is its one-entry call.
+`orbit_energy` is the energy of the walk of an order-tau subgroup H of F_q*:
+at nu = 3 the sum of |orbit| c_3^2 over the orbits of H, their heads read in
+blocks from ffield.coset_walk and c_3 gathered off a tiling in DENSE_CAP's
+16 MB, else sequence_energy. It is the exact side of charsums.sum_moment and
+all of `torus_energy`, which counts a (class, tau) key of the SL_2 trace
+table on its tau torus rows, the power orbit of each companion of the key up
+to an F_p-linear bijection, with no matrix. `count_product_eqs` scans a
+whole stack of product equations, one stacked power walk per field, period
+and number of bases, and returns each skip in place; `count_product_eq` is
+its one-entry call.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .errors import (
     ZeroXi1,
     over_budget,
 )
-from .ffield import (FFElem, _decode_keys, _key_weights, mul_matrix, primitive_root,
+from .ffield import (FFElem, FieldCtx, _decode_keys, _key_weights, coset_walk, mul_matrix,
                      residue_orbit, residue_product)
 from .matgrp import (MatEntity, SL2Table, VecEntity, check_vector_orbit, frobenius_orders,
                      matrix_order, residue_map)
@@ -273,50 +275,41 @@ def sequence_energy(residue_rows, p: int, nu: int) -> int:
     return _energy(rows, p, nu)[0] if len(rows) else 0
 
 
-def _gather_cells(size: int, dims: int, p: int, nu: int):
-    """The dtype of the dense c_(nu-1) that orbit_energy gathers from for a walk of size
-    rows in Z_p^dims (int32 while size^(nu-1) fits), or None where it takes sequence_energy:
-    past nu = 3, on an empty walk, or past DENSE_CAP int64 bytes of tiling."""
-    cell = np.dtype(np.int32 if size ** (nu - 1) < 2 ** 31 else np.int64)
-    if nu > 3 or not size or (2 * p) ** dims * cell.itemsize > 8 * DENSE_CAP:
-        return None
-    return cell
+def orbit_energy(walk: np.ndarray, field: FieldCtx, nu: int) -> int:
+    """sequence_energy(walk, p, nu) for the walk of the order-tau subgroup H of
+    field*, counted as sum |orbit| c_nu^2 over the orbits of H.
 
-
-def orbit_energy(walk: np.ndarray, heads: np.ndarray, sizes: np.ndarray, p: int, nu: int) -> int:
-    """sequence_energy(walk, p, nu), as sum |orbit| c_nu^2 over orbits of a group permuting it.
-
-    Each point (h, y), h a row of heads and y any residue row on the other coordinates,
-    stands for sizes[h] points: they must cover Z_p^D and weight c_nu to rows^nu, or
-    InvariantViolated.  c_nu(x) sums c_(nu-1)(x - u) over the walk, off the 2^D-fold
-    tiling of the dense c_(nu-1); past nu = 3 or DENSE_CAP int64 bytes, sequence_energy.
+    The first field.degree columns of walk are the elements u of H, any further
+    columns a function of u, so H permutes the walk and c_nu is constant on its
+    orbits.  The orbits are headed by the rows of coset_walk(field, tau): 0
+    (size 1) and the coset representatives z, ..., z^L (size tau), each with
+    every residue row y on the further columns; they must cover Z_p^D and
+    weight c_nu to tau^nu, or InvariantViolated.  At nu = 3, c_3(x) sums
+    c_2(x - u) over the walk, off the 2^D-fold tiling of the dense c_2; below
+    nu = 3 or past DENSE_CAP int64 bytes of tiling, sequence_energy.
     """
     size, dims = walk.shape
-    head, tail = heads.shape[1], dims - heads.shape[1]
-    cell = _gather_cells(size, dims, p, nu)
-    if cell is None:
+    p, tail = field.p, dims - field.degree
+    cell = np.dtype(np.int32 if size ** (nu - 1) < 2 ** 31 else np.int64)
+    if nu != 3 or (2 * p) ** dims * cell.itemsize > 8 * DENSE_CAP:
         return sequence_energy(walk, p, nu)
     rows = np.roll(walk % p, tail, axis=1)  # the y coordinates least significant
-    if nu == 3:
-        cells = _pair_histogram(rows, np.ones(size, dtype=cell), p)
-    else:  # c_1 is the walk's histogram, c_0 the point 0
-        cells = np.bincount(rows @ _key_weights(p, dims) if nu == 2 else [0],
-                            minlength=p ** dims).astype(cell)
+    cells = _pair_histogram(rows, np.ones(size, dtype=cell), p)
     # a row of the tiling per head coordinate h + p - u, a window per y - u
     table = np.tile(cells.reshape((p,) * dims), (2,) * dims).reshape((-1,) + (2 * p,) * tail)
     windows = sliding_window_view(table, (p,) * tail, axis=tuple(range(1, tail + 1)))
-    weights = (2 * p) ** np.arange(head)
+    weights = (2 * p) ** np.arange(field.degree)
     shifts = (p - rows[:, tail:]) @ weights
     starts = tuple(p - rows[:, k] for k in reversed(range(tail)))
     exact = object if size ** (2 * nu) >= 2 ** 63 else np.int64
-    energy = total = 0
-    block = max(1, _CHUNK_TARGET // (size * p ** tail))
-    for lo in range(0, len(heads), block):
-        keys = np.add.outer(heads[lo:lo + block] % p @ weights, shifts)
+    energy = total = points = 0
+    for heads, sizes in coset_walk(field, size, max(1, _CHUNK_TARGET // (size * p ** tail))):
+        keys = np.add.outer(heads @ weights, shifts)
         counts = windows[(keys,) + starts].reshape(len(keys), size, -1).sum(axis=1, dtype=exact)
-        energy += int(np.dot(np.sum(counts * counts, axis=1), sizes[lo:lo + block]))
-        total += int(np.dot(np.sum(counts, axis=1), sizes[lo:lo + block]))
-    if int(np.sum(sizes)) * p ** tail != p ** dims or total != size ** nu:
+        points += int(np.sum(sizes))
+        energy += int(np.dot(np.sum(counts * counts, axis=1), sizes))
+        total += int(np.dot(np.sum(counts, axis=1), sizes))
+    if points * p ** tail != p ** dims or total != size ** nu:
         raise InvariantViolated(f"orbits miss Z_{p}^{dims} or weight c_{nu} to {total}")
     return energy
 
@@ -326,30 +319,16 @@ def torus_energy(table: SL2Table, tag: str, tau: int, nu: int, budget: float = 1
     trace table, counted with no matrix on the key's tau torus rows (SL2Table.torus):
     the power orbit of A_u up to an F_p-linear bijection.
 
-    The cap is count_Q's: tau against DEFAULT_TAU_CAP[nu], with work tau^nu.  Up to
-    nu = 2 the rows go to sequence_energy.  At nu = 3, where orbit_energy's dense table
-    fits, the order-tau subgroup H permutes the rows, and the plane falls into H-orbits
-    headed by 0 (size 1) and the L = (q - 1) / tau coset representatives z, ..., z^L of
-    H (size tau), z primitive in F_q: on the first coordinate x of the split torus
-    (q = p, (x, y) -> (x h, y / h), every y free) or on the whole of F_{p^2}
-    (irreducible).  Past that table, sequence_energy, so no head is walked there.
+    The cap is count_Q's: tau against DEFAULT_TAU_CAP[nu], with work tau^nu.  The
+    rows are the walk of the order-tau subgroup of F_p* with the column 1/u (split)
+    or of F_{p^2}* (irreducible), so orbit_energy counts them over that field.
     """
     if nu not in (1, 2, 3):
         raise ValueError(f"nu must be 1, 2, or 3, got {nu}")
     if err := over_budget("tau", tau, DEFAULT_TAU_CAP[nu], budget, work=tau ** nu):
         raise err
-    walk, p = table.torus(tag, tau), table.ctx.p
-    if nu < 3 or _gather_cells(tau, walk.shape[1], p, nu) is None:
-        return sequence_energy(walk, p, nu)
-    if tag == "split":
-        cosets = (p - 1) // tau
-        heads = table.tori["split"][:cosets, :1]
-    else:
-        ext = table.ctx.ext_field()
-        cosets = (ext.q - 1) // tau
-        heads = residue_orbit(mul_matrix(primitive_root(ext)), ext.one.residues(), cosets, p)
-    heads = np.vstack((np.zeros((1, heads.shape[1]), dtype=np.int64), heads))
-    return orbit_energy(walk, heads, np.r_[1, np.full(cosets, tau)], p, nu)
+    field = table.ctx if tag == "split" else table.ctx.ext_field()
+    return orbit_energy(table.torus(tag, tau), field, nu)
 
 
 # ---- matrix power orbits ----------------------------------------------------------

@@ -8,7 +8,8 @@ array code sees both fields only through mul_matrix, trace_form and
 residue_product, the 2 x 2 closed forms of multiplication, of the trace
 pairing and of the product of residue rows, sliced to degree. Powers, inverses
 and square roots of residue arrays build on residue_product; Tonelli-Shanks
-runs only there (residue_sqrt), on whole arrays of residue rows.
+runs only there (residue_sqrt), on whole arrays of residue rows. A subgroup
+(subgroup_walk) and its coset representatives (coset_walk) are residue_orbit walks.
 Six places read the degree: FieldCtx.__init__ (r and the (p - 1)(p + 1)
 factorization), FieldCtx.elem (it guards c1 = 0), FFElem.__pow__ (builtin
 three-argument pow serves the many F_p powers), FFElem.__repr__ (output text),
@@ -384,6 +385,29 @@ def residue_orbit(M: np.ndarray, start, length: int, p: int) -> np.ndarray:
 def subgroup_walk(G: SubgroupSpec) -> np.ndarray:
     """Residue rows of g, g^2, ..., g^order (= 1)."""
     return residue_orbit(mul_matrix(G.generator), G.ctx.one.residues(), G.order, G.ctx.p)
+
+
+def coset_walk(ctx: FieldCtx, tau: int, block: int):
+    """Blocks (rows, sizes) of block residue rows (the last one shorter) of
+    0, z, z^2, ..., z^L (z = primitive_root(ctx), L = (q - 1) // tau), with
+    the sizes 1, tau, ..., tau of their orbits under the order-tau subgroup H.
+
+    For tau | q - 1 they are one point of each orbit of H on F_q: 0 and a
+    representative of each coset of H.  Each block continues residue_orbit
+    from the last row of the block before, so no more than one block is held.
+    """
+    z, left = mul_matrix(primitive_root(ctx)), (ctx.q - 1) // tau
+    rows, last = np.zeros((1, ctx.degree), dtype=np.int64), ctx.one.residues()
+    sizes = np.full(min(block, left + 1), tau)
+    sizes[0] = 1  # the orbit {0}
+    while True:
+        if step := min(block - len(rows), left):
+            rows = np.vstack((rows, residue_orbit(z, last, step, ctx.p)))
+            last, left = rows[-1], left - step
+        yield rows, sizes[:len(rows)]
+        if not left:
+            return
+        rows, sizes = rows[:0], np.full(len(sizes), tau)
 
 
 def residue_product(x: np.ndarray, y: np.ndarray, ctx: FieldCtx) -> np.ndarray:

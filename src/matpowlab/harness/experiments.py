@@ -336,6 +336,8 @@ def _gauss_rows(cfg, desc):
     p, m = desc
     ctx = make_field(p, 2)
     q = p * p
+    if not _tau_selected(cfg, q - 1 if m == 0 else m):
+        return []
     if m == 0:
         group = SubgroupSpec(primitive_root(ctx), q - 1)
         info = _ctxinfo(p, q, n=1, tau=q - 1)
@@ -345,8 +347,6 @@ def _gauss_rows(cfg, desc):
             lambda: gauss_subgroup(group, ctx.one, cfg.budget).value,
             lambda value: [_checked(cfg, info, "gauss-full-deviation", value + 1,
                                     "tolerance", 1e-9)])
-    if not _tau_selected(cfg, m):
-        return []
     coefficients = [[ctx.from_index(1 + _stream(cfg, p, m, j).below(q - 1))]
                     for j in range(cfg.samples)]
     return _subgroup_rows(cfg, _ctxinfo(p, q, n=1, tau=m), "gauss", subgroup_of_order(ctx, m),

@@ -39,9 +39,9 @@ from .errors import (
     ZeroVector,
     over_budget,
 )
-from .ffield import (FFElem, FieldCtx, _decode_keys, mul_matrix, mult_order, primitive_root,
-                     residue_inverse, residue_orbit, residue_power, residue_product,
-                     residue_sqrt)
+from .ffield import (FFElem, FieldCtx, _decode_keys, mul_matrix, mult_order, residue_inverse,
+                     residue_orbit, residue_power, residue_product, residue_sqrt,
+                     subgroup_of_order, subgroup_walk)
 
 # Compared with the step count of matrix_order's iteration B -> B M (n >= 4, or
 # eigenvalues beyond F_{p^2}): one residue matmul per step.
@@ -541,9 +541,10 @@ def sl2_table(ctx: FieldCtx) -> SL2Table:
     matrix. The order of a split A_u is that of g^k (g primitive,
     g^k + g^-k = u), (p - 1) / gcd(k, p - 1); of an irreducible one that of
     w^k (w = h^(p - 1), h primitive in F_{p^2}, Tr w^k = u),
-    (p + 1) / gcd(k, p + 1): one residue_orbit walk of each torus, kept as
-    the table's tori. At u = +-2 the eigenvalue +-1 repeats and A_u is no
-    scalar, so its order is p ord(+-1).
+    (p + 1) / gcd(k, p + 1): one subgroup_walk of each torus, the subgroup
+    of order p - 1 of F_p* or p + 1 of F_{p^2}*, kept as the table's tori.
+    At u = +-2 the eigenvalue +-1 repeats and A_u is no scalar, so its order
+    is p ord(+-1).
     """
     if ctx.degree != 1:
         raise WrongDegree("the trace table is built over a prime field")
@@ -552,10 +553,8 @@ def sl2_table(ctx: FieldCtx) -> SL2Table:
     low = np.stack((np.ones(p, dtype=np.int64), -u % p), axis=1)[:, :, None]
     tau = np.empty(p, dtype=np.int64)
     tori = {}
-    for tag, field, generator, size in (
-            ("split", ctx, primitive_root(ctx), p - 1),
-            ("irreducible", ext, primitive_root(ext) ** (p - 1), p + 1)):
-        walk = residue_orbit(mul_matrix(generator), field.one.residues(), size, p)
+    for tag, field, size in (("split", ctx, p - 1), ("irreducible", ext, p + 1)):
+        walk = subgroup_walk(subgroup_of_order(field, size))
         inverse = residue_inverse(walk, field)
         trace = (walk + inverse)[:, 0] % p
         tau[trace] = size // np.gcd(np.arange(1, size + 1), size)

@@ -652,13 +652,32 @@ def test_moment_blocks_do_not_change_values(family, monkeypatch):
         assert all(abs(g - w) <= 1e-12 * w for g, w in zip(got, want)), rows
 
 
-def test_moment_missing_cosets_fail_the_second_moment_check(monkeypatch):
-    import matpowlab.charsums as charsums_mod
+def test_moment_builds_no_entity(monkeypatch):
+    # the walk is subgroup_walk's residue rows (and residue_inverse's), with no
+    # MatEntity or VecEntity between
+    built = []
+    for cls in (MatEntity, VecEntity):
+        real = cls.__init__
 
-    real = charsums_mod.primitive_root
-    monkeypatch.setattr(charsums_mod, "primitive_root", lambda ctx: real(ctx) ** 2)
-    # L = 12 / 3 = 4 cosets: the powers of g^2 reach only the even ones, twice each
+        def counted(self, *args, _real=real, **kwargs):
+            built.append(type(self).__name__)
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    for degree in (1, 2):
+        G = subgroup_of_order(make_field(5, degree), 2)
+        for family in ("gauss", "kloosterman"):
+            assert sum_moment(family, G, 6).exact is not None
+    assert built == []
+
+
+def test_moment_missing_cosets_fail_the_second_moment_check(monkeypatch):
+    import matpowlab.ffield as ffield_mod
+
     G = subgroup_of_order(make_field(13), 3)
+    real = ffield_mod.primitive_root
+    monkeypatch.setattr(ffield_mod, "primitive_root", lambda ctx: real(ctx) ** 2)
+    # L = 12 / 3 = 4 cosets: the powers of g^2 reach only the even ones, twice each
     for family in ("gauss", "kloosterman"):
         with pytest.raises(InvariantViolated, match="second moment"):
             sum_moment(family, G, 3)
@@ -848,12 +867,13 @@ def test_invariant_checks_survive_optimized_python():
         "    _walk_sums(np.array([[0, 5, 23]]), make_field(23), [{}])",
         "except InvariantViolated:",
         "    print('raised')",
-        "import matpowlab.charsums as charsums",
-        "from matpowlab.ffield import subgroup_of_order",
-        "real = charsums.primitive_root",
-        "charsums.primitive_root = lambda ctx: real(ctx) ** 2",
+        "import matpowlab.ffield as ffield",
+        "from matpowlab.charsums import sum_moment",
+        "G = ffield.subgroup_of_order(make_field(13), 3)",
+        "real = ffield.primitive_root",
+        "ffield.primitive_root = lambda ctx: real(ctx) ** 2",
         "try:",
-        "    charsums.sum_moment('gauss', subgroup_of_order(make_field(13), 3), 3)",
+        "    sum_moment('gauss', G, 3)",
         "except InvariantViolated:",
         "    print('raised')",
     ))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from matpowlab import counting, matgrp
+from matpowlab import counting, ffield, matgrp
 from matpowlab.counting import (
     CountResult,
     count_JK,
@@ -31,8 +31,8 @@ from matpowlab.errors import (
     ZeroXi1,
 )
 from matpowlab.charsums import subgroup_entry
-from matpowlab.ffield import (make_field, mul_matrix, mult_order, primitive_root, residue_orbit,
-                              subgroup_of_order)
+from matpowlab.ffield import (make_field, mul_matrix, mult_order, primitive_root, residue_inverse,
+                              residue_orbit, subgroup_of_order, subgroup_walk)
 from matpowlab.matgrp import (MatEntity, VecEntity, char_poly_factor, independence_checks,
                               matrix_order, sl2_companion, sl2_table)
 
@@ -713,41 +713,66 @@ def test_energy_past_int64_is_exact():
 
 
 def _moment_decomposition(family, p, degree, order):
-    """The walk of subgroup_entry(family, G) for the order-`order` subgroup G of F_q*,
-    with a = 0 and one a per coset of G as heads, of orbit sizes 1 and |G|."""
+    """The field and the walk sum_moment counts for the order-`order` subgroup G of
+    F_q*: u = g^x over G (subgroup_walk), then 1 / u for Kloosterman, the rows of
+    the vector orbit of subgroup_entry(family, G)."""
     ctx = make_field(p, degree)
-    A, ones = subgroup_entry(family, subgroup_of_order(ctx, order))
-    cosets = (ctx.q - 1) // order
-    walk = residue_orbit(mul_matrix(primitive_root(ctx)), ctx.one.residues(), cosets, p)
-    heads = np.vstack((np.zeros((1, degree), dtype=np.int64), walk))
-    sizes = np.full(cosets + 1, order)
-    sizes[0] = 1
-    return vector_orbit(ones, A, order), heads, sizes
+    G = subgroup_of_order(ctx, order)
+    walk = subgroup_walk(G)
+    if family == "kloosterman":
+        walk = np.hstack((walk, residue_inverse(walk, ctx)))
+    A, ones = subgroup_entry(family, G)
+    assert np.array_equal(walk, vector_orbit(ones, A, order))
+    return ctx, walk
 
 
 @pytest.mark.parametrize("family,p,degree,order", [("kloosterman", 13, 1, 4),
                                                    ("kloosterman", 5, 2, 8),
-                                                   ("gauss", 7, 2, 16)])
-def test_orbit_energy_checks_its_decomposition(family, p, degree, order):
-    walk, heads, sizes = _moment_decomposition(family, p, degree, order)
-    for nu in (1, 2, 3):
-        assert orbit_energy(walk, heads, sizes, p, nu) == sequence_energy(walk, p, nu)
-    wrong = sizes.copy()
-    wrong[1] -= 1
-    # a representative dropped, and a wrong orbit size
-    for forged_heads, forged_sizes in ((heads[:-1], sizes[:-1]), (heads, wrong)):
-        for nu in (1, 2, 3):
-            with pytest.raises(InvariantViolated):
-                orbit_energy(walk, forged_heads, forged_sizes, p, nu)
+                                                   ("gauss", 7, 2, 16),
+                                                   ("kloosterman", 13, 1, 3),
+                                                   ("gauss", 7, 2, 8)])
+def test_orbit_energy_checks_its_decomposition(family, p, degree, order, monkeypatch):
+    ctx, walk = _moment_decomposition(family, p, degree, order)
+    want = [sequence_energy(walk, p, nu) for nu in (1, 2, 3)]
+    assert [orbit_energy(walk, ctx, nu) for nu in (1, 2, 3)] == want
+    real_walk = counting.coset_walk
+
+    def repeated(field, tau, block):
+        # every block repeats its last row: one coset counted twice
+        for rows, sizes in real_walk(field, tau, block):
+            yield np.vstack((rows, rows[-1:])), np.r_[sizes, sizes[-1:]]
+
+    for block in (1 << 20, 2):
+        monkeypatch.setattr(counting, "_CHUNK_TARGET", block * order * p ** (walk.shape[1] - degree))
+        monkeypatch.setattr(counting, "coset_walk", repeated)
+        with pytest.raises(InvariantViolated):
+            orbit_energy(walk, ctx, 3)
+        monkeypatch.setattr(counting, "coset_walk", real_walk)
+        assert orbit_energy(walk, ctx, 3) == want[2]
+    # heads z^c of a non-primitive z = g^2: with L = (q - 1) / |G| odd they still
+    # take every coset once; with L even they take the even cosets twice each
+    real_root = ffield.primitive_root
+    monkeypatch.setattr(ffield, "primitive_root", lambda field: real_root(field) ** 2)
+    if (ctx.q - 1) // order % 2:
+        assert orbit_energy(walk, ctx, 3) == want[2]
+    else:
+        with pytest.raises(InvariantViolated):
+            orbit_energy(walk, ctx, 3)
 
 
-def test_orbit_energy_past_int64_is_exact():
-    # 210 000 rows evenly on Z_7, each point its own orbit: every 2-fold sum class
-    # has 210 000^2 / 7 members, and the sum of their squares (~2.8e20) passes int64
-    rows = np.arange(210000)[:, None] % 7
-    points = np.arange(7)[:, None]
-    assert (orbit_energy(rows, points, np.ones(7, dtype=np.int64), 7, 2)
-            == sequence_energy(rows, 7, 2) == 7 * (210000 ** 2 // 7) ** 2)
+def test_orbit_energy_past_int64_is_exact(monkeypatch):
+    # the full group of F_q, tau = q - 1 with tau^6 past int64, counted as Python
+    # ints by the gather, not sequence_energy; at q = 7919 the energy itself (~3.1e19)
+    # passes int64.  x_1 + x_2 + x_3 = x_4 + x_5 + x_6 over F_q* has
+    # ((q - 1)^6 + (q - 1)) / q solutions, since each nonzero a has
+    # sum_(x != 0) e(a x) = -1
+    monkeypatch.setattr(counting, "sequence_energy", None)
+    for p, degree in ((41, 2), (7919, 1)):
+        ctx = make_field(p, degree)
+        q = ctx.q
+        walk = subgroup_walk(subgroup_of_order(ctx, q - 1))
+        assert (q - 1) ** 6 >= 2 ** 63
+        assert orbit_energy(walk, ctx, 3) == ((q - 1) ** 6 + q - 1) // q
 
 
 # ---- the torus kernels of the SL_2 trace table ---------------------------------------
@@ -817,7 +842,7 @@ def test_torus_energy_walks_no_more_than_tau_rows_past_the_gather(monkeypatch):
         return real(M, start, length, q)
 
     monkeypatch.setattr(counting, "residue_orbit", spy)
-    monkeypatch.setattr(matgrp, "residue_orbit", spy)
+    monkeypatch.setattr(ffield, "residue_orbit", spy)
     for (tag, tau), u in _keys(table).items():
         for nu in (2, 3) if tau <= 50 else (2,):
             walked.clear()
@@ -825,11 +850,18 @@ def test_torus_energy_walks_no_more_than_tau_rows_past_the_gather(monkeypatch):
             assert all(length <= tau for length in walked), (tag, tau, nu, walked)
             if tau <= 12:
                 assert value == count_Q(sl2_companion(table.ctx, u), nu).value
-    # below it the spy sees the irreducible heads: one walk of (p^2 - 1) / tau
+    # below it the spy sees the irreducible heads 0, z, ..., z^L: one coset_walk in
+    # blocks of 2^20 / tau rows, each walk continuing the block before
     table = sl2_table(make_field(1019))
     walked.clear()
-    torus_energy(table, "irreducible", 5, 3)
+    value = torus_energy(table, "irreducible", 5, 3)
     assert walked == [(1019 ** 2 - 1) // 5]
+    # in blocks of 2^16 / 5 rows: the row 0 and 13 106 powers, then 13 107 a block
+    monkeypatch.setattr(counting, "_CHUNK_TARGET", 1 << 16)
+    walked.clear()
+    assert torus_energy(table, "irreducible", 5, 3) == value
+    assert walked == [13106] + [13107] * 14 + [11068]
+    assert sum(walked) == (1019 ** 2 - 1) // 5
 
 
 def test_torus_energy_skips_as_count_Q_does():

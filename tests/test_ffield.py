@@ -337,6 +337,25 @@ def test_stacked_residue_orbit_matches_the_per_matrix_walks(degree, length):
         assert np.array_equal(rows, ffield.residue_orbit(maps[0], s, length, p))
 
 
+@pytest.mark.parametrize("p, degree, tau", [(13, 1, 1), (13, 1, 3), (7, 2, 8), (5, 2, 24)])
+def test_coset_walk_blocks_are_the_coset_representatives(p, degree, tau):
+    # 0, z, ..., z^L (L = (q - 1) / tau) in blocks of any size, ragged or not
+    ctx = make_field(p, degree)
+    cosets = (ctx.q - 1) // tau
+    z = primitive_root(ctx)
+    want = [(0,) * degree] + [(z ** c).residues() for c in range(1, cosets + 1)]
+    for block in (1, 2, 3, cosets, cosets + 1, cosets + 5):
+        blocks = list(ffield.coset_walk(ctx, tau, block))
+        assert [len(rows) for rows, _ in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert 1 <= len(blocks[-1][0]) <= block
+        assert [tuple(row) for rows, _ in blocks for row in rows.tolist()] == want, block
+        assert [size for _, sizes in blocks for size in sizes.tolist()] == [1] + [tau] * cosets
+    # one head of each orbit of the order-tau subgroup H on F_q: 0, then each coset of H
+    H = {u.residues() for u in (z ** (cosets * k) for k in range(tau))}
+    heads = [ctx.elem(*row) for row in want[1:]]
+    assert len({frozenset((x * ctx.elem(*h)).residues() for h in H) for x in heads}) == cosets
+
+
 @pytest.mark.parametrize("p, degree", [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2)])
 def test_residue_inverse_matches_the_element_inverse(p, degree):
     # every element of F_q as one (q, degree) stack, and the same stack as (q, 1, degree)

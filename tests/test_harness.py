@@ -832,8 +832,8 @@ def test_subgroups_outside_the_tau_window_give_no_rows(experiment):
     kept, dropped = set(), set()
     for p, m in build_instances(cfg):
         rows = compute_instance(cfg, (p, m))
-        if m == 0:  # gauss's full group row stands outside the window
-            assert [rec.quantity for rec in rows] == ["gauss-full-deviation"]
+        if m == 0:  # gauss's full group, of order q - 1 = p^2 - 1 > 6
+            assert rows == []
         elif not 3 <= m <= 6:
             assert rows == []
             dropped.add(m)
@@ -844,6 +844,22 @@ def test_subgroups_outside_the_tau_window_give_no_rows(experiment):
     # the orders m > 1 dividing p - 1 (kloosterman) or p + 1 (gauss), p = 5, 7, 11, 13
     assert kept == ({3, 4, 5, 6} if experiment == "kloosterman" else {3, 4, 6})
     assert dropped == ({2, 10, 12} if experiment == "kloosterman" else {2, 7, 8, 12, 14})
+
+
+def test_full_group_rows_follow_the_tau_window():
+    # the full groups, of order p^2 - 1 (gauss) and p - 1 (kloosterman), are
+    # kept or dropped by the window as every other order is
+    for experiment, full in (("gauss", lambda p: p * p - 1), ("kloosterman", lambda p: p - 1)):
+        cfg = build_config({"experiment": experiment, "p_min": "5", "p_max": "13",
+                            "tau_max": "10"})
+        rows = _all_rows(cfg)
+        assert rows and all(rec.tau <= 10 for rec in rows)
+        assert {rec.p for rec in rows if rec.tau == full(rec.p)} == (
+            set() if experiment == "gauss" else {5, 7, 11})
+        assert all(rec.quantity != "gauss-full-deviation" for rec in rows)
+    # the default window keeps the gauss full-group row of every prime
+    rows = _all_rows(build_config({"experiment": "gauss", "p_min": "5", "p_max": "13"}))
+    assert [rec.p for rec in rows if rec.quantity == "gauss-full-deviation"] == [5, 7, 11, 13]
 
 
 def test_fail_rows_set_exit_one(tmp_path, monkeypatch):
