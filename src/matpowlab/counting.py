@@ -29,10 +29,10 @@ blocks from ffield.coset_walk and c_3 gathered off a tiling in DENSE_CAP's
 16 MB, else sequence_energy. It is the exact side of charsums.sum_moment and
 all of `torus_energy`, which counts a (class, tau) key of the SL_2 trace
 table on its tau torus rows, the power orbit of each companion of the key up
-to an F_p-linear bijection, with no matrix. `count_product_eqs` scans a
-whole stack of product equations, one stacked power walk per field, period
-and number of bases, and returns each skip in place; `count_product_eq` is
-its one-entry call.
+to an F_p-linear bijection, with no matrix. `residue_product_eqs` scans a
+stack of product equations over the residue rows of one period of their
+bases' powers, such as a key's torus rows; `count_product_eq` walks the
+powers of its own bases and scans its one equation there.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    BudgetExceeded,
     DegenerateParameters,
     InvariantViolated,
     MixedContext,
@@ -398,73 +397,55 @@ def count_JK(v: VecEntity, A: MatEntity, k: int, budget: float = 1.0) -> CountRe
 # ---- product equation --------------------------------------------------------------
 
 
-def count_product_eqs(entries, budget: float = 1.0, orders=None) -> list:
-    """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0, for each
-    (xi_0, xis, lambdas) entry.
-
-    Returns one entry per input, in order: its CountResult, or the
-    BudgetExceeded that skipped it (an lcm period above PRODUCT_EQ_CAP scaled
-    by budget).  tau is the lcm of an entry's base orders: orders gives them,
-    one sequence per entry in the order of its lambdas, as the exact
-    multiplicative orders a caller already knows; without it they take one
-    mult_order per Frobenius orbit of bases over all entries.  The entries of one field,
-    tau and number of bases walk their bases as stacked residue_orbit calls
-    of at most _CHUNK_TARGET residue cells each, and their factors are
-    multiplied as arrays of residue rows.
+def residue_product_eqs(powers: np.ndarray, xis: np.ndarray, targets: np.ndarray,
+                        ctx: FieldCtx, budget: float = 1.0) -> np.ndarray:
+    """The number of rows x of powers with prod_j (xis[k, j] - powers[x, j]) =
+    targets[k] over ctx, for each equation k: an int64 array (N,).  powers
+    (tau, n, degree) holds one period of the n bases' powers, xis (N, n, degree)
+    and targets (N, degree) the equations.  Its cap is the period tau against
+    PRODUCT_EQ_CAP; the scan takes about _CHUNK_TARGET residue cells at a time.
     """
-    entries = [(xi0, list(xis), list(lambdas)) for xi0, xis, lambdas in entries]
-    for xi0, xis, lambdas in entries:
-        if not xis or len(xis) != len(lambdas):
-            raise ValueError("need matching nonempty coefficient and base lists")
-        for x in xis + lambdas:
-            if x.ctx != xi0.ctx:
-                raise MixedContext("product equation pieces from different fields")
-        if not xis[0]:
-            raise ZeroXi1("leading coefficient xi_1 must be nonzero")
-        if not xi0:
-            raise DegenerateParameters("target xi_0 must be nonzero")
-        for lam in lambdas:
-            if not lam:
-                raise ZeroLambda("bases must be nonzero")
-    if orders is None:
-        found = iter(frobenius_orders([lam for _, _, lambdas in entries for lam in lambdas]))
-        orders = [[next(found) for _ in lambdas] for _, _, lambdas in entries]
-    orders = [list(own) for own in orders]
-    if [len(own) for own in orders] != [len(lambdas) for _, _, lambdas in entries]:
-        raise ValueError("need one order per base of each entry")
-    results, groups = [None] * len(entries), {}
-    for k, ((xi0, _, lambdas), own) in enumerate(zip(entries, orders)):
-        tau = math.lcm(*own)
-        results[k] = over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget)
-        if results[k] is None:
-            groups.setdefault((xi0.ctx, tau, len(lambdas)), []).append((k, max(own)))
-    for (ctx, tau, n), members in groups.items():
-        p, d = ctx.p, ctx.degree
-        size = max(1, _CHUNK_TARGET // (tau * n * d))
-        for block in (members[i:i + size] for i in range(0, len(members), size)):
-            picked = [entries[k] for k, _ in block]
-            bases = np.array([[mul_matrix(lam) for lam in lambdas] for _, _, lambdas in picked])
-            powers = residue_orbit(bases, ctx.one.residues(), tau, p)
-            xis = np.array([[xi.residues() for xi in xis] for _, xis, _ in picked])
-            factors = (xis[:, :, None, :] - powers) % p
-            prod = factors[:, 0]
-            for j in range(1, n):
-                prod = residue_product(prod, factors[:, j], ctx)
-            targets = np.array([xi0.residues() for xi0, _, _ in picked])
-            hits = np.count_nonzero(np.all(prod == targets[:, None, :], axis=2), axis=1)
-            for (k, L), value in zip(block, hits.tolist()):
-                results[k] = CountResult(value, "direct-scan",
-                                         {"tau": tau, "L": L, "n": n, "p": p, "degree": d})
-    return results
+    tau, n, d = powers.shape
+    if xis.shape[1:] != (n, d) or targets.shape != (len(xis), d):
+        raise ValueError("need one coefficient per base and one target per equation")
+    if err := over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget):
+        raise err
+    hits = np.empty(len(xis), dtype=np.int64)
+    block = max(1, _CHUNK_TARGET // (tau * n * d))
+    for lo in range(0, len(xis), block):
+        factors = (xis[lo:lo + block, None] - powers) % ctx.p
+        prod = factors[:, :, 0]
+        for j in range(1, n):
+            prod = residue_product(prod, factors[:, :, j], ctx)
+        hits[lo:lo + block] = np.all(prod == targets[lo:lo + block, None], axis=2).sum(axis=1)
+    return hits
 
 
 def count_product_eq(xi0: FFElem, xis, lambdas, budget: float = 1.0) -> CountResult:
-    """The one-entry call of count_product_eqs, raising the BudgetExceeded
-    that would skip the entry."""
-    (result,) = count_product_eqs([(xi0, xis, lambdas)], budget)
-    if isinstance(result, BudgetExceeded):
-        raise result
-    return result
+    """Count x in [1, tau] with prod_j (xi_j - lambda_j^x) = xi_0, tau the lcm
+    of the base orders (one mult_order per Frobenius orbit of bases), by one
+    residue_orbit walk of the bases and residue_product_eqs."""
+    if not xis or len(xis) != len(lambdas):
+        raise ValueError("need matching nonempty coefficient and base lists")
+    ctx = xi0.ctx
+    if any(x.ctx != ctx for x in (*xis, *lambdas)):
+        raise MixedContext("product equation pieces from different fields")
+    if not xis[0]:
+        raise ZeroXi1("leading coefficient xi_1 must be nonzero")
+    if not xi0:
+        raise DegenerateParameters("target xi_0 must be nonzero")
+    if not all(lambdas):
+        raise ZeroLambda("bases must be nonzero")
+    orders = frobenius_orders(lambdas)
+    tau = math.lcm(*orders)
+    if err := over_budget("lcm period", tau, PRODUCT_EQ_CAP, budget):
+        raise err
+    bases = np.array([mul_matrix(lam) for lam in lambdas])
+    powers = residue_orbit(bases, ctx.one.residues(), tau, ctx.p).transpose(1, 0, 2)
+    (value,) = residue_product_eqs(powers, np.array([[xi.residues() for xi in xis]]),
+                                   np.array([xi0.residues()]), ctx, budget).tolist()
+    return CountResult(value, "direct-scan", {"tau": tau, "L": max(orders), "n": len(lambdas),
+                                              "p": ctx.p, "degree": ctx.degree})
 
 
 # ---- orbit sum distribution and sumset coverage ------------------------------------

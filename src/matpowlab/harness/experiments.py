@@ -28,7 +28,7 @@ from ..charsums import (
     weil_explicit_bound,
 )
 from ..counting import (
-    count_product_eqs,
+    residue_product_eqs,
     residue_sum_distribution,
     residue_sumset_cover,
     torus_energy,
@@ -49,6 +49,7 @@ from ..errors import (
 )
 from ..ffield import (
     SubgroupSpec,
+    _decode_keys,
     _is_prime,
     make_field,
     primitive_root,
@@ -186,7 +187,7 @@ def _companions(cfg, p):
     capped key raises (and skips) again on each trace."""
     table = sl2_table(make_field(p))
     selected = []
-    for u, ((tag, _, _), tau) in enumerate(zip(table.roots, table.tau)):
+    for u, (tag, tau) in enumerate(zip(table.tags, table.tau)):
         if tag != "repeated" and cfg.class_filter in ("all", tag) and _tau_selected(cfg, tau):
             selected.append((u, tag, tau, _ctxinfo(p, p, n=2, trace=u, class_tag=tag,
                                                    tau=tau, t=1)))
@@ -397,6 +398,20 @@ def _curves_rows(cfg, desc):
     return rows
 
 
+def _torus_product_eqs(table, tag, tau, draws, budget):
+    """#{x : (xi_1 - lam^x)(xi_2 - lam^-x) = xi_0} for each index triple (xi_0,
+    xi_1, xi_2) of draws, lam an eigenvalue of the key: lam^x runs once over its
+    torus rows h, and lam^-x = 1/h is their second column (split) or conjugate
+    (c0, -c1) (irreducible); x -> -x permutes the period, so either one is lam."""
+    p, rows = table.ctx.p, table.torus(tag, tau)
+    if tag == "split":
+        field, powers = table.ctx, rows[:, :, None]
+    else:
+        field, powers = table.ctx.ext_field(), np.stack((rows, rows * (1, -1) % p), axis=1)
+    xis = _decode_keys(np.array(draws).ravel(), p, field.degree).reshape(len(draws), 3, -1)
+    return residue_product_eqs(powers, xis[:, 1:], xis[:, 0], field, budget).tolist()
+
+
 def _orbit_rows(cfg, desc):
     (p,) = desc
     table, traces = _companions(cfg, p)
@@ -407,30 +422,30 @@ def _orbit_rows(cfg, desc):
         residue_sum_distribution(table.torus(tag, tau), p, 2, cfg.budget).rows))
     covered = cache(lambda tag, tau: residue_sumset_cover(
         table.torus(tag, tau), p, 4, cfg.budget).covered_at or 0)
-    # every trace draws its own xi's; the product equations of the prime are one stack
-    equations = []
-    for u, *_ in traces:
-        _, eigenvalues, ectx = table.roots[u]
+    # every trace draws its own xi's, as indices of F_p (split) or F_{p^2};
+    # the product equations of a key are one stack
+    draws, slots = {}, []
+    for u, tag, tau, _ in traces:
+        q = p if tag == "split" else p * p
         stream = _stream(cfg, p, u)
-        xi0 = ectx.from_index(stream.unit_nonzero(ectx.q))
-        xi1 = ectx.from_index(stream.unit_nonzero(ectx.q))
-        xi2 = ectx.from_index(stream.below(ectx.q))
-        equations.append((xi0, (xi1, xi2), eigenvalues))
-    # both eigenvalues of A_u have its order tau
-    products = count_product_eqs(equations, cfg.budget,
-                                 orders=[(tau, tau) for _, _, tau, _ in traces])
+        stack = draws.setdefault((tag, tau), [])
+        slots.append(len(stack))
+        stack.append((stream.unit_nonzero(q), stream.unit_nonzero(q), stream.below(q)))
+    products = cache(lambda tag, tau: _torus_product_eqs(table, tag, tau, draws[tag, tau],
+                                                         cfg.budget))
     rows = []
-    for (u, tag, tau, info), product in zip(traces, products):
+    for (u, tag, tau, info), slot in zip(traces, slots):
         rows += _guarded(
             cfg, info, "distinct-sums-2", lambda: distinct(tag, tau),
             lambda count: [_row(cfg, info, "distinct-sums-2", count)])
         rows += _guarded(
             cfg, info, "cover-arity", lambda: covered(tag, tau),
             lambda arity: [_row(cfg, info, "cover-arity", arity)])
+        # both eigenvalues of A_u have its order tau, the bound's L
         rows += _guarded(
-            cfg, info, "product-eq-count", lambda: product,
-            lambda result: [_row(cfg, info, "product-eq-count", result.value,
-                                 "product-decay", tau / result.parameters["L"]**0.5)])
+            cfg, info, "product-eq-count", lambda: products(tag, tau)[slot],
+            lambda count: [_row(cfg, info, "product-eq-count", count,
+                                "product-decay", tau / tau**0.5)])
     return rows
 
 

@@ -7,18 +7,17 @@ elimination, checked for a whole stack of residue starts and maps at once
 polynomials use per-dimension closed forms (n <= 3). Every monic quadratic has
 its roots from one array root finder over residue rows (_quadratic_roots: an
 Euler test and one residue_sqrt on the discriminants), called with one row by
-char_poly_factor (n = 2, and the quadratic cofactor of an n = 3 cubic) and
-with all p traces by the SL_2 trace table. For n = 3 the base roots come from
-one Horner evaluation of the cubic on the residue rows of every field element
-(residue_product), each root then peeled off by synthetic division;
-eigenvalues land in the quadratic extension when needed. Diagonalizability
-and orders are read off those eigenvalues; only n >= 4 or eigenvalues beyond
-the quadratic extension fall back to capped power iteration. The SL_2
-companions of a prime come as one array trace table (sl2_table): their
-classes, eigenvalues, orders and residue maps from one pass over all traces,
-with no matrix per trace. It keeps the walk of each centralizer torus, and
-torus(class, tau) reads from it by stride the tau rows that stand for the
-power orbit of every A_u of that key.
+char_poly_factor (n = 2, and the quadratic cofactor of an n = 3 cubic). For
+n = 3 the base roots come from one Horner evaluation of the cubic on the
+residue rows of every field element (residue_product), each root then peeled
+off by synthetic division; eigenvalues land in the quadratic extension when
+needed. Diagonalizability and orders are read off those eigenvalues; only
+n >= 4 or eigenvalues beyond the quadratic extension fall back to capped
+power iteration. The SL_2 companions of a prime come as one array trace
+table (sl2_table): their classes, orders and residue maps from one walk of
+each centralizer torus, with no matrix and no root finder per trace. It
+keeps both walks, and torus(class, tau) reads from them by stride the tau
+rows that stand for the power orbit of every A_u of that key.
 """
 
 from __future__ import annotations
@@ -505,17 +504,16 @@ def sl2_companion(ctx: FieldCtx, u: int) -> MatEntity:
 class SL2Table(NamedTuple):
     """The SL_2 trace table of a prime (sl2_table), indexed by the trace u.
 
-    roots: the _quadratic_roots row (tag, eigenvalues, eigen_ctx) of
-    X^2 - u X + 1; tau: the order of A_u, an int; maps: the (p, 2, 2) column
-    residue maps A_u over F_p (the row maps are their transposes); tori: for
-    each class its torus walk, one residue row per power z^k, k = 1..size,
-    of its generator: (g^k, g^-k) over F_p x F_p (split, size p - 1, g
-    primitive in F_p) and w^k over F_{p^2} (irreducible, size p + 1, w of
-    norm one).
+    tags: the class of A_u, "split", "irreducible" or "repeated" (u = +-2);
+    tau: the order of A_u, an int; maps: the (p, 2, 2) column residue maps
+    A_u over F_p (the row maps are their transposes); tori: for each class
+    its torus walk, one residue row per power z^k, k = 1..size, of its
+    generator: (g^k, g^-k) over F_p x F_p (split, size p - 1, g primitive in
+    F_p) and w^k over F_{p^2} (irreducible, size p + 1, w of norm one).
     """
 
     ctx: FieldCtx
-    roots: list
+    tags: list
     tau: list
     maps: np.ndarray
     tori: dict
@@ -525,41 +523,43 @@ class SL2Table(NamedTuple):
         order-tau subgroup of the class's torus, read from its walk by stride.
         The powers of A_u lie in F_p[A_u], which is F_p x F_p (split) or
         F_{p^2} (irreducible), so for every A_u of the (class, tau) key these
-        rows are its power orbit up to an F_p-linear bijection."""
-        walk = self.tori[tag]
+        rows are its power orbit up to an F_p-linear bijection.  A class with
+        no torus, or a tau that does not divide its size, raises ValueError."""
+        walk = self.tori.get(tag)
+        if walk is None or tau < 1 or len(walk) % tau:
+            raise ValueError(f"the {tag!r} torus has no subgroup of order {tau}")
         step = len(walk) // tau
         return walk[step - 1::step]
 
 
 def sl2_table(ctx: FieldCtx) -> SL2Table:
-    """The classes, eigenvalues, orders, residue maps and torus walks of every
+    """The classes, orders, residue maps and torus walks of every
     sl2_companion(ctx, u) over F_p, u = 0, ..., p - 1, from one array pass
-    over the traces: no matrix is built.
+    over the traces: no matrix is built and no root is found.
 
-    The classes and eigenvalues of X^2 - u X + 1 are one _quadratic_roots
-    call over all p traces, the one char_poly_factor makes for a single
-    matrix. The order of a split A_u is that of g^k (g primitive,
-    g^k + g^-k = u), (p - 1) / gcd(k, p - 1); of an irreducible one that of
-    w^k (w = h^(p - 1), h primitive in F_{p^2}, Tr w^k = u),
-    (p + 1) / gcd(k, p + 1): one subgroup_walk of each torus, the subgroup
-    of order p - 1 of F_p* or p + 1 of F_{p^2}*, kept as the table's tori.
-    At u = +-2 the eigenvalue +-1 repeats and A_u is no scalar, so its order
-    is p ord(+-1).
+    Each torus is one subgroup_walk, the subgroup of order p - 1 of F_p* or
+    p + 1 of F_{p^2}*, kept as the table's tori. Its k-th row z^k has the
+    trace u = z^k + z^-k of the A_u whose eigenvalues are z^(+-k), so the
+    walk gives that A_u its class and its order, (p - 1) / gcd(k, p - 1)
+    (split) or (p + 1) / gcd(k, p + 1) (irreducible). At u = +-2 the
+    eigenvalue +-1 repeats and A_u is no scalar, so its class is repeated
+    and its order p ord(+-1).
     """
     if ctx.degree != 1:
         raise WrongDegree("the trace table is built over a prime field")
     p, ext = ctx.p, ctx.ext_field()
-    u = np.arange(p)
-    low = np.stack((np.ones(p, dtype=np.int64), -u % p), axis=1)[:, :, None]
+    tags = np.empty(p, dtype=object)
     tau = np.empty(p, dtype=np.int64)
     tori = {}
     for tag, field, size in (("split", ctx, p - 1), ("irreducible", ext, p + 1)):
         walk = subgroup_walk(subgroup_of_order(field, size))
         inverse = residue_inverse(walk, field)
         trace = (walk + inverse)[:, 0] % p
+        tags[trace] = tag
         tau[trace] = size // np.gcd(np.arange(1, size + 1), size)
         tori[tag] = np.hstack((walk, inverse)) if tag == "split" else walk
+    tags[[2, p - 2]] = "repeated"
     tau[[2, p - 2]] *= p
     maps = np.zeros((p, 2, 2), dtype=np.int64)
-    maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1] = p - 1, 1, u
-    return SL2Table(ctx, _quadratic_roots(low, ctx), tau.tolist(), maps, tori)
+    maps[:, 0, 1], maps[:, 1, 0], maps[:, 1, 1] = p - 1, 1, np.arange(p)
+    return SL2Table(ctx, tags.tolist(), tau.tolist(), maps, tori)

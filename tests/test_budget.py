@@ -1,14 +1,15 @@
 """One budget rule: a kernel runs while its measure is at most
 max(1, int(cap * budget)) and skips with its estimated work past it."""
 
+import numpy as np
 import pytest
 
 from matpowlab import catmap, charsums, counting, curves
 from matpowlab.catmap import CatMatrix, cat_unitary, eigenbasis, matrix_element_check
 from matpowlab.charsums import matrix_exp_sums, sum_moment
 from matpowlab.counting import (count_product_eq, count_Q, orbit_sum_distribution,
-                                residue_sum_distribution, residue_sumset_cover, sumset_cover,
-                                torus_energy)
+                                residue_product_eqs, residue_sum_distribution,
+                                residue_sumset_cover, sumset_cover, torus_energy)
 from matpowlab.curves import CurveSpec, count_points
 from matpowlab.errors import BudgetExceeded, over_budget
 from matpowlab.ffield import make_field, subgroup_of_order
@@ -48,7 +49,7 @@ A13 = sl2_companion(F13, 1)
 TAU13 = matrix_order(A13)
 START = VecEntity([F13.one, F13.one], "row")
 TABLE13 = sl2_table(F13)
-KEY13 = (TABLE13.roots[1][0], TABLE13.tau[1])  # the (class, tau) of A13
+KEY13 = (TABLE13.tags[1], TABLE13.tau[1])  # the (class, tau) of A13
 G6 = subgroup_of_order(F13, 6)
 HYPERBOLIC = CatMatrix(2, 1, 3, 2)
 
@@ -74,6 +75,12 @@ CASES = {
                              counting.COVER_SPACE_CAP, 13 ** 2, 13 ** 2),
     "count_product_eq": (lambda b: count_product_eq(F7.one, [F7.one], [F7.elem(3)], b),
                          counting.PRODUCT_EQ_CAP, 6, 6),
+    # the split key of A13: its torus rows (h, 1/h) are the powers of both eigenvalues
+    "residue_product_eqs": (
+        lambda b: residue_product_eqs(TABLE13.torus(*KEY13)[:, :, None],
+                                      np.ones((1, 2, 1), np.int64), np.ones((1, 1), np.int64),
+                                      F13, b),
+        counting.PRODUCT_EQ_CAP, TAU13, TAU13),
     "orbit_sum_distribution": (lambda b: orbit_sum_distribution(START, A13, 2, b),
                                counting.DISTRIBUTION_WORK_CAP, TAU13 ** 2,
                                TAU13 ** 2),

@@ -9,11 +9,11 @@ from matpowlab.counting import (
     CountResult,
     count_JK,
     count_product_eq,
-    count_product_eqs,
     count_Q,
     orbit_energy,
     orbit_sum_distribution,
     power_orbit,
+    residue_product_eqs,
     residue_sum_distribution,
     residue_sumset_cover,
     sequence_energy,
@@ -542,9 +542,9 @@ def test_product_eq_computes_one_order_per_conjugate_pair(monkeypatch):
                                                [lam, lam.frobenius()], 16)
 
 
-def test_stacked_product_eqs_match_the_naive_count():
+def test_product_eqs_match_the_naive_count():
     # split (F_13) and irreducible (F_169) eigenvalue pairs of SL_2 companions,
-    # a one-base entry, and a capped entry in the middle that comes back in place
+    # a one-base equation, and a capped one in the middle
     p = 13
     ext = make_field(p, 2)
     rng = np.random.default_rng(11)
@@ -558,26 +558,55 @@ def test_stacked_product_eqs_match_the_naive_count():
     g = primitive_root(ext)
     entries.insert(3, (ext.one, (ext.one,), (g,)))  # order 168 > the limit 100
     entries.append((ext.elem(2), (ext.elem(1, 1),), (g ** 12,)))
-    results = count_product_eqs(entries, budget=1e-3)
-    assert isinstance(results[3], BudgetExceeded) and results[3].estimated_work == 168
-    assert {ctx.degree for xi0, _, _ in entries for ctx in [xi0.ctx]} == {1, 2}
-    for k, (xi0, xis, lambdas) in enumerate(entries):
-        if k == 3:
-            continue
-        result = results[k]
+    with pytest.raises(BudgetExceeded) as capped:
+        count_product_eq(*entries.pop(3), budget=1e-3)
+    assert capped.value.estimated_work == 168
+    assert {xi0.ctx.degree for xi0, _, _ in entries} == {1, 2}
+    values = []
+    for xi0, xis, lambdas in entries:
+        result = count_product_eq(xi0, xis, lambdas, budget=1e-3)
         tau = math.lcm(*(mult_order(lam) for lam in lambdas))
         assert result.parameters == {"tau": tau, "L": max(map(mult_order, lambdas)),
                                      "n": len(lambdas), "p": p, "degree": xi0.ctx.degree}
-        assert result.value == naive_product_eq_count(xi0, xis, lambdas, tau), k
-        assert result == count_product_eq(xi0, xis, lambdas, budget=1e-3)
-    assert sum(result.value for k, result in enumerate(results) if k != 3) > 0
-    assert count_product_eqs([]) == []
-    # the orders a caller hands in give the same results, and must be one per base
-    orders = [[mult_order(lam) for lam in lambdas] for _, _, lambdas in entries]
-    given = count_product_eqs(entries, budget=1e-3, orders=orders)
-    assert given[3].estimated_work == 168 and given[:3] + given[4:] == results[:3] + results[4:]
-    with pytest.raises(ValueError):
-        count_product_eqs(entries, orders=orders[1:])
+        assert result.value == naive_product_eq_count(xi0, xis, lambdas, tau)
+        values.append(result.value)
+    assert sum(values) > 0
+
+
+def test_residue_product_eqs_scan_a_stack_of_equations_on_one_period(monkeypatch):
+    # every equation of the stack is counted on the same power rows, in blocks
+    # of any size, a capped period raises before any work, and the rows of
+    # coefficients and targets must match the bases and the equations
+    rng = np.random.default_rng(5)
+    for ctx in (make_field(13), make_field(7, 2)):
+        g = primitive_root(ctx)
+        for lambdas in ([g ** 2, g ** 3], [g ** 4]):
+            tau = math.lcm(*map(mult_order, lambdas))
+            powers = np.array([[(lam ** x).residues() for lam in lambdas]
+                               for x in range(1, tau + 1)])
+            equations = [(ctx.from_index(1 + int(rng.integers(ctx.q - 1))),
+                          [ctx.from_index(1 + int(rng.integers(ctx.q - 1)))]
+                          + [ctx.from_index(int(rng.integers(ctx.q)))
+                             for _ in lambdas[1:]]) for _ in range(9)]
+            xis = np.array([[xi.residues() for xi in coefficients]
+                            for _, coefficients in equations])
+            targets = np.array([xi0.residues() for xi0, _ in equations])
+            hits = residue_product_eqs(powers, xis, targets, ctx)
+            assert hits.dtype == np.int64
+            assert hits.tolist() == [naive_product_eq_count(xi0, coefficients, lambdas, tau)
+                                     for xi0, coefficients in equations]
+            with monkeypatch.context() as patch:
+                patch.setattr(counting, "_CHUNK_TARGET", 2 * tau * ctx.degree)
+                assert np.array_equal(residue_product_eqs(powers, xis, targets, ctx), hits)
+            assert residue_product_eqs(powers, xis[:0], targets[:0], ctx).tolist() == []
+            with pytest.raises(BudgetExceeded) as capped:
+                residue_product_eqs(powers, xis, targets, ctx, budget=(tau - 1) / 10 ** 5)
+            assert capped.value.estimated_work == tau
+            with pytest.raises(ValueError):
+                wrong = xis[:, :1] if len(lambdas) == 2 else xis.repeat(2, axis=1)
+                residue_product_eqs(powers, wrong, targets, ctx)
+            with pytest.raises(ValueError):
+                residue_product_eqs(powers, xis, targets[1:], ctx)
 
 
 def test_product_eq_rejects_bad_inputs():
@@ -784,7 +813,7 @@ _SMALL_PRIMES = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
 def _keys(table):
     """Each (class, tau) key of a trace table with the first trace u of the key."""
     keys = {}
-    for u, ((tag, _, _), tau) in enumerate(zip(table.roots, table.tau)):
+    for u, (tag, tau) in enumerate(zip(table.tags, table.tau)):
         if tag != "repeated":
             keys.setdefault((tag, tau), u)
     return keys
@@ -878,3 +907,29 @@ def test_torus_energy_skips_as_count_Q_does():
             assert torus.value.estimated_work == companion.value.estimated_work == tau ** nu
             budget = (tau + 0.5) / counting.DEFAULT_TAU_CAP[nu]
             assert torus_energy(table, tag, tau, nu, budget) == count_Q(A, nu).value
+
+
+@pytest.mark.parametrize("p", _SMALL_PRIMES)
+def test_product_eqs_on_the_torus_rows_are_the_eigenvalue_counts(p):
+    # lam^x runs over the key's torus rows h as x runs over the period, and
+    # lam^-x = 1/h is the second column (split) or the conjugate (irreducible);
+    # x -> -x permutes the period, so the eigenvalues may come in either order
+    ctx = make_field(p)
+    table = sl2_table(ctx)
+    rng = np.random.default_rng(p)
+    for u, (tag, tau) in enumerate(zip(table.tags, table.tau)):
+        if tag == "repeated":
+            continue
+        lambdas = char_poly_factor(sl2_companion(ctx, u)).eigenvalues
+        field = lambdas[0].ctx
+        rows = table.torus(tag, tau)
+        powers = (rows[:, :, None] if tag == "split"
+                  else np.stack((rows, rows * (1, -1) % p), axis=1))
+        xi0, xi1, xi2 = (field.from_index(1 + int(rng.integers(field.q - 1))),
+                         field.from_index(1 + int(rng.integers(field.q - 1))),
+                         field.from_index(int(rng.integers(field.q))))
+        (core,) = residue_product_eqs(powers, np.array([[xi1.residues(), xi2.residues()]]),
+                                      np.array([xi0.residues()]), field).tolist()
+        assert core == count_product_eq(xi0, (xi1, xi2), lambdas).value, (u, tag)
+        assert core == count_product_eq(xi0, (xi1, xi2), lambdas[::-1]).value, (u, tag)
+        assert core == naive_product_eq_count(xi0, (xi1, xi2), lambdas, tau), (u, tag)

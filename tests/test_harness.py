@@ -9,10 +9,10 @@ from functools import cache
 import numpy as np
 import pytest
 
-from matpowlab import catmap, matgrp
-from matpowlab.counting import count_Q, orbit_sum_distribution, sumset_cover
+from matpowlab import catmap, ffield, matgrp
+from matpowlab.counting import count_product_eq, count_Q, orbit_sum_distribution, sumset_cover
 from matpowlab.errors import BudgetExceeded, ConfigError, InvariantViolated
-from matpowlab.ffield import make_field
+from matpowlab.ffield import FieldCtx, make_field
 from matpowlab.harness import (
     EXPERIMENT_NAMES,
     ShiftRegister,
@@ -255,7 +255,7 @@ def test_trace_grid_counts_depend_only_on_class_and_order():
 # the counting kernel behind each quantity of the trace grids
 _KERNELS = {"energy2": "torus_energy", "orbit-count-6term": "torus_energy",
             "distinct-sums-2": "residue_sum_distribution",
-            "cover-arity": "residue_sumset_cover", "product-eq-count": "count_product_eqs"}
+            "cover-arity": "residue_sumset_cover", "product-eq-count": "residue_product_eqs"}
 
 
 @cache
@@ -265,10 +265,17 @@ def _table(p):
 
 def _torus_key(args):
     """The (p, class, tau) of a per-class kernel call: torus_energy names its key;
-    the rows of a residue_* core must be exactly the table torus of one key."""
+    the rows of a residue_* core must be exactly the table torus of one key, and
+    for residue_product_eqs the powers of its first base over the field F_p
+    (split) or F_{p^2} (irreducible) it counts in."""
     if isinstance(args[0], matgrp.SL2Table):
         table, tag, tau = args[:3]
         return table.ctx.p, tag, tau
+    if len(args) > 3 and isinstance(args[3], FieldCtx):
+        powers, field = args[0], args[3]
+        tag, tau = ("split", "irreducible")[field.degree - 1], len(powers)
+        assert np.array_equal(powers[:, 0], _table(field.p).torus(tag, tau)[:, :field.degree])
+        return field.p, tag, tau
     rows, p = args[:2]
     tori = _table(p).tori
     [tag] = [tag for tag in tori if len(tori[tag]) % len(rows) == 0
@@ -277,28 +284,22 @@ def _torus_key(args):
 
 
 def _spy_kernels(monkeypatch):
-    """Wrap the trace grids' counting kernels; each count appends the (p, class,
-    tau) of its torus rows (None for the stacked count_product_eqs, once per
-    returned entry) and the estimated work of the cap that skipped it (None
-    if it ran) to calls[kernel]."""
+    """Wrap the trace grids' counting kernels; each call appends the (p, class,
+    tau) of its torus rows and the estimated work of the cap that skipped it
+    (None if it ran) to calls[kernel]."""
     calls = {name: [] for name in _KERNELS.values()}
 
     def spy(name):
         kernel = getattr(experiments, name)
 
         def counted(*args, **kwargs):
-            key = None if name == "count_product_eqs" else _torus_key(args)
+            key = _torus_key(args)
             try:
                 result = kernel(*args, **kwargs)
             except BudgetExceeded as err:
                 calls[name].append((key, err.estimated_work))
                 raise
-            if name == "count_product_eqs":
-                calls[name] += [(None, outcome.estimated_work
-                                 if isinstance(outcome, BudgetExceeded) else None)
-                                for outcome in result]
-            else:
-                calls[name].append((key, None))
+            calls[name].append((key, None))
             return result
 
         return counted
@@ -317,10 +318,7 @@ def test_trace_grid_counts_once_per_class_and_order(experiment, monkeypatch):
     assert len(classes) < len(traces)
     for quantity in {rec.quantity for rec in rows}:
         keys = [key for key, _ in calls[_KERNELS[quantity]]]
-        if quantity == "product-eq-count":
-            assert len(keys) == len(traces)  # its xi's are drawn per trace
-        else:
-            assert sorted(keys) == sorted(classes), quantity
+        assert sorted(keys) == sorted(classes), quantity
 
 
 @pytest.mark.parametrize("budget", [1, 1e-9])
@@ -342,21 +340,40 @@ def test_trace_experiments_build_no_matrix(experiment, budget, monkeypatch):
     assert not built
 
 
-def test_orbit_product_equations_take_their_orders_from_the_table(monkeypatch):
-    # both eigenvalues of A_u have the order tau that the trace table holds, so
-    # an orbit instance finds no order by mult_order, and its rows equal those
-    # of the same equations with orders that count_product_eqs finds itself
-    found = []
-    real = matgrp.mult_order
-    monkeypatch.setattr(matgrp, "mult_order", lambda x: found.append(x) or real(x))
-    cfg = _cfg(experiment="orbit", p_max=61)
-    rows = _all_rows(cfg)
-    assert not found and any(rec.quantity == "product-eq-count" for rec in rows)
-    stacked = experiments.count_product_eqs
-    monkeypatch.setattr(experiments, "count_product_eqs",
-                        lambda entries, budget, orders: stacked(entries, budget))
-    assert _all_rows(cfg) == rows
-    assert found
+def test_orbit_product_equations_are_the_eigenvalue_counts(monkeypatch):
+    # an orbit instance finds no order by mult_order and builds no field
+    # element per trace; each trace's row is count_product_eq of its own xi
+    # draws and the eigenvalues of A_u, with its bound tau / sqrt(L), L = tau
+    found, built = [], []
+    real_order, real_elem = matgrp.mult_order, ffield.FFElem.__init__
+    monkeypatch.setattr(matgrp, "mult_order", lambda x: found.append(x) or real_order(x))
+
+    def spy(self, *args):
+        built.append(args)
+        real_elem(self, *args)
+
+    # the elements an instance builds do not depend on how many traces it counts
+    monkeypatch.setattr(ffield.FFElem, "__init__", spy)
+    made = []
+    for class_filter in ("split", "all"):
+        built.clear()
+        cfg = _cfg(experiment="orbit", p_max=61, class_filter=class_filter)
+        rows = [rec for rec in _all_rows(cfg) if rec.quantity == "product-eq-count"]
+        made.append(len(built))
+    monkeypatch.undo()
+    assert not found and made[0] == made[1]
+    assert len(rows) > len([rec for rec in rows if rec.class_tag == "split"]) > 100
+    for rec in rows:
+        ctx = make_field(rec.p)
+        lambdas = char_poly_factor(sl2_companion(ctx, rec.trace)).eigenvalues
+        field = lambdas[0].ctx
+        stream = experiments._stream(cfg, rec.p, rec.trace)
+        xi0 = field.from_index(stream.unit_nonzero(field.q))
+        xis = (field.from_index(stream.unit_nonzero(field.q)),
+               field.from_index(stream.below(field.q)))
+        result = count_product_eq(xi0, xis, lambdas)
+        assert (rec.abs_value, rec.bound_value) == (
+            result.value, rec.tau / result.parameters["L"] ** 0.5), rec
 
 
 @pytest.mark.parametrize("experiment", ["energy", "q3", "orbit"])

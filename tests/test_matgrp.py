@@ -727,39 +727,66 @@ def test_matrix_order_norm_one_eigenvalue_route():
 
 @pytest.mark.parametrize("p", [p for p in range(3, 401) if _is_prime(p)] + [1009, 1013])
 def test_trace_table_equals_the_per_trace_analysis(p):
-    # the table and a one-row char_poly_factor of a fresh companion both take
-    # the scalar quadratic formula's tag, roots in order and root field; the
-    # table's orders and maps are those of the fresh companion, and its torus
-    # rows of each (class, tau) are the subgroup of the key's eigenvalues
+    # the table's class and a one-row char_poly_factor of a fresh companion
+    # both take the scalar quadratic formula's tag, and the companion its
+    # roots in order and root field; the table's orders and maps are those of
+    # the fresh companion, and its torus rows of each (class, tau) are the
+    # subgroup of the key's eigenvalues
     ctx = make_field(p)
     table = sl2_table(ctx)
-    assert table.ctx is ctx and len(table.roots) == len(table.tau) == p
+    assert table.ctx is ctx and len(table.tags) == len(table.tau) == p
     assert table.maps.dtype == np.int64 and table.maps.shape == (p, 2, 2)
     assert table.tori["split"].shape == (p - 1, 2) and table.tori["irreducible"].shape == (p + 1, 2)
     keys = set()
-    for u, (row, tau) in enumerate(zip(table.roots, table.tau)):
+    for u, (tag, tau) in enumerate(zip(table.tags, table.tau)):
         fresh = sl2_companion(ctx, u)
         single = char_poly_factor(fresh)
         want = naive_quadratic_roots(ctx.one, ctx.elem(-u))
-        assert row == want, u
+        assert type(tag) is str and tag == want[0], u
         assert (single.tag, single.eigenvalues, single.eigen_ctx) == want, u
         assert single.coeffs == (ctx.one, ctx.elem(-u), ctx.one)
         assert tau == matrix_order(fresh) and type(tau) is int
-        if row[0] != "repeated" and (row[0], tau) not in keys:
-            keys.add((row[0], tau))
-            lam = row[1][0]
+        if tag != "repeated" and (tag, tau) not in keys:
+            keys.add((tag, tau))
+            lam = single.eigenvalues[0]
             powers = [lam ** k for k in range(1, tau + 1)]
-            if row[0] == "split":
+            if tag == "split":
                 want_rows = [(x.c0, (1 / x).c0) for x in powers]
             else:
                 want_rows = [(x.c0, x.c1) for x in powers]
-            got = sorted(map(tuple, table.torus(row[0], tau).tolist()))
+            got = sorted(map(tuple, table.torus(tag, tau).tolist()))
             assert got == sorted(want_rows), u
         assert np.array_equal(table.maps[u], residue_map(fresh, "column"))
         assert np.array_equal(table.maps[u].T, residue_map(fresh, "row"))
-        assert all(type(c) is int for roots in (row[1], single.eigenvalues)
-                   for lam in roots for c in (lam.c0, lam.c1))
-        assert (row[0] == "repeated") == (u in (2, p - 2))
+        assert all(type(c) is int for lam in single.eigenvalues for c in (lam.c0, lam.c1))
+        assert (tag == "repeated") == (u in (2, p - 2))
+
+
+def test_trace_table_reads_its_classes_from_the_torus_walks(monkeypatch):
+    # no root finder runs, and the table holds strings, ints and arrays only
+    def refused(*args):
+        raise AssertionError("sl2_table called the quadratic root finder")
+
+    monkeypatch.setattr(matgrp, "_quadratic_roots", refused)
+    for p in (5, 13, 61, 1009):
+        table = sl2_table(make_field(p))
+        assert set(table.tags) == {"split", "irreducible", "repeated"}
+        assert {type(x) for x in table.tags + table.tau} == {str, int}
+        assert all(isinstance(walk, np.ndarray) for walk in table.tori.values())
+
+
+def test_trace_table_torus_refuses_orders_it_does_not_hold():
+    # tau must divide the size of the class's torus, p - 1 (split) or p + 1
+    # (irreducible), and a repeated trace has no torus
+    table = sl2_table(make_field(13))
+    for tag, tau in (("split", 5), ("split", 7), ("irreducible", 3), ("irreducible", 12),
+                     ("split", 0), ("irreducible", -2), ("repeated", 13), ("repeated", 26)):
+        with pytest.raises(ValueError):
+            table.torus(tag, tau)
+    for tag, size in (("split", 12), ("irreducible", 14)):
+        for tau in range(1, size + 1):
+            if size % tau == 0:
+                assert len(table.torus(tag, tau)) == tau
 
 
 def test_trace_table_is_built_over_a_prime_field():
